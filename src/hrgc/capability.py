@@ -73,18 +73,6 @@ def rs_capability(q: int, d) -> int:
     return (q**3 - q - sum(d)) // 2
 
 
-def tau_hmsr_regen(profile) -> int:
-    return regen_capability(profile.q, profile.d)
-
-
-def tau_hmsr_recon(profile) -> int:
-    return recon_capability(profile.q, profile.k)
-
-
-def tau_rsmsr(profile) -> int:
-    return rs_capability(profile.q, profile.d)
-
-
 @dataclass(frozen=True)
 class CapabilityRow:
     q: int

@@ -101,10 +101,6 @@ def enumerate_points(field: Field) -> PointTable:
     return PointTable(field)
 
 
-def node_basis_matrix(table: PointTable, g: int):
-    return table.basis(g)
-
-
 def encode_column(blocks, table: PointTable):
     """Evaluate the layered polynomial at every point (reference encoder).
 

@@ -7,55 +7,38 @@ helper per block and equals the per-node storage (the bandwidth-optimal
 point).  All decoding here runs against plain Vandermonde matrices, so the
 recovery budgets are exact; k_l = alpha_l (empty T) is a first-class case.
 
-Node/report/batch types, the staged request plan, and the helper response
-computation are shared with the MSR engine.
+The node/report/batch types, the staged request plan, the helper responses
+and the plain/detect/recover repair and reconstruction loops are the MSR
+engine's (``hmsr``).  This module supplies what is particular to MBR: the
+message layout, the mu rows as encoding vectors, repair rows that need no
+lambda mix, the window extractor ``_extract_m`` and the full-stack block
+solver ``rec_m``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .decoder import ERASED, decode
-from .errors import (
-    AsymmetryDetected,
-    DecodeFailure,
-    LengthMismatch,
-    NotEnoughHelpers,
-)
-from .hmsr import (
-    HelpSymbolBatch,
+from .errors import AsymmetryDetected, DecodeFailure, LengthMismatch
+from .hmsr import (  # noqa: F401 -- the shared names are re-exported
+    MessageMatrices,
     NodeState,
     ReconstructReport,
     RepairReport,
-    _assemble_node,
-    _contributors,
-    _recon_contributors,
+    _reconstruct,
+    _reconstruct_recover,
+    _regenerate,
+    _regenerate_recover,
     helper_response,
     recon_response,
     row_blocks,
     staged_request_plan,
     tilde_rows,
 )
-from .linalg import mat_inv, mat_mul, solve_square, transpose, vec_mat
+from .linalg import mat_inv, mat_mul, transpose, vec_mat
 from .matrices import CodeProfile, profile_digest
 
-__all__ = [
-    "MessageMatrixM", "arrange_m", "message_from_m", "encode_mbr",
-    "regenerate_mbr_plain", "regenerate_mbr_detect", "regenerate_mbr_recover",
-    "reconstruct_mbr_plain", "reconstruct_mbr_detect", "reconstruct_mbr_recover",
-    "rec_m", "helper_response", "recon_response", "staged_request_plan",
-    "HelpSymbolBatch", "NodeState", "RepairReport", "ReconstructReport",
-]
 
-
-@dataclass
-class MessageMatrixM:
-    """s[l][t]: k_l x k_l symmetric; t_[l][t]: k_l x (alpha_l - k_l)."""
-    s: list
-    t_: list
-
-
-def arrange_m(message, profile: CodeProfile) -> MessageMatrixM:
+def arrange_m(message, profile: CodeProfile) -> MessageMatrices:
     if len(message) != profile.B:
         raise LengthMismatch(f"message length {len(message)} != B={profile.B}")
     s_out, t_out = [], []
@@ -79,10 +62,10 @@ def arrange_m(message, profile: CodeProfile) -> MessageMatrixM:
         s_out.append(s_layer)
         t_out.append(t_layer)
     assert pos == profile.B
-    return MessageMatrixM(s=s_out, t_=t_out)
+    return MessageMatrices(s=s_out, t_=t_out)
 
 
-def message_from_m(m: MessageMatrixM, profile: CodeProfile):
+def message_from_m(m: MessageMatrices, profile: CodeProfile):
     out = []
     for l in range(profile.q):
         a, k = profile.alpha[l], profile.k[l]
@@ -95,7 +78,7 @@ def message_from_m(m: MessageMatrixM, profile: CodeProfile):
     return out
 
 
-def m_block(m: MessageMatrixM, profile: CodeProfile, l: int, t: int):
+def m_block(m: MessageMatrices, profile: CodeProfile, l: int, t: int):
     """Assemble the alpha_l x alpha_l block [[S, T], [T^t, 0]]."""
     a, k = profile.alpha[l], profile.k[l]
     S, T = m.s[l][t], m.t_[l][t]
@@ -107,7 +90,7 @@ def m_block(m: MessageMatrixM, profile: CodeProfile, l: int, t: int):
     return out
 
 
-def encode_mbr(m: MessageMatrixM, profile: CodeProfile):
+def encode_mbr(m: MessageMatrices, profile: CodeProfile):
     assert profile.mode == "mbr"
     F = profile.field
     q = profile.q
@@ -133,102 +116,23 @@ def encode_mbr(m: MessageMatrixM, profile: CodeProfile):
 # -- repair -------------------------------------------------------------------
 
 
+def _solved_row(profile, z, l, x):
+    """An MBR repair solves node z's layer-l block directly."""
+    return x
+
+
 def regenerate_mbr_plain(z, batches, profile: CodeProfile) -> RepairReport:
-    F = profile.field
-    tilde = []
-    for l in range(profile.q):
-        d = profile.d[l]
-        contributors = _contributors(batches, l)
-        if len(contributors) < d:
-            raise NotEnoughHelpers(
-                f"layer {l} needs {d} helpers, got {len(contributors)}"
-            )
-        ids = [b.helper_id for b in contributors[:d]]
-        W = [list(profile.mu_row(g, l)) for g in ids]
-        layer_rows = []
-        for t in range(profile.blocks(l)):
-            p = [b.symbols[(l, t)] for b in contributors[:d]]
-            layer_rows.append(solve_square(F, W, p))
-        tilde.append(layer_rows)
-    return RepairReport(mode="plain", ok=True, y=_assemble_node(profile, z, tilde))
+    return _regenerate(z, batches, profile, "plain", profile.mu_row, _solved_row)
 
 
 def regenerate_mbr_detect(z, batches, profile: CodeProfile) -> RepairReport:
-    F = profile.field
-    tilde = []
-    for l in range(profile.q):
-        d = profile.d[l]
-        contributors = _contributors(batches, l)
-        if len(contributors) < d + 1:
-            raise NotEnoughHelpers(
-                f"detect layer {l} needs {d + 1} helpers, got {len(contributors)}"
-            )
-        ids = [b.helper_id for b in contributors[:d + 1]]
-        W1 = [list(profile.mu_row(g, l)) for g in ids[:d]]
-        W2 = [list(profile.mu_row(g, l)) for g in ids[1:]]
-        layer_rows = []
-        for t in range(profile.blocks(l)):
-            p = [b.symbols[(l, t)] for b in contributors[:d + 1]]
-            x1 = solve_square(F, W1, p[:d])
-            x2 = solve_square(F, W2, p[1:])
-            if x1 != x2:
-                return RepairReport(
-                    mode="detect", ok=False, alarm={"layer": l, "block": t},
-                )
-            layer_rows.append(x1)
-        tilde.append(layer_rows)
-    return RepairReport(mode="detect", ok=True, y=_assemble_node(profile, z, tilde))
+    return _regenerate(z, batches, profile, "detect", profile.mu_row, _solved_row)
 
 
 def regenerate_mbr_recover(z, batches, profile: CodeProfile,
                            prior_flags=frozenset()) -> RepairReport:
-    F = profile.field
-    q2 = profile.n_nodes
-    helpers = sorted(batches, key=lambda b: b.helper_id)
-    if len(helpers) != q2 - 1:
-        raise NotEnoughHelpers(f"recovery needs {q2 - 1} batches, got {len(helpers)}")
-    ids = [b.helper_id for b in helpers]
-    pts = [profile.x_value(g) for g in ids]
-    flags = set(prior_flags)
-    found = set()
-    tallies = {}
-    cap = (q2 - profile.d[-1] - 1) // 2
-    tilde = [[None] * profile.blocks(l) for l in range(profile.q)]
-    for l in range(profile.q - 1, -1, -1):
-        d = profile.d[l]
-        gen = [list(profile.mu_row(g, l)) for g in ids]
-        sigma = sum(1 for g in ids if g in flags)
-        tallies[l] = {"erasures": sigma, "errors": 0}
-        if sigma > min(q2 - d - 1, cap):
-            return RepairReport(
-                mode="recover", ok=False,
-                failure=f"erasure count {sigma} exceeds layer-{l} budget "
-                        f"{min(q2 - d - 1, cap)}",
-                corrupted=frozenset(found), tallies=tallies,
-            )
-        for t in range(profile.blocks(l)):
-            word = [
-                ERASED if b.helper_id in flags else b.symbols[(l, t)]
-                for b in helpers
-            ]
-            try:
-                res = decode(F, gen, word, points=pts)
-            except DecodeFailure as exc:
-                return RepairReport(
-                    mode="recover", ok=False,
-                    failure=f"layer {l} block {t}: {exc}",
-                    corrupted=frozenset(found), tallies=tallies,
-                )
-            newly = {ids[i] for i in res.error_positions}
-            if newly:
-                flags |= newly
-                found |= newly
-                tallies[l]["errors"] += len(newly)
-            tilde[l][t] = res.message
-    return RepairReport(
-        mode="recover", ok=True, y=_assemble_node(profile, z, tilde),
-        corrupted=frozenset(found), tallies=tallies,
-    )
+    return _regenerate_recover(z, batches, profile, prior_flags, profile.mu_row,
+                               _solved_row, vandermonde=True)
 
 
 # -- reconstruction --------------------------------------------------------------
@@ -253,100 +157,24 @@ def _extract_m(F, mu_rows, k, R):
     return S, T
 
 
+def _m_window(profile, l, ids):
+    mu_rows = [profile.mu_row(g, l) for g in ids]
+    return lambda R: _extract_m(profile.field, mu_rows, profile.k[l], R)
+
+
 def reconstruct_mbr_plain(batches, profile: CodeProfile) -> ReconstructReport:
-    F = profile.field
-    m = MessageMatrixM(s=[[] for _ in range(profile.q)],
-                       t_=[[] for _ in range(profile.q)])
-    for l in range(profile.q):
-        k = profile.k[l]
-        resp = _recon_contributors(batches, l, k)
-        mu_rows = [list(profile.mu_row(b.helper_id, l)) for b in resp]
-        a = profile.alpha[l]
-        for t in range(profile.blocks(l)):
-            R = [row_blocks(b.rows[l], a)[t] for b in resp]
-            S, T = _extract_m(F, mu_rows, k, R)
-            m.s[l].append(S)
-            m.t_[l].append(T)
-    return ReconstructReport(mode="plain", ok=True,
-                             message=message_from_m(m, profile))
+    return _reconstruct(batches, profile, "plain", _m_window, 0, message_from_m)
 
 
 def reconstruct_mbr_detect(batches, profile: CodeProfile) -> ReconstructReport:
-    F = profile.field
-    m = MessageMatrixM(s=[[] for _ in range(profile.q)],
-                       t_=[[] for _ in range(profile.q)])
-    for l in range(profile.q):
-        k = profile.k[l]
-        resp = _recon_contributors(batches, l, k + 1)
-        mu1 = [list(profile.mu_row(b.helper_id, l)) for b in resp[:k]]
-        mu2 = [list(profile.mu_row(b.helper_id, l)) for b in resp[1:]]
-        a = profile.alpha[l]
-        for t in range(profile.blocks(l)):
-            R = [row_blocks(b.rows[l], a)[t] for b in resp]
-            try:
-                S1, T1 = _extract_m(F, mu1, k, R[:k])
-                S2, T2 = _extract_m(F, mu2, k, R[1:])
-            except AsymmetryDetected:
-                return ReconstructReport(
-                    mode="detect", ok=False, alarm={"layer": l, "block": t},
-                )
-            if S1 != S2 or T1 != T2:
-                return ReconstructReport(
-                    mode="detect", ok=False, alarm={"layer": l, "block": t},
-                )
-            m.s[l].append(S1)
-            m.t_[l].append(T1)
-    return ReconstructReport(mode="detect", ok=True,
-                             message=message_from_m(m, profile))
+    # second window: positions {1..k_l}
+    return _reconstruct(batches, profile, "detect", _m_window, 0, message_from_m)
 
 
 def reconstruct_mbr_recover(batches, profile: CodeProfile,
                             prior_flags=frozenset()) -> ReconstructReport:
-    q2 = profile.n_nodes
-    rows_by_node = {b.helper_id: b.rows for b in batches}
-    flags = set(prior_flags) | {g for g in range(q2) if g not in rows_by_node}
-    found = set()
-    tallies = {}
-    m = MessageMatrixM(s=[[None] * profile.blocks(l) for l in range(profile.q)],
-                       t_=[[None] * profile.blocks(l) for l in range(profile.q)])
-    for l in range(profile.q - 1, -1, -1):
-        k = profile.k[l]
-        sigma = len(flags)
-        tallies[l] = {"erasures": sigma, "errors": 0}
-        # q^2 - k_l flags is the solvability frontier (sigma + 2 tau <= q^2 - k_l)
-        if sigma > q2 - k:
-            return ReconstructReport(
-                mode="recover", ok=False,
-                failure=f"flagged count {sigma} exceeds layer-{l} budget "
-                        f"{q2 - k}",
-                corrupted=frozenset(found), tallies=tallies,
-            )
-        a = profile.alpha[l]
-        for t in range(profile.blocks(l)):
-            blocks = [
-                None if (g in flags or g not in rows_by_node)
-                else row_blocks(rows_by_node[g][l], a)[t]
-                for g in range(q2)
-            ]
-            try:
-                S, T, newly = rec_m(blocks, frozenset(flags), l, profile)
-            except DecodeFailure as exc:
-                return ReconstructReport(
-                    mode="recover", ok=False,
-                    failure=f"layer {l} block {t}: {exc}",
-                    corrupted=frozenset(found), tallies=tallies,
-                )
-            newly -= flags
-            if newly:
-                flags |= newly
-                found |= newly
-                tallies[l]["errors"] += len(newly)
-            m.s[l][t] = S
-            m.t_[l][t] = T
-    return ReconstructReport(
-        mode="recover", ok=True, message=message_from_m(m, profile),
-        corrupted=frozenset(found), tallies=tallies,
-    )
+    return _reconstruct_recover(batches, profile, prior_flags, rec_m,
+                                message_from_m)
 
 
 def rec_m(blocks, erased, l, profile: CodeProfile):

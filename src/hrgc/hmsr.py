@@ -15,6 +15,10 @@ length-(q^2-1) word under the stacked encoding vectors, erases previously
 flagged nodes, and decodes.  Corruption flags accumulate across the strict
 (layer descending, block ascending) recovery order within one call; keeping
 them across calls is the simulator's job.
+
+The plain/detect/recover repair and reconstruction loops defined here are
+shared with the MBR engine (``hmbr``), which passes its own encoding rows,
+block extractor, block solver and message layout.
 """
 
 from __future__ import annotations
@@ -38,8 +42,12 @@ from .matrices import CodeProfile, profile_digest
 
 
 @dataclass
-class MessageMatricesST:
-    """s[l][t] and t_[l][t]: symmetric alpha_l x alpha_l blocks."""
+class MessageMatrices:
+    """The message blocks of both codes, s[l][t] and t_[l][t].
+
+    MSR: S and T symmetric alpha_l x alpha_l.  MBR: S symmetric k_l x k_l,
+    T k_l x (alpha_l - k_l).
+    """
     s: list
     t_: list
 
@@ -85,15 +93,11 @@ class ReconstructReport:
 # -- message arrangement --------------------------------------------------------
 
 
-def _tri(n):
-    return n * (n + 1) // 2
-
-
-def arrange_st(message, profile: CodeProfile) -> MessageMatricesST:
+def arrange_st(message, profile: CodeProfile) -> MessageMatrices:
     if len(message) != profile.B:
         raise LengthMismatch(f"message length {len(message)} != B={profile.B}")
     half = profile.B // 2
-    return MessageMatricesST(
+    return MessageMatrices(
         s=_fill_symmetric(message[:half], profile),
         t_=_fill_symmetric(message[half:], profile),
     )
@@ -117,7 +121,7 @@ def _fill_symmetric(syms, profile):
     return out
 
 
-def message_from_st(st: MessageMatricesST, profile: CodeProfile):
+def message_from_st(st: MessageMatrices, profile: CodeProfile):
     return _read_symmetric(st.s, profile) + _read_symmetric(st.t_, profile)
 
 
@@ -147,7 +151,7 @@ def _layer_matrix(blocks_l):
     return rows
 
 
-def encode(st: MessageMatricesST, profile: CodeProfile):
+def encode(st: MessageMatrices, profile: CodeProfile):
     """Produce the q^2 node states for an arranged message."""
     assert profile.mode == "msr"
     F = profile.field
@@ -236,7 +240,18 @@ def _contributors(batches, l):
     return sorted((b for b in batches if b.level >= l), key=lambda b: b.helper_id)
 
 
-# -- repair ----------------------------------------------------------------------
+# -- shared repair/reconstruct loops ---------------------------------------------
+#
+# Both engines run these four loops.  Each entry point passes what differs
+# between the codes, read from its own module's globals when it runs (never
+# captured at import, so rebinding a module attribute reaches every call):
+#   row(g, l)                  node g's layer-l encoding vector (nu or mu)
+#   finish(profile, z, l, x)   node z's layer-l row block from a solved block
+#   vandermonde                rows are powers of the node x-values
+#   window(profile, l, ids)    extractor R -> (S, T) for one responder window
+#   drop                       detect responder left out of the second window
+#   solve(blocks, erased, l, profile)  full-stack block solver -> (S, T, bad)
+#   layout(m, profile)         MessageMatrices -> message symbols
 
 
 def _assemble_node(profile, z, tilde_z):
@@ -244,125 +259,193 @@ def _assemble_node(profile, z, tilde_z):
     return mat_mul(profile.field, profile.points.basis(z), rows)
 
 
-def _repair_block_plain(profile, z, l, contributors, t):
+def _regenerate(z, batches, profile, mode, row, finish):
+    """Plain/detect repair; detect solves each block again on the helper
+    window shifted by one and alarms on a mismatch."""
     F = profile.field
-    d = profile.d[l]
-    ids = [b.helper_id for b in contributors[:d]]
-    V = [profile.nu_row(g, l) for g in ids]
-    p = [b.symbols[(l, t)] for b in contributors[:d]]
-    try:
-        x = solve_square(F, V, p)
-    except SingularSystem:
-        raise SingularSystem(
-            f"repair window {ids} singular at layer {l}"
-        ) from None
-    a = profile.alpha[l]
-    lam_z = profile.lam[z]
-    return [F.add(x[j], F.mul(lam_z, x[a + j])) for j in range(a)]
-
-
-def regenerate_plain(z, batches, profile: CodeProfile) -> RepairReport:
-    tilde = []
-    for l in range(profile.q):
-        contributors = _contributors(batches, l)
-        if len(contributors) < profile.d[l]:
-            raise NotEnoughHelpers(
-                f"layer {l} needs {profile.d[l]} helpers, got {len(contributors)}"
-            )
-        tilde.append([
-            _repair_block_plain(profile, z, l, contributors, t)
-            for t in range(profile.blocks(l))
-        ])
-    return RepairReport(mode="plain", ok=True, y=_assemble_node(profile, z, tilde))
-
-
-def regenerate_detect(z, batches, profile: CodeProfile) -> RepairReport:
-    F = profile.field
+    detect = mode == "detect"
     tilde = []
     for l in range(profile.q):
         d = profile.d[l]
-        contributors = _contributors(batches, l)
-        if len(contributors) < d + 1:
-            raise NotEnoughHelpers(
-                f"detect layer {l} needs {d + 1} helpers, got {len(contributors)}"
-            )
-        ids = [b.helper_id for b in contributors[:d + 1]]
-        V1 = [profile.nu_row(g, l) for g in ids[:d]]
-        V2 = [profile.nu_row(g, l) for g in ids[1:]]
+        need = d + 1 if detect else d
+        helpers = _contributors(batches, l)[:need]
+        if len(helpers) < need:
+            raise NotEnoughHelpers(f"{'detect ' if detect else ''}layer {l} "
+                                   f"needs {need} helpers, got {len(helpers)}")
+        ids = [b.helper_id for b in helpers]
+        V = [row(g, l) for g in ids]
         layer_rows = []
         for t in range(profile.blocks(l)):
-            p = [b.symbols[(l, t)] for b in contributors[:d + 1]]
-            x1 = solve_square(F, V1, p[:d])
-            x2 = solve_square(F, V2, p[1:])
-            if x1 != x2:
-                return RepairReport(
-                    mode="detect", ok=False,
-                    alarm={"layer": l, "block": t},
-                )
-            a = profile.alpha[l]
-            lam_z = profile.lam[z]
-            layer_rows.append(
-                [F.add(x1[j], F.mul(lam_z, x1[a + j])) for j in range(a)]
-            )
+            p = [b.symbols[(l, t)] for b in helpers]
+            try:
+                x = solve_square(F, V[:d], p[:d])
+            except SingularSystem:
+                if detect:
+                    raise
+                raise SingularSystem(
+                    f"repair window {ids} singular at layer {l}") from None
+            if detect and x != solve_square(F, V[1:], p[1:]):
+                return RepairReport(mode=mode, ok=False,
+                                    alarm={"layer": l, "block": t})
+            layer_rows.append(finish(profile, z, l, x))
         tilde.append(layer_rows)
-    return RepairReport(mode="detect", ok=True, y=_assemble_node(profile, z, tilde))
+    return RepairReport(mode=mode, ok=True, y=_assemble_node(profile, z, tilde))
 
 
-def regenerate_recover(z, batches, profile: CodeProfile,
-                       prior_flags=frozenset()) -> RepairReport:
-    """Full-strength repair: decode every block against all other nodes."""
+def _failed(report_type, failure, found, tallies):
+    return report_type(mode="recover", ok=False, failure=failure,
+                       corrupted=frozenset(found), tallies=tallies)
+
+
+def _regenerate_recover(z, batches, profile, prior_flags, row, finish,
+                        vandermonde):
+    """Full-strength repair: decode every block against all other nodes.
+
+    ``vandermonde``: the rows are powers of the node x-values, so the
+    decoder may interpolate (Welch-Berlekamp) instead of searching supports.
+    """
     F = profile.field
     q2 = profile.n_nodes
     helpers = sorted(batches, key=lambda b: b.helper_id)
     if len(helpers) != q2 - 1:
         raise NotEnoughHelpers(f"recovery needs {q2 - 1} batches, got {len(helpers)}")
     ids = [b.helper_id for b in helpers]
+    points = [profile.x_value(g) for g in ids] if vandermonde else None
     flags = set(prior_flags)
     found = set()
     tallies = {}
     cap = (q2 - profile.d[-1] - 1) // 2
     tilde = [[None] * profile.blocks(l) for l in range(profile.q)]
     for l in range(profile.q - 1, -1, -1):
-        d = profile.d[l]
-        gen = [profile.nu_row(g, l) for g in ids]
+        gen = [row(g, l) for g in ids]
         sigma = sum(1 for g in ids if g in flags)
         tallies[l] = {"erasures": sigma, "errors": 0}
-        if sigma > min(q2 - d - 1, cap):
-            return RepairReport(
-                mode="recover", ok=False,
-                failure=f"erasure count {sigma} exceeds layer-{l} budget "
-                        f"{min(q2 - d - 1, cap)}",
-                corrupted=frozenset(found), tallies=tallies,
-            )
-        a = profile.alpha[l]
-        lam_z = profile.lam[z]
+        budget = min(q2 - profile.d[l] - 1, cap)
+        if sigma > budget:
+            return _failed(RepairReport, f"erasure count {sigma} exceeds "
+                           f"layer-{l} budget {budget}", found, tallies)
         for t in range(profile.blocks(l)):
-            word = [
-                ERASED if b.helper_id in flags else b.symbols[(l, t)]
-                for b in helpers
-            ]
+            word = [ERASED if g in flags else b.symbols[(l, t)]
+                    for g, b in zip(ids, helpers)]
             try:
-                res = decode(F, gen, word)
+                res = decode(F, gen, word, points=points)
             except DecodeFailure as exc:
-                return RepairReport(
-                    mode="recover", ok=False,
-                    failure=f"layer {l} block {t}: {exc}",
-                    corrupted=frozenset(found), tallies=tallies,
-                )
+                return _failed(RepairReport, f"layer {l} block {t}: {exc}",
+                               found, tallies)
             newly = {ids[i] for i in res.error_positions}
-            if newly:
-                flags |= newly
-                found |= newly
-                tallies[l]["errors"] += len(newly)
-            x = res.message
-            tilde[l][t] = [F.add(x[j], F.mul(lam_z, x[a + j])) for j in range(a)]
+            flags |= newly
+            found |= newly
+            tallies[l]["errors"] += len(newly)
+            tilde[l][t] = finish(profile, z, l, res.message)
     return RepairReport(
         mode="recover", ok=True, y=_assemble_node(profile, z, tilde),
         corrupted=frozenset(found), tallies=tallies,
     )
 
 
-# -- reconstruction ---------------------------------------------------------------
+def _reconstruct(batches, profile, mode, window, drop, layout):
+    """Plain/detect reconstruction; detect extracts each block from two
+    responder windows and alarms on a mismatch or an asymmetric block.
+
+    The windows' extractors are prepared once per layer and reused for
+    every block.
+    """
+    detect = mode == "detect"
+    m = MessageMatrices(s=[[] for _ in range(profile.q)],
+                        t_=[[] for _ in range(profile.q)])
+    for l in range(profile.q):
+        k = profile.k[l]
+        need = k + 1 if detect else k
+        resp = _contributors(batches, l)[:need]
+        if len(resp) < need:
+            raise NotEnoughHelpers(
+                f"layer {l} needs {need} responders, got {len(resp)}")
+        sels = [list(range(k))]
+        if detect:
+            sels.append(list(range(k + 1)))
+            del sels[1][drop]
+        extract = [window(profile, l, [resp[i].helper_id for i in sel])
+                   for sel in sels]
+        a = profile.alpha[l]
+        for t in range(profile.blocks(l)):
+            R = [b.rows[l][t * a:(t + 1) * a] for b in resp]
+            try:
+                out = [ex([R[i] for i in sel]) for ex, sel in zip(extract, sels)]
+            except AsymmetryDetected:
+                if not detect:
+                    raise
+                out = None
+            if out is None or out[-1] != out[0]:
+                return ReconstructReport(mode=mode, ok=False,
+                                         alarm={"layer": l, "block": t})
+            m.s[l].append(out[0][0])
+            m.t_[l].append(out[0][1])
+    return ReconstructReport(mode=mode, ok=True, message=layout(m, profile))
+
+
+def _reconstruct_recover(batches, profile, prior_flags, solve, layout):
+    """Solve every block from the full response stack, erasing flagged and
+    missing nodes; flags raised at one block are erasures for the next."""
+    q2 = profile.n_nodes
+    rows_by_node = {b.helper_id: b.rows for b in batches}
+    flags = set(prior_flags) | {g for g in range(q2) if g not in rows_by_node}
+    found = set()
+    tallies = {}
+    m = MessageMatrices(s=[[None] * profile.blocks(l) for l in range(profile.q)],
+                        t_=[[None] * profile.blocks(l) for l in range(profile.q)])
+    for l in range(profile.q - 1, -1, -1):
+        sigma = len(flags)
+        tallies[l] = {"erasures": sigma, "errors": 0}
+        # q^2 - k_l flags is the solvability frontier of both block solvers
+        # (sigma + 2 tau + 1 <= q^2 - alpha_l, sigma + 2 tau <= q^2 - k_l)
+        budget = q2 - profile.k[l]
+        if sigma > budget:
+            return _failed(ReconstructReport, f"flagged count {sigma} exceeds "
+                           f"layer-{l} budget {budget}", found, tallies)
+        a = profile.alpha[l]
+        for t in range(profile.blocks(l)):
+            blocks = [None if g in flags else rows_by_node[g][l][t * a:(t + 1) * a]
+                      for g in range(q2)]
+            try:
+                S, T, newly = solve(blocks, frozenset(flags), l, profile)
+            except DecodeFailure as exc:
+                return _failed(ReconstructReport, f"layer {l} block {t}: {exc}",
+                               found, tallies)
+            newly -= flags
+            flags |= newly
+            found |= newly
+            tallies[l]["errors"] += len(newly)
+            m.s[l][t], m.t_[l][t] = S, T
+    return ReconstructReport(
+        mode="recover", ok=True, message=layout(m, profile),
+        corrupted=frozenset(found), tallies=tallies,
+    )
+
+
+# -- MSR repair -------------------------------------------------------------------
+
+
+def _lambda_mix(profile, z, l, x):
+    """Node z's layer-l block from a solved [S; T] row: x_S + lam_z x_T."""
+    F, a, lam_z = profile.field, profile.alpha[l], profile.lam[z]
+    return [F.add(x[j], F.mul(lam_z, x[a + j])) for j in range(a)]
+
+
+def regenerate_plain(z, batches, profile: CodeProfile) -> RepairReport:
+    return _regenerate(z, batches, profile, "plain", profile.nu_row, _lambda_mix)
+
+
+def regenerate_detect(z, batches, profile: CodeProfile) -> RepairReport:
+    return _regenerate(z, batches, profile, "detect", profile.nu_row, _lambda_mix)
+
+
+def regenerate_recover(z, batches, profile: CodeProfile,
+                       prior_flags=frozenset()) -> RepairReport:
+    return _regenerate_recover(z, batches, profile, prior_flags, profile.nu_row,
+                               _lambda_mix, vandermonde=False)
+
+
+# -- MSR reconstruction -------------------------------------------------------------
 
 
 class ExtractContext:
@@ -372,8 +455,6 @@ class ExtractContext:
         F = profile.field
         a = profile.alpha[l]
         assert len(ids) == a + 1
-        self.profile = profile
-        self.l = l
         self.ids = list(ids)
         self.mu = [list(profile.mu_row(g, l)) for g in ids]
         self.lam = [profile.lam[g] for g in ids]
@@ -433,116 +514,26 @@ def _rebuild(F, C, ctx, a):
     return mat_mul(F, ctx.omega_inv, rows)
 
 
-def _recon_contributors(batches, l, need):
-    ready = _contributors(batches, l)
-    if len(ready) < need:
-        raise NotEnoughHelpers(f"layer {l} needs {need} responders, got {len(ready)}")
-    return ready[:need]
+
+
+def _st_window(profile, l, ids):
+    ctx = ExtractContext(profile, l, ids)
+    return lambda R: extract_st(R, ids, l, profile, ctx)
 
 
 def reconstruct_plain(batches, profile: CodeProfile) -> ReconstructReport:
-    st = MessageMatricesST(s=[[] for _ in range(profile.q)],
-                           t_=[[] for _ in range(profile.q)])
-    for l in range(profile.q):
-        k = profile.k[l]
-        resp = _recon_contributors(batches, l, k)
-        ids = [b.helper_id for b in resp]
-        ctx = ExtractContext(profile, l, ids)
-        a = profile.alpha[l]
-        for t in range(profile.blocks(l)):
-            R = [row_blocks(b.rows[l], a)[t] for b in resp]
-            S, T = extract_st(R, ids, l, profile, ctx)
-            st.s[l].append(S)
-            st.t_[l].append(T)
-    return ReconstructReport(
-        mode="plain", ok=True, message=message_from_st(st, profile)
-    )
+    return _reconstruct(batches, profile, "plain", _st_window, -2, message_from_st)
 
 
 def reconstruct_detect(batches, profile: CodeProfile) -> ReconstructReport:
-    st = MessageMatricesST(s=[[] for _ in range(profile.q)],
-                           t_=[[] for _ in range(profile.q)])
-    for l in range(profile.q):
-        k = profile.k[l]
-        resp = _recon_contributors(batches, l, k + 1)
-        ids = [b.helper_id for b in resp]
-        # node sets {0..alpha_l} and {0..alpha_l+1} minus position alpha_l
-        sel1 = list(range(k))
-        sel2 = list(range(k - 1)) + [k]
-        ctx1 = ExtractContext(profile, l, [ids[i] for i in sel1])
-        ctx2 = ExtractContext(profile, l, [ids[i] for i in sel2])
-        a = profile.alpha[l]
-        for t in range(profile.blocks(l)):
-            blocks_all = [row_blocks(b.rows[l], a)[t] for b in resp]
-            try:
-                S1, T1 = extract_st([blocks_all[i] for i in sel1],
-                                    ctx1.ids, l, profile, ctx1)
-                S2, T2 = extract_st([blocks_all[i] for i in sel2],
-                                    ctx2.ids, l, profile, ctx2)
-            except AsymmetryDetected:
-                return ReconstructReport(
-                    mode="detect", ok=False, alarm={"layer": l, "block": t},
-                )
-            if S1 != S2 or T1 != T2:
-                return ReconstructReport(
-                    mode="detect", ok=False, alarm={"layer": l, "block": t},
-                )
-            st.s[l].append(S1)
-            st.t_[l].append(T1)
-    return ReconstructReport(
-        mode="detect", ok=True, message=message_from_st(st, profile)
-    )
+    # second window: positions {0..k_l-2, k_l}
+    return _reconstruct(batches, profile, "detect", _st_window, -2, message_from_st)
 
 
 def reconstruct_recover(batches, profile: CodeProfile,
                         prior_flags=frozenset()) -> ReconstructReport:
-    q2 = profile.n_nodes
-    rows_by_node = {b.helper_id: b.rows for b in batches}
-    flags = set(prior_flags) | {g for g in range(q2) if g not in rows_by_node}
-    found = set()
-    tallies = {}
-    st_s = [[None] * profile.blocks(l) for l in range(profile.q)]
-    st_t = [[None] * profile.blocks(l) for l in range(profile.q)]
-    for l in range(profile.q - 1, -1, -1):
-        k = profile.k[l]
-        sigma = len(flags)
-        tallies[l] = {"erasures": sigma, "errors": 0}
-        # q^2 - k_l flags is the solvability frontier of the block solver
-        # (sigma + 2 tau + 1 <= q^2 - alpha_l with tau = 0)
-        if sigma > q2 - k:
-            return ReconstructReport(
-                mode="recover", ok=False,
-                failure=f"flagged count {sigma} exceeds layer-{l} budget "
-                        f"{q2 - k}",
-                corrupted=frozenset(found), tallies=tallies,
-            )
-        a = profile.alpha[l]
-        for t in range(profile.blocks(l)):
-            blocks = [
-                None if (g in flags or g not in rows_by_node)
-                else row_blocks(rows_by_node[g][l], a)[t]
-                for g in range(q2)
-            ]
-            try:
-                S, T, newly = rec_st(blocks, frozenset(flags), l, profile)
-            except DecodeFailure as exc:
-                return ReconstructReport(
-                    mode="recover", ok=False,
-                    failure=f"layer {l} block {t}: {exc}",
-                    corrupted=frozenset(found), tallies=tallies,
-                )
-            newly -= flags
-            if newly:
-                flags |= newly
-                found |= newly
-                tallies[l]["errors"] += len(newly)
-            st_s[l][t] = S
-            st_t[l][t] = T
-    st = MessageMatricesST(s=st_s, t_=st_t)
-    return ReconstructReport(
-        mode="recover", ok=True, message=message_from_st(st, profile),
-        corrupted=frozenset(found), tallies=tallies,
-    )
+    return _reconstruct_recover(batches, profile, prior_flags, rec_st,
+                                message_from_st)
 
 
 def rec_st(blocks, erased, l, profile: CodeProfile):

@@ -5,14 +5,6 @@ from __future__ import annotations
 from .errors import SingularSystem
 
 
-def zeros(r, c):
-    return [[0] * c for _ in range(r)]
-
-
-def identity(F, n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def transpose(M):
     return [list(col) for col in zip(*M)]
 
@@ -100,11 +92,6 @@ def _eliminate(F, M, ncols=None):
         if r == rows:
             break
     return pivots
-
-
-def rank(F, A):
-    M = [row[:] for row in A]
-    return len(_eliminate(F, M))
 
 
 def det_nonzero(F, A):
@@ -195,7 +182,3 @@ def null_space(F, A):
 def left_null_space(F, G):
     """Rows h with h G = 0; returns them as a matrix (possibly empty)."""
     return [list(v) for v in null_space(F, transpose(G))]
-
-
-def mat_eq(A, B):
-    return A == B

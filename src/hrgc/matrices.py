@@ -102,10 +102,6 @@ class CodeProfile:
     def n_nodes(self) -> int:
         return self.q * self.q
 
-    def layer_block_ids(self):
-        """(l, t) pairs in arrangement order: l ascending, t ascending."""
-        return [(l, t) for l in range(self.q) for t in range(self.blocks(l))]
-
 
 def v_rows(profile: CodeProfile, i: int, j: int, l: int):
     """Stacked rows i..j (inclusive) of [Phi_l, Delta*Phi_l]."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, fields
 
 from . import hmbr, hmsr
 from .errors import HrgcError, InvalidParams, LengthMismatch, NotEnoughHelpers
@@ -34,18 +34,22 @@ def _op_rng(adversary, op_counter):
     return random.Random(adversary.seed * 1_000_003 + op_counter)
 
 
+STRATEGIES = ("random", "offset", "layer", "consistent_pair")
+KNOWLEDGE = ("own", "omniscient")
+
+
 @dataclass(frozen=True)
 class AdversarySpec:
     """Which nodes lie, and how.
 
     strategy: "random" (uniform resample), "offset" (add a constant),
-    "layer" (random nonzero offsets in one layer only), "collusive_random"
-    (shared stream, same effect as random), or "consistent_pair"
-    (omniscient-only: craft repair-detect errors that the two-window
-    comparison cannot see).
+    "layer" (random nonzero offsets in layer ``layer`` only), or
+    "consistent_pair" (omniscient-only, detect/recover repair: craft
+    repair-detect errors that the two-window comparison cannot see).
     knowledge: "own" nodes know only their own encoding rows; "omniscient"
     unlocks consistent_pair.
-    activation: per-(layer, block) probability of perturbing.
+    activation: per-(layer, block) probability of perturbing, in [0, 1].
+    Node ids and ``layer`` are checked against the cluster when it is used.
     """
     nodes: frozenset
     strategy: str = "random"
@@ -56,8 +60,18 @@ class AdversarySpec:
     layer: int | None = None
 
     def __post_init__(self):
+        if self.strategy not in STRATEGIES:
+            raise InvalidParams(f"unknown adversary strategy {self.strategy!r}; "
+                                f"expected one of {', '.join(STRATEGIES)}")
+        if self.knowledge not in KNOWLEDGE:
+            raise InvalidParams(f"unknown adversary knowledge {self.knowledge!r}; "
+                                f"expected one of {', '.join(KNOWLEDGE)}")
         if self.strategy == "consistent_pair" and self.knowledge != "omniscient":
             raise InvalidParams("consistent_pair requires omniscient knowledge")
+        if self.strategy == "layer" and self.layer is None:
+            raise InvalidParams("strategy=layer needs layer=...")
+        if not 0.0 <= self.activation <= 1.0:
+            raise InvalidParams(f"activation {self.activation} outside [0, 1]")
 
 
 def parse_adversary(text: str) -> AdversarySpec:
@@ -71,15 +85,36 @@ def parse_adversary(text: str) -> AdversarySpec:
         kv[key.strip()] = val.strip()
     if "nodes" not in kv:
         raise InvalidParams("adversary spec needs nodes=...")
-    return AdversarySpec(
-        nodes=frozenset(int(v) for v in kv["nodes"].split(",") if v),
-        strategy=kv.get("strategy", "random"),
-        knowledge=kv.get("knowledge", "own"),
-        activation=float(kv.get("activation", "1.0")),
-        seed=int(kv.get("seed", "0")),
-        offset=int(kv.get("offset", "1")),
-        layer=int(kv["layer"]) if "layer" in kv else None,
-    )
+    unknown = sorted(set(kv) - {f.name for f in fields(AdversarySpec)})
+    if unknown:
+        raise InvalidParams(f"unknown adversary spec keys {unknown}")
+    try:
+        return AdversarySpec(
+            nodes=frozenset(int(v) for v in kv["nodes"].split(",") if v),
+            strategy=kv.get("strategy", "random"),
+            knowledge=kv.get("knowledge", "own"),
+            activation=float(kv.get("activation", "1.0")),
+            seed=int(kv.get("seed", "0")),
+            offset=int(kv.get("offset", "1")),
+            layer=int(kv["layer"]) if "layer" in kv else None,
+        )
+    except ValueError as exc:
+        raise InvalidParams(f"bad adversary spec {text!r}: {exc}") from None
+
+
+def _check_node(profile, g, what="node"):
+    if not 0 <= g < profile.n_nodes:
+        raise InvalidParams(f"{what} {g} outside [0, {profile.n_nodes - 1}]")
+
+
+def _check_adversary(profile, spec):
+    if spec is None:
+        return
+    for g in sorted(spec.nodes):
+        _check_node(profile, g, "adversary node")
+    if spec.layer is not None and not 0 <= spec.layer < profile.q:
+        raise InvalidParams(f"adversary layer {spec.layer} outside "
+                            f"[0, {profile.q - 1}]")
 
 
 @dataclass
@@ -136,6 +171,7 @@ def cluster_init(profile: CodeProfile, message, retain_truth=True,
 
 
 def fail_node(cluster: Cluster, z: int):
+    _check_node(cluster.profile, z)
     if cluster.nodes[z] is None:
         raise InvalidParams(f"node {z} already failed")
     cluster.nodes[z] = None
@@ -157,7 +193,7 @@ def _perturb_symbol(F, rng, spec, value):
         return F.add(value, spec.offset or 1)
     if spec.strategy == "layer":
         return F.add(value, rng.randrange(1, F.order))
-    return rng.randrange(F.order)  # random / collusive_random
+    return rng.randrange(F.order)
 
 
 def _corrupt_repair_batches(cluster, batches, spec, rng):
@@ -239,8 +275,14 @@ def repair(cluster: Cluster, z: int, mode: str, adversary: AdversarySpec = None,
            policy: str = "escalate"):
     """Repair failed node z.  Returns (RepairReport, ExchangeLog)."""
     profile = cluster.profile
+    _check_node(profile, z)
+    _check_adversary(profile, adversary)
     if cluster.nodes[z] is not None:
         raise InvalidParams(f"node {z} is not failed")
+    if (mode == "plain" and adversary
+            and adversary.strategy == "consistent_pair"):
+        raise InvalidParams("strategy consistent_pair needs detect or recover "
+                            "mode: it crafts errors against the extra helper")
     engine = cluster._engine()
     cluster.op_counter += 1
     rng = _op_rng(adversary, cluster.op_counter) if adversary else None
@@ -303,6 +345,7 @@ def reconstruct(cluster: Cluster, mode: str, adversary: AdversarySpec = None,
                 policy: str = "escalate"):
     """Reconstruct the stored file.  Returns (ReconstructReport, ExchangeLog)."""
     profile = cluster.profile
+    _check_adversary(profile, adversary)
     engine = cluster._engine()
     cluster.op_counter += 1
     rng = _op_rng(adversary, cluster.op_counter) if adversary else None

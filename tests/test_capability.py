@@ -15,9 +15,6 @@ from hrgc.capability import (
     rs_capability,
     sweep_alpha,
     sweep_csv,
-    tau_hmsr_recon,
-    tau_hmsr_regen,
-    tau_rsmsr,
 )
 from hrgc.curve import kappa
 from hrgc.errors import InvalidParams
@@ -66,14 +63,14 @@ def test_mbr_point_identities(q4_mbr):
 
 
 def test_tau_values_q4(q4_msr):
-    assert tau_hmsr_regen(q4_msr) == 16
-    assert tau_rsmsr(q4_msr) == 12
-    assert tau_hmsr_recon(q4_msr) == 4 * ((16 - 4) // 2) == 24
+    assert regen_capability(q4_msr.q, q4_msr.d) == 16
+    assert rs_capability(q4_msr.q, q4_msr.d) == 12
+    assert recon_capability(q4_msr.q, q4_msr.k) == 4 * ((16 - 4) // 2) == 24
 
 
 def test_tau_values_q3(q3_msr):
-    assert tau_hmsr_regen(q3_msr) == 9
-    assert tau_rsmsr(q3_msr) == 6
+    assert regen_capability(q3_msr.q, q3_msr.d) == 9
+    assert rs_capability(q3_msr.q, q3_msr.d) == 6
 
 
 def test_tau_recon_k_sequence():

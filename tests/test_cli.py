@@ -142,3 +142,16 @@ def test_multichunk_packing():
     chunks = cli.pack_file(data, 4, 1320)
     assert len(chunks) == 2
     assert cli.unpack_file(chunks, 4) == data
+
+
+def test_bad_adversary_and_node_exit_codes(workspace, capsys):
+    cluster = workspace["cluster"]
+    out = str(workspace["root"] / "never.bin")
+    for spec in ("nodes=x", "nodes=1;strategy=bogus", "nodes=1,40"):
+        assert run(["reconstruct", "--cluster", cluster, "--mode", "detect",
+                    "--adversary", spec, "--out", out]) == cli.EXIT_BAD_INPUT
+    for node in ("99", "-1"):
+        assert run(["fail", "--cluster", cluster, "--node", node]) \
+            == cli.EXIT_BAD_INPUT
+    assert "InvalidParams" in capsys.readouterr().err
+    assert run(["verify", "--cluster", cluster]) == cli.EXIT_OK

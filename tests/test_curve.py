@@ -8,7 +8,6 @@ from hrgc.curve import (
     enumerate_points,
     group_x_value,
     kappa,
-    node_basis_matrix,
 )
 from hrgc.errors import InvalidM
 from hrgc.field import field_new
@@ -96,7 +95,7 @@ def test_node_basis_invertible(q):
     table = enumerate_points(F)
     ident = [[1 if i == j else 0 for j in range(q)] for i in range(q)]
     for g in range(q * q):
-        B = node_basis_matrix(table, g)
+        B = table.basis(g)
         assert mat_mul(F, B, table.basis_inv(g)) == ident
 
 
@@ -104,7 +103,7 @@ def test_node_basis_rows_q3_group0():
     F = field_new(3)
     table = enumerate_points(F)
     thetas = F.trace_zero_set()
-    B = node_basis_matrix(table, 0)
+    B = table.basis(0)
     assert B == [[1, th, F.mul(th, th)] for th in thetas]
 
 

@@ -233,3 +233,132 @@ def test_omniscient_collusion_defeats_detection(q3_msr):
 def test_consistent_pair_requires_omniscience():
     with pytest.raises(InvalidParams):
         sim.AdversarySpec(nodes=frozenset({1, 2}), strategy="consistent_pair")
+
+
+def _tallies(*rows):
+    return {l: {"erasures": e, "errors": x} for l, e, x in rows}
+
+
+_ONE = _tallies((2, 0, 1), (1, 1, 0), (0, 1, 0))
+_ONE_L1 = _tallies((2, 0, 0), (1, 0, 1), (0, 1, 0))
+_TWO = _tallies((2, 0, 2), (1, 2, 0), (0, 2, 0))
+_NONE_L2 = _tallies((2, 0, 0))
+
+# (code, op, liars, layer for the "layer" strategy, detect-mode alarm,
+#  recover-mode failure text, corrupted, tallies).  The liars hold the lowest
+# ids, which the staged plans ask first, so detect mode always meets a lie.
+PINNED = [
+    ("msr", "repair", {1}, None, (0, 0), None, {1}, _ONE),
+    ("msr", "repair", {2}, 1, (1, 0), None, {2}, _ONE_L1),
+    ("msr", "repair", {1, 2}, None, (0, 0), None, {1, 2}, _TWO),
+    ("msr", "repair", {1, 2, 3, 4}, None, (0, 0),
+     "erasure count 4 exceeds layer-1 budget 3", {1, 2, 3, 4},
+     _tallies((2, 0, 4), (1, 4, 0))),
+    ("msr", "reconstruct", {1}, None, (0, 0), None, {1}, _ONE),
+    ("msr", "reconstruct", {2}, 1, (1, 0), None, {2}, _ONE_L1),
+    ("msr", "reconstruct", {1, 2}, None, (0, 0), None, {1, 2}, _TWO),
+    ("msr", "reconstruct", {1, 2, 3, 4, 5, 6}, None, (0, 0),
+     "layer 2 block 0: only 0 trustworthy columns for dimension 1", set(),
+     _NONE_L2),
+    ("mbr", "repair", {1}, None, (0, 1), None, {1}, _ONE),
+    ("mbr", "repair", {2}, 1, (1, 0), None, {2}, _ONE_L1),
+    ("mbr", "repair", {1, 2}, None, (0, 0), None, {1, 2}, _TWO),
+    ("mbr", "repair", {1, 2, 3, 4}, None, (0, 0),
+     "layer 2 block 0: interpolation found no nonzero error locator", set(),
+     _NONE_L2),
+    ("mbr", "reconstruct", {1}, None, (0, 0), None, {1}, _ONE),
+    ("mbr", "reconstruct", {2}, 1, (1, 0), None, {2}, _ONE_L1),
+    ("mbr", "reconstruct", {1, 2}, None, (0, 0), None, {1, 2}, _TWO),
+    ("mbr", "reconstruct", {1, 2, 3, 4, 5}, None, (0, 0),
+     "layer 2 block 0: error locator does not divide the interpolant", set(),
+     _NONE_L2),
+]
+
+
+@pytest.mark.parametrize(
+    "code,op,liars,layer,alarm,failure,corrupted,tallies", PINNED)
+def test_pinned_alarms_and_tallies(code, op, liars, layer, alarm, failure,
+                                   corrupted, tallies, request):
+    profile = request.getfixturevalue(f"q3_{code}")
+    adversary = sim.AdversarySpec(
+        nodes=frozenset(liars), strategy="random" if layer is None else "layer",
+        layer=layer, seed=5)
+    for mode in ("detect", "recover"):
+        cluster = make_cluster(profile, 1)
+        if op == "repair":
+            truth = [row[:] for row in cluster.nodes[0].y]
+            sim.fail_node(cluster, 0)
+            report, _ = sim.repair(cluster, 0, mode, adversary, policy="report")
+            exact = report.ok and report.y == truth
+        else:
+            report, _ = sim.reconstruct(cluster, mode, adversary, policy="report")
+            exact = report.ok and report.message == cluster.truth_message
+        if mode == "detect":
+            assert not report.ok and report.failure is None
+            assert report.alarm == {"layer": alarm[0], "block": alarm[1]}
+            assert report.tallies == {} and report.corrupted == frozenset()
+            continue
+        assert report.alarm is None
+        assert report.failure == failure
+        assert exact == (failure is None)
+        assert report.corrupted == frozenset(corrupted)
+        assert report.tallies == tallies
+
+
+@pytest.mark.parametrize("text", [
+    "nodes=1;strategy=bogus",
+    "nodes=1;strategy=collusive_random",
+    "nodes=1;knowledge=godlike",
+    "nodes=1;strategy=layer",
+    "nodes=1;activation=1.5",
+    "nodes=1;activation=-0.1",
+    "nodes=1;activation=nan",
+    "nodes=x",
+    "nodes=1;seed=abc",
+    "nodes=1;layer=one;strategy=layer",
+    "nodes=1;activaton=0.5",
+])
+def test_parse_adversary_rejects_bad_specs(text):
+    with pytest.raises(InvalidParams):
+        sim.parse_adversary(text)
+
+
+def test_parse_adversary_accepts_bench_specs():
+    for text in ("nodes=0,3;strategy=random;seed=9;activation=0.5",
+                 "nodes=2;strategy=offset;seed=1;activation=1.0;offset=3",
+                 "nodes=1,4;strategy=layer;seed=2;activation=0.5;layer=2"):
+        assert sim.parse_adversary(text).nodes
+
+
+def test_node_ids_are_range_checked(q3_msr):
+    cluster = make_cluster(q3_msr, 16)
+    for g in (9, 99, -1):
+        with pytest.raises(InvalidParams):
+            sim.fail_node(cluster, g)
+        with pytest.raises(InvalidParams):
+            sim.repair(cluster, g, "plain")
+    assert cluster.live_ids() == list(range(9))
+    sim.fail_node(cluster, 0)
+    outside = sim.AdversarySpec(nodes=frozenset({1, 40}))
+    wrong_layer = sim.AdversarySpec(nodes=frozenset({1}), strategy="layer",
+                                    layer=3)
+    for adversary in (outside, wrong_layer):
+        with pytest.raises(InvalidParams):
+            sim.repair(cluster, 0, "recover", adversary)
+        with pytest.raises(InvalidParams):
+            sim.reconstruct(cluster, "recover", adversary)
+    assert cluster.op_counter == 0 and cluster.nodes[0] is None
+
+
+@pytest.mark.parametrize("code", ["msr", "mbr"])
+def test_consistent_pair_needs_detect_or_recover(code, request):
+    profile = request.getfixturevalue(f"q3_{code}")
+    cluster = make_cluster(profile, 17)
+    sim.fail_node(cluster, 0)
+    adversary = sim.AdversarySpec(nodes=frozenset({1, 2}),
+                                  strategy="consistent_pair",
+                                  knowledge="omniscient", seed=3)
+    with pytest.raises(InvalidParams, match="detect or recover"):
+        sim.repair(cluster, 0, "plain", adversary)
+    report, _ = sim.repair(cluster, 0, "recover", adversary)
+    assert report.ok or report.failure is not None
