@@ -20,7 +20,7 @@ import sys
 from . import sim
 from .capability import capability_sweep, sweep_csv
 from .decoder import erasure_solve
-from .errors import HrgcError
+from .errors import AsymmetryDetected, HrgcError
 from .matrices import profile_from_text, profile_new, profile_to_text
 
 EXIT_OK = 0
@@ -326,6 +326,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except AsymmetryDetected as exc:
+        # the responders' data was corrupt, not the operator's input
+        print(f"alarm ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return EXIT_ALARM
     except HrgcError as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

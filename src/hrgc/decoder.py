@@ -12,6 +12,15 @@ When the generator rows are monomial evaluations [1, x_i, ..., x_i^(k-1)] the
 caller may pass the evaluation ``points``; decoding then runs the
 Welch-Berlekamp interpolation fast path (one linear solve) with identical
 results under the guarantee.
+
+Before either search, a word that is already a codeword exits early: the
+message is taken from the first k usable positions (Newton interpolation in
+O(k^2) with ``points``, one k x k solve without), re-encoded, and returned
+with no error positions when every usable position agrees.  The recovery
+loops erase flagged nodes in every later block, so almost all of their words
+take this exit.  It returns exactly what the search would have returned; any
+other word, or a first-k window that does not determine the message, goes to
+the search unchanged.
 """
 
 from __future__ import annotations
@@ -19,13 +28,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import DecodeFailure, Inconsistent, Underdetermined
+from .errors import (
+    DecodeFailure,
+    DivisionByZero,
+    Inconsistent,
+    SingularSystem,
+    Underdetermined,
+)
 from .linalg import (
     _eliminate,
     left_null_space,
     mat_vec,
     null_space,
     solve_least_index,
+    solve_square,
 )
 
 ERASED = None
@@ -55,14 +71,19 @@ def decode(F, generator, values, tau_max=None, points=None) -> DecodeResult:
     if tau_max is None:
         tau_max = max(0, (len(pos) - k) // 2)
 
-    if points is not None:
-        message = _decode_wb(F, k, [points[i] for i in pos],
-                             [values[i] for i in pos], tau_max)
-    else:
-        message = _decode_generic(F, [generator[i] for i in pos],
-                                  [values[i] for i in pos], k, tau_max)
-
-    codeword = mat_vec(F, generator, message)
+    message = _codeword_message(F, generator, values, pos, k, tau_max, points)
+    if message is not None:
+        codeword = mat_vec(F, generator, message)
+        if any(values[i] != codeword[i] for i in pos):
+            message = None
+    if message is None:
+        if points is not None:
+            message = _decode_wb(F, k, [points[i] for i in pos],
+                                 [values[i] for i in pos], tau_max)
+        else:
+            message = _decode_generic(F, [generator[i] for i in pos],
+                                      [values[i] for i in pos], k, tau_max)
+        codeword = mat_vec(F, generator, message)
     errors = frozenset(
         i for i in pos if values[i] != codeword[i]
     )
@@ -70,6 +91,51 @@ def decode(F, generator, values, tau_max=None, points=None) -> DecodeResult:
         raise DecodeFailure(f"{len(errors)} mismatches exceed tau_max={tau_max}")
     return DecodeResult(message=message, codeword=codeword,
                         error_positions=errors, erasure_positions=erased)
+
+
+def _codeword_message(F, generator, values, pos, k, tau_max, points):
+    """The message of the first k usable positions, or None when they do not
+    determine it the way the search would.
+
+    Without ``points`` the search accepts a zero syndrome with the unique
+    message, so a regular first-k window is enough.  With ``points`` and
+    tau_max >= 0 the interpolation's first null-space vector is the locator
+    E = 1 with Q the interpolant, so it returns the same polynomial; a
+    repeated point among the first k leaves the window singular.
+    """
+    head = pos[:k]
+    if points is None:
+        try:
+            return solve_square(F, [generator[i] for i in head],
+                                [values[i] for i in head])
+        except SingularSystem:
+            return None
+    if tau_max < 0:
+        return None
+    try:
+        return _interpolate(F, [points[i] for i in head],
+                            [values[i] for i in head])
+    except DivisionByZero:
+        return None
+
+
+def _interpolate(F, xs, ys):
+    """Coefficients (lowest first) of the polynomial of degree < len(xs)
+    through the points, by Newton divided differences."""
+    n = len(xs)
+    c = list(ys)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            c[i] = F.div(F.sub(c[i], c[i - 1]), F.sub(xs[i], xs[i - j]))
+    poly = [c[-1]]
+    for i in range(n - 2, -1, -1):
+        # poly * (x - xs[i]) + c[i]
+        shifted = [0] + poly
+        for j, p in enumerate(poly):
+            shifted[j] = F.sub(shifted[j], F.mul(p, xs[i]))
+        shifted[0] = F.add(shifted[0], c[i])
+        poly = shifted
+    return poly
 
 
 def _decode_generic(F, G, r, k, tau_max):

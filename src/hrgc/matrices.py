@@ -31,6 +31,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidAlpha,
     InvalidK,
+    InvalidParams,
 )
 from .field import Field, field_new
 from .linalg import det_nonzero
@@ -131,6 +132,20 @@ def profile_new(mode: str, q: int, m: int, alpha, k=None, seed: int = 1) -> Code
         raise InvalidAlpha(f"unknown mode {mode!r}")
     F = field_new(q)
     kap = kappa(q, m)
+    alpha, kk, d, A, B = _layer_params(mode, q, kap, alpha, k)
+
+    points = enumerate_points(F)
+    xs = [group_x_value(F, g) for g in range(q * q)]
+    lam = select_delta(F, xs, alpha, d, mode, seed)
+
+    return CodeProfile(
+        mode=mode, q=q, m=m, alpha=alpha, k=kk, lam=lam, seed=seed,
+        kappa=kap, d=d, A=A, B=B, field=F, points=points,
+    )
+
+
+def _layer_params(mode, q, kap, alpha, k):
+    """Validate alpha (and k) and derive (alpha, k, d, A, B) for a mode."""
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != q:
         raise InvalidAlpha(f"need {q} layer sizes, got {len(alpha)}")
@@ -170,15 +185,7 @@ def profile_new(mode: str, q: int, m: int, alpha, k=None, seed: int = 1) -> Code
         twice = sum((A // a) * kk[i] * (2 * a - kk[i] + 1) for i, a in enumerate(alpha))
         assert twice % 2 == 0
         B = twice // 2
-
-    points = enumerate_points(F)
-    xs = [group_x_value(F, g) for g in range(q * q)]
-    lam = select_delta(F, xs, alpha, d, mode, seed)
-
-    return CodeProfile(
-        mode=mode, q=q, m=m, alpha=alpha, k=kk, lam=lam, seed=seed,
-        kappa=kap, d=d, A=A, B=B, field=F, points=points,
-    )
+    return alpha, kk, d, A, B
 
 
 # -- coefficient selection ---------------------------------------------------
@@ -352,7 +359,17 @@ def profile_to_text(profile: CodeProfile) -> str:
     return "".join(f"{k}={fields[k]}\n" for k in sorted(fields))
 
 
+_PROFILE_INTS = ("A", "B", "m", "q", "seed")
+_PROFILE_SEQS = ("alpha", "d", "k", "kappa", "lam")
+
+
 def profile_from_text(text: str) -> CodeProfile:
+    """Parse a profile document and re-check every derived field.
+
+    Missing, unparsable or inconsistent keys raise InvalidParams; alpha and k
+    go through the same rules as ``profile_new``.  The coefficient draw is
+    only checked to be a permutation of the field, never re-selected.
+    """
     kv = {}
     for line in text.splitlines():
         line = line.strip()
@@ -360,16 +377,32 @@ def profile_from_text(text: str) -> CodeProfile:
             continue
         key, _, val = line.partition("=")
         kv[key] = val
-    seq = lambda s: tuple(int(v) for v in kv[s].split(","))
-    prof = CodeProfile(
-        mode=kv["mode"], q=int(kv["q"]), m=int(kv["m"]),
-        alpha=seq("alpha"), k=seq("k"), lam=seq("lam"), seed=int(kv["seed"]),
-        kappa=seq("kappa"), d=seq("d"), A=int(kv["A"]), B=int(kv["B"]),
-    )
-    # cross-check the derived fields against a fresh computation
-    assert prof.kappa == kappa(prof.q, prof.m)
-    assert prof.A == math.lcm(*prof.alpha)
-    return prof
+    missing = [key for key in ("mode",) + _PROFILE_INTS + _PROFILE_SEQS
+               if key not in kv]
+    if missing:
+        raise InvalidParams(f"profile lacks {', '.join(missing)}")
+    try:
+        ints = {key: int(kv[key]) for key in _PROFILE_INTS}
+        seqs = {key: tuple(int(v) for v in kv[key].split(","))
+                for key in _PROFILE_SEQS}
+    except ValueError as exc:
+        raise InvalidParams(f"unparsable profile value: {exc}") from None
+    mode, q = kv["mode"], ints["q"]
+    if mode not in ("msr", "mbr"):
+        raise InvalidParams(f"unknown profile mode {mode!r}")
+    F = field_new(q)
+    kap = kappa(q, ints["m"])
+    alpha, k, d, A, B = _layer_params(mode, q, kap, seqs["alpha"], seqs["k"])
+    derived = {"kappa": kap, "alpha": alpha, "k": k, "d": d, "A": A, "B": B}
+    for key, want in derived.items():
+        got = ints.get(key, seqs.get(key))
+        if got != want:
+            raise InvalidParams(f"profile {key}={got} does not match the "
+                                f"derived {want}")
+    if sorted(seqs["lam"]) != list(range(F.order)):
+        raise InvalidParams("profile lam is not a permutation of the "
+                            f"{F.order} field elements")
+    return CodeProfile(mode=mode, field=F, **ints, **seqs)
 
 
 def profile_digest(profile: CodeProfile) -> bytes:

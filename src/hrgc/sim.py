@@ -45,7 +45,8 @@ class AdversarySpec:
     strategy: "random" (uniform resample), "offset" (add a constant),
     "layer" (random nonzero offsets in layer ``layer`` only), or
     "consistent_pair" (omniscient-only, detect/recover repair: craft
-    repair-detect errors that the two-window comparison cannot see).
+    repair-detect errors that the two-window comparison cannot see;
+    reconstruct refuses it).
     knowledge: "own" nodes know only their own encoding rows; "omniscient"
     unlocks consistent_pair.
     activation: per-(layer, block) probability of perturbing, in [0, 1].
@@ -346,6 +347,10 @@ def reconstruct(cluster: Cluster, mode: str, adversary: AdversarySpec = None,
     """Reconstruct the stored file.  Returns (ReconstructReport, ExchangeLog)."""
     profile = cluster.profile
     _check_adversary(profile, adversary)
+    if adversary and adversary.strategy == "consistent_pair":
+        raise InvalidParams("strategy consistent_pair is a repair-only "
+                            "strategy: it crafts errors against the extra "
+                            "repair helper")
     engine = cluster._engine()
     cluster.op_counter += 1
     rng = _op_rng(adversary, cluster.op_counter) if adversary else None
@@ -466,6 +471,10 @@ def decode_node_bytes(data: bytes, profile: CodeProfile) -> NodeState:
     q = profile.q
     if data[:4] != NODE_MAGIC:
         raise HrgcError("bad node file magic")
+    size = 14 + 2 * q + 8 + q * profile.A
+    if len(data) < size:
+        raise HrgcError(f"node file truncated: {len(data)} bytes, the profile "
+                        f"needs {size}")
     if data[4] != NODE_VERSION:
         raise HrgcError(f"unsupported node file version {data[4]}")
     mode = "msr" if data[5] == 0 else "mbr"
@@ -489,7 +498,7 @@ def decode_node_bytes(data: bytes, profile: CodeProfile) -> NodeState:
     off += 8
     payload = data[off:]
     if len(payload) != q * profile.A:
-        raise HrgcError("node file payload length mismatch")
+        raise HrgcError("node file payload longer than the profile's")
     y = [list(payload[r * profile.A:(r + 1) * profile.A]) for r in range(q)]
     return NodeState(node_id=node_id, y=y, digest=bytes(digest))
 

@@ -1,6 +1,9 @@
 import json
 import os
 import random
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -155,3 +158,78 @@ def test_bad_adversary_and_node_exit_codes(workspace, capsys):
             == cli.EXIT_BAD_INPUT
     assert "InvalidParams" in capsys.readouterr().err
     assert run(["verify", "--cluster", cluster]) == cli.EXIT_OK
+
+
+@pytest.fixture(scope="module")
+def mbr_workspace(tmp_path_factory):
+    """profile + encoded 300-byte file, q=4 MBR."""
+    root = tmp_path_factory.mktemp("cli_mbr")
+    profile = str(root / "profile.txt")
+    assert run(["profile", "--mode", "mbr", "--q", "4", "--m", "37",
+                "--alphas", "6,5,4,3", "--ks", "6,5,4,3", "--seed", "4",
+                "--out", profile]) == 0
+    src = root / "input.bin"
+    src.write_bytes(bytes(random.Random(8).randrange(256) for _ in range(300)))
+    cluster = str(root / "cluster")
+    assert run(["encode", "--profile", profile, "--input", str(src),
+                "--outdir", cluster]) == 0
+    return {"root": root, "profile": profile, "cluster": cluster}
+
+
+def test_lying_responder_in_plain_reconstruct_is_an_alarm(mbr_workspace,
+                                                          capsys):
+    # the asymmetric block comes from the cluster, not from the operator
+    code = run(["reconstruct", "--cluster", mbr_workspace["cluster"],
+                "--mode", "plain", "--adversary", "nodes=1;seed=3",
+                "--out", str(mbr_workspace["root"] / "never.bin")])
+    assert code == cli.EXIT_ALARM
+    assert "AsymmetryDetected" in capsys.readouterr().err
+
+
+def _encode_with_profile(root, text, optimize=False):
+    """Run ``hrgc encode`` in a fresh interpreter against a profile text."""
+    profile = root / "edited.txt"
+    profile.write_text(text)
+    src = root / "tiny.bin"
+    src.write_bytes(b"abc")
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + [p for p in [env.get("PYTHONPATH")] if p])
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "hrgc.cli", "encode",
+         "--profile", str(profile), "--input", str(src),
+         "--outdir", str(root / "edited_cluster")],
+        env=env, capture_output=True, text=True)
+
+
+def test_profile_without_seed_exits_bad_input(mbr_workspace, tmp_path, capsys):
+    text = open(mbr_workspace["profile"]).read()
+    edited = "".join(line + "\n" for line in text.splitlines()
+                     if not line.startswith("seed="))
+    (tmp_path / "noseed.txt").write_text(edited)
+    code = run(["encode", "--profile", str(tmp_path / "noseed.txt"),
+                "--input", str(tmp_path / "noseed.txt"),
+                "--outdir", str(tmp_path / "c")])
+    assert code == cli.EXIT_BAD_INPUT
+    assert "InvalidParams" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_tampered_profile_exits_bad_input(mbr_workspace, tmp_path, optimize):
+    # the derived-field checks must hold under python -O as well
+    text = open(mbr_workspace["profile"]).read().replace("A=60\n", "A=30\n")
+    assert "A=30\n" in text
+    proc = _encode_with_profile(tmp_path, text, optimize)
+    assert proc.returncode == cli.EXIT_BAD_INPUT, proc.stderr
+    assert "InvalidParams" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_truncated_node_file_exits_bad_input(mbr_workspace, tmp_path, capsys):
+    cluster = tmp_path / "cluster"
+    shutil.copytree(mbr_workspace["cluster"], cluster)
+    node = cluster / "node_003.bin"
+    node.write_bytes(node.read_bytes()[:12])
+    assert run(["verify", "--cluster", str(cluster)]) == cli.EXIT_BAD_INPUT
+    assert "truncated" in capsys.readouterr().err

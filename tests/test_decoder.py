@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from hrgc.decoder import ERASED, decode, erasure_solve
+from hrgc import decoder
+from hrgc.decoder import ERASED, DecodeResult, decode, erasure_solve
 from hrgc.errors import DecodeFailure, Inconsistent, Underdetermined
 from hrgc.field import field_new
 from hrgc.linalg import mat_vec
@@ -204,3 +205,106 @@ def test_generic_path_on_non_polynomial_generator():
     res = decode(F, G, word)
     assert res.message == msg
     assert res.error_positions == {6}
+
+
+def _search_only(F, G, word, tau_max=None, points=None):
+    """decode without the codeword exit: the error search plus the same
+    input checks and post-check."""
+    n, k = len(G), len(G[0])
+    erased = frozenset(i for i, v in enumerate(word) if v is ERASED)
+    pos = [i for i in range(n) if i not in erased]
+    if len(pos) < k:
+        raise DecodeFailure(f"only {len(pos)} usable positions for dimension {k}")
+    if tau_max is None:
+        tau_max = max(0, (len(pos) - k) // 2)
+    r = [word[i] for i in pos]
+    if points is not None:
+        msg = decoder._decode_wb(F, k, [points[i] for i in pos], r, tau_max)
+    else:
+        msg = decoder._decode_generic(F, [G[i] for i in pos], r, k, tau_max)
+    cw = mat_vec(F, G, msg)
+    errors = frozenset(i for i in pos if word[i] != cw[i])
+    if len(errors) > tau_max:
+        raise DecodeFailure(f"{len(errors)} mismatches exceed tau_max={tau_max}")
+    return DecodeResult(message=msg, codeword=cw, error_positions=errors,
+                        erasure_positions=erased)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        r = fn(*args, **kwargs)
+    except DecodeFailure as exc:
+        return type(exc).__name__, str(exc)
+    return r.message, r.codeword, r.error_positions, r.erasure_positions
+
+
+def _generators(F, rng, n, k):
+    """(name, G, points) triples: Vandermonde with and without points, the
+    stacked [mu | lam*mu] rows of an MSR layer, and a random matrix."""
+    xs = rng.sample(range(F.order), n)
+    vdm = [[F.pow(x, j) for j in range(k)] for x in xs]
+    half = max(1, k // 2)
+    lam = rng.sample(range(F.order), n)
+    stacked = [[F.pow(x, j) for j in range(half)]
+               + [F.mul(lam[g], F.pow(x, j)) for j in range(half)]
+               for g, x in enumerate(xs)]
+    dense = [[rng.randrange(F.order) for _ in range(k)] for _ in range(n)]
+    return [("vdm+points", vdm, xs), ("vdm", vdm, None),
+            ("stacked", stacked, None), ("dense", dense, None)]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_codeword_exit_matches_the_error_search(q):
+    F = field_new(q)
+    rng = random.Random(100 + q)
+    seen = set()
+    for _ in range(12):
+        n = rng.randrange(5, min(F.order, 10) + 1)
+        k = rng.randrange(2, n - 2)
+        for name, G, points in _generators(F, rng, n, k):
+            kk = len(G[0])
+            slack = n - kk
+            cw = mat_vec(F, G, [rng.randrange(F.order) for _ in range(kk)])
+            # (erasures, errors): clean, erasures only, within the budget,
+            # and one past it
+            cases = [(0, 0), (rng.randrange(1, slack + 1), 0),
+                     (slack % 2, slack // 2), (slack - 1, 1),
+                     ((slack + 1) % 2, (slack + 1) // 2), (slack - 1, 2)]
+            for sigma, tau in cases:
+                if sigma < 0 or sigma + tau > n:
+                    continue
+                for tau_max in (None, tau, max(0, tau - 1), -1):
+                    idx = rng.sample(range(n), sigma + tau)
+                    word = list(cw)
+                    for i in idx[:sigma]:
+                        word[i] = ERASED
+                    for i in idx[sigma:]:
+                        word[i] = F.add(word[i], rng.randrange(1, F.order))
+                    want = _outcome(_search_only, F, G, word, tau_max, points)
+                    got = _outcome(decode, F, G, word, tau_max, points)
+                    assert got == want, (name, n, kk, sigma, tau, tau_max)
+                    seen.add((name, len(want) == 2, tau == 0))
+    # every generator decoded clean words and erroneous words, and failed
+    for name in ("vdm+points", "vdm", "stacked", "dense"):
+        assert {(name, False, True), (name, False, False),
+                (name, True, False)} <= seen, name
+
+
+def test_clean_word_with_erasures_skips_the_error_search(monkeypatch):
+    F = field_new(4)
+    G, xs = vandermonde(F, 12, 4)
+    msg = [3, 0, 11, 6]
+    word = mat_vec(F, G, msg)
+    for i in (0, 5, 9):
+        word[i] = ERASED
+
+    def refuse(*args):
+        raise AssertionError("the error search ran on a codeword")
+
+    monkeypatch.setattr(decoder, "null_space", refuse)
+    monkeypatch.setattr(decoder, "left_null_space", refuse)
+    for points in (xs, None):
+        res = decode(F, G, word, points=points)
+        assert res.message == msg
+        assert res.error_positions == frozenset()
+        assert res.erasure_positions == frozenset({0, 5, 9})

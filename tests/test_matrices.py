@@ -5,6 +5,7 @@ from hrgc.errors import (
     IndexOutOfRange,
     InvalidAlpha,
     InvalidK,
+    InvalidParams,
 )
 from hrgc.field import field_new
 from hrgc.linalg import det_nonzero, mat_inv
@@ -199,3 +200,39 @@ def test_digest_changes_with_seed(q3_msr):
     other = profile_new("msr", 3, 8, (3, 2, 1), seed=5)
     if other.lam != q3_msr.lam:
         assert profile_digest(other) != profile_digest(q3_msr)
+
+
+def _edited(profile, key, value):
+    lines = profile_to_text(profile).splitlines()
+    kept = [ln for ln in lines if not ln.startswith(f"{key}=")]
+    if value is not None:
+        kept.append(f"{key}={value}")
+    return "\n".join(kept) + "\n"
+
+
+@pytest.mark.parametrize("key,value", [
+    ("seed", None),
+    ("lam", None),
+    ("seed", "one"),
+    ("alpha", "3,2,x"),
+    ("mode", "rs"),
+    ("A", "12"),
+    ("B", "55"),
+    ("d", "6,4,3"),
+    ("kappa", "3,2,2"),
+    ("lam", "0,1,2,3,4,5,6,7,7"),
+    ("lam", "0,1,2,3,4,5,6,7"),
+    ("lam", "0,1,2,3,4,5,6,7,9"),
+])
+def test_profile_from_text_rechecks_every_field(q3_msr, key, value):
+    with pytest.raises(InvalidParams):
+        profile_from_text(_edited(q3_msr, key, value))
+
+
+def test_profile_from_text_applies_the_alpha_and_k_rules(q3_msr, q3_mbr):
+    with pytest.raises(InvalidK):
+        profile_from_text(_edited(q3_msr, "k", "4,3,3"))
+    with pytest.raises(InvalidK):
+        profile_from_text(_edited(q3_mbr, "k", "1,2,1"))
+    with pytest.raises(InvalidAlpha):
+        profile_from_text(_edited(q3_mbr, "alpha", "3,3,1"))

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_message
 from hrgc import sim
-from hrgc.errors import InvalidParams, LengthMismatch
+from hrgc.errors import HrgcError, InvalidParams, LengthMismatch
 from hrgc.matrices import profile_digest
 
 
@@ -362,3 +362,24 @@ def test_consistent_pair_needs_detect_or_recover(code, request):
         sim.repair(cluster, 0, "plain", adversary)
     report, _ = sim.repair(cluster, 0, "recover", adversary)
     assert report.ok or report.failure is not None
+
+
+@pytest.mark.parametrize("mode", ["plain", "detect", "recover"])
+def test_consistent_pair_refused_on_reconstruct(q3_mbr, mode):
+    cluster = make_cluster(q3_mbr, 18)
+    adversary = sim.AdversarySpec(nodes=frozenset({1, 2}),
+                                  strategy="consistent_pair",
+                                  knowledge="omniscient", seed=3)
+    with pytest.raises(InvalidParams, match="repair-only"):
+        sim.reconstruct(cluster, mode, adversary)
+    assert cluster.op_counter == 0
+
+
+def test_truncated_node_file_is_named(q3_msr, tmp_path):
+    make_cluster(q3_msr, 19, directory=str(tmp_path))
+    data = (tmp_path / sim.node_filename(4)).read_bytes()
+    for cut in (4, 12, 27, len(data) - 1):
+        with pytest.raises(HrgcError, match="truncated"):
+            sim.decode_node_bytes(data[:cut], q3_msr)
+    with pytest.raises(HrgcError, match="longer"):
+        sim.decode_node_bytes(data + b"\0", q3_msr)
