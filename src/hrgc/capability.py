@@ -92,6 +92,9 @@ def sweep_alpha(q: int):
 
 
 def capability_sweep(q_start: int = 4, q_stop: int = 16, q_step: int = 2):
+    if q_start < 4 or q_step < 1:
+        raise InvalidParams(f"q range {q_start}:{q_stop}:{q_step} needs "
+                            f"start >= 4 and step >= 1")
     rows = []
     for q in range(q_start, q_stop + 1, q_step):
         _, alpha = sweep_alpha(q)

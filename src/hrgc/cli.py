@@ -2,7 +2,15 @@
 capability / verify.
 
 Exit codes: 0 ok, 2 unresolved alarm, 3 decode failure, 4 bad input, 5 io
-error.  Every run is reproducible from its flags and seeds.
+error.  Bad input -- a usage error, a malformed number list or q range, a
+bad profile, manifest or node file -- is a typed HrgcError and exits 4 with
+a one-line message, never a traceback.  Every run is reproducible from its
+flags and seeds.
+
+``verify`` is a recover-mode reconstruct of the stored cluster with no
+payload output: it exits 0 when every block decodes with no corrupt node, and
+3 when the certified block solvers name corrupt nodes (``suspect_nodes``) or
+the corruption is beyond their budget (``error``).
 
 Byte packing: GF(16) stores two symbols per byte (high nibble first); every
 other q stores one symbol per byte, which requires input bytes < q^2.  The
@@ -19,8 +27,7 @@ import sys
 
 from . import sim
 from .capability import capability_sweep, sweep_csv
-from .decoder import erasure_solve
-from .errors import AsymmetryDetected, HrgcError
+from .errors import AsymmetryDetected, HrgcError, InvalidParams
 from .matrices import profile_from_text, profile_new, profile_to_text
 
 EXIT_OK = 0
@@ -83,6 +90,14 @@ def unpack_file(chunks, q: int) -> bytes:
 # -- helpers ----------------------------------------------------------------------
 
 
+def _int_list(text, sep, flag):
+    try:
+        return [int(v) for v in text.split(sep)]
+    except ValueError:
+        raise InvalidParams(f"{flag} {text!r}: expected integers separated "
+                            f"by {sep!r}") from None
+
+
 def _load_profile(path):
     with open(path) as fh:
         return profile_from_text(fh.read())
@@ -141,8 +156,8 @@ def _report_payload(report, log=None):
 
 
 def cmd_profile(args) -> int:
-    alpha = [int(v) for v in args.alphas.split(",")]
-    k = [int(v) for v in args.ks.split(",")] if args.ks else None
+    alpha = _int_list(args.alphas, ",", "--alphas")
+    k = _int_list(args.ks, ",", "--ks") if args.ks else None
     profile = profile_new(args.mode, args.q, args.m, alpha, k=k, seed=args.seed)
     with open(args.out, "w") as fh:
         fh.write(profile_to_text(profile))
@@ -208,8 +223,10 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_capability(args) -> int:
-    start, stop, step = (int(v) for v in args.q_range.split(":"))
-    rows = capability_sweep(start, stop, step)
+    bounds = _int_list(args.q_range, ":", "--q-range")
+    if len(bounds) != 3:
+        raise InvalidParams(f"--q-range {args.q_range!r}: expected start:stop:step")
+    rows = capability_sweep(*bounds)
     text = sweep_csv(rows)
     with open(args.out, "w") as fh:
         fh.write(text)
@@ -218,43 +235,30 @@ def cmd_capability(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Re-derive the per-node layer identities across the cluster."""
+    """Recover-mode reconstruct of the stored cluster, with no payload
+    output: the certified block solvers name every node whose rows disagree
+    with the decoded message."""
     cluster = sim.load_cluster(args.cluster)
-    profile = cluster.profile
-    engine = cluster._engine()
-    F = profile.field
-    suspect = set()
-    for l in range(profile.q):
-        if profile.mode == "msr":
-            gen = [profile.nu_row(g, l) for g in range(profile.n_nodes)]
-        else:
-            gen = [list(profile.mu_row(g, l)) for g in range(profile.n_nodes)]
-        tildes = {
-            g: engine.tilde_rows(profile, cluster.nodes[g])
-            for g in cluster.live_ids()
-        }
-        a = profile.alpha[l]
-        for t in range(profile.blocks(l)):
-            for col in range(a):
-                values = [
-                    tildes[g][l][t * a + col] if g in tildes else None
-                    for g in range(profile.n_nodes)
-                ]
-                try:
-                    erasure_solve(F, gen, values)
-                except HrgcError as exc:
-                    positions = getattr(exc, "positions", frozenset())
-                    suspect |= set(positions)
-                    if not positions:
-                        _emit(args, {"consistent": False, "error": str(exc)})
-                        return EXIT_DECODE_FAILURE
-    payload = {"consistent": not suspect, "suspect_nodes": sorted(suspect)}
+    report, _ = sim.reconstruct(cluster, "recover")
+    payload = {"consistent": report.ok and not report.corrupted,
+               "suspect_nodes": sorted(report.corrupted)}
+    if not report.ok:
+        payload["error"] = report.failure
     _emit(args, payload)
-    return EXIT_OK if not suspect else EXIT_DECODE_FAILURE
+    return EXIT_OK if payload["consistent"] else EXIT_DECODE_FAILURE
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input (exit 4); argparse's own exit 2 is the
+    alarm code here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="hrgc",
         description="Layered regenerating-code toolkit and cluster simulator",
     )

@@ -28,13 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import (
-    DecodeFailure,
-    DivisionByZero,
-    Inconsistent,
-    SingularSystem,
-    Underdetermined,
-)
+from .errors import DecodeFailure, DivisionByZero, SingularSystem
 from .linalg import (
     _eliminate,
     left_null_space,
@@ -270,38 +264,3 @@ def _poly_divmod(F, num, den):
                 if den[j]:
                     num[i - dd + j] = F.sub(num[i - dd + j], F.mul(q, den[j]))
     return quot, num[:dd] if dd else []
-
-
-# -- pure erasure solving -------------------------------------------------------
-
-
-def erasure_solve(F, generator, values):
-    """Solve from the least-index independent usable rows; verify the rest.
-
-    Raises Underdetermined when fewer than k usable positions (or rank loss),
-    Inconsistent(positions) when leftover positions disagree.
-    """
-    n = len(generator)
-    k = len(generator[0])
-    pos = [i for i in range(n) if values[i] is not ERASED]
-    if len(pos) < k:
-        raise Underdetermined(f"{len(pos)} usable positions < k={k}")
-    G = [generator[i] for i in pos]
-    r = [values[i] for i in pos]
-    try:
-        msg, used = solve_least_index(F, G, r, k)
-    except Exception as exc:
-        raise Underdetermined(str(exc)) from exc
-    bad = set()
-    for local, i in enumerate(pos):
-        if local in used:
-            continue
-        have = 0
-        for a, b in zip(generator[i], msg):
-            if a and b:
-                have = F.add(have, F.mul(a, b))
-        if have != values[i]:
-            bad.add(i)
-    if bad:
-        raise Inconsistent(bad)
-    return msg

@@ -33,10 +33,6 @@ class DeltaSearchFailed(HrgcError):
     """No coefficient diagonal passing the operational checks within the draw budget."""
 
 
-class IndexOutOfRange(HrgcError, IndexError):
-    pass
-
-
 class LengthMismatch(HrgcError):
     pass
 
@@ -59,18 +55,3 @@ class AsymmetryDetected(HrgcError):
 
 class DecodeFailure(HrgcError):
     """Errors-and-erasures decoding could not certify a unique codeword."""
-
-
-class Underdetermined(HrgcError):
-    """Too few usable positions to pin down the message."""
-
-
-class Inconsistent(HrgcError):
-    """Erasure solve succeeded but some positions disagree with the solution.
-
-    ``positions`` carries the disagreeing indices.
-    """
-
-    def __init__(self, positions):
-        super().__init__(f"inconsistent positions: {sorted(positions)}")
-        self.positions = frozenset(positions)

@@ -163,12 +163,11 @@ def _m_window(profile, l, ids):
 
 
 def reconstruct_mbr_plain(batches, profile: CodeProfile) -> ReconstructReport:
-    return _reconstruct(batches, profile, "plain", _m_window, 0, message_from_m)
+    return _reconstruct(batches, profile, "plain", _m_window, message_from_m)
 
 
 def reconstruct_mbr_detect(batches, profile: CodeProfile) -> ReconstructReport:
-    # second window: positions {1..k_l}
-    return _reconstruct(batches, profile, "detect", _m_window, 0, message_from_m)
+    return _reconstruct(batches, profile, "detect", _m_window, message_from_m)
 
 
 def reconstruct_mbr_recover(batches, profile: CodeProfile,

@@ -249,7 +249,6 @@ def _contributors(batches, l):
 #   finish(profile, z, l, x)   node z's layer-l row block from a solved block
 #   vandermonde                rows are powers of the node x-values
 #   window(profile, l, ids)    extractor R -> (S, T) for one responder window
-#   drop                       detect responder left out of the second window
 #   solve(blocks, erased, l, profile)  full-stack block solver -> (S, T, bad)
 #   layout(m, profile)         MessageMatrices -> message symbols
 
@@ -343,9 +342,10 @@ def _regenerate_recover(z, batches, profile, prior_flags, row, finish,
     )
 
 
-def _reconstruct(batches, profile, mode, window, drop, layout):
-    """Plain/detect reconstruction; detect extracts each block from two
-    responder windows and alarms on a mismatch or an asymmetric block.
+def _reconstruct(batches, profile, mode, window, layout):
+    """Plain/detect reconstruction; detect extracts each block from the
+    responder windows {0..k-1} and {1..k} and alarms on a mismatch or an
+    asymmetric block.
 
     The windows' extractors are prepared once per layer and reused for
     every block.
@@ -360,10 +360,7 @@ def _reconstruct(batches, profile, mode, window, drop, layout):
         if len(resp) < need:
             raise NotEnoughHelpers(
                 f"layer {l} needs {need} responders, got {len(resp)}")
-        sels = [list(range(k))]
-        if detect:
-            sels.append(list(range(k + 1)))
-            del sels[1][drop]
+        sels = [range(k), range(1, k + 1)] if detect else [range(k)]
         extract = [window(profile, l, [resp[i].helper_id for i in sel])
                    for sel in sels]
         a = profile.alpha[l]
@@ -522,12 +519,11 @@ def _st_window(profile, l, ids):
 
 
 def reconstruct_plain(batches, profile: CodeProfile) -> ReconstructReport:
-    return _reconstruct(batches, profile, "plain", _st_window, -2, message_from_st)
+    return _reconstruct(batches, profile, "plain", _st_window, message_from_st)
 
 
 def reconstruct_detect(batches, profile: CodeProfile) -> ReconstructReport:
-    # second window: positions {0..k_l-2, k_l}
-    return _reconstruct(batches, profile, "detect", _st_window, -2, message_from_st)
+    return _reconstruct(batches, profile, "detect", _st_window, message_from_st)
 
 
 def reconstruct_recover(batches, profile: CodeProfile,
@@ -577,35 +573,26 @@ def rec_st(blocks, erased, l, profile: CodeProfile):
             dvals[(gi, gj)] = dd
 
     def column_word(vals, j):
-        word = []
-        for i in range(q2):
-            if i == j:
-                continue
-            if i in erased:
-                word.append(ERASED)
-            else:
-                word.append(vals[(min(i, j), max(i, j))])
-        return word
+        # column j has no diagonal entry: position j is erased like a flag
+        return [ERASED if i == j or i in erased else vals[(min(i, j), max(i, j))]
+                for i in range(q2)]
 
-    xs_all = [profile.x_value(g) for g in range(q2)]
+    pts = [profile.x_value(g) for g in range(q2)]
     votes = {g: 0 for g in range(q2)}
     decoded_c = {}
     decoded_d = {}
     failed_cols = set()
     for j in present:
-        rows_no_j = [i for i in range(q2) if i != j]
-        gen = [mu[i] for i in rows_no_j]
-        pts = [xs_all[i] for i in rows_no_j]
         try:
-            res_c = decode(F, gen, column_word(cvals, j), tau_max=tau_bud, points=pts)
-            res_d = decode(F, gen, column_word(dvals, j), tau_max=tau_bud, points=pts)
+            res_c = decode(F, mu, column_word(cvals, j), tau_max=tau_bud, points=pts)
+            res_d = decode(F, mu, column_word(dvals, j), tau_max=tau_bud, points=pts)
         except DecodeFailure:
             failed_cols.add(j)
             continue
         decoded_c[j] = res_c.message
         decoded_d[j] = res_d.message
-        for local in res_c.error_positions | res_d.error_positions:
-            votes[rows_no_j[local]] += 1
+        for g in res_c.error_positions | res_d.error_positions:
+            votes[g] += 1
 
     threshold = tau_bud + 1
     suspects = {g for g, v in votes.items() if v >= threshold} | failed_cols

@@ -53,15 +53,6 @@ def vec_mat(F, v, A):
     return out
 
 
-def dot(F, u, v):
-    add, mul = F.add, F.mul
-    s = 0
-    for a, b in zip(u, v):
-        if a and b:
-            s = add(s, mul(a, b))
-    return s
-
-
 def _eliminate(F, M, ncols=None):
     """In-place forward elimination; returns pivot columns.  M is augmented-ok."""
     add, mul, neg, inv = F.add, F.mul, F.neg, F.inv

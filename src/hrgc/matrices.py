@@ -28,7 +28,6 @@ from itertools import combinations
 from .curve import PointTable, enumerate_points, group_x_value, kappa
 from .errors import (
     DeltaSearchFailed,
-    IndexOutOfRange,
     InvalidAlpha,
     InvalidK,
     InvalidParams,
@@ -102,25 +101,6 @@ class CodeProfile:
     @property
     def n_nodes(self) -> int:
         return self.q * self.q
-
-
-def v_rows(profile: CodeProfile, i: int, j: int, l: int):
-    """Stacked rows i..j (inclusive) of [Phi_l, Delta*Phi_l]."""
-    _check_range(profile, i, j, l)
-    return [profile.nu_row(g, l) for g in range(i, j + 1)]
-
-
-def w_rows(profile: CodeProfile, i: int, j: int, l: int):
-    """Stacked rows i..j (inclusive) of Phi_l."""
-    _check_range(profile, i, j, l)
-    return [list(profile.mu_row(g, l)) for g in range(i, j + 1)]
-
-
-def _check_range(profile, i, j, l):
-    if not (0 <= i <= j < profile.n_nodes):
-        raise IndexOutOfRange(f"row range [{i},{j}] outside [0,{profile.n_nodes - 1}]")
-    if not (0 <= l < profile.q):
-        raise IndexOutOfRange(f"layer {l} outside [0,{profile.q - 1}]")
 
 
 # -- profile construction ---------------------------------------------------

@@ -499,6 +499,9 @@ def decode_node_bytes(data: bytes, profile: CodeProfile) -> NodeState:
     payload = data[off:]
     if len(payload) != q * profile.A:
         raise HrgcError("node file payload longer than the profile's")
+    if max(payload) >= profile.field.order:
+        raise HrgcError(f"node file payload holds a symbol outside "
+                        f"GF({profile.field.order})")
     y = [list(payload[r * profile.A:(r + 1) * profile.A]) for r in range(q)]
     return NodeState(node_id=node_id, y=y, digest=bytes(digest))
 
@@ -541,7 +544,12 @@ def load_cluster(directory) -> Cluster:
     if manifest.get("digest") != profile_digest(profile).hex():
         raise HrgcError("manifest digest does not match the profile")
     for g in range(profile.n_nodes):
-        fname, _, status = manifest[f"node_{g:03d}"].partition(",")
+        key = f"node_{g:03d}"
+        if key not in manifest:
+            raise HrgcError(f"manifest has no {key} line")
+        fname, _, status = manifest[key].partition(",")
+        if status not in ("live", "failed"):
+            raise HrgcError(f"manifest {key} has unknown status {status!r}")
         if status == "live":
             nodes[g] = load_node(os.path.join(directory, fname), profile)
             if nodes[g].node_id != g:

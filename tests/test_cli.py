@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from hrgc import cli
+from hrgc import cli, sim
 from hrgc.errors import HrgcError
 
 
@@ -186,22 +186,25 @@ def test_lying_responder_in_plain_reconstruct_is_an_alarm(mbr_workspace,
     assert "AsymmetryDetected" in capsys.readouterr().err
 
 
+def _hrgc(argv, optimize=False):
+    """Run the command line in a fresh interpreter."""
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + [p for p in [env.get("PYTHONPATH")] if p])
+    flags = ["-O"] if optimize else []
+    return subprocess.run([sys.executable, *flags, "-m", "hrgc.cli", *argv],
+                          env=env, capture_output=True, text=True)
+
+
 def _encode_with_profile(root, text, optimize=False):
     """Run ``hrgc encode`` in a fresh interpreter against a profile text."""
     profile = root / "edited.txt"
     profile.write_text(text)
     src = root / "tiny.bin"
     src.write_bytes(b"abc")
-    env = dict(os.environ)
-    package_root = os.path.dirname(os.path.dirname(cli.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(
-        [package_root] + [p for p in [env.get("PYTHONPATH")] if p])
-    flags = ["-O"] if optimize else []
-    return subprocess.run(
-        [sys.executable, *flags, "-m", "hrgc.cli", "encode",
-         "--profile", str(profile), "--input", str(src),
-         "--outdir", str(root / "edited_cluster")],
-        env=env, capture_output=True, text=True)
+    return _hrgc(["encode", "--profile", str(profile), "--input", str(src),
+                  "--outdir", str(root / "edited_cluster")], optimize)
 
 
 def test_profile_without_seed_exits_bad_input(mbr_workspace, tmp_path, capsys):
@@ -233,3 +236,106 @@ def test_truncated_node_file_exits_bad_input(mbr_workspace, tmp_path, capsys):
     node.write_bytes(node.read_bytes()[:12])
     assert run(["verify", "--cluster", str(cluster)]) == cli.EXIT_BAD_INPUT
     assert "truncated" in capsys.readouterr().err
+
+
+def _flip_payload_byte(node, offset=100):
+    # the header of a q=4 node file is 30 bytes; XOR 1 keeps a GF(16) symbol
+    data = bytearray(node.read_bytes())
+    data[offset] ^= 1
+    node.write_bytes(bytes(data))
+
+
+def _verify(cluster, tmp_path):
+    jsonp = str(tmp_path / "verify.json")
+    code = run(["verify", "--cluster", str(cluster), "--json", jsonp])
+    return code, json.load(open(jsonp))
+
+
+@pytest.mark.parametrize("g", [0, 2, 5])
+def test_verify_names_the_flipped_msr_node(workspace, tmp_path, g):
+    cluster = tmp_path / "cluster"
+    shutil.copytree(workspace["cluster"], cluster)
+    _flip_payload_byte(cluster / sim.node_filename(g))
+    code, report = _verify(cluster, tmp_path)
+    assert code == cli.EXIT_DECODE_FAILURE
+    assert report == {"consistent": False, "suspect_nodes": [g]}
+    # regenerating the named node clears the audit
+    assert run(["fail", "--cluster", str(cluster), "--node", str(g)]) == 0
+    assert run(["repair", "--cluster", str(cluster), "--node", str(g)]) == 0
+    code, report = _verify(cluster, tmp_path)
+    assert code == cli.EXIT_OK
+    assert report == {"consistent": True, "suspect_nodes": []}
+
+
+def test_verify_names_two_flipped_mbr_nodes_beside_a_failed_one(mbr_workspace,
+                                                               tmp_path):
+    cluster = tmp_path / "cluster"
+    shutil.copytree(mbr_workspace["cluster"], cluster)
+    for g in (4, 11):
+        _flip_payload_byte(cluster / sim.node_filename(g))
+    assert run(["fail", "--cluster", str(cluster), "--node", "9"]) == 0
+    code, report = _verify(cluster, tmp_path)
+    assert code == cli.EXIT_DECODE_FAILURE
+    assert report["suspect_nodes"] == [4, 11]
+
+
+def test_verify_corruption_beyond_the_budget_is_an_error(workspace, tmp_path):
+    cluster = tmp_path / "cluster"
+    shutil.copytree(workspace["cluster"], cluster)
+    for g in range(10):
+        _flip_payload_byte(cluster / sim.node_filename(g), offset=60 + 7 * g)
+    code, report = _verify(cluster, tmp_path)
+    assert code == cli.EXIT_DECODE_FAILURE
+    assert report["consistent"] is False and report["error"]
+
+
+def _edit_manifest(old, new):
+    def damage(cluster):
+        path = cluster / "manifest.txt"
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+    return damage
+
+
+def _symbol_outside_the_field(cluster):
+    node = cluster / sim.node_filename(3)
+    data = bytearray(node.read_bytes())
+    data[-1] = 0xFF
+    node.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("argv, damage", [
+    (["repair", "--cluster", "CLUSTER", "--node", "2", "--mode", "bogus"], None),
+    (["fail", "--cluster", "CLUSTER", "--node", "x"], None),
+    (["verify"], None),
+    (["profile", "--mode", "msr", "--q", "4", "--m", "37",
+      "--alphas", "6,x,4,3", "--out", "OUT"], None),
+    (["profile", "--mode", "mbr", "--q", "4", "--m", "37",
+      "--alphas", "6,5,4,3", "--ks", "6,5,,3", "--out", "OUT"], None),
+    (["capability", "--q-range", "4:16", "--out", "OUT"], None),
+    (["capability", "--q-range", "4:16:0", "--out", "OUT"], None),
+    (["verify", "--cluster", "CLUSTER"],
+     _edit_manifest("node_003=node_003.bin,live\n", "")),
+    (["verify", "--cluster", "CLUSTER"],
+     _edit_manifest("node_003.bin,live", "node_003.bin,gone")),
+    (["verify", "--cluster", "CLUSTER"], _symbol_outside_the_field),
+], ids=["bad-choice", "bad-int", "missing-flag", "alphas", "ks",
+        "q-range-short", "q-range-step-0", "manifest-line", "manifest-status",
+        "node-symbol"])
+def test_bad_input_exits_4_without_traceback(mbr_workspace, tmp_path, argv,
+                                              damage):
+    cluster = tmp_path / "cluster"
+    shutil.copytree(mbr_workspace["cluster"], cluster)
+    if damage:
+        damage(cluster)
+    names = {"CLUSTER": str(cluster), "OUT": str(tmp_path / "out")}
+    proc = _hrgc([names.get(a, a) for a in argv])
+    assert proc.returncode == cli.EXIT_BAD_INPUT, proc.stderr
+    assert "Traceback" not in proc.stderr and "error" in proc.stderr
+
+
+def test_help_exits_ok():
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--help"])
+    assert exc.value.code == 0

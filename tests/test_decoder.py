@@ -4,8 +4,8 @@ from itertools import combinations
 import pytest
 
 from hrgc import decoder
-from hrgc.decoder import ERASED, DecodeResult, decode, erasure_solve
-from hrgc.errors import DecodeFailure, Inconsistent, Underdetermined
+from hrgc.decoder import ERASED, DecodeResult, decode
+from hrgc.errors import DecodeFailure
 from hrgc.field import field_new
 from hrgc.linalg import mat_vec
 
@@ -154,36 +154,6 @@ def test_too_many_erasures():
     word = [ERASED, ERASED, ERASED, 1, 2]
     with pytest.raises(DecodeFailure):
         decode(F, G, word)
-
-
-def test_erasure_solve_exact_k_positions():
-    F = field_new(3)
-    G, _ = vandermonde(F, 6, 3)
-    msg = [5, 0, 2]
-    cw = mat_vec(F, G, msg)
-    word = [cw[0], ERASED, cw[2], ERASED, cw[4], ERASED]
-    assert erasure_solve(F, G, word) == msg
-
-
-def test_erasure_solve_flags_corrupt_position():
-    F = field_new(3)
-    G, _ = vandermonde(F, 6, 2)
-    msg = [5, 7]
-    cw = mat_vec(F, G, msg)
-    word = list(cw)
-    word[4] = F.add(word[4], 3)
-    word[5] = ERASED
-    word[0] = ERASED
-    with pytest.raises(Inconsistent) as exc:
-        erasure_solve(F, G, word)
-    assert exc.value.positions == frozenset({4})
-
-
-def test_erasure_solve_underdetermined():
-    F = field_new(3)
-    G, _ = vandermonde(F, 4, 2)
-    with pytest.raises(Underdetermined):
-        erasure_solve(F, G, [ERASED] * 4)
 
 
 def test_generic_path_on_non_polynomial_generator():

@@ -2,7 +2,6 @@ import pytest
 
 from hrgc.errors import (
     DeltaSearchFailed,
-    IndexOutOfRange,
     InvalidAlpha,
     InvalidK,
     InvalidParams,
@@ -17,9 +16,7 @@ from hrgc.matrices import (
     profile_to_text,
     repair_windows,
     select_delta,
-    v_rows,
     verify_delta,
-    w_rows,
 )
 
 
@@ -149,30 +146,24 @@ def test_verify_delta_sampled_path(q3_msr, monkeypatch):
     assert rep.criterion_i and rep.operational
 
 
-def test_v_rows_and_w_rows(q3_msr):
+def test_mu_rows_and_nu_rows(q3_msr):
     p = q3_msr
     F = p.field
     # W row 0 is [1, 0, ..., 0] (evaluation at x=0)
     for l in range(3):
-        assert w_rows(p, 0, 0, l) == [[1] + [0] * (p.alpha[l] - 1)]
-    # single V row is [mu | lam*mu]
+        assert list(p.mu_row(0, l)) == [1] + [0] * (p.alpha[l] - 1)
+    # a V row is [mu | lam*mu]
     for g in (0, 4, 8):
         for l in range(3):
-            row = v_rows(p, g, g, l)[0]
+            row = p.nu_row(g, l)
             mu = p.mu_row(g, l)
             assert row == list(mu) + [F.mul(p.lam[g], v) for v in mu]
-    # V_{0, d_l - 1, l} is square and invertible
+    # V rows 0..d_l - 1 of layer l are square and invertible
     for l in range(3):
         d = p.d[l]
-        square = v_rows(p, 0, d - 1, l)
+        square = [p.nu_row(g, l) for g in range(d)]
         assert len(square) == d == len(square[0])
         assert mat_inv(F, square)
-    with pytest.raises(IndexOutOfRange):
-        v_rows(p, 0, 9, 0)
-    with pytest.raises(IndexOutOfRange):
-        w_rows(p, -1, 2, 0)
-    with pytest.raises(IndexOutOfRange):
-        w_rows(p, 0, 2, 3)
 
 
 def test_any_alpha_rows_of_phi_independent_q3(q3_msr):
