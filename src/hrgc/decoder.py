@@ -15,12 +15,12 @@ results under the guarantee.
 
 Before either search, a word that is already a codeword exits early: the
 message is taken from the first k usable positions (Newton interpolation in
-O(k^2) with ``points``, one k x k solve without), re-encoded, and returned
-with no error positions when every usable position agrees.  The recovery
-loops erase flagged nodes in every later block, so almost all of their words
-take this exit.  It returns exactly what the search would have returned; any
-other word, or a first-k window that does not determine the message, goes to
-the search unchanged.
+O(k^2) with ``points``, one k x k solve without), re-encoded on the usable
+positions, and returned with no error positions when every one agrees.  The
+recovery loops erase flagged nodes in every later block, so almost all of
+their words take this exit.  It returns exactly what the search would have
+returned; any other word, or a first-k window that does not determine the
+message, goes to the search unchanged.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ ERASED = None
 @dataclass
 class DecodeResult:
     message: list
-    codeword: list
     error_positions: frozenset
     erasure_positions: frozenset
 
@@ -65,31 +64,29 @@ def decode(F, generator, values, tau_max=None, points=None) -> DecodeResult:
     if tau_max is None:
         tau_max = max(0, (len(pos) - k) // 2)
 
-    message = _codeword_message(F, generator, values, pos, k, tau_max, points)
-    if message is not None:
-        codeword = mat_vec(F, generator, message)
-        if any(values[i] != codeword[i] for i in pos):
-            message = None
-    if message is None:
-        if points is not None:
-            message = _decode_wb(F, k, [points[i] for i in pos],
-                                 [values[i] for i in pos], tau_max)
+    rows = [generator[i] for i in pos]
+    r = [values[i] for i in pos]
+    xs = None if points is None else [points[i] for i in pos]
+    message = _codeword_message(F, rows, r, k, tau_max, xs)
+    if message is not None and mat_vec(F, rows, message) == r:
+        errors = frozenset()
+    else:
+        if xs is not None:
+            message = _decode_wb(F, k, xs, r, tau_max)
         else:
-            message = _decode_generic(F, [generator[i] for i in pos],
-                                      [values[i] for i in pos], k, tau_max)
-        codeword = mat_vec(F, generator, message)
-    errors = frozenset(
-        i for i in pos if values[i] != codeword[i]
-    )
+            message = _decode_generic(F, rows, r, k, tau_max)
+        codeword = mat_vec(F, rows, message)
+        errors = frozenset(i for i, v, c in zip(pos, r, codeword) if v != c)
     if len(errors) > tau_max:
         raise DecodeFailure(f"{len(errors)} mismatches exceed tau_max={tau_max}")
-    return DecodeResult(message=message, codeword=codeword,
-                        error_positions=errors, erasure_positions=erased)
+    return DecodeResult(message=message, error_positions=errors,
+                        erasure_positions=erased)
 
 
-def _codeword_message(F, generator, values, pos, k, tau_max, points):
-    """The message of the first k usable positions, or None when they do not
-    determine it the way the search would.
+def _codeword_message(F, rows, r, k, tau_max, xs):
+    """The message of the first k of the usable generator rows, symbols r and,
+    with ``points``, points xs, or None when they do not determine it the way
+    the search would.
 
     Without ``points`` the search accepts a zero syndrome with the unique
     message, so a regular first-k window is enough.  With ``points`` and
@@ -97,18 +94,15 @@ def _codeword_message(F, generator, values, pos, k, tau_max, points):
     E = 1 with Q the interpolant, so it returns the same polynomial; a
     repeated point among the first k leaves the window singular.
     """
-    head = pos[:k]
-    if points is None:
+    if xs is None:
         try:
-            return solve_square(F, [generator[i] for i in head],
-                                [values[i] for i in head])
+            return solve_square(F, rows[:k], r[:k])
         except SingularSystem:
             return None
     if tau_max < 0:
         return None
     try:
-        return _interpolate(F, [points[i] for i in head],
-                            [values[i] for i in head])
+        return _interpolate(F, xs[:k], r[:k])
     except DivisionByZero:
         return None
 

@@ -11,8 +11,8 @@ The node/report/batch types, the staged request plan, the helper responses
 and the plain/detect/recover repair and reconstruction loops are the MSR
 engine's (``hmsr``).  This module supplies what is particular to MBR: the
 message layout, the mu rows as encoding vectors, repair rows that need no
-lambda mix, the window extractor ``_extract_m`` and the full-stack block
-solver ``rec_m``.
+lambda mix, the window extractor ``_extract_m``, the row re-encoder
+``_m_response`` and the full-stack block solver ``rec_m``.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .hmsr import (  # noqa: F401 -- the shared names are re-exported
     NodeState,
     ReconstructReport,
     RepairReport,
+    _layer_matrix,
     _reconstruct,
     _reconstruct_recover,
     _regenerate,
@@ -32,6 +33,7 @@ from .hmsr import (  # noqa: F401 -- the shared names are re-exported
     recon_response,
     row_blocks,
     staged_request_plan,
+    symmetric,
     tilde_rows,
 )
 from .linalg import mat_inv, mat_mul, transpose, vec_mat
@@ -78,16 +80,21 @@ def message_from_m(m: MessageMatrices, profile: CodeProfile):
     return out
 
 
+def _join(S, T):
+    """The block [[S, T], [T^t, 0]] of a k x k S and a k x (alpha - k) T."""
+    w = len(T[0])
+    return ([s + t for s, t in zip(S, T)]
+            + [[t[j] for t in T] + [0] * w for j in range(w)])
+
+
 def m_block(m: MessageMatrices, profile: CodeProfile, l: int, t: int):
     """Assemble the alpha_l x alpha_l block [[S, T], [T^t, 0]]."""
-    a, k = profile.alpha[l], profile.k[l]
-    S, T = m.s[l][t], m.t_[l][t]
-    out = []
-    for i in range(k):
-        out.append(S[i] + T[i])
-    for j in range(a - k):
-        out.append([T[i][j] for i in range(k)] + [0] * (a - k))
-    return out
+    return _join(m.s[l][t], m.t_[l][t])
+
+
+def _m_response(profile, g, l, S, T):
+    """Node g's layer-l response slice for the block: mu_g [[S, T], [T^t, 0]]."""
+    return vec_mat(profile.field, profile.mu_row(g, l), _join(S, T))
 
 
 def encode_mbr(m: MessageMatrices, profile: CodeProfile):
@@ -97,13 +104,7 @@ def encode_mbr(m: MessageMatrices, profile: CodeProfile):
     layer_mats = []
     for l in range(q):
         blocks = [m_block(m, profile, l, t) for t in range(profile.blocks(l))]
-        rows = []
-        for i in range(profile.alpha[l]):
-            row = []
-            for blk in blocks:
-                row.extend(blk[i])
-            rows.append(row)
-        layer_mats.append(mat_mul(F, profile.phi(l), rows))
+        layer_mats.append(mat_mul(F, profile.phi(l), _layer_matrix(blocks)))
     digest = profile_digest(profile)
     nodes = []
     for g in range(profile.n_nodes):
@@ -150,10 +151,8 @@ def _extract_m(F, mu_rows, k, R):
         corr = mat_mul(F, dpart, transpose(T))
         r1 = [[F.sub(r1[i][j], corr[i][j]) for j in range(k)] for i in range(k)]
     S = mat_mul(F, omega_inv, r1)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if S[i][j] != S[j][i]:
-                raise AsymmetryDetected("S block asymmetric (corrupt responses)")
+    if not symmetric(S):
+        raise AsymmetryDetected("S block asymmetric (corrupt responses)")
     return S, T
 
 
@@ -163,11 +162,13 @@ def _m_window(profile, l, ids):
 
 
 def reconstruct_mbr_plain(batches, profile: CodeProfile) -> ReconstructReport:
-    return _reconstruct(batches, profile, "plain", _m_window, message_from_m)
+    return _reconstruct(batches, profile, "plain", _m_window, _m_response,
+                        message_from_m)
 
 
 def reconstruct_mbr_detect(batches, profile: CodeProfile) -> ReconstructReport:
-    return _reconstruct(batches, profile, "detect", _m_window, message_from_m)
+    return _reconstruct(batches, profile, "detect", _m_window, _m_response,
+                        message_from_m)
 
 
 def reconstruct_mbr_recover(batches, profile: CodeProfile,
@@ -219,21 +220,10 @@ def rec_m(blocks, erased, l, profile: CodeProfile):
         work_flags |= bad
         s_cols.append(msg)
     S = [[s_cols[c][i] for c in range(k)] for i in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if S[i][j] != S[j][i]:
-                raise DecodeFailure("recovered block not symmetric "
-                                    "(corruption beyond the budget)")
+    if not symmetric(S):
+        raise DecodeFailure("recovered block not symmetric "
+                            "(corruption beyond the budget)")
 
-    M = []
-    for i in range(k):
-        M.append(S[i] + T[i])
-    for j in range(a - k):
-        M.append([T[i][j] for i in range(k)] + [0] * (a - k))
-    corrupt = set()
-    for g in range(q2):
-        if blocks[g] is None:
-            continue
-        if vec_mat(F, mu[g], M) != blocks[g]:
-            corrupt.add(g)
+    corrupt = {g for g in range(q2) if blocks[g] is not None
+               and blocks[g] != _m_response(profile, g, l, S, T)}
     return S, T, corrupt

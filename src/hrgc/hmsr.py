@@ -9,16 +9,22 @@ Y_g = B_g * (U_g + lambda_g * E_g), so that row l of B_g^{-1} Y_g splits into
 blocks mu_{g,l} S_{l,t} + lambda_g mu_{g,l} T_{l,t} -- one inner product per
 helper is enough to repair.
 
-Hostile-mode conventions: detect solves the same block twice from helper
-windows shifted by one and alarms on mismatch; recover treats each block as a
-length-(q^2-1) word under the stacked encoding vectors, erases previously
-flagged nodes, and decodes.  Corruption flags accumulate across the strict
-(layer descending, block ascending) recovery order within one call; keeping
-them across calls is the simulator's job.
+Hostile-mode conventions: detect solves each block once from the first
+helper window and alarms when the extra helper's row disagrees with that
+solution.  This is the alarm of solving the window shifted by one again: the
+windows share every other row, the shifted repair window is checked regular
+once per layer, and both extractors return blocks that reproduce every row of
+their window (``extract_st`` by its symmetry check, ``_extract_m`` as
+Omega T = R2 and Omega S + Delta_part T^t = R1) and are exact on consistent
+rows.  Recover treats each block as a length-(q^2-1) word under the stacked
+encoding vectors, erases previously flagged nodes, and decodes.  Corruption
+flags accumulate across the strict (layer descending, block ascending)
+recovery order within one call; keeping them across calls is the simulator's
+job.
 
 The plain/detect/recover repair and reconstruction loops defined here are
 shared with the MBR engine (``hmbr``), which passes its own encoding rows,
-block extractor, block solver and message layout.
+block extractor, row re-encoder, block solver and message layout.
 """
 
 from __future__ import annotations
@@ -34,7 +40,8 @@ from .errors import (
     NotEnoughHelpers,
     SingularSystem,
 )
-from .linalg import mat_inv, mat_mul, solve_square, vec_mat
+from .linalg import (det_nonzero, mat_inv, mat_mul, mat_vec, solve_square,
+                     vec_mat)
 from .matrices import CodeProfile, profile_digest
 
 
@@ -249,6 +256,7 @@ def _contributors(batches, l):
 #   finish(profile, z, l, x)   node z's layer-l row block from a solved block
 #   vandermonde                rows are powers of the node x-values
 #   window(profile, l, ids)    extractor R -> (S, T) for one responder window
+#   response(profile, g, l, S, T)  node g's layer-l response slice for (S, T)
 #   solve(blocks, erased, l, profile)  full-stack block solver -> (S, T, bad)
 #   layout(m, profile)         MessageMatrices -> message symbols
 
@@ -259,8 +267,8 @@ def _assemble_node(profile, z, tilde_z):
 
 
 def _regenerate(z, batches, profile, mode, row, finish):
-    """Plain/detect repair; detect solves each block again on the helper
-    window shifted by one and alarms on a mismatch."""
+    """Plain/detect repair; each block is solved from the first d helpers,
+    and detect alarms when helper d's symbol disagrees with the solution."""
     F = profile.field
     detect = mode == "detect"
     tilde = []
@@ -273,6 +281,9 @@ def _regenerate(z, batches, profile, mode, row, finish):
                                    f"needs {need} helpers, got {len(helpers)}")
         ids = [b.helper_id for b in helpers]
         V = [row(g, l) for g in ids]
+        # the shifted window must be regular for the check to equal a solve
+        if detect and not det_nonzero(F, V[1:]):
+            raise SingularSystem(f"{d}x{d} system singular")
         layer_rows = []
         for t in range(profile.blocks(l)):
             p = [b.symbols[(l, t)] for b in helpers]
@@ -283,7 +294,7 @@ def _regenerate(z, batches, profile, mode, row, finish):
                     raise
                 raise SingularSystem(
                     f"repair window {ids} singular at layer {l}") from None
-            if detect and x != solve_square(F, V[1:], p[1:]):
+            if detect and mat_vec(F, V[d:], x) != p[d:]:
                 return RepairReport(mode=mode, ok=False,
                                     alarm={"layer": l, "block": t})
             layer_rows.append(finish(profile, z, l, x))
@@ -342,14 +353,11 @@ def _regenerate_recover(z, batches, profile, prior_flags, row, finish,
     )
 
 
-def _reconstruct(batches, profile, mode, window, layout):
-    """Plain/detect reconstruction; detect extracts each block from the
-    responder windows {0..k-1} and {1..k} and alarms on a mismatch or an
-    asymmetric block.
-
-    The windows' extractors are prepared once per layer and reused for
-    every block.
-    """
+def _reconstruct(batches, profile, mode, window, response, layout):
+    """Plain/detect reconstruction; each block is extracted from responders
+    {0..k-1}, whose extractor is prepared once per layer.  Detect alarms on
+    an asymmetric block or when responder k's row differs from its
+    re-encoding under the extracted block."""
     detect = mode == "detect"
     m = MessageMatrices(s=[[] for _ in range(profile.q)],
                         t_=[[] for _ in range(profile.q)])
@@ -360,23 +368,22 @@ def _reconstruct(batches, profile, mode, window, layout):
         if len(resp) < need:
             raise NotEnoughHelpers(
                 f"layer {l} needs {need} responders, got {len(resp)}")
-        sels = [range(k), range(1, k + 1)] if detect else [range(k)]
-        extract = [window(profile, l, [resp[i].helper_id for i in sel])
-                   for sel in sels]
+        extract = window(profile, l, [b.helper_id for b in resp[:k]])
         a = profile.alpha[l]
         for t in range(profile.blocks(l)):
             R = [b.rows[l][t * a:(t + 1) * a] for b in resp]
             try:
-                out = [ex([R[i] for i in sel]) for ex, sel in zip(extract, sels)]
+                S, T = extract(R[:k])
             except AsymmetryDetected:
                 if not detect:
                     raise
-                out = None
-            if out is None or out[-1] != out[0]:
+                S = None
+            if detect and (S is None or R[k] != response(
+                    profile, resp[k].helper_id, l, S, T)):
                 return ReconstructReport(mode=mode, ok=False,
                                          alarm={"layer": l, "block": t})
-            m.s[l].append(out[0][0])
-            m.t_[l].append(out[0][1])
+            m.s[l].append(S)
+            m.t_[l].append(T)
     return ReconstructReport(mode=mode, ok=True, message=layout(m, profile))
 
 
@@ -428,6 +435,13 @@ def _lambda_mix(profile, z, l, x):
     return [F.add(x[j], F.mul(lam_z, x[a + j])) for j in range(a)]
 
 
+def _st_response(profile, g, l, S, T):
+    """Node g's layer-l response slice for the block (S, T):
+    mu_g S + lam_g mu_g T."""
+    F, mu = profile.field, profile.mu_row(g, l)
+    return _lambda_mix(profile, g, l, vec_mat(F, mu, S) + vec_mat(F, mu, T))
+
+
 def regenerate_plain(z, batches, profile: CodeProfile) -> RepairReport:
     return _regenerate(z, batches, profile, "plain", profile.nu_row, _lambda_mix)
 
@@ -466,6 +480,11 @@ class ExtractContext:
         self.omega_inv = mat_inv(F, self.mu[:a])
 
 
+def symmetric(M):
+    """True when the square matrix M equals its transpose."""
+    return all(M[i][j] == M[j][i] for i in range(len(M)) for j in range(i))
+
+
 def extract_st(R, ids, l, profile: CodeProfile, ctx: ExtractContext = None):
     """Invert one block from alpha_l + 1 responses (symmetry-based).
 
@@ -488,12 +507,10 @@ def extract_st(R, ids, l, profile: CodeProfile, ctx: ExtractContext = None):
     S = _rebuild(F, C, ctx, a)
     T = _rebuild(F, D, ctx, a)
     for M, name in ((S, "S"), (T, "T")):
-        for i in range(a):
-            for j in range(i + 1, a):
-                if M[i][j] != M[j][i]:
-                    raise AsymmetryDetected(
-                        f"{name} block asymmetric at layer {l} (corrupt responses)"
-                    )
+        if not symmetric(M):
+            raise AsymmetryDetected(
+                f"{name} block asymmetric at layer {l} (corrupt responses)"
+            )
     return S, T
 
 
@@ -511,19 +528,19 @@ def _rebuild(F, C, ctx, a):
     return mat_mul(F, ctx.omega_inv, rows)
 
 
-
-
 def _st_window(profile, l, ids):
     ctx = ExtractContext(profile, l, ids)
     return lambda R: extract_st(R, ids, l, profile, ctx)
 
 
 def reconstruct_plain(batches, profile: CodeProfile) -> ReconstructReport:
-    return _reconstruct(batches, profile, "plain", _st_window, message_from_st)
+    return _reconstruct(batches, profile, "plain", _st_window, _st_response,
+                        message_from_st)
 
 
 def reconstruct_detect(batches, profile: CodeProfile) -> ReconstructReport:
-    return _reconstruct(batches, profile, "detect", _st_window, message_from_st)
+    return _reconstruct(batches, profile, "detect", _st_window, _st_response,
+                        message_from_st)
 
 
 def reconstruct_recover(batches, profile: CodeProfile,
@@ -606,20 +623,12 @@ def rec_st(blocks, erased, l, profile: CodeProfile):
     S = mat_mul(F, [[decoded_c[j][r] for j in chosen] for r in range(a)], minv)
     T = mat_mul(F, [[decoded_d[j][r] for j in chosen] for r in range(a)], minv)
 
-    for M in (S, T):
-        for i in range(a):
-            for j in range(i + 1, a):
-                if M[i][j] != M[j][i]:
-                    raise DecodeFailure("recovered block not symmetric "
-                                        "(corruption beyond the budget)")
+    if not (symmetric(S) and symmetric(T)):
+        raise DecodeFailure("recovered block not symmetric "
+                            "(corruption beyond the budget)")
 
-    corrupt = set()
-    for g in present:
-        mS = vec_mat(F, mu[g], S)
-        mT = vec_mat(F, mu[g], T)
-        expect = [F.add(mS[c], F.mul(lam[g], mT[c])) for c in range(a)]
-        if blocks[g] != expect:
-            corrupt.add(g)
+    corrupt = {g for g in present
+               if blocks[g] != _st_response(profile, g, l, S, T)}
     if len(corrupt) > tau_bud:
         raise DecodeFailure(
             f"{len(corrupt)} mismatching rows exceed the budget {tau_bud}"

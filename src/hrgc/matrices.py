@@ -83,16 +83,7 @@ class CodeProfile:
 
     def phi(self, l: int):
         if l not in self._phi:
-            F = self.field
-            a = self.alpha[l]
-            rows = []
-            for x in self._xs:
-                row, v = [], 1
-                for _ in range(a):
-                    row.append(v)
-                    v = F.mul(v, x)
-                rows.append(row)
-            self._phi[l] = rows
+            self._phi[l] = _phi_rows(self.field, self._xs, self.alpha[l])
         return self._phi[l]
 
     def blocks(self, l: int) -> int:

@@ -45,7 +45,7 @@ class AdversarySpec:
     strategy: "random" (uniform resample), "offset" (add a constant),
     "layer" (random nonzero offsets in layer ``layer`` only), or
     "consistent_pair" (omniscient-only, detect/recover repair: craft
-    repair-detect errors that the two-window comparison cannot see;
+    repair-detect errors that the extra helper's check cannot see;
     reconstruct refuses it).
     knowledge: "own" nodes know only their own encoding rows; "omniscient"
     unlocks consistent_pair.
@@ -234,27 +234,21 @@ def _corrupt_recon_batches(cluster, batches, spec, rng):
 
 
 def _apply_consistent_pair(cluster, z, batches, spec, rng):
-    """Craft errors satisfying the two-window identity (needs the stacked
-    encoding rows -- the omniscient override)."""
+    """Craft errors that keep the d+1 detect symbols consistent (needs the
+    stacked encoding rows -- the omniscient override)."""
     profile = cluster.profile
     F = profile.field
     by_id = {b.helper_id: HelpSymbolBatch(b.helper_id, b.level, dict(b.symbols))
              for b in batches}
     for l in range(profile.q):
         d = profile.d[l]
-        contributors = sorted(
-            (b for b in by_id.values() if b.level >= l), key=lambda b: b.helper_id
-        )[:d + 1]
-        ids = [b.helper_id for b in contributors]
+        ids = [b.helper_id for b in hmsr._contributors(by_id.values(), l)[:d + 1]]
         corrupt_pos = [i for i, g in enumerate(ids) if g in spec.nodes]
         if len(corrupt_pos) < 2:
             continue
-        if profile.mode == "msr":
-            row = lambda g: profile.nu_row(g, l)
-        else:
-            row = lambda g: list(profile.mu_row(g, l))
-        basis = [row(g) for g in ids[1:]]
-        zeta = solve_square(F, transpose(basis), row(ids[0]))
+        row = profile.nu_row if profile.mode == "msr" else profile.mu_row
+        basis = [row(g, l) for g in ids[1:]]
+        zeta = solve_square(F, transpose(basis), row(ids[0], l))
         coeff = {0: 1}
         coeff.update({r: F.neg(zeta[r - 1]) for r in range(1, d + 1)})
         p1, p2 = corrupt_pos[0], corrupt_pos[1]

@@ -49,7 +49,7 @@ def test_clean_word_round_trip():
     res = decode(F, G, cw)
     assert res.message == msg
     assert res.error_positions == frozenset()
-    assert res.codeword == cw
+    assert mat_vec(F, G, res.message) == cw
 
 
 @pytest.mark.parametrize("use_points", [False, True])
@@ -106,7 +106,8 @@ def test_oracle_agreement_sampled():
             res = decode(F, G, word)
             res_pts = decode(F, G, word, points=xs)
             assert res.message == msg == res_pts.message
-            assert len(hits) == 1 and tuple(res.codeword) == tuple(hits[0])
+            assert len(hits) == 1
+            assert tuple(mat_vec(F, G, res.message)) == tuple(hits[0])
             assert best == len(res.error_positions)
 
 
@@ -125,10 +126,8 @@ def test_beyond_budget_no_silent_postcondition_violation():
         for i in hit[1:]:
             word[i] = F.add(word[i], rng.randrange(1, 9))
         try:
-            res = decode(F, G, word, tau_max=3)
+            decode(F, G, word, tau_max=3)
             outcomes.add("decoded")
-            # whatever came back is a true codeword consistent with the claim
-            assert mat_vec(F, G, res.message) == res.codeword
         except DecodeFailure:
             outcomes.add("failed")
     assert outcomes  # either outcome is acceptable; no silent contract break
@@ -196,16 +195,17 @@ def _search_only(F, G, word, tau_max=None, points=None):
     errors = frozenset(i for i in pos if word[i] != cw[i])
     if len(errors) > tau_max:
         raise DecodeFailure(f"{len(errors)} mismatches exceed tau_max={tau_max}")
-    return DecodeResult(message=msg, codeword=cw, error_positions=errors,
+    return DecodeResult(message=msg, error_positions=errors,
                         erasure_positions=erased)
 
 
-def _outcome(fn, *args, **kwargs):
+def _outcome(fn, F, G, *args, **kwargs):
     try:
-        r = fn(*args, **kwargs)
+        r = fn(F, G, *args, **kwargs)
     except DecodeFailure as exc:
         return type(exc).__name__, str(exc)
-    return r.message, r.codeword, r.error_positions, r.erasure_positions
+    return (r.message, mat_vec(F, G, r.message), r.error_positions,
+            r.erasure_positions)
 
 
 def _generators(F, rng, n, k):

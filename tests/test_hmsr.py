@@ -10,13 +10,14 @@ from conftest import (
     recon_batches,
     repair_batches,
 )
-from hrgc import hmsr
+from hrgc import hmbr, hmsr
 from hrgc.errors import (
     AsymmetryDetected,
+    HrgcError,
     LengthMismatch,
     NotEnoughHelpers,
 )
-from hrgc.linalg import vec_mat
+from hrgc.linalg import mat_mul, solve_square, vec_mat
 
 
 def test_arrange_shapes_q3(q3_msr):
@@ -420,3 +421,114 @@ def test_reconstruct_recover_reencodes_to_nodes(q4_msr):
     renodes = encode_profile(q4_msr, rec.message)
     for g in range(16):
         assert renodes[g].y == nodes[g].y
+
+
+# -- detect against the two-window rule ------------------------------------------
+
+
+def _window_order(batches, l):
+    return sorted((b for b in batches if b.level >= l), key=lambda b: b.helper_id)
+
+
+def _two_window_repair(profile, z, batches):
+    """Detect repair by solving each block from helpers {0..d-1} and again
+    from {1..d}; any difference is the alarm."""
+    F = profile.field
+    msr = profile.mode == "msr"
+    tilde = []
+    for l in range(profile.q):
+        d, a = profile.d[l], profile.alpha[l]
+        helpers = _window_order(batches, l)[:d + 1]
+        V = [profile.nu_row(b.helper_id, l) if msr
+             else profile.mu_row(b.helper_id, l) for b in helpers]
+        row = []
+        for t in range(profile.blocks(l)):
+            p = [b.symbols[(l, t)] for b in helpers]
+            x = solve_square(F, V[:d], p[:d])
+            if x != solve_square(F, V[1:], p[1:]):
+                return False, {"layer": l, "block": t}, None
+            if msr:
+                x = [F.add(x[j], F.mul(profile.lam[z], x[a + j]))
+                     for j in range(a)]
+            row.extend(x)
+        tilde.append(row)
+    return True, None, mat_mul(F, profile.points.basis(z), tilde)
+
+
+def _two_window_reconstruct(profile, batches):
+    """Detect reconstruction by extracting each block from responders
+    {0..k-1} and again from {1..k}; an asymmetric block or any difference
+    is the alarm."""
+    F = profile.field
+    msr = profile.mode == "msr"
+    m = hmsr.MessageMatrices(s=[[] for _ in range(profile.q)],
+                             t_=[[] for _ in range(profile.q)])
+    for l in range(profile.q):
+        k, a = profile.k[l], profile.alpha[l]
+        resp = _window_order(batches, l)[:k + 1]
+        for t in range(profile.blocks(l)):
+            out = []
+            for win in (resp[:k], resp[1:]):
+                ids = [b.helper_id for b in win]
+                R = [b.rows[l][t * a:(t + 1) * a] for b in win]
+                try:
+                    if msr:
+                        out.append(hmsr.extract_st(R, ids, l, profile))
+                    else:
+                        mu_rows = [profile.mu_row(g, l) for g in ids]
+                        out.append(hmbr._extract_m(F, mu_rows, k, R))
+                except AsymmetryDetected:
+                    return False, {"layer": l, "block": t}, None
+            if out[0] != out[1]:
+                return False, {"layer": l, "block": t}, None
+            m.s[l].append(out[0][0])
+            m.t_[l].append(out[0][1])
+    layout = hmsr.message_from_st if msr else hmbr.message_from_m
+    return True, None, layout(m, profile)
+
+
+def _outcome(call):
+    try:
+        out = call()
+    except HrgcError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, tuple):
+        return out
+    return out.ok, out.alarm, getattr(out, "y", getattr(out, "message", None))
+
+
+@pytest.mark.parametrize("prof_name", ["q3_msr", "q3_mbr"])
+def test_detect_matches_the_two_window_rule(prof_name, request):
+    """Checking the one extra helper against the first window's solution
+    raises exactly the alarms of solving the shifted window again."""
+    profile = request.getfixturevalue(prof_name)
+    msr = profile.mode == "msr"
+    regenerate = hmsr.regenerate_detect if msr else hmbr.regenerate_mbr_detect
+    reconstruct = hmsr.reconstruct_detect if msr else hmbr.reconstruct_mbr_detect
+    order, n = profile.field.order, profile.n_nodes
+    rng = random.Random(411)
+    seen = set()
+    for trial in range(40):
+        nodes = encode_profile(profile, random_message(profile, 500 + trial))
+        layers = rng.choice([None, {rng.randrange(profile.q)}])
+
+        z = rng.randrange(n)
+        helpers = [g for g in range(n) if g != z][:profile.d[0] + 2]
+        liars = set(rng.sample(helpers, rng.randint(1, 2)))
+        batches = corrupt_repair(repair_batches(profile, nodes, z, "detect"),
+                                 liars, order, trial, layers)
+        want = _outcome(lambda: _two_window_repair(profile, z, batches))
+        got = _outcome(lambda: regenerate(z, batches, profile))
+        assert got == want, ("repair", trial, z, liars, layers)
+        seen.add(("repair", want[0]))
+
+        liars = set(rng.sample(range(profile.k[0] + 2), rng.randint(1, 2)))
+        batches = corrupt_recon(recon_batches(profile, nodes, "detect"),
+                                liars, order, trial, layers)
+        want = _outcome(lambda: _two_window_reconstruct(profile, batches))
+        got = _outcome(lambda: reconstruct(batches, profile))
+        assert got == want, ("reconstruct", trial, liars, layers)
+        seen.add(("reconstruct", want[0]))
+    # both operations passed some corrupted batches and alarmed on others
+    assert {("repair", True), ("repair", False),
+            ("reconstruct", True), ("reconstruct", False)} <= seen

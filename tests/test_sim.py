@@ -4,7 +4,12 @@ import pytest
 
 from conftest import random_message
 from hrgc import sim
-from hrgc.errors import HrgcError, InvalidParams, LengthMismatch
+from hrgc.errors import (
+    HrgcError,
+    InvalidParams,
+    LengthMismatch,
+    SingularSystem,
+)
 from hrgc.matrices import profile_digest
 
 
@@ -383,3 +388,19 @@ def test_truncated_node_file_is_named(q3_msr, tmp_path):
             sim.decode_node_bytes(data[:cut], q3_msr)
     with pytest.raises(HrgcError, match="longer"):
         sim.decode_node_bytes(data + b"\0", q3_msr)
+
+
+def test_detect_repair_refuses_a_singular_shifted_window(q3_msr):
+    # with nodes 3 and 2 failed, node 2's detect helpers at layer 0 are
+    # 0, 1, 4..8; the shifted window 1, 4..8 is singular, so checking
+    # helper 8 against the first window's solution would not see a liar
+    # at helper 0
+    cluster = make_cluster(q3_msr, 12)
+    truth = [row[:] for row in cluster.nodes[2].y]
+    sim.fail_node(cluster, 3)
+    sim.fail_node(cluster, 2)
+    with pytest.raises(SingularSystem, match="6x6 system singular"):
+        sim.repair(cluster, 2, "detect")
+    report, _ = sim.repair(cluster, 2, "plain")
+    assert report.ok
+    assert cluster.nodes[2].y == truth
