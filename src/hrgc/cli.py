@@ -4,8 +4,9 @@ capability / verify.
 Exit codes: 0 ok, 2 unresolved alarm, 3 decode failure, 4 bad input, 5 io
 error.  Bad input -- a usage error, a malformed number list or q range, a
 bad profile, manifest or node file -- is a typed HrgcError and exits 4 with
-a one-line message, never a traceback.  Every run is reproducible from its
-flags and seeds.
+a one-line message, never a traceback.  A singular responder window
+(``SingularSystem``) is well-formed input that cannot be solved: exit 3.
+Every run is reproducible from its flags and seeds.
 
 ``verify`` is a recover-mode reconstruct of the stored cluster with no
 payload output: it exits 0 when every block decodes with no corrupt node, and
@@ -27,7 +28,8 @@ import sys
 
 from . import sim
 from .capability import capability_sweep, sweep_csv
-from .errors import AsymmetryDetected, HrgcError, InvalidParams
+from .errors import (AsymmetryDetected, HrgcError, InvalidParams,
+                     SingularSystem)
 from .matrices import profile_from_text, profile_new, profile_to_text
 
 EXIT_OK = 0
@@ -336,6 +338,8 @@ def main(argv=None) -> int:
         return EXIT_ALARM
     except HrgcError as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        if isinstance(exc, SingularSystem):     # unsolvable, not bad input
+            return EXIT_DECODE_FAILURE
         return EXIT_BAD_INPUT
 
 

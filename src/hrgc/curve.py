@@ -114,7 +114,7 @@ def encode_column(blocks, table: PointTable):
     out = []
     for g in range(q * q):
         x = group_x_value(F, g)
-        evals = [_horner(F, coeffs, x) for coeffs in blocks]
+        evals = [horner(F, coeffs, x) for coeffs in blocks]
         for p in table.group_points(g):
             acc = 0
             ypow = 1
@@ -126,7 +126,8 @@ def encode_column(blocks, table: PointTable):
     return out
 
 
-def _horner(F, coeffs, x):
+def horner(F, coeffs, x):
+    """The polynomial with coefficients ``coeffs`` (lowest first) at x."""
     acc = 0
     for c in reversed(coeffs):
         acc = F.add(F.mul(acc, x), c)

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .curve import horner
 from .errors import DecodeFailure, DivisionByZero, SingularSystem
 from .linalg import (
     _eliminate,
@@ -196,7 +197,7 @@ def _decode_wb(F, k, xs, r, tau_max):
         G = [[F.pow(x, j) for j in range(k)] for x in xs]
         msg, _ = _solve_message(F, G, r, k)
         for x, v in zip(xs, r):
-            if _poly_eval(F, msg, x) != v:
+            if horner(F, msg, x) != v:
                 raise DecodeFailure("inconsistent word with tau_max=0")
         return msg
 
@@ -227,17 +228,10 @@ def _decode_wb(F, k, xs, r, tau_max):
     if len(f) > k:
         raise DecodeFailure("decoded polynomial exceeds the message degree")
     f = f + [0] * (k - len(f))
-    bad = sum(1 for x, v in zip(xs, r) if _poly_eval(F, f, x) != v)
+    bad = sum(1 for x, v in zip(xs, r) if horner(F, f, x) != v)
     if bad > tau_max:
         raise DecodeFailure(f"{bad} mismatches exceed tau_max={tau_max}")
     return f
-
-
-def _poly_eval(F, coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
 
 
 def _poly_divmod(F, num, den):

@@ -12,7 +12,11 @@ and the plain/detect/recover repair and reconstruction loops are the MSR
 engine's (``hmsr``).  This module supplies what is particular to MBR: the
 message layout, the mu rows as encoding vectors, repair rows that need no
 lambda mix, the window extractor ``_extract_m``, the row re-encoder
-``_m_response`` and the full-stack block solver ``rec_m``.
+``_m_response`` and the full-stack block solver ``rec_m``.  Both solvers
+find T first and take S from the strip R1 - Delta_part T^t, which
+``_strip_t`` computes for both; ``rec_m`` decodes the T columns and then the
+strip's columns with one column decoder.  The S blocks use ``hmsr``'s
+symmetric block reader and writer.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from .hmsr import (  # noqa: F401 -- the shared names are re-exported
     _reconstruct_recover,
     _regenerate,
     _regenerate_recover,
+    _symmetric_block,
+    _upper_triangle,
     helper_response,
     recon_response,
     row_blocks,
@@ -36,47 +42,29 @@ from .hmsr import (  # noqa: F401 -- the shared names are re-exported
     symmetric,
     tilde_rows,
 )
-from .linalg import mat_inv, mat_mul, transpose, vec_mat
+from .linalg import mat_inv, mat_mul, vec_mat
 from .matrices import CodeProfile, profile_digest
 
 
 def arrange_m(message, profile: CodeProfile) -> MessageMatrices:
     if len(message) != profile.B:
         raise LengthMismatch(f"message length {len(message)} != B={profile.B}")
-    s_out, t_out = [], []
-    pos = 0
-    for l in range(profile.q):
-        a, k = profile.alpha[l], profile.k[l]
-        s_layer, t_layer = [], []
+    it = iter(message)
+    m = MessageMatrices(s=[[] for _ in range(profile.q)],
+                        t_=[[] for _ in range(profile.q)])
+    for l, (a, k) in enumerate(zip(profile.alpha, profile.k)):
         for _ in range(profile.blocks(l)):
-            S = [[0] * k for _ in range(k)]
-            for i in range(k):
-                for j in range(i, k):
-                    S[i][j] = S[j][i] = message[pos]
-                    pos += 1
-            T = [[0] * (a - k) for _ in range(k)]
-            for i in range(k):
-                for j in range(a - k):
-                    T[i][j] = message[pos]
-                    pos += 1
-            s_layer.append(S)
-            t_layer.append(T)
-        s_out.append(s_layer)
-        t_out.append(t_layer)
-    assert pos == profile.B
-    return MessageMatrices(s=s_out, t_=t_out)
+            m.s[l].append(_symmetric_block(it, k))
+            m.t_[l].append([[next(it) for _ in range(a - k)] for _ in range(k)])
+    return m
 
 
 def message_from_m(m: MessageMatrices, profile: CodeProfile):
     out = []
-    for l in range(profile.q):
-        a, k = profile.alpha[l], profile.k[l]
-        for t in range(profile.blocks(l)):
-            S, T = m.s[l][t], m.t_[l][t]
-            for i in range(k):
-                out.extend(S[i][i:k])
-            for i in range(k):
-                out.extend(T[i])
+    for s_layer, t_layer in zip(m.s, m.t_):
+        for S, T in zip(s_layer, t_layer):
+            out += _upper_triangle(S)
+            out += [x for row in T for x in row]
     return out
 
 
@@ -139,18 +127,28 @@ def regenerate_mbr_recover(z, batches, profile: CodeProfile,
 # -- reconstruction --------------------------------------------------------------
 
 
+def _strip_t(F, mu_rows, k, R, T):
+    """R1 - Delta_part T^t: the first k entries of each response row less
+    what its last alpha - k mu entries carry through T^t.  A None row (an
+    erased node) stays None."""
+    t_cols = list(zip(*T))
+    out = []
+    for mu, r in zip(mu_rows, R):
+        if r is not None:
+            r = r[:k]
+            for dp, tj in zip(mu[k:], t_cols):
+                if dp:
+                    r = [F.sub(x, F.mul(dp, t)) if t else x
+                         for x, t in zip(r, tj)]
+        out.append(r)
+    return out
+
+
 def _extract_m(F, mu_rows, k, R):
     """Split W = [Omega, Delta_part]; T = Omega^-1 R2; S = Omega^-1 (R1 - Dp T^t)."""
-    a = len(mu_rows[0])
     omega_inv = mat_inv(F, [row[:k] for row in mu_rows])
-    dpart = [row[k:] for row in mu_rows]
-    r1 = [row[:k] for row in R]
-    r2 = [row[k:] for row in R]
-    T = mat_mul(F, omega_inv, r2) if a > k else [[] for _ in range(k)]
-    if a > k:
-        corr = mat_mul(F, dpart, transpose(T))
-        r1 = [[F.sub(r1[i][j], corr[i][j]) for j in range(k)] for i in range(k)]
-    S = mat_mul(F, omega_inv, r1)
+    T = mat_mul(F, omega_inv, [row[k:] for row in R])
+    S = mat_mul(F, omega_inv, _strip_t(F, mu_rows, k, R, T))
     if not symmetric(S):
         raise AsymmetryDetected("S block asymmetric (corrupt responses)")
     return S, T
@@ -186,40 +184,27 @@ def rec_m(blocks, erased, l, profile: CodeProfile):
     """
     F = profile.field
     q2 = profile.n_nodes
-    a, k = profile.alpha[l], profile.k[l]
-    mu = [list(profile.mu_row(g, l)) for g in range(q2)]
+    k = profile.k[l]
+    mu = profile.phi(l)
     gen = [row[:k] for row in mu]
     pts = [profile.x_value(g) for g in range(q2)]
     work_flags = set(erased)
 
-    def decode_col(col_vals):
-        word = [ERASED if g in work_flags else col_vals[g] for g in range(q2)]
-        res = decode(F, gen, word, points=pts)
-        return res.message, {i for i in res.error_positions}
+    def decode_columns(rows, w):
+        """The k x w block whose columns decode the columns of ``rows``;
+        rows found in error are erased for every later column."""
+        cols = []
+        for c in range(w):
+            word = [ERASED if g in work_flags or r is None else r[c]
+                    for g, r in enumerate(rows)]
+            res = decode(F, gen, word, points=pts)
+            work_flags.update(res.error_positions)
+            cols.append(res.message)
+        return [[col[i] for col in cols] for i in range(k)]
 
-    t_cols = []
-    for c in range(a - k):
-        msg, bad = decode_col([None if blocks[g] is None else blocks[g][k + c]
-                               for g in range(q2)])
-        work_flags |= bad
-        t_cols.append(msg)
-    T = [[t_cols[c][i] for c in range(a - k)] for i in range(k)]
-
-    s_cols = []
-    for c in range(k):
-        def corrected(g):
-            if blocks[g] is None:
-                return None
-            val = blocks[g][c]
-            for j in range(a - k):
-                dp = mu[g][k + j]
-                if dp and T[c][j]:
-                    val = F.sub(val, F.mul(dp, T[c][j]))
-            return val
-        msg, bad = decode_col([corrected(g) for g in range(q2)])
-        work_flags |= bad
-        s_cols.append(msg)
-    S = [[s_cols[c][i] for c in range(k)] for i in range(k)]
+    T = decode_columns([None if b is None else b[k:] for b in blocks],
+                       profile.alpha[l] - k)
+    S = decode_columns(_strip_t(F, mu, k, blocks, T), k)
     if not symmetric(S):
         raise DecodeFailure("recovered block not symmetric "
                             "(corruption beyond the budget)")

@@ -25,6 +25,14 @@ job.
 The plain/detect/recover repair and reconstruction loops defined here are
 shared with the MBR engine (``hmbr``), which passes its own encoding rows,
 block extractor, row re-encoder, block solver and message layout.
+
+Each step of the block algebra is written once.  ``_pairs`` solves
+R Phi^T = C + Lambda D pair by pair, for the window extractor
+``extract_st`` (alpha_l + 1 rows) and the recovery solver ``rec_st`` (all
+q^2 rows, erased ones None); C and D are symmetric, so row j of each is
+column j's word.  ``_symmetric_block`` reads a symmetric block from an
+iterator over the message and ``_upper_triangle`` writes one back; both
+codes' layouts use them.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from .errors import (
     SingularSystem,
 )
 from .linalg import (det_nonzero, mat_inv, mat_mul, mat_vec, solve_square,
-                     vec_mat)
+                     transpose, vec_mat)
 from .matrices import CodeProfile, profile_digest
 
 
@@ -103,44 +111,30 @@ class ReconstructReport:
 def arrange_st(message, profile: CodeProfile) -> MessageMatrices:
     if len(message) != profile.B:
         raise LengthMismatch(f"message length {len(message)} != B={profile.B}")
-    half = profile.B // 2
-    return MessageMatrices(
-        s=_fill_symmetric(message[:half], profile),
-        t_=_fill_symmetric(message[half:], profile),
-    )
+    it = iter(message)      # S takes the first half, T the second
+    s, t_ = [[[_symmetric_block(it, a) for _ in range(profile.blocks(l))]
+              for l, a in enumerate(profile.alpha)] for _ in range(2)]
+    return MessageMatrices(s=s, t_=t_)
 
 
-def _fill_symmetric(syms, profile):
-    out = []
-    pos = 0
-    for l in range(profile.q):
-        a = profile.alpha[l]
-        layer = []
-        for _ in range(profile.blocks(l)):
-            M = [[0] * a for _ in range(a)]
-            for i in range(a):
-                for j in range(i, a):
-                    M[i][j] = M[j][i] = syms[pos]
-                    pos += 1
-            layer.append(M)
-        out.append(layer)
-    assert pos == len(syms)
-    return out
+def _symmetric_block(it, a):
+    """The a x a symmetric block whose upper triangle, row-major, is the
+    next a(a+1)/2 symbols of the iterator ``it``."""
+    M = [[0] * a for _ in range(a)]
+    for i in range(a):
+        for j in range(i, a):
+            M[i][j] = M[j][i] = next(it)
+    return M
+
+
+def _upper_triangle(M):
+    """The upper triangle of the square matrix M, row-major."""
+    return [x for i, row in enumerate(M) for x in row[i:]]
 
 
 def message_from_st(st: MessageMatrices, profile: CodeProfile):
-    return _read_symmetric(st.s, profile) + _read_symmetric(st.t_, profile)
-
-
-def _read_symmetric(blocks, profile):
-    out = []
-    for l in range(profile.q):
-        a = profile.alpha[l]
-        for t in range(profile.blocks(l)):
-            M = blocks[l][t]
-            for i in range(a):
-                out.extend(M[i][i:a])
-    return out
+    return [x for blocks in (st.s, st.t_) for layer in blocks for M in layer
+            for x in _upper_triangle(M)]
 
 
 # -- encoding -------------------------------------------------------------------
@@ -471,12 +465,9 @@ class ExtractContext:
         self.lam = [profile.lam[g] for g in ids]
         if len(set(self.lam)) != len(self.lam):
             raise LambdaCollision(f"duplicate coefficients among nodes {ids}")
-        self.phi_t = [[self.mu[j][r] for j in range(a + 1)] for r in range(a)]
-        self.pi_inv = []
-        for i in range(a):
-            cols = [j for j in range(a + 1) if j != i]
-            pi = [[self.mu[j][r] for j in cols] for r in range(a)]
-            self.pi_inv.append(mat_inv(F, pi))
+        self.phi_t = transpose(self.mu)
+        self.pi_inv = [mat_inv(F, transpose(self.mu[:i] + self.mu[i + 1:]))
+                       for i in range(a)]
         self.omega_inv = mat_inv(F, self.mu[:a])
 
 
@@ -496,14 +487,7 @@ def extract_st(R, ids, l, profile: CodeProfile, ctx: ExtractContext = None):
         ctx = ExtractContext(profile, l, ids)
     F = profile.field
     a = profile.alpha[l]
-    rhat = mat_mul(F, R, ctx.phi_t)
-    C = [[0] * (a + 1) for _ in range(a + 1)]
-    D = [[0] * (a + 1) for _ in range(a + 1)]
-    for i in range(a + 1):
-        for j in range(i + 1, a + 1):
-            cc, dd = _pair_solve(F, rhat[i][j], rhat[j][i], ctx.lam[i], ctx.lam[j])
-            C[i][j] = C[j][i] = cc
-            D[i][j] = D[j][i] = dd
+    C, D = _pairs(F, mat_mul(F, R, ctx.phi_t), ctx.lam)
     S = _rebuild(F, C, ctx, a)
     T = _rebuild(F, D, ctx, a)
     for M, name in ((S, "S"), (T, "T")):
@@ -514,17 +498,26 @@ def extract_st(R, ids, l, profile: CodeProfile, ctx: ExtractContext = None):
     return S, T
 
 
-def _pair_solve(F, rij, rji, lam_i, lam_j):
-    """C + lam_i D = rij ; C + lam_j D = rji."""
-    dd = F.div(F.sub(rij, rji), F.sub(lam_i, lam_j))
-    return F.sub(rij, F.mul(lam_i, dd)), dd
+def _pairs(F, rhat, lam):
+    """Solve C + lam_i D = rhat[i][j], C + lam_j D = rhat[j][i] for every
+    pair of rows i < j.  Returns the symmetric C and D, ERASED on the
+    diagonal and in the rows and columns of the rows that are None."""
+    n = len(rhat)
+    C = [[ERASED] * n for _ in range(n)]
+    D = [[ERASED] * n for _ in range(n)]
+    live = [i for i in range(n) if rhat[i] is not None]
+    for x, i in enumerate(live):
+        ri, lam_i = rhat[i], lam[i]
+        for j in live[x + 1:]:
+            dd = F.div(F.sub(ri[j], rhat[j][i]), F.sub(lam_i, lam[j]))
+            C[i][j] = C[j][i] = F.sub(ri[j], F.mul(lam_i, dd))
+            D[i][j] = D[j][i] = dd
+    return C, D
 
 
 def _rebuild(F, C, ctx, a):
-    rows = []
-    for i in range(a):
-        vec = [C[i][j] for j in range(a + 1) if j != i]
-        rows.append(vec_mat(F, vec, ctx.pi_inv[i]))
+    """Omega^-1 times the rows row_i(C without its diagonal) Pi_i^-1."""
+    rows = [vec_mat(F, C[i][:i] + C[i][i + 1:], ctx.pi_inv[i]) for i in range(a)]
     return mat_mul(F, ctx.omega_inv, rows)
 
 
@@ -563,8 +556,7 @@ def rec_st(blocks, erased, l, profile: CodeProfile):
     F = profile.field
     q2 = profile.n_nodes
     a = profile.alpha[l]
-    mu = [list(profile.mu_row(g, l)) for g in range(q2)]
-    lam = profile.lam
+    mu = profile.phi(l)
     sigma = len(erased)
     tau_bud = (q2 - a - 1 - sigma) // 2
     if tau_bud < 0:
@@ -574,54 +566,33 @@ def rec_st(blocks, erased, l, profile: CodeProfile):
     for g in present:
         if blocks[g] is None:
             raise DecodeFailure(f"node {g} missing without being flagged")
-    mu_t = [[mu[j][r] for j in range(q2)] for r in range(a)]
-    rhat = {g: vec_mat(F, blocks[g], mu_t) for g in present}
+    mu_t = transpose(mu)
+    C, D = _pairs(F, [None if g in erased else vec_mat(F, blocks[g], mu_t)
+                      for g in range(q2)], profile.lam)
 
-    cvals = {}
-    dvals = {}
-    for gi in range(q2):
-        if gi in erased:
-            continue
-        for gj in range(gi + 1, q2):
-            if gj in erased:
-                continue
-            cc, dd = _pair_solve(F, rhat[gi][gj], rhat[gj][gi], lam[gi], lam[gj])
-            cvals[(gi, gj)] = cc
-            dvals[(gi, gj)] = dd
-
-    def column_word(vals, j):
-        # column j has no diagonal entry: position j is erased like a flag
-        return [ERASED if i == j or i in erased else vals[(min(i, j), max(i, j))]
-                for i in range(q2)]
-
+    # column j's word is row j of the symmetric C (resp. D); its diagonal
+    # entry is erased like a flagged node
     pts = [profile.x_value(g) for g in range(q2)]
     votes = {g: 0 for g in range(q2)}
-    decoded_c = {}
-    decoded_d = {}
-    failed_cols = set()
+    decoded = {}        # column j -> its C and D messages; failed columns are out
     for j in present:
         try:
-            res_c = decode(F, mu, column_word(cvals, j), tau_max=tau_bud, points=pts)
-            res_d = decode(F, mu, column_word(dvals, j), tau_max=tau_bud, points=pts)
+            res = [decode(F, mu, W[j], tau_max=tau_bud, points=pts) for W in (C, D)]
         except DecodeFailure:
-            failed_cols.add(j)
             continue
-        decoded_c[j] = res_c.message
-        decoded_d[j] = res_d.message
-        for g in res_c.error_positions | res_d.error_positions:
+        decoded[j] = [r.message for r in res]
+        for g in res[0].error_positions | res[1].error_positions:
             votes[g] += 1
 
-    threshold = tau_bud + 1
-    suspects = {g for g, v in votes.items() if v >= threshold} | failed_cols
-    good = [j for j in present if j not in suspects and j in decoded_c]
+    good = [j for j in decoded if votes[j] <= tau_bud]
     if len(good) < a:
         raise DecodeFailure(
             f"only {len(good)} trustworthy columns for dimension {a}"
         )
     chosen = good[:a]
-    minv = mat_inv(F, [[mu[j][r] for j in chosen] for r in range(a)])
-    S = mat_mul(F, [[decoded_c[j][r] for j in chosen] for r in range(a)], minv)
-    T = mat_mul(F, [[decoded_d[j][r] for j in chosen] for r in range(a)], minv)
+    minv = mat_inv(F, transpose([mu[j] for j in chosen]))
+    S = mat_mul(F, transpose([decoded[j][0] for j in chosen]), minv)
+    T = mat_mul(F, transpose([decoded[j][1] for j in chosen]), minv)
 
     if not (symmetric(S) and symmetric(T)):
         raise DecodeFailure("recovered block not symmetric "

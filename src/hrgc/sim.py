@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field as dfield, fields
+from functools import partial
 
 from . import hmbr, hmsr
 from .errors import HrgcError, InvalidParams, LengthMismatch, NotEnoughHelpers
@@ -197,39 +198,29 @@ def _perturb_symbol(F, rng, spec, value):
     return rng.randrange(F.order)
 
 
-def _corrupt_repair_batches(cluster, batches, spec, rng):
-    F = cluster.profile.field
-    out = []
-    for b in batches:
-        if spec is None or b.helper_id not in spec.nodes:
-            out.append(b)
-            continue
-        symbols = dict(b.symbols)
-        for (l, t) in sorted(symbols):
-            if _activated(rng, spec, l):
-                symbols[(l, t)] = _perturb_symbol(F, rng, spec, symbols[(l, t)])
-        out.append(HelpSymbolBatch(helper_id=b.helper_id, level=b.level,
-                                   symbols=symbols))
-    return out
-
-
-def _corrupt_recon_batches(cluster, batches, spec, rng):
-    profile = cluster.profile
+def _corrupt_batches(profile, batches, spec, rng):
+    """Perturb the liars' outgoing copies: each activated repair symbol
+    (l, t), or every symbol of an activated reconstruction block (l, t)."""
     F = profile.field
     out = []
     for b in batches:
         if spec is None or b.helper_id not in spec.nodes:
             out.append(b)
-            continue
-        rows = {l: list(row) for l, row in b.rows.items()}
-        for l in sorted(rows):
-            a = profile.alpha[l]
-            for t in range(profile.blocks(l)):
+        elif b.rows is None:
+            symbols = dict(b.symbols)
+            for (l, t) in sorted(symbols):
                 if _activated(rng, spec, l):
-                    for c in range(t * a, (t + 1) * a):
-                        rows[l][c] = _perturb_symbol(F, rng, spec, rows[l][c])
-        out.append(HelpSymbolBatch(helper_id=b.helper_id, level=b.level,
-                                   rows=rows))
+                    symbols[(l, t)] = _perturb_symbol(F, rng, spec, symbols[(l, t)])
+            out.append(HelpSymbolBatch(b.helper_id, b.level, symbols=symbols))
+        else:
+            rows = {l: list(row) for l, row in b.rows.items()}
+            for l in sorted(rows):
+                a = profile.alpha[l]
+                for t in range(profile.blocks(l)):
+                    if _activated(rng, spec, l):
+                        for c in range(t * a, (t + 1) * a):
+                            rows[l][c] = _perturb_symbol(F, rng, spec, rows[l][c])
+            out.append(HelpSymbolBatch(b.helper_id, b.level, rows=rows))
     return out
 
 
@@ -266,6 +257,26 @@ def _apply_consistent_pair(cluster, z, batches, spec, rng):
 # -- operations -------------------------------------------------------------------
 
 
+def _gather(cluster, log, phase, plan, adversary, rng, z=None):
+    """One request round: each planned (node, level) responds, the log
+    records the symbols its response carries, and the adversary perturbs
+    the outgoing copies.  z is the repair target, None asks for rows."""
+    engine, profile = cluster._engine(), cluster.profile
+    batches = []
+    for g, level in plan:
+        if z is None:
+            b = engine.recon_response(cluster.nodes[g], profile, level)
+            carried = sum(len(row) for row in b.rows.values())
+        else:
+            b = engine.helper_response(cluster.nodes[g], profile, level, z)
+            carried = len(b.symbols)
+        log.add(phase, "dc" if z is None else z, g, level, carried)
+        batches.append(b)
+    if adversary and adversary.strategy == "consistent_pair":
+        return _apply_consistent_pair(cluster, z, batches, adversary, rng)
+    return _corrupt_batches(profile, batches, adversary, rng)
+
+
 def repair(cluster: Cluster, z: int, mode: str, adversary: AdversarySpec = None,
            policy: str = "escalate"):
     """Repair failed node z.  Returns (RepairReport, ExchangeLog)."""
@@ -282,18 +293,7 @@ def repair(cluster: Cluster, z: int, mode: str, adversary: AdversarySpec = None,
     cluster.op_counter += 1
     rng = _op_rng(adversary, cluster.op_counter) if adversary else None
     log = ExchangeLog(meta={"op": "repair", "mode": mode, "target": z})
-
-    def gather(phase, plan):
-        batches = []
-        for g, level in plan:
-            batches.append(engine.helper_response(cluster.nodes[g], profile,
-                                                  level, z))
-            log.add(phase, z, g, level,
-                    sum(profile.blocks(l) for l in range(level + 1)))
-        if adversary and adversary.strategy == "consistent_pair":
-            return _apply_consistent_pair(cluster, z, batches, adversary, rng)
-        return _corrupt_repair_batches(cluster, batches, adversary, rng)
-
+    gather = partial(_gather, cluster, log, adversary=adversary, rng=rng, z=z)
     live = cluster.live_ids()
     if mode in ("plain", "detect"):
         plan = engine.staged_request_plan(profile, mode, live)
@@ -349,14 +349,7 @@ def reconstruct(cluster: Cluster, mode: str, adversary: AdversarySpec = None,
     cluster.op_counter += 1
     rng = _op_rng(adversary, cluster.op_counter) if adversary else None
     log = ExchangeLog(meta={"op": "reconstruct", "mode": mode})
-
-    def gather(phase, plan):
-        batches = []
-        for g, level in plan:
-            batches.append(engine.recon_response(cluster.nodes[g], profile, level))
-            log.add(phase, "dc", g, level, (level + 1) * profile.A)
-        return _corrupt_recon_batches(cluster, batches, adversary, rng)
-
+    gather = partial(_gather, cluster, log, adversary=adversary, rng=rng)
     live = cluster.live_ids()
     if mode in ("plain", "detect"):
         plan = engine.staged_request_plan(profile, mode, live, counts=profile.k)
@@ -395,7 +388,9 @@ def _recon_recover(cluster, gather):
 
 
 def bandwidth_audit(log: ExchangeLog, profile: CodeProfile) -> dict:
-    """Compare logged per-layer symbol counts against the protocol totals."""
+    """Check a log against the protocol: per layer, the responders serving
+    it times the layer's unit; per phase, ``total_actual``, the symbols the
+    responses carried, against the protocol total."""
     op = log.meta.get("op")
     phases = sorted({r[0] for r in log.records})
     out = {"op": op, "phases": {}, "ok": True}

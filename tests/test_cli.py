@@ -97,6 +97,26 @@ def test_decode_failure_exit_code(workspace, tmp_path):
     assert code == cli.EXIT_DECODE_FAILURE
 
 
+@pytest.mark.parametrize("mode, message", [
+    ("detect", "12x12 system singular"),
+    ("plain", "repair window [0, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13] "
+              "singular at layer 0"),
+])
+def test_singular_repair_window_exits_decode_failure(workspace, tmp_path,
+                                                     capsys, mode, message):
+    # with nodes 1 and 5 failed, node 5's staged helpers form a singular
+    # window: a well-formed request that cannot be solved, not bad input
+    cluster = tmp_path / "cluster"
+    shutil.copytree(workspace["cluster"], cluster)
+    for g in ("1", "5"):
+        assert run(["fail", "--cluster", str(cluster), "--node", g]) == 0
+    capsys.readouterr()
+    code = run(["repair", "--cluster", str(cluster), "--node", "5",
+                "--mode", mode])
+    assert code == cli.EXIT_DECODE_FAILURE
+    assert capsys.readouterr().err == f"error (SingularSystem): {message}\n"
+
+
 def test_capability_csv(tmp_path):
     out = str(tmp_path / "cap.csv")
     assert run(["capability", "--q-range", "4:16:2", "--out", out]) == 0

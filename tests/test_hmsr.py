@@ -13,6 +13,7 @@ from conftest import (
 from hrgc import hmbr, hmsr
 from hrgc.errors import (
     AsymmetryDetected,
+    DecodeFailure,
     HrgcError,
     LengthMismatch,
     NotEnoughHelpers,
@@ -532,3 +533,48 @@ def test_detect_matches_the_two_window_rule(prof_name, request):
     # both operations passed some corrupted batches and alarmed on others
     assert {("repair", True), ("repair", False),
             ("reconstruct", True), ("reconstruct", False)} <= seen
+
+
+@pytest.mark.parametrize("prof_name", ["q3_msr", "q4_msr", "q3_mbr", "q4_mbr"])
+def test_recovery_solvers_reduce_to_the_window_extractors(prof_name, request):
+    """With only the extractor's responders present (0..alpha_l for MSR,
+    0..k_l-1 for MBR) and every other node erased, the recovery solver
+    returns the extractor's block and flags no node.  On random rows both
+    refuse the block or both return the same one."""
+    profile = request.getfixturevalue(prof_name)
+    F, n = profile.field, profile.n_nodes
+    msr = profile.mode == "msr"
+    solve = hmsr.rec_st if msr else hmbr.rec_m
+    message = random_message(profile, 77)
+    truth = (hmsr.arrange_st if msr else hmbr.arrange_m)(message, profile)
+    stack = [hmsr.tilde_rows(profile, s)
+             for s in encode_profile(profile, message)]
+    rng = random.Random(78)
+    for l in range(profile.q):
+        a, k = profile.alpha[l], profile.k[l]
+        ids = list(range(a + 1 if msr else k))
+        erased = frozenset(range(len(ids), n))
+
+        def extract(R):
+            if msr:
+                return hmsr.extract_st(R, ids, l, profile)
+            return hmbr._extract_m(F, [profile.mu_row(g, l) for g in ids], k, R)
+
+        for t in range(profile.blocks(l)):
+            R = [stack[g][l][t * a:(t + 1) * a] for g in ids]
+            S, T, corrupt = solve(R + [None] * len(erased), erased, l, profile)
+            assert (S, T) == extract(R) == (truth.s[l][t], truth.t_[l][t])
+            assert corrupt == set()
+
+            R = [[rng.randrange(F.order) for _ in range(a)] for _ in ids]
+            try:
+                want = extract(R)
+            except AsymmetryDetected:
+                want = None
+            try:
+                S, T, corrupt = solve(R + [None] * len(erased), erased, l,
+                                      profile)
+            except DecodeFailure:
+                assert want is None, (l, t)
+            else:
+                assert (S, T) == want and corrupt == set(), (l, t)

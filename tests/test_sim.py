@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import random_message
-from hrgc import sim
+from hrgc import hmsr, sim
 from hrgc.errors import (
     HrgcError,
     InvalidParams,
@@ -174,6 +174,28 @@ def test_bandwidth_audit_detect_increment(q4_msr):
     detect_total = detect_log.total_symbols("detect")
     extra = sum(q4_msr.A // a for a in q4_msr.alpha)
     assert detect_total == plain_total + extra
+
+
+def test_bandwidth_audit_counts_the_symbols_sent(q3_msr, monkeypatch):
+    # each helper sends one symbol past the protocol; the solve ignores it,
+    # but the log records what the responses carried and the audit fails
+    honest = hmsr.helper_response
+
+    def chatty(state, profile, level, target):
+        batch = honest(state, profile, level, target)
+        batch.symbols[(level, profile.blocks(level))] = 0
+        return batch
+
+    monkeypatch.setattr(hmsr, "helper_response", chatty)
+    cluster = make_cluster(q3_msr, 14)
+    truth = [row[:] for row in cluster.nodes[4].y]
+    sim.fail_node(cluster, 4)
+    report, log = sim.repair(cluster, 4, "plain")
+    assert report.ok and cluster.nodes[4].y == truth
+    audit = sim.bandwidth_audit(log, q3_msr)
+    assert audit["ok"] is False
+    plain = audit["phases"]["plain"]
+    assert plain["total_actual"] == plain["total_expected"] + q3_msr.d[0]
 
 
 def test_node_file_round_trip(q3_msr, tmp_path):
