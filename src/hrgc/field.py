@@ -77,6 +77,23 @@ class Field:
         for b in range(1, order):
             self._inv[b] = self._exp[(order - 1 - self._log[b]) % (order - 1)]
 
+        # row-kernel tables: the full product table, and per constant a the
+        # 256-byte bytes.translate tables of b -> a*b (char 2) or b -> digit
+        # i of a*b (odd p); bytes at or past ``order`` map to 0
+        self._mul = [[self.mul(a, b) for b in range(order)] for a in range(order)]
+        pad = [0] * (256 - order)
+        if p == 2:
+            self._mul_bytes = [bytes(row + pad) for row in self._mul]
+        else:
+            self._mul_bytes = [
+                [bytes([digits[v][i] for v in row] + pad) for i in range(deg)]
+                for row in self._mul
+            ]
+            self._mod_p = bytes(v % p for v in range(256))
+        # the bytes kernel costs one translate per digit plane and term, the
+        # list kernel one table lookup per symbol and term
+        self._wide = 8 * (1 if p == 2 else deg)
+
     @staticmethod
     def _digits(a, p, deg):
         out = []
@@ -143,6 +160,77 @@ class Field:
 
     def elements(self):
         return range(self.order)
+
+    # -- row kernels ----------------------------------------------------
+    #
+    # Table-driven "multiply a region by a constant" (Plank, Greenan and
+    # Miller, FAST 2013).  Rows are lists of symbols; the scalar mul/add
+    # above stay the reference the kernels are tested against.
+
+    def scale(self, a: int, row):
+        """a * row, elementwise."""
+        pa = self._mul[a]
+        return [pa[y] for y in row]
+
+    def axpy(self, acc, a: int, row):
+        """acc + a * row, elementwise."""
+        add, pa = self._add, self._mul[a]
+        return [add[x][pa[y]] for x, y in zip(acc, row)]
+
+    def pack(self, rows, width: int):
+        """``rows`` (each ``width`` symbols) in the form ``comb`` takes:
+        bytes, one symbol per byte, when the rows are wide enough for the
+        bytes kernel to win, else the lists themselves."""
+        return [bytes(r) for r in rows] if width >= self._wide else rows
+
+    def comb(self, coeffs, rows, width: int):
+        """sum_i coeffs[i] * rows[i] as a list of ``width`` symbols, for
+        ``rows`` from ``pack``; zero coefficients cost nothing.
+
+        Wide rows are big-int lanes of one byte per symbol.  In char 2 the
+        sum is XOR.  For odd p each base-p digit has its own accumulator
+        whose byte lanes add the digits of each product; a lane gains at
+        most p - 1 per term, so a ``% p`` translate every 255 // (p - 1) - 1
+        terms keeps it below 256, and the reduced planes recombine as
+        sum_i p^i plane_i.
+        """
+        if width < self._wide:
+            # axpy, inlined: the narrow block solves run this loop
+            add, mul = self._add, self._mul
+            acc = [0] * width
+            for a, r in zip(coeffs, rows):
+                if a:
+                    pa = mul[a]
+                    acc = [add[x][pa[y]] for x, y in zip(acc, r)]
+            return acc
+        tabs = self._mul_bytes
+        if self.characteristic == 2:
+            acc = 0
+            for a, r in zip(coeffs, rows):
+                if a:
+                    acc ^= int.from_bytes(r.translate(tabs[a]), "little")
+            return list(acc.to_bytes(width, "little"))
+        p, mod = self.characteristic, self._mod_p
+
+        def reduce(v):
+            return int.from_bytes(v.to_bytes(width, "little").translate(mod),
+                                  "little")
+
+        limit = 255 // (p - 1) - 1
+        planes = [0] * self.degree
+        terms = 0
+        for a, r in zip(coeffs, rows):
+            if a:
+                if terms == limit:
+                    planes = [reduce(v) for v in planes]
+                    terms = 0
+                for i, tab in enumerate(tabs[a]):
+                    planes[i] += int.from_bytes(r.translate(tab), "little")
+                terms += 1
+        acc = 0
+        for v in reversed(planes):
+            acc = acc * p + reduce(v)
+        return list(acc.to_bytes(width, "little"))
 
     # -- structure ------------------------------------------------------
 

@@ -42,7 +42,7 @@ from .hmsr import (  # noqa: F401 -- the shared names are re-exported
     symmetric,
     tilde_rows,
 )
-from .linalg import mat_inv, mat_mul, vec_mat
+from .linalg import mat_inv, mat_mul, transpose, vec_mat
 from .matrices import CodeProfile, profile_digest
 
 
@@ -131,22 +131,18 @@ def _strip_t(F, mu_rows, k, R, T):
     """R1 - Delta_part T^t: the first k entries of each response row less
     what its last alpha - k mu entries carry through T^t.  A None row (an
     erased node) stays None."""
-    t_cols = list(zip(*T))
-    out = []
-    for mu, r in zip(mu_rows, R):
-        if r is not None:
-            r = r[:k]
-            for dp, tj in zip(mu[k:], t_cols):
-                if dp:
-                    r = [F.sub(x, F.mul(dp, t)) if t else x
-                         for x, t in zip(r, tj)]
-        out.append(r)
-    return out
+    t_cols = transpose(T)
+    return [None if r is None else
+            vec_mat(F, [1] + [F.neg(dp) for dp in mu[k:]], [r[:k]] + t_cols)
+            for mu, r in zip(mu_rows, R)]
 
 
-def _extract_m(F, mu_rows, k, R):
-    """Split W = [Omega, Delta_part]; T = Omega^-1 R2; S = Omega^-1 (R1 - Dp T^t)."""
-    omega_inv = mat_inv(F, [row[:k] for row in mu_rows])
+def _extract_m(F, mu_rows, k, R, omega_inv=None):
+    """Split W = [Omega, Delta_part]; T = Omega^-1 R2; S = Omega^-1 (R1 - Dp T^t).
+
+    ``omega_inv`` is Omega^-1 when the caller holds it (once per layer)."""
+    if omega_inv is None:
+        omega_inv = mat_inv(F, [row[:k] for row in mu_rows])
     T = mat_mul(F, omega_inv, [row[k:] for row in R])
     S = mat_mul(F, omega_inv, _strip_t(F, mu_rows, k, R, T))
     if not symmetric(S):
@@ -155,8 +151,10 @@ def _extract_m(F, mu_rows, k, R):
 
 
 def _m_window(profile, l, ids):
+    F, k = profile.field, profile.k[l]
     mu_rows = [profile.mu_row(g, l) for g in ids]
-    return lambda R: _extract_m(profile.field, mu_rows, profile.k[l], R)
+    omega_inv = mat_inv(F, [row[:k] for row in mu_rows])
+    return lambda R: _extract_m(F, mu_rows, k, R, omega_inv)
 
 
 def reconstruct_mbr_plain(batches, profile: CodeProfile) -> ReconstructReport:

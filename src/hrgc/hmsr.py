@@ -156,20 +156,15 @@ def encode(st: MessageMatrices, profile: CodeProfile):
     """Produce the q^2 node states for an arranged message."""
     assert profile.mode == "msr"
     F = profile.field
-    q = profile.q
-    fs = [mat_mul(F, profile.phi(l), _layer_matrix(st.s[l])) for l in range(q)]
-    es = [mat_mul(F, profile.phi(l), _layer_matrix(st.t_[l])) for l in range(q)]
+    n = profile.n_nodes
+    # row g of layer l is nu_{g,l} [S_l; T_l] = mu_{g,l} S_l + lam_g mu_{g,l} T_l
+    layers = [mat_mul(F, [profile.nu_row(g, l) for g in range(n)],
+                      _layer_matrix(st.s[l]) + _layer_matrix(st.t_[l]))
+              for l in range(profile.q)]
     digest = profile_digest(profile)
-    nodes = []
-    for g in range(profile.n_nodes):
-        lam = profile.lam[g]
-        tilde = [
-            [F.add(fs[l][g][c], F.mul(lam, es[l][g][c])) for c in range(profile.A)]
-            for l in range(q)
-        ]
-        y = mat_mul(F, profile.points.basis(g), tilde)
-        nodes.append(NodeState(node_id=g, y=y, digest=digest))
-    return nodes
+    return [NodeState(node_id=g, digest=digest, y=mat_mul(
+                F, profile.points.basis(g), [m[g] for m in layers]))
+            for g in range(n)]
 
 
 def tilde_rows(profile: CodeProfile, state: NodeState):
@@ -190,13 +185,11 @@ def helper_response(state: NodeState, profile: CodeProfile, level: int,
     symbols = {}
     for l in range(level + 1):
         a = profile.alpha[l]
-        mu_z = profile.mu_row(target, l)
-        for t, blk in enumerate(row_blocks(tilde[l], a)):
-            acc = 0
-            for u, v in zip(blk, mu_z):
-                if u and v:
-                    acc = F.add(acc, F.mul(u, v))
-            symbols[(l, t)] = acc
+        # block t's symbol is its slice of the row times mu_z: mu_z times the
+        # matrix whose row j holds entry j of every block
+        dots = vec_mat(F, profile.mu_row(target, l),
+                       [tilde[l][j::a] for j in range(a)])
+        symbols.update(((l, t), v) for t, v in enumerate(dots))
     return HelpSymbolBatch(helper_id=state.node_id, level=level, symbols=symbols)
 
 
@@ -425,15 +418,14 @@ def _reconstruct_recover(batches, profile, prior_flags, solve, layout):
 
 def _lambda_mix(profile, z, l, x):
     """Node z's layer-l block from a solved [S; T] row: x_S + lam_z x_T."""
-    F, a, lam_z = profile.field, profile.alpha[l], profile.lam[z]
-    return [F.add(x[j], F.mul(lam_z, x[a + j])) for j in range(a)]
+    a = profile.alpha[l]
+    return vec_mat(profile.field, [1, profile.lam[z]], [x[:a], x[a:]])
 
 
 def _st_response(profile, g, l, S, T):
     """Node g's layer-l response slice for the block (S, T):
-    mu_g S + lam_g mu_g T."""
-    F, mu = profile.field, profile.mu_row(g, l)
-    return _lambda_mix(profile, g, l, vec_mat(F, mu, S) + vec_mat(F, mu, T))
+    nu_g [S; T] = mu_g S + lam_g mu_g T."""
+    return vec_mat(profile.field, profile.nu_row(g, l), S + T)
 
 
 def regenerate_plain(z, batches, profile: CodeProfile) -> RepairReport:

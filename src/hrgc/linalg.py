@@ -1,4 +1,7 @@
-"""Dense linear algebra over a Field: matrices are list-of-row-lists of ints."""
+"""Dense linear algebra over a Field: matrices are list-of-row-lists of ints.
+
+The products are row combinations on the Field row kernels (``Field.comb``);
+elimination steps are ``Field.axpy`` row operations."""
 
 from __future__ import annotations
 
@@ -10,52 +13,26 @@ def transpose(M):
 
 
 def mat_mul(F, A, B):
-    add, mul = F.add, F.mul
-    rb = len(B)
-    cb = len(B[0]) if rb else 0
-    out = [[0] * cb for _ in range(len(A))]
-    for i, Ai in enumerate(A):
-        Oi = out[i]
-        for k in range(rb):
-            a = Ai[k]
-            if a:
-                Bk = B[k]
-                for j in range(cb):
-                    b = Bk[j]
-                    if b:
-                        Oi[j] = add(Oi[j], mul(a, b))
-    return out
+    width = len(B[0]) if B else 0
+    rows = F.pack(B, width)
+    return [F.comb(Ai, rows, width) for Ai in A]
 
 
 def mat_vec(F, A, v):
-    add, mul = F.add, F.mul
-    out = []
-    for Ai in A:
-        s = 0
-        for a, x in zip(Ai, v):
-            if a and x:
-                s = add(s, mul(a, x))
-        out.append(s)
-    return out
+    return F.comb(v, F.pack(transpose(A), len(A)), len(A))
 
 
 def vec_mat(F, v, A):
     """Row vector times matrix."""
-    add, mul = F.add, F.mul
-    cols = len(A[0])
-    out = [0] * cols
-    for a, Ai in zip(v, A):
-        if a:
-            for j in range(cols):
-                b = Ai[j]
-                if b:
-                    out[j] = add(out[j], mul(a, b))
-    return out
+    width = len(A[0])
+    return F.comb(v, F.pack(A, width), width)
 
 
 def _eliminate(F, M, ncols=None):
-    """In-place forward elimination; returns pivot columns.  M is augmented-ok."""
-    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
+    """In-place forward elimination; returns pivot columns.  M is augmented-ok.
+
+    Its rows are short, so each step is one list-kernel row operation."""
+    neg, inv = F.neg, F.inv
     rows = len(M)
     cols = ncols if ncols is not None else (len(M[0]) if rows else 0)
     pivots = []
@@ -69,15 +46,12 @@ def _eliminate(F, M, ncols=None):
         if piv is None:
             continue
         M[r], M[piv] = M[piv], M[r]
-        ic = inv(M[r][c])
-        M[r] = [mul(ic, v) for v in M[r]]
+        M[r] = F.scale(inv(M[r][c]), M[r])
+        Mc = M[r][c:]
         for rr in range(rows):
-            if rr != r and M[rr][c]:
-                f = neg(M[rr][c])
-                Mr, Mc = M[rr], M[r]
-                for k in range(c, len(Mr)):
-                    if Mc[k]:
-                        Mr[k] = add(Mr[k], mul(f, Mc[k]))
+            Mr = M[rr]
+            if rr != r and Mr[c]:
+                Mr[c:] = F.axpy(Mr[c:], neg(Mr[c]), Mc)
         pivots.append(c)
         r += 1
         if r == rows:
@@ -87,7 +61,7 @@ def _eliminate(F, M, ncols=None):
 
 def det_nonzero(F, A):
     """True iff the square matrix is invertible (forward elimination only)."""
-    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
+    mul, neg, inv = F.mul, F.neg, F.inv
     n = len(A)
     M = [row[:] for row in A]
     for c in range(n):
@@ -100,14 +74,11 @@ def det_nonzero(F, A):
             return False
         M[c], M[piv] = M[piv], M[c]
         ic = inv(M[c][c])
+        Mc = M[c][c:]
         for r in range(c + 1, n):
-            f = M[r][c]
-            if f:
-                f = neg(mul(f, ic))
-                Mr, Mc = M[r], M[c]
-                for k in range(c, n):
-                    if Mc[k]:
-                        Mr[k] = add(Mr[k], mul(f, Mc[k]))
+            Mr = M[r]
+            if Mr[c]:
+                Mr[c:] = F.axpy(Mr[c:], neg(mul(Mr[c], ic)), Mc)
     return True
 
 

@@ -77,9 +77,8 @@ class CodeProfile:
 
     def nu_row(self, g: int, l: int):
         """Row g of [Phi_l, Delta*Phi_l] (MSR encoding vector of node g)."""
-        F, lam = self.field, self.lam[g]
         mu = self.mu_row(g, l)
-        return mu + [F.mul(lam, v) for v in mu]
+        return mu + self.field.scale(self.lam[g], mu)
 
     def phi(self, l: int):
         if l not in self._phi:
@@ -174,7 +173,7 @@ def _phi_rows(F, xs, a):
 
 
 def _psi_rows(F, phi, lam):
-    return [row + [F.mul(lam[g], v) for v in row] for g, row in enumerate(phi)]
+    return [row + F.scale(lam[g], row) for g, row in enumerate(phi)]
 
 
 def repair_windows(n_nodes: int, d: int):

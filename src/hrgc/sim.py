@@ -277,6 +277,18 @@ def _gather(cluster, log, phase, plan, adversary, rng, z=None):
     return _corrupt_batches(profile, batches, adversary, rng)
 
 
+def _flagged_alarm(cluster, mode, plan, report):
+    """A detect result that passed its check but used a flagged helper is an
+    alarm: the one-row check is blind to a helper at which the window's left
+    null vector is zero, so it cannot clear a node already caught lying."""
+    if mode != "detect" or not report.ok:
+        return report
+    flagged = sorted(cluster.known_corrupt.intersection(g for g, _ in plan))
+    if not flagged:
+        return report
+    return type(report)(mode=mode, ok=False, alarm={"flagged": flagged})
+
+
 def repair(cluster: Cluster, z: int, mode: str, adversary: AdversarySpec = None,
            policy: str = "escalate"):
     """Repair failed node z.  Returns (RepairReport, ExchangeLog)."""
@@ -303,7 +315,7 @@ def repair(cluster: Cluster, z: int, mode: str, adversary: AdversarySpec = None,
         else:
             fn = (hmbr.regenerate_mbr_plain if mode == "plain"
                   else hmbr.regenerate_mbr_detect)
-        report = fn(z, batches, profile)
+        report = _flagged_alarm(cluster, mode, plan, fn(z, batches, profile))
         if report.alarm and policy == "escalate":
             log.meta["alarm"] = report.alarm
             log.meta["escalated"] = True
@@ -360,7 +372,7 @@ def reconstruct(cluster: Cluster, mode: str, adversary: AdversarySpec = None,
         else:
             fn = (hmbr.reconstruct_mbr_plain if mode == "plain"
                   else hmbr.reconstruct_mbr_detect)
-        report = fn(batches, profile)
+        report = _flagged_alarm(cluster, mode, plan, fn(batches, profile))
         if report.alarm and policy == "escalate":
             log.meta["alarm"] = report.alarm
             log.meta["escalated"] = True

@@ -1,0 +1,137 @@
+"""The row kernels and the linalg products against scalar Field.mul/add loops.
+
+Widths cover the empty row, the list kernel (narrow rows) and the bytes
+kernel (wide rows); 300-term sums pass the odd-characteristic lane limit of
+255 // (p - 1) - 1 terms before a reduction.
+"""
+
+import random
+
+import pytest
+
+from hrgc.errors import SingularSystem
+from hrgc.field import SUPPORTED_Q, Field
+from hrgc.linalg import (det_nonzero, mat_inv, mat_mul, mat_vec, solve_square,
+                         vec_mat)
+
+WIDTHS = (0, 1, 3, 7, 8, 15, 16, 31, 32, 33, 100)
+
+
+def scalar_comb(F, coeffs, rows, width):
+    out = [0] * width
+    for a, row in zip(coeffs, rows):
+        for j in range(width):
+            out[j] = F.add(out[j], F.mul(a, row[j]))
+    return out
+
+
+def scalar_mat_mul(F, A, B, width):
+    return [scalar_comb(F, Ai, B, width) for Ai in A]
+
+
+def scalar_rank(F, A):
+    M = [row[:] for row in A]
+    rank = 0
+    for c in range(len(M[0]) if M else 0):
+        piv = next((r for r in range(rank, len(M)) if M[r][c]), None)
+        if piv is None:
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        ic = F.inv(M[rank][c])
+        for r in range(rank + 1, len(M)):
+            f = F.mul(M[r][c], ic)
+            M[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(M[r], M[rank])]
+        rank += 1
+    return rank
+
+
+def rand_matrix(F, rng, rows, cols, zeros=0.2):
+    return [[0 if rng.random() < zeros else rng.randrange(F.order)
+             for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_comb_matches_scalar_loops(q):
+    F = Field(q)
+    rng = random.Random(f"comb/{q}")
+    for width in WIDTHS:
+        for terms in (0, 1, 5, 300):
+            rows = rand_matrix(F, rng, terms, width)
+            coeffs = [0 if rng.random() < 0.2 else rng.randrange(F.order)
+                      for _ in range(terms)]
+            got = F.comb(coeffs, F.pack(rows, width), width)
+            assert got == scalar_comb(F, coeffs, rows, width), (width, terms)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_wide_sum_of_largest_digits_reduces_its_lanes(q):
+    """Every product has every digit p - 1, the worst case for the lanes."""
+    F = Field(q)
+    top = F.order - 1               # all base-p digits p - 1
+    for width in (1, 40, 100):
+        rows = [[top] * width] * 300
+        got = F.comb([1] * 300, F.pack(rows, width), width)
+        assert got == scalar_comb(F, [1] * 300, rows, width)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_scale_and_axpy_match_scalar(q):
+    F = Field(q)
+    rng = random.Random(f"axpy/{q}")
+    for a in (0, 1, rng.randrange(2, F.order), F.order - 1):
+        row = [rng.randrange(F.order) for _ in range(20)]
+        acc = [rng.randrange(F.order) for _ in range(20)]
+        assert F.scale(a, row) == [F.mul(a, y) for y in row]
+        assert F.axpy(acc, a, row) == [F.add(x, F.mul(a, y))
+                                       for x, y in zip(acc, row)]
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_products_match_scalar_loops(q):
+    F = Field(q)
+    rng = random.Random(f"products/{q}")
+    for inner in (0, 1, 6, 300):
+        for width in (0, 5, 16, 64):
+            A = rand_matrix(F, rng, 4, inner)
+            B = rand_matrix(F, rng, inner, width)
+            v = [rng.randrange(F.order) for _ in range(inner)]
+            if inner:
+                assert mat_mul(F, A, B) == scalar_mat_mul(F, A, B, width)
+                assert vec_mat(F, v, B) == scalar_comb(F, v, B, width)
+            w = [rng.randrange(F.order) for _ in range(width)]
+            assert mat_vec(F, B, w) == [scalar_comb(F, row, [[x] for x in w], 1)[0]
+                                        for row in B]
+    assert mat_mul(F, [[1, 2], [3, 4]], []) == [[], []]
+    assert mat_mul(F, [[1], [2]], [[]]) == [[], []]
+    assert mat_vec(F, [], [1, 2]) == []
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_solvers_match_scalar_loops(q):
+    F = Field(q)
+    rng = random.Random(f"solvers/{q}")
+    for n in (1, 2, 5, 13):
+        A = rand_matrix(F, rng, n, n)
+        while scalar_rank(F, A) < n:
+            A = rand_matrix(F, rng, n, n)
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert scalar_mat_mul(F, A, mat_inv(F, A), n) == identity
+        b = [rng.randrange(F.order) for _ in range(n)]
+        x = solve_square(F, A, b)
+        assert scalar_mat_mul(F, A, [[xi] for xi in x], 1) == [[bi] for bi in b]
+        assert det_nonzero(F, A)
+        if n == 1:
+            continue
+        # row n-1 a combination of the others, or a zero column
+        c = [rng.randrange(F.order) for _ in range(n - 1)]
+        singulars = [A[:-1] + [scalar_comb(F, c, A[:-1], n)],
+                     [[0] + row[1:] for row in A]]
+        for S in singulars:
+            assert scalar_rank(F, S) < n
+            assert not det_nonzero(F, S)
+            with pytest.raises(SingularSystem,
+                               match=rf"^{n}x{n} matrix not invertible$"):
+                mat_inv(F, S)
+            with pytest.raises(SingularSystem,
+                               match=rf"^{n}x{n} system singular$"):
+                solve_square(F, S, b)

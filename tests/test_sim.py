@@ -426,3 +426,28 @@ def test_detect_repair_refuses_a_singular_shifted_window(q3_msr):
     report, _ = sim.repair(cluster, 2, "plain")
     assert report.ok
     assert cluster.nodes[2].y == truth
+
+
+def test_detect_does_not_certify_a_flagged_helper(q4_msr):
+    # the layer-1 detect window for node 10 has a left null vector that is
+    # zero at helpers 3 and 4, so their layer-1 lies never reach the one-row
+    # check; once they are flagged, a detect result that used them alarms
+    adversary = sim.parse_adversary(
+        "nodes=3,4;strategy=layer;layer=1;activation=1.0;seed=7")
+    cluster = make_cluster(q4_msr, 5)
+    truth = [row[:] for row in cluster.nodes[10].y]
+    sim.fail_node(cluster, 10)
+    cluster.known_corrupt |= {3, 4}
+    report, log = sim.repair(cluster, 10, "detect", adversary, policy="report")
+    assert not report.ok and report.y is None
+    assert report.alarm == {"flagged": [3, 4]}
+    assert cluster.nodes[10] is None
+    report, log = sim.repair(cluster, 10, "detect", adversary)
+    assert log.meta["alarm"] == {"flagged": [3, 4]} and log.meta["escalated"]
+    assert report.mode == "recover" and report.ok
+    assert cluster.nodes[10].y == truth
+
+    report, _ = sim.reconstruct(cluster, "detect", policy="report")
+    assert not report.ok and report.alarm == {"flagged": [3, 4]}
+    report, _ = sim.reconstruct(cluster, "plain")
+    assert report.ok and report.message == cluster.truth_message
