@@ -131,13 +131,7 @@ def _decode_generic(F, G, r, k, tau_max):
     H = left_null_space(F, G)
     if len(H) != len(G) - k:
         raise DecodeFailure(f"generator rank below {k} on the usable positions")
-    s = [0] * len(H)
-    for idx, h in enumerate(H):
-        acc = 0
-        for a, b in zip(h, r):
-            if a and b:
-                acc = F.add(acc, F.mul(a, b))
-        s[idx] = acc
+    s = mat_vec(F, H, r)
 
     if not any(s):
         msg, _ = _solve_message(F, G, r, k)
@@ -185,7 +179,7 @@ def _consistent_support(F, hcols, J, s, nrows):
 def _solve_message(F, G, word, k):
     try:
         return solve_least_index(F, G, word, k)
-    except Exception as exc:
+    except SingularSystem as exc:
         raise DecodeFailure(str(exc)) from exc
 
 

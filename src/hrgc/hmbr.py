@@ -36,14 +36,11 @@ from .hmsr import (  # noqa: F401 -- the shared names are re-exported
     _symmetric_block,
     _upper_triangle,
     helper_response,
-    recon_response,
-    row_blocks,
-    staged_request_plan,
     symmetric,
     tilde_rows,
 )
 from .linalg import mat_inv, mat_mul, transpose, vec_mat
-from .matrices import CodeProfile, profile_digest
+from .matrices import CodeProfile
 
 
 def arrange_m(message, profile: CodeProfile) -> MessageMatrices:
@@ -93,12 +90,11 @@ def encode_mbr(m: MessageMatrices, profile: CodeProfile):
     for l in range(q):
         blocks = [m_block(m, profile, l, t) for t in range(profile.blocks(l))]
         layer_mats.append(mat_mul(F, profile.phi(l), _layer_matrix(blocks)))
-    digest = profile_digest(profile)
     nodes = []
     for g in range(profile.n_nodes):
         tilde = [layer_mats[l][g] for l in range(q)]
         y = mat_mul(F, profile.points.basis(g), tilde)
-        nodes.append(NodeState(node_id=g, y=y, digest=digest))
+        nodes.append(NodeState(node_id=g, y=y))
     return nodes
 
 

@@ -50,7 +50,7 @@ from .errors import (
 )
 from .linalg import (det_nonzero, mat_inv, mat_mul, mat_vec, solve_square,
                      transpose, vec_mat)
-from .matrices import CodeProfile, profile_digest
+from .matrices import CodeProfile
 
 
 # -- data types ---------------------------------------------------------------
@@ -71,7 +71,6 @@ class MessageMatrices:
 class NodeState:
     node_id: int
     y: list                  # q x A symbol matrix
-    digest: bytes
 
 
 @dataclass
@@ -161,8 +160,7 @@ def encode(st: MessageMatrices, profile: CodeProfile):
     layers = [mat_mul(F, [profile.nu_row(g, l) for g in range(n)],
                       _layer_matrix(st.s[l]) + _layer_matrix(st.t_[l]))
               for l in range(profile.q)]
-    digest = profile_digest(profile)
-    return [NodeState(node_id=g, digest=digest, y=mat_mul(
+    return [NodeState(node_id=g, y=mat_mul(
                 F, profile.points.basis(g), [m[g] for m in layers]))
             for g in range(n)]
 
@@ -170,10 +168,6 @@ def encode(st: MessageMatrices, profile: CodeProfile):
 def tilde_rows(profile: CodeProfile, state: NodeState):
     """B_g^{-1} Y_g: row l carries the layer-l payload of node g."""
     return mat_mul(profile.field, profile.points.basis_inv(state.node_id), state.y)
-
-
-def row_blocks(row, a):
-    return [row[t * a:(t + 1) * a] for t in range(len(row) // a)]
 
 
 def helper_response(state: NodeState, profile: CodeProfile, level: int,
@@ -452,7 +446,6 @@ class ExtractContext:
         F = profile.field
         a = profile.alpha[l]
         assert len(ids) == a + 1
-        self.ids = list(ids)
         self.mu = [list(profile.mu_row(g, l)) for g in ids]
         self.lam = [profile.lam[g] for g in ids]
         if len(set(self.lam)) != len(self.lam):

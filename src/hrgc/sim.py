@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field as dfield, fields
-from functools import partial
 
 from . import hmbr, hmsr
 from .errors import HrgcError, InvalidParams, LengthMismatch, NotEnoughHelpers
@@ -148,9 +147,6 @@ class Cluster:
     def live_ids(self):
         return [g for g, ns in enumerate(self.nodes) if ns is not None]
 
-    def _engine(self):
-        return hmsr if self.profile.mode == "msr" else hmbr
-
 
 def cluster_init(profile: CodeProfile, message, retain_truth=True,
                  directory=None) -> Cluster:
@@ -261,14 +257,14 @@ def _gather(cluster, log, phase, plan, adversary, rng, z=None):
     """One request round: each planned (node, level) responds, the log
     records the symbols its response carries, and the adversary perturbs
     the outgoing copies.  z is the repair target, None asks for rows."""
-    engine, profile = cluster._engine(), cluster.profile
+    profile = cluster.profile
     batches = []
     for g, level in plan:
         if z is None:
-            b = engine.recon_response(cluster.nodes[g], profile, level)
+            b = hmsr.recon_response(cluster.nodes[g], profile, level)
             carried = sum(len(row) for row in b.rows.values())
         else:
-            b = engine.helper_response(cluster.nodes[g], profile, level, z)
+            b = hmsr.helper_response(cluster.nodes[g], profile, level, z)
             carried = len(b.symbols)
         log.add(phase, "dc" if z is None else z, g, level, carried)
         batches.append(b)
@@ -289,6 +285,55 @@ def _flagged_alarm(cluster, mode, plan, report):
     return type(report)(mode=mode, ok=False, alarm={"flagged": flagged})
 
 
+def _entry(profile, op, mode):
+    """The engine entry point for (code, op, mode), looked up by name at
+    each call, so a rebound module attribute is the one that runs."""
+    name = "regenerate" if op == "repair" else "reconstruct"
+    if profile.mode == "msr":
+        return getattr(hmsr, f"{name}_{mode}")
+    return getattr(hmbr, f"{name}_mbr_{mode}")
+
+
+def _operate(cluster, op, mode, adversary, policy, z=None):
+    """Run one repair (z the failed node) or reconstruction (z None): ask
+    the staged plan, d_l (repair) or k_l (reconstruct) helpers per layer and
+    one more in detect, and run the engine on the answers.  An alarm under
+    the escalate policy, or recover mode, asks every other live node at the
+    top level and decodes with the known corrupt nodes erased."""
+    profile = cluster.profile
+    cluster.op_counter += 1
+    rng = _op_rng(adversary, cluster.op_counter) if adversary else None
+    log = ExchangeLog(meta={"op": op, "mode": mode})
+    if z is not None:
+        log.meta["target"] = z
+    target = () if z is None else (z,)
+
+    def run(phase, plan, **kw):
+        batches = _gather(cluster, log, phase, plan, adversary, rng, z)
+        return _entry(profile, op, phase)(*target, batches, profile, **kw)
+
+    if mode in ("plain", "detect"):
+        counts = profile.k if z is None else profile.d
+        plan = hmsr.staged_request_plan(profile, mode, cluster.live_ids(), counts)
+        report = _flagged_alarm(cluster, mode, plan, run(mode, plan))
+        if report.alarm and policy == "escalate":
+            log.meta["alarm"] = report.alarm
+            log.meta["escalated"] = True
+            mode = "recover"
+    elif mode != "recover":
+        raise InvalidParams(f"unknown {op} mode {mode!r}")
+    if mode == "recover":
+        live = [g for g in cluster.live_ids() if g != z]
+        if z is not None and len(live) != profile.n_nodes - 1:
+            raise NotEnoughHelpers(
+                f"recovery repair needs all {profile.n_nodes - 1} other nodes live"
+            )
+        report = run("recover", [(g, profile.q - 1) for g in live],
+                     prior_flags=frozenset(cluster.known_corrupt))
+    cluster.known_corrupt |= set(report.corrupted)
+    return report, log
+
+
 def repair(cluster: Cluster, z: int, mode: str, adversary: AdversarySpec = None,
            policy: str = "escalate"):
     """Repair failed node z.  Returns (RepairReport, ExchangeLog)."""
@@ -301,99 +346,27 @@ def repair(cluster: Cluster, z: int, mode: str, adversary: AdversarySpec = None,
             and adversary.strategy == "consistent_pair"):
         raise InvalidParams("strategy consistent_pair needs detect or recover "
                             "mode: it crafts errors against the extra helper")
-    engine = cluster._engine()
-    cluster.op_counter += 1
-    rng = _op_rng(adversary, cluster.op_counter) if adversary else None
-    log = ExchangeLog(meta={"op": "repair", "mode": mode, "target": z})
-    gather = partial(_gather, cluster, log, adversary=adversary, rng=rng, z=z)
-    live = cluster.live_ids()
-    if mode in ("plain", "detect"):
-        plan = engine.staged_request_plan(profile, mode, live)
-        batches = gather(mode, plan)
-        if profile.mode == "msr":
-            fn = hmsr.regenerate_plain if mode == "plain" else hmsr.regenerate_detect
-        else:
-            fn = (hmbr.regenerate_mbr_plain if mode == "plain"
-                  else hmbr.regenerate_mbr_detect)
-        report = _flagged_alarm(cluster, mode, plan, fn(z, batches, profile))
-        if report.alarm and policy == "escalate":
-            log.meta["alarm"] = report.alarm
-            log.meta["escalated"] = True
-            report = _repair_recover(cluster, z, gather, log)
-    elif mode == "recover":
-        report = _repair_recover(cluster, z, gather, log)
-    else:
-        raise InvalidParams(f"unknown repair mode {mode!r}")
-
+    report, log = _operate(cluster, "repair", mode, adversary, policy, z)
     if report.ok:
-        digest = profile_digest(profile)
-        cluster.nodes[z] = NodeState(node_id=z, y=report.y, digest=digest)
+        cluster.nodes[z] = NodeState(node_id=z, y=report.y)
         if cluster.directory:
             save_node(cluster.directory, profile, cluster.nodes[z])
             _write_manifest(cluster)
-    cluster.known_corrupt |= set(report.corrupted)
     return report, log
-
-
-def _repair_recover(cluster, z, gather, log):
-    profile = cluster.profile
-    live = [g for g in cluster.live_ids() if g != z]
-    if len(live) != profile.n_nodes - 1:
-        raise NotEnoughHelpers(
-            f"recovery repair needs all {profile.n_nodes - 1} other nodes live"
-        )
-    batches = gather("recover", [(g, profile.q - 1) for g in live])
-    fn = (hmsr.regenerate_recover if profile.mode == "msr"
-          else hmbr.regenerate_mbr_recover)
-    return fn(z, batches, profile, prior_flags=frozenset(cluster.known_corrupt))
 
 
 def reconstruct(cluster: Cluster, mode: str, adversary: AdversarySpec = None,
                 policy: str = "escalate"):
     """Reconstruct the stored file.  Returns (ReconstructReport, ExchangeLog)."""
-    profile = cluster.profile
-    _check_adversary(profile, adversary)
+    _check_adversary(cluster.profile, adversary)
     if adversary and adversary.strategy == "consistent_pair":
         raise InvalidParams("strategy consistent_pair is a repair-only "
                             "strategy: it crafts errors against the extra "
                             "repair helper")
-    engine = cluster._engine()
-    cluster.op_counter += 1
-    rng = _op_rng(adversary, cluster.op_counter) if adversary else None
-    log = ExchangeLog(meta={"op": "reconstruct", "mode": mode})
-    gather = partial(_gather, cluster, log, adversary=adversary, rng=rng)
-    live = cluster.live_ids()
-    if mode in ("plain", "detect"):
-        plan = engine.staged_request_plan(profile, mode, live, counts=profile.k)
-        batches = gather(mode, plan)
-        if profile.mode == "msr":
-            fn = (hmsr.reconstruct_plain if mode == "plain"
-                  else hmsr.reconstruct_detect)
-        else:
-            fn = (hmbr.reconstruct_mbr_plain if mode == "plain"
-                  else hmbr.reconstruct_mbr_detect)
-        report = _flagged_alarm(cluster, mode, plan, fn(batches, profile))
-        if report.alarm and policy == "escalate":
-            log.meta["alarm"] = report.alarm
-            log.meta["escalated"] = True
-            report = _recon_recover(cluster, gather)
-    elif mode == "recover":
-        report = _recon_recover(cluster, gather)
-    else:
-        raise InvalidParams(f"unknown reconstruct mode {mode!r}")
-
-    cluster.known_corrupt |= set(report.corrupted)
+    report, log = _operate(cluster, "reconstruct", mode, adversary, policy)
     if cluster.truth_message is not None and report.ok:
         log.meta["matches_truth"] = report.message == cluster.truth_message
     return report, log
-
-
-def _recon_recover(cluster, gather):
-    profile = cluster.profile
-    batches = gather("recover", [(g, profile.q - 1) for g in cluster.live_ids()])
-    fn = (hmsr.reconstruct_recover if profile.mode == "msr"
-          else hmbr.reconstruct_mbr_recover)
-    return fn(batches, profile, prior_flags=frozenset(cluster.known_corrupt))
 
 
 # -- bandwidth accounting ---------------------------------------------------------
@@ -461,7 +434,7 @@ def encode_node_bytes(profile: CodeProfile, state: NodeState) -> bytes:
     out += profile.m.to_bytes(4, "little")
     out += bytes(profile.alpha)
     out += bytes(profile.k)
-    out += state.digest
+    out += profile_digest(profile)
     for row in state.y:
         out += bytes(row)
     assert len(out) == 4 + 1 + 1 + 2 + 2 + 4 + q + q + 8 + q * profile.A
@@ -493,8 +466,7 @@ def decode_node_bytes(data: bytes, profile: CodeProfile) -> NodeState:
     if tuple(data[off:off + q]) != profile.k:
         raise HrgcError("node file k does not match the profile")
     off += q
-    digest = data[off:off + 8]
-    if digest != profile_digest(profile):
+    if data[off:off + 8] != profile_digest(profile):
         raise HrgcError("node file profile digest mismatch")
     off += 8
     payload = data[off:]
@@ -504,7 +476,7 @@ def decode_node_bytes(data: bytes, profile: CodeProfile) -> NodeState:
         raise HrgcError(f"node file payload holds a symbol outside "
                         f"GF({profile.field.order})")
     y = [list(payload[r * profile.A:(r + 1) * profile.A]) for r in range(q)]
-    return NodeState(node_id=node_id, y=y, digest=bytes(digest))
+    return NodeState(node_id=node_id, y=y)
 
 
 def load_node(path, profile: CodeProfile) -> NodeState:

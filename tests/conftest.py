@@ -41,23 +41,21 @@ def encode_profile(profile, message):
 
 
 def repair_batches(profile, nodes, z, mode):
-    engine = hmsr if profile.mode == "msr" else hmbr
     live = [g for g in range(profile.n_nodes) if g != z]
     if mode == "recover":
         plan = [(g, profile.q - 1) for g in live]
     else:
-        plan = engine.staged_request_plan(profile, mode, live)
-    return [engine.helper_response(nodes[g], profile, lvl, z) for g, lvl in plan]
+        plan = hmsr.staged_request_plan(profile, mode, live)
+    return [hmsr.helper_response(nodes[g], profile, lvl, z) for g, lvl in plan]
 
 
 def recon_batches(profile, nodes, mode):
-    engine = hmsr if profile.mode == "msr" else hmbr
     live = list(range(profile.n_nodes))
     if mode == "recover":
         plan = [(g, profile.q - 1) for g in live]
     else:
-        plan = engine.staged_request_plan(profile, mode, live, counts=profile.k)
-    return [engine.recon_response(nodes[g], profile, lvl) for g, lvl in plan]
+        plan = hmsr.staged_request_plan(profile, mode, live, counts=profile.k)
+    return [hmsr.recon_response(nodes[g], profile, lvl) for g, lvl in plan]
 
 
 def corrupt_repair(batches, corrupt_ids, order, seed, layers=None):

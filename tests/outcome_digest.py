@@ -106,14 +106,18 @@ def records(trials):
                     c, lambda: sim.repair(c, z, "detect", adv))
 
 
-def main(argv):
-    trials = int(argv[1]) if len(argv) > 1 else 4
-    digest = hashlib.sha256()
+def digest(trials):
+    """(record count, sha256 hex) over ``records(trials)``."""
+    h = hashlib.sha256()
     count = 0
     for key, result in records(trials):
-        digest.update(repr((key, result)).encode() + b"\n")
+        h.update(repr((key, result)).encode() + b"\n")
         count += 1
-    print(count, digest.hexdigest())
+    return count, h.hexdigest()
+
+
+def main(argv):
+    print(*digest(int(argv[1]) if len(argv) > 1 else 4))
 
 
 if __name__ == "__main__":

@@ -206,10 +206,7 @@ def test_criterion_05_detection_rate(q4_msr, q4_mbr):
 
 def _restore(cluster, truth_nodes):
     for g, y in truth_nodes.items():
-        cluster.nodes[g] = hmsr.NodeState(
-            node_id=g, y=[row[:] for row in y],
-            digest=cluster.nodes[g].digest if cluster.nodes[g] else b"\0" * 8,
-        )
+        cluster.nodes[g] = hmsr.NodeState(node_id=g, y=[row[:] for row in y])
     cluster.known_corrupt = set()
 
 

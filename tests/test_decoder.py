@@ -5,7 +5,7 @@ import pytest
 
 from hrgc import decoder
 from hrgc.decoder import ERASED, DecodeResult, decode
-from hrgc.errors import DecodeFailure
+from hrgc.errors import DecodeFailure, SingularSystem
 from hrgc.field import field_new
 from hrgc.linalg import mat_vec
 
@@ -155,10 +155,9 @@ def test_too_many_erasures():
         decode(F, G, word)
 
 
-def test_generic_path_on_non_polynomial_generator():
-    # stacked [mu | lam*mu] rows are not monomial evaluations; only the
-    # generic path applies and must still honor the guarantee
-    F = field_new(3)
+def _stacked_word(F):
+    """Stacked [mu | lam*mu] rows over GF(9) and a codeword of them with an
+    error at position 6: (generator, word, message)."""
     rng = random.Random(41)
     lam = list(range(9))
     rng.shuffle(lam)
@@ -168,9 +167,16 @@ def test_generic_path_on_non_polynomial_generator():
         mu = [F.pow(xs[g], j) for j in range(2)]
         G.append(mu + [F.mul(lam[g], v) for v in mu])
     msg = [1, 2, 3, 4]
-    cw = mat_vec(F, G, msg)
-    word = list(cw)
+    word = mat_vec(F, G, msg)
     word[6] = F.add(word[6], 4)
+    return G, word, msg
+
+
+def test_generic_path_on_non_polynomial_generator():
+    # stacked [mu | lam*mu] rows are not monomial evaluations; only the
+    # generic path applies and must still honor the guarantee
+    F = field_new(3)
+    G, word, msg = _stacked_word(F)
     res = decode(F, G, word)
     assert res.message == msg
     assert res.error_positions == {6}
@@ -278,3 +284,23 @@ def test_clean_word_with_erasures_skips_the_error_search(monkeypatch):
         assert res.message == msg
         assert res.error_positions == frozenset()
         assert res.erasure_positions == frozenset({0, 5, 9})
+
+
+def test_only_a_singular_message_solve_becomes_a_decode_failure(monkeypatch):
+    # the error search ends in _solve_message; a rank deficit there is a
+    # decode failure, any other exception is a fault that must surface
+    F = field_new(3)
+    G, word, _ = _stacked_word(F)
+
+    def singular(*args):
+        raise SingularSystem("rank 3 < 4")
+
+    def broken(*args):
+        raise TypeError("broken solver")
+
+    monkeypatch.setattr(decoder, "solve_least_index", singular)
+    with pytest.raises(DecodeFailure, match="rank 3 < 4"):
+        decode(F, G, word)
+    monkeypatch.setattr(decoder, "solve_least_index", broken)
+    with pytest.raises(TypeError, match="broken solver"):
+        decode(F, G, word)

@@ -68,7 +68,8 @@ def test_encode_layer_identity(prof_name, request):
         for l in range(p.q):
             a = p.alpha[l]
             mu = p.mu_row(g, l)
-            for t, blk in enumerate(hmbr.row_blocks(tilde[l], a)):
+            for t in range(p.blocks(l)):
+                blk = tilde[l][t * a:(t + 1) * a]
                 assert blk == vec_mat(F, mu, hmbr.m_block(m, p, l, t))
 
 
@@ -177,7 +178,7 @@ def test_extract_asymmetry_detectable(q3_mbr):
     resp = sorted((b for b in batches if b.level >= l),
                   key=lambda b: b.helper_id)[: p.k[l]]
     mu_rows = [list(p.mu_row(b.helper_id, l)) for b in resp]
-    R = [hmbr.row_blocks(b.rows[l], p.alpha[l])[0] for b in resp]
+    R = [b.rows[l][:p.alpha[l]] for b in resp]
     raised = 0
     for row in range(len(R)):
         for col in range(p.alpha[l]):

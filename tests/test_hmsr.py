@@ -68,7 +68,8 @@ def test_encode_layer_identity(prof_name, request):
         for l in range(profile.q):
             a = profile.alpha[l]
             mu = profile.mu_row(g, l)
-            for t, blk in enumerate(hmsr.row_blocks(tilde[l], a)):
+            for t in range(profile.blocks(l)):
+                blk = tilde[l][t * a:(t + 1) * a]
                 ms = vec_mat(F, mu, st.s[l][t])
                 mt = vec_mat(F, mu, st.t_[l][t])
                 assert blk == [
@@ -222,7 +223,7 @@ def test_repair_idempotence(q3_msr):
         z1, repair_batches(q3_msr, nodes, z1, "plain"), q3_msr
     )
     rebuilt = list(nodes)
-    rebuilt[z1] = hmsr.NodeState(node_id=z1, y=rep.y, digest=nodes[z1].digest)
+    rebuilt[z1] = hmsr.NodeState(node_id=z1, y=rep.y)
     a = hmsr.regenerate_plain(
         z2, repair_batches(q3_msr, nodes, z2, "plain"), q3_msr
     )
@@ -317,7 +318,7 @@ def test_extract_st_corruption_never_returns_truth(q3_msr):
     resp = sorted((b for b in batches if b.level >= l),
                   key=lambda b: b.helper_id)[: p.k[l]]
     ids = [b.helper_id for b in resp]
-    R = [hmsr.row_blocks(b.rows[l], p.alpha[l])[0] for b in resp]
+    R = [b.rows[l][:p.alpha[l]] for b in resp]
     for target_row in range(len(R)):
         for delta in range(1, 9):
             bad = [list(r) for r in R]

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+import outcome_digest
 from conftest import random_message
 from hrgc import hmsr, sim
 from hrgc.errors import (
     HrgcError,
     InvalidParams,
     LengthMismatch,
+    NotEnoughHelpers,
     SingularSystem,
 )
 from hrgc.matrices import profile_digest
@@ -451,3 +453,44 @@ def test_detect_does_not_certify_a_flagged_helper(q4_msr):
     assert not report.ok and report.alarm == {"flagged": [3, 4]}
     report, _ = sim.reconstruct(cluster, "plain")
     assert report.ok and report.message == cluster.truth_message
+
+
+@pytest.mark.parametrize("code", ["msr", "mbr"])
+def test_unknown_mode_names_the_operation(code, request):
+    profile = request.getfixturevalue(f"q3_{code}")
+    cluster = make_cluster(profile, 20)
+    with pytest.raises(InvalidParams, match="unknown reconstruct mode 'fast'"):
+        sim.reconstruct(cluster, "fast")
+    sim.fail_node(cluster, 4)
+    with pytest.raises(InvalidParams, match="unknown repair mode 'fast'"):
+        sim.repair(cluster, 4, "fast")
+    assert cluster.nodes[4] is None and cluster.op_counter == 2
+
+
+@pytest.mark.parametrize("code", ["msr", "mbr"])
+def test_recover_repair_needs_every_other_node(code, request):
+    profile = request.getfixturevalue(f"q4_{code}")
+    cluster = make_cluster(profile, 21)
+    truth = [row[:] for row in cluster.nodes[6].y]
+    sim.fail_node(cluster, 6)
+    sim.fail_node(cluster, 11)
+    with pytest.raises(NotEnoughHelpers, match="all 15 other nodes live"):
+        sim.repair(cluster, 6, "recover")
+    # an escalated detect repair needs them too
+    adversary = sim.AdversarySpec(nodes=frozenset({2}), seed=4)
+    with pytest.raises(NotEnoughHelpers, match="all 15 other nodes live"):
+        sim.repair(cluster, 6, "detect", adversary)
+    assert cluster.nodes[6] is None
+    report, log = sim.repair(cluster, 6, "detect", adversary, policy="report")
+    assert report.alarm and not report.ok and "escalated" not in log.meta
+    report, _ = sim.repair(cluster, 6, "plain")
+    assert report.ok and cluster.nodes[6].y == truth
+
+
+def test_outcome_digest_pin():
+    """One trial per profile and adversary of ``tests/outcome_digest.py``:
+    490 records of sim outcomes (reports, logs, flagged nodes, errors).  A
+    change that keeps behaviour keeps this pin; a change meant to alter
+    outcomes updates it and lists the records that changed in CHANGES.md."""
+    assert outcome_digest.digest(1) == (
+        490, "b52d389208d5cee0b80662ecf747725f715e1d532fd18a05e67dbadfeb6f6703")
