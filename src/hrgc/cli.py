@@ -148,6 +148,7 @@ def _report_payload(report, log=None):
         out["failure"] = report.failure
     if log is not None:
         out["downloaded_symbols"] = log.total_symbols()
+        out["downloaded_per_layer"] = log.per_layer()
         if "alarm" in log.meta:
             out["alarm"] = log.meta["alarm"]
             out["escalated"] = bool(log.meta.get("escalated"))

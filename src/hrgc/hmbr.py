@@ -37,7 +37,6 @@ from .hmsr import (  # noqa: F401 -- the shared names are re-exported
     _upper_triangle,
     helper_response,
     symmetric,
-    tilde_rows,
 )
 from .linalg import mat_inv, mat_mul, transpose, vec_mat
 from .matrices import CodeProfile

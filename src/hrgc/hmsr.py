@@ -24,7 +24,8 @@ job.
 
 The plain/detect/recover repair and reconstruction loops defined here are
 shared with the MBR engine (``hmbr``), which passes its own encoding rows,
-block extractor, row re-encoder, block solver and message layout.
+block extractor, row re-encoder, block solver and message layout, and the
+request protocol: ``request_counts`` fixes every round's helpers per layer.
 
 Each step of the block algebra is written once.  ``_pairs`` solves
 R Phi^T = C + Lambda D pair by pair, for the window extractor
@@ -200,28 +201,30 @@ def recon_response(state: NodeState, profile: CodeProfile,
 # -- staged request protocol ----------------------------------------------------
 
 
-def staged_request_plan(profile: CodeProfile, mode: str, live_ids, counts=None):
-    """Assign request levels to helpers: [(helper_id, level)], ids ascending.
+def request_counts(profile: CodeProfile, op: str, mode: str, n_live: int):
+    """Helpers serving each layer in an (op, mode) round: d_l (repair) or k_l
+    (reconstruct), one more in detect; in recover every other node, all
+    q^2 - 1 for a repair and the n_live live nodes for a reconstruction."""
+    if mode == "recover":
+        return [profile.n_nodes - 1 if op == "repair" else n_live] * profile.q
+    extra = 1 if mode == "detect" else 0
+    return [c + extra for c in (profile.d if op == "repair" else profile.k)]
 
-    counts[l] helpers end up serving layer l (counts defaults to d);
-    detect mode adds one extra helper at the top level.
-    """
-    counts = list(profile.d if counts is None else counts)
-    q = profile.q
-    need = counts[0] + (1 if mode == "detect" else 0)
+
+def staged_request_plan(profile: CodeProfile, op: str, mode: str, live_ids):
+    """[(helper_id, level)] over ``live_ids``, levels descending and ids
+    ascending, such that ``request_counts`` helpers serve each layer (a
+    helper asked at level j serves layers 0..j)."""
     live = sorted(live_ids)
-    if len(live) < need:
-        raise NotEnoughHelpers(f"need {need} live helpers, have {len(live)}")
-    plan = []
-    idx = 0
-    for j in range(q - 1, -1, -1):
-        fresh = counts[j] - (counts[j + 1] if j + 1 < q else 0)
-        if j == q - 1 and mode == "detect":
-            fresh += 1
-        for _ in range(fresh):
-            plan.append((live[idx], j))
-            idx += 1
-    return plan
+    counts = request_counts(profile, op, mode, len(live))
+    if len(live) < counts[0]:
+        if mode == "recover":
+            raise NotEnoughHelpers(
+                f"recovery repair needs all {counts[0]} other nodes live")
+        raise NotEnoughHelpers(f"need {counts[0]} live helpers, have {len(live)}")
+    helpers, above = iter(live), counts[1:] + [0]
+    return [(next(helpers), j) for j in range(profile.q - 1, -1, -1)
+            for _ in range(counts[j] - above[j])]
 
 
 def _contributors(batches, l):
@@ -252,10 +255,10 @@ def _regenerate(z, batches, profile, mode, row, finish):
     and detect alarms when helper d's symbol disagrees with the solution."""
     F = profile.field
     detect = mode == "detect"
+    counts = request_counts(profile, "repair", mode, len(batches))
     tilde = []
     for l in range(profile.q):
-        d = profile.d[l]
-        need = d + 1 if detect else d
+        d, need = profile.d[l], counts[l]
         helpers = _contributors(batches, l)[:need]
         if len(helpers) < need:
             raise NotEnoughHelpers(f"{'detect ' if detect else ''}layer {l} "
@@ -340,11 +343,11 @@ def _reconstruct(batches, profile, mode, window, response, layout):
     an asymmetric block or when responder k's row differs from its
     re-encoding under the extracted block."""
     detect = mode == "detect"
+    counts = request_counts(profile, "reconstruct", mode, len(batches))
     m = MessageMatrices(s=[[] for _ in range(profile.q)],
                         t_=[[] for _ in range(profile.q)])
     for l in range(profile.q):
-        k = profile.k[l]
-        need = k + 1 if detect else k
+        k, need = profile.k[l], counts[l]
         resp = _contributors(batches, l)[:need]
         if len(resp) < need:
             raise NotEnoughHelpers(

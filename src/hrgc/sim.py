@@ -3,20 +3,23 @@ rounds as message exchanges, adversary injection, and flat-file persistence.
 
 Every operation is a pure function of (cluster state, adversary spec, op
 counter): adversaries draw from a Random seeded by (spec.seed, op counter),
-and all helper sets are ascending-id deterministic.  Adversaries only perturb
-outgoing copies; stored node state is never touched except when a finished
-repair installs the replacement.  An alarm under the default escalate policy
-always ends in either a recover-mode result or an explicit failure report.
+and every round asks the plan of ``hmsr.staged_request_plan``; a call
+refused as bad input is not counted.  Adversaries only perturb outgoing
+copies; stored node state is never touched except when a finished repair
+installs the replacement.  An alarm under the default escalate policy always
+ends in either a recover-mode result or an explicit failure report.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass, field as dfield, fields
+from operator import itemgetter
 
 from . import hmbr, hmsr
-from .errors import HrgcError, InvalidParams, LengthMismatch, NotEnoughHelpers
+from .errors import HrgcError, InvalidParams, LengthMismatch
 from .hmsr import HelpSymbolBatch, NodeState
 from .linalg import solve_square, transpose
 from .matrices import (
@@ -121,16 +124,18 @@ def _check_adversary(profile, spec):
 @dataclass
 class ExchangeLog:
     meta: dict = dfield(default_factory=dict)
-    records: list = dfield(default_factory=list)  # (phase, requester, responder, level, symbols)
+    records: list = dfield(default_factory=list)  # (phase, requester, responder, level, symbols per layer)
 
     def add(self, phase, requester, responder, level, symbols):
         self.records.append((phase, requester, responder, level, symbols))
 
-    def total_symbols(self, phase=None):
-        return sum(r[4] for r in self.records if phase is None or r[0] == phase)
+    def per_layer(self, phase=None):
+        """Symbols downloaded per layer, over one phase or all of them."""
+        sent = [r[4] for r in self.records if phase is None or r[0] == phase]
+        return [sum(col) for col in zip(*sent)]
 
-    def responders(self, phase):
-        return [(r[2], r[3]) for r in self.records if r[0] == phase]
+    def total_symbols(self, phase=None):
+        return sum(self.per_layer(phase))
 
 
 class Cluster:
@@ -227,17 +232,17 @@ def _apply_consistent_pair(cluster, z, batches, spec, rng):
     F = profile.field
     by_id = {b.helper_id: HelpSymbolBatch(b.helper_id, b.level, dict(b.symbols))
              for b in batches}
+    windows = hmsr.request_counts(profile, "repair", "detect", len(batches))
     for l in range(profile.q):
-        d = profile.d[l]
-        ids = [b.helper_id for b in hmsr._contributors(by_id.values(), l)[:d + 1]]
+        ids = [b.helper_id
+               for b in hmsr._contributors(by_id.values(), l)[:windows[l]]]
         corrupt_pos = [i for i, g in enumerate(ids) if g in spec.nodes]
         if len(corrupt_pos) < 2:
             continue
         row = profile.nu_row if profile.mode == "msr" else profile.mu_row
         basis = [row(g, l) for g in ids[1:]]
         zeta = solve_square(F, transpose(basis), row(ids[0], l))
-        coeff = {0: 1}
-        coeff.update({r: F.neg(zeta[r - 1]) for r in range(1, d + 1)})
+        coeff = [1] + [F.neg(x) for x in zeta]
         p1, p2 = corrupt_pos[0], corrupt_pos[1]
         if not coeff[p1] or not coeff[p2]:
             continue
@@ -255,18 +260,20 @@ def _apply_consistent_pair(cluster, z, batches, spec, rng):
 
 def _gather(cluster, log, phase, plan, adversary, rng, z=None):
     """One request round: each planned (node, level) responds, the log
-    records the symbols its response carries, and the adversary perturbs
-    the outgoing copies.  z is the repair target, None asks for rows."""
+    records the symbols its response carries per layer, and the adversary
+    perturbs the outgoing copies.  z is the repair target, None asks for
+    rows."""
     profile = cluster.profile
     batches = []
     for g, level in plan:
         if z is None:
             b = hmsr.recon_response(cluster.nodes[g], profile, level)
-            carried = sum(len(row) for row in b.rows.values())
+            carried = {l: len(row) for l, row in b.rows.items()}
         else:
             b = hmsr.helper_response(cluster.nodes[g], profile, level, z)
-            carried = len(b.symbols)
-        log.add(phase, "dc" if z is None else z, g, level, carried)
+            carried = Counter(map(itemgetter(0), b.symbols))
+        log.add(phase, "dc" if z is None else z, g, level,
+                tuple(carried.get(l, 0) for l in range(profile.q)))
         batches.append(b)
     if adversary and adversary.strategy == "consistent_pair":
         return _apply_consistent_pair(cluster, z, batches, adversary, rng)
@@ -295,11 +302,13 @@ def _entry(profile, op, mode):
 
 
 def _operate(cluster, op, mode, adversary, policy, z=None):
-    """Run one repair (z the failed node) or reconstruction (z None): ask
-    the staged plan, d_l (repair) or k_l (reconstruct) helpers per layer and
-    one more in detect, and run the engine on the answers.  An alarm under
-    the escalate policy, or recover mode, asks every other live node at the
-    top level and decodes with the known corrupt nodes erased."""
+    """Run one repair (z the failed node) or reconstruction (z None): each
+    round asks the staged plan of ``hmsr.staged_request_plan`` and runs the
+    engine on the answers.  An alarm under the escalate policy, or recover
+    mode, runs the recover round, which decodes with the known corrupt nodes
+    erased."""
+    if mode not in ("plain", "detect", "recover"):
+        raise InvalidParams(f"unknown {op} mode {mode!r}")
     profile = cluster.profile
     cluster.op_counter += 1
     rng = _op_rng(adversary, cluster.op_counter) if adversary else None
@@ -308,28 +317,20 @@ def _operate(cluster, op, mode, adversary, policy, z=None):
         log.meta["target"] = z
     target = () if z is None else (z,)
 
-    def run(phase, plan, **kw):
+    def run(phase, **kw):
+        plan = hmsr.staged_request_plan(profile, op, phase, cluster.live_ids())
         batches = _gather(cluster, log, phase, plan, adversary, rng, z)
-        return _entry(profile, op, phase)(*target, batches, profile, **kw)
+        report = _entry(profile, op, phase)(*target, batches, profile, **kw)
+        return _flagged_alarm(cluster, phase, plan, report)
 
-    if mode in ("plain", "detect"):
-        counts = profile.k if z is None else profile.d
-        plan = hmsr.staged_request_plan(profile, mode, cluster.live_ids(), counts)
-        report = _flagged_alarm(cluster, mode, plan, run(mode, plan))
+    if mode != "recover":
+        report = run(mode)
         if report.alarm and policy == "escalate":
             log.meta["alarm"] = report.alarm
             log.meta["escalated"] = True
             mode = "recover"
-    elif mode != "recover":
-        raise InvalidParams(f"unknown {op} mode {mode!r}")
     if mode == "recover":
-        live = [g for g in cluster.live_ids() if g != z]
-        if z is not None and len(live) != profile.n_nodes - 1:
-            raise NotEnoughHelpers(
-                f"recovery repair needs all {profile.n_nodes - 1} other nodes live"
-            )
-        report = run("recover", [(g, profile.q - 1) for g in live],
-                     prior_flags=frozenset(cluster.known_corrupt))
+        report = run("recover", prior_flags=frozenset(cluster.known_corrupt))
     cluster.known_corrupt |= set(report.corrupted)
     return report, log
 
@@ -373,40 +374,26 @@ def reconstruct(cluster: Cluster, mode: str, adversary: AdversarySpec = None,
 
 
 def bandwidth_audit(log: ExchangeLog, profile: CodeProfile) -> dict:
-    """Check a log against the protocol: per layer, the responders serving
-    it times the layer's unit; per phase, ``total_actual``, the symbols the
-    responses carried, against the protocol total."""
+    """Check a log against the protocol: per phase and layer, the symbols
+    the responses carried against ``hmsr.request_counts`` times what one
+    helper sends for the layer (A/alpha_l symbols in a repair, A in a
+    reconstruction).  A recover round's live count is its responders."""
     op = log.meta.get("op")
-    phases = sorted({r[0] for r in log.records})
     out = {"op": op, "phases": {}, "ok": True}
-    q2 = profile.n_nodes
-    for phase in phases:
-        responders = log.responders(phase)
+    for phase in sorted({r[0] for r in log.records}):
+        n_live = len({r[2] for r in log.records if r[0] == phase})
+        counts = hmsr.request_counts(profile, op, phase, n_live)
         per_layer = {}
-        for l in range(profile.q):
-            contributors = sum(1 for _, level in responders if level >= l)
-            if phase == "plain":
-                expected_n = profile.d[l] if op == "repair" else profile.k[l]
-            elif phase == "detect":
-                expected_n = (profile.d[l] if op == "repair" else profile.k[l]) + 1
-            else:
-                expected_n = q2 - 1 if op == "repair" else q2
+        for l, actual in enumerate(log.per_layer(phase)):
             unit = profile.blocks(l) if op == "repair" else profile.A
-            per_layer[l] = {
-                "actual": contributors * unit,
-                "expected": expected_n * unit,
-            }
-            if per_layer[l]["actual"] != per_layer[l]["expected"]:
+            per_layer[l] = {"actual": actual, "expected": counts[l] * unit}
+            if actual != per_layer[l]["expected"]:
                 out["ok"] = False
-        actual_total = log.total_symbols(phase)
-        expected_total = sum(v["expected"] for v in per_layer.values())
         out["phases"][phase] = {
             "per_layer": per_layer,
-            "total_actual": actual_total,
-            "total_expected": expected_total,
+            "total_actual": log.total_symbols(phase),
+            "total_expected": sum(v["expected"] for v in per_layer.values()),
         }
-        if actual_total != expected_total:
-            out["ok"] = False
     return out
 
 

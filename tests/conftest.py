@@ -42,19 +42,13 @@ def encode_profile(profile, message):
 
 def repair_batches(profile, nodes, z, mode):
     live = [g for g in range(profile.n_nodes) if g != z]
-    if mode == "recover":
-        plan = [(g, profile.q - 1) for g in live]
-    else:
-        plan = hmsr.staged_request_plan(profile, mode, live)
+    plan = hmsr.staged_request_plan(profile, "repair", mode, live)
     return [hmsr.helper_response(nodes[g], profile, lvl, z) for g, lvl in plan]
 
 
 def recon_batches(profile, nodes, mode):
-    live = list(range(profile.n_nodes))
-    if mode == "recover":
-        plan = [(g, profile.q - 1) for g in live]
-    else:
-        plan = hmsr.staged_request_plan(profile, mode, live, counts=profile.k)
+    plan = hmsr.staged_request_plan(profile, "reconstruct", mode,
+                                    range(profile.n_nodes))
     return [hmsr.recon_response(nodes[g], profile, lvl) for g, lvl in plan]
 
 

@@ -65,6 +65,20 @@ def test_repair_with_adversary_escalates(workspace):
     assert run(["verify", "--cluster", cluster]) == 0
 
 
+def test_report_lists_the_download_per_layer(workspace, tmp_path):
+    # q=4 MSR (d = 12, 10, 8, 6; A = 60): a plain repair downloads
+    # d_l * A / alpha_l = 120 symbols in every layer
+    cluster = str(tmp_path / "cluster")
+    shutil.copytree(workspace["cluster"], cluster)
+    jsonp = str(tmp_path / "repair.json")
+    assert run(["fail", "--cluster", cluster, "--node", "3"]) == 0
+    assert run(["repair", "--cluster", cluster, "--node", "3",
+                "--mode", "plain", "--json", jsonp]) == 0
+    report = json.load(open(jsonp))
+    assert report["downloaded_per_layer"] == [120, 120, 120, 120]
+    assert report["downloaded_symbols"] == 480
+
+
 def test_reconstruct_with_adversary(workspace):
     root = workspace["root"]
     out = str(root / "out2.bin")

@@ -11,7 +11,7 @@ from conftest import (
     recon_batches,
     repair_batches,
 )
-from hrgc import hmbr
+from hrgc import hmbr, hmsr
 from hrgc.errors import AsymmetryDetected, LengthMismatch
 from hrgc.linalg import vec_mat
 
@@ -64,7 +64,7 @@ def test_encode_layer_identity(prof_name, request):
     m = hmbr.arrange_m(msg, p)
     nodes = encode_profile(p, msg)
     for g in range(p.n_nodes):
-        tilde = hmbr.tilde_rows(p, nodes[g])
+        tilde = hmsr.tilde_rows(p, nodes[g])
         for l in range(p.q):
             a = p.alpha[l]
             mu = p.mu_row(g, l)

@@ -102,7 +102,7 @@ def test_helper_response_counts(q3_msr):
 
 def test_staged_plan_q4_totals(q4_msr):
     live = list(range(1, 16))
-    plan = hmsr.staged_request_plan(q4_msr, "plain", live)
+    plan = hmsr.staged_request_plan(q4_msr, "repair", "plain", live)
     per_level = {}
     for _, j in plan:
         per_level[j] = per_level.get(j, 0) + 1
@@ -110,15 +110,31 @@ def test_staged_plan_q4_totals(q4_msr):
     # layer-l contributor counts telescope to d_l
     for l in range(4):
         assert sum(1 for _, j in plan if j >= l) == q4_msr.d[l]
-    detect = hmsr.staged_request_plan(q4_msr, "detect", live)
+    detect = hmsr.staged_request_plan(q4_msr, "repair", "detect", live)
     assert len(detect) == len(plan) + 1
     for l in range(4):
         assert sum(1 for _, j in detect if j >= l) == q4_msr.d[l] + 1
+    recon = hmsr.staged_request_plan(q4_msr, "reconstruct", "detect", live)
+    for l in range(4):
+        assert sum(1 for _, j in recon if j >= l) == q4_msr.k[l] + 1
 
 
 def test_staged_plan_not_enough_helpers(q3_msr):
-    with pytest.raises(NotEnoughHelpers):
-        hmsr.staged_request_plan(q3_msr, "plain", [0, 1, 2, 3, 4])
+    with pytest.raises(NotEnoughHelpers, match="need 6 live helpers, have 5"):
+        hmsr.staged_request_plan(q3_msr, "repair", "plain", [0, 1, 2, 3, 4])
+
+
+def test_staged_plan_recover(q4_msr):
+    live = [g for g in range(16) if g != 6]
+    plan = hmsr.staged_request_plan(q4_msr, "repair", "recover", live)
+    assert plan == [(g, 3) for g in live]
+    with pytest.raises(NotEnoughHelpers, match="all 15 other nodes live"):
+        hmsr.staged_request_plan(q4_msr, "repair", "recover",
+                                 [g for g in live if g != 11])
+    # a recover reconstruction asks every live node
+    plan = hmsr.staged_request_plan(q4_msr, "reconstruct", "recover", live)
+    assert plan == [(g, 3) for g in live]
+    assert hmsr.request_counts(q4_msr, "reconstruct", "recover", 15) == [15] * 4
 
 
 @pytest.mark.parametrize("prof_name", ["q3_msr", "q4_msr"])

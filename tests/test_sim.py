@@ -198,6 +198,37 @@ def test_bandwidth_audit_counts_the_symbols_sent(q3_msr, monkeypatch):
     assert audit["ok"] is False
     plain = audit["phases"]["plain"]
     assert plain["total_actual"] == plain["total_expected"] + q3_msr.d[0]
+    # the extra symbols are counted in the layers that carried them
+    assert any(row["actual"] != row["expected"]
+               for row in plain["per_layer"].values())
+
+
+@pytest.mark.parametrize("name", ["q3_msr", "q4_msr", "q3_mbr", "q4_mbr"])
+def test_bandwidth_audit_recover_with_a_failed_node(name, request):
+    # with node 4 failed, a recover round asks the q^2 - 1 live nodes; the
+    # audit expects exactly those, for recover and escalated reconstruction
+    profile = request.getfixturevalue(name)
+    q2 = profile.n_nodes
+    cluster = make_cluster(profile, 22)
+    sim.fail_node(cluster, 4)
+    liar = sim.AdversarySpec(nodes=frozenset({1}), seed=6)
+    for mode, adversary in (("recover", None), ("detect", liar)):
+        report, log = sim.reconstruct(cluster, mode, adversary)
+        assert report.ok and report.message == cluster.truth_message
+        assert report.mode == "recover"
+        assert bool(log.meta.get("escalated")) == (mode == "detect")
+        audit = sim.bandwidth_audit(log, profile)
+        assert audit["ok"]
+        for l, row in audit["phases"]["recover"]["per_layer"].items():
+            assert row["actual"] == row["expected"] == (q2 - 1) * profile.A
+    cluster = make_cluster(profile, 23)
+    sim.fail_node(cluster, 4)
+    report, log = sim.repair(cluster, 4, "recover")
+    assert report.ok and cluster.nodes[4].y == cluster.truth_nodes[4]
+    audit = sim.bandwidth_audit(log, profile)
+    assert audit["ok"]
+    for l, row in audit["phases"]["recover"]["per_layer"].items():
+        assert row["actual"] == row["expected"] == (q2 - 1) * profile.blocks(l)
 
 
 def test_node_file_round_trip(q3_msr, tmp_path):
@@ -464,7 +495,8 @@ def test_unknown_mode_names_the_operation(code, request):
     sim.fail_node(cluster, 4)
     with pytest.raises(InvalidParams, match="unknown repair mode 'fast'"):
         sim.repair(cluster, 4, "fast")
-    assert cluster.nodes[4] is None and cluster.op_counter == 2
+    # a refused call leaves the counter, so later adversary draws stay put
+    assert cluster.nodes[4] is None and cluster.op_counter == 0
 
 
 @pytest.mark.parametrize("code", ["msr", "mbr"])
@@ -493,4 +525,4 @@ def test_outcome_digest_pin():
     change that keeps behaviour keeps this pin; a change meant to alter
     outcomes updates it and lists the records that changed in CHANGES.md."""
     assert outcome_digest.digest(1) == (
-        490, "b52d389208d5cee0b80662ecf747725f715e1d532fd18a05e67dbadfeb6f6703")
+        490, "46bc8ff44dc40a038c9f59266fe3ad2067389c99d83cf7f22b587d121c2abe8f")
