@@ -108,24 +108,10 @@ def _load_profile(path):
 def _emit(args, payload: dict):
     if getattr(args, "json", None):
         with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
+            json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     for key in sorted(payload):
-        print(f"{key}: {_display(payload[key])}")
-
-
-def _jsonable(v):
-    if isinstance(v, (frozenset, set)):
-        return sorted(v)
-    if isinstance(v, bytes):
-        return v.hex()
-    raise TypeError(f"not jsonable: {type(v)}")
-
-
-def _display(v):
-    if isinstance(v, (frozenset, set)):
-        return sorted(v)
-    return v
+        print(f"{key}: {payload[key]}")
 
 
 def _report_exit(report) -> int:
@@ -297,8 +283,7 @@ def build_parser():
     sp.add_argument("--mode", choices=["plain", "detect", "recover"],
                     default="plain")
     sp.add_argument("--adversary", help="nodes=..;strategy=..;seed=..")
-    sp.add_argument("--policy", choices=["escalate", "report"],
-                    default="escalate")
+    sp.add_argument("--policy", choices=sim.POLICIES, default="escalate")
     sp.add_argument("--json")
     sp.set_defaults(fn=cmd_repair)
 
@@ -307,8 +292,7 @@ def build_parser():
     sp.add_argument("--mode", choices=["plain", "detect", "recover"],
                     default="plain")
     sp.add_argument("--adversary")
-    sp.add_argument("--policy", choices=["escalate", "report"],
-                    default="escalate")
+    sp.add_argument("--policy", choices=sim.POLICIES, default="escalate")
     sp.add_argument("--out", required=True)
     sp.add_argument("--json")
     sp.set_defaults(fn=cmd_reconstruct)

@@ -14,7 +14,9 @@ verify_delta, which reports honestly).  select_delta therefore guarantees the
 *operational* family instead: every helper window that plain/detect repair
 can actually solve with (any single failed node, ascending-id staging) is
 invertible, and among candidate draws the one with the fewest sampled
-singular subsets wins.
+singular subsets wins.  Those windows are the d_l-subsets of rows 0..d_l and
+of rows 1..d_l+1, so each layer is checked by the left null vectors of those
+two (d_l + 1) x d_l base windows (``_windows_ok``).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     InvalidParams,
 )
 from .field import Field, field_new
-from .linalg import det_nonzero
+from .linalg import det_nonzero, left_null_space
 
 MAX_DELTA_DRAWS = 512
 _SCORED_PASSERS = 3
@@ -176,20 +178,20 @@ def _psi_rows(F, phi, lam):
     return [row + F.scale(lam[g], row) for g, row in enumerate(phi)]
 
 
-def repair_windows(n_nodes: int, d: int):
-    """Helper-id windows plain/detect repair may solve with (one failed node)."""
-    wins = set()
-    for z in range(n_nodes):
-        live = [g for g in range(n_nodes) if g != z]
-        wins.add(tuple(live[0:d]))
-        if len(live) >= d + 1:
-            wins.add(tuple(live[1:d + 1]))
-    return sorted(wins)
+def _windows_ok(F, psi, d):
+    """True iff every single-failure repair window of one layer is regular.
 
-
-def _windows_ok(F, psi, d, n_nodes):
-    for win in repair_windows(n_nodes, d):
-        if not det_nonzero(F, [psi[g] for g in win]):
+    A plan takes the lowest live ids, so with one node failed the windows
+    are exactly the d-subsets of rows 0..d and of rows 1..d+1 (d <= q^2 - 2).
+    The d-subsets of a (d+1) x d matrix W are all regular exactly when its
+    left null space is one vector h with no zero entry: if rank W < d, the
+    null space has dimension at least 2 and every d rows are dependent; if
+    rank W = d, it is spanned by h, and the rows other than z are dependent
+    exactly when a multiple of h vanishes at z, that is when h_z = 0.
+    """
+    for start in (0, 1):
+        h = left_null_space(F, psi[start:start + d + 1])
+        if len(h) != 1 or not all(h[0]):
             return False
     return True
 
@@ -215,7 +217,7 @@ def select_delta(F: Field, xs, alpha, d, mode: str, seed: int) -> tuple:
         lam = list(range(n))
         rng.shuffle(lam)
         psis = [_psi_rows(F, phi, lam) for phi in phis]
-        if all(_windows_ok(F, psi, dl, n) for psi, dl in zip(psis, d)):
+        if all(_windows_ok(F, psi, dl) for psi, dl in zip(psis, d)):
             passers.append((tuple(lam), psis))
             if len(passers) == _SCORED_PASSERS:
                 break
@@ -292,7 +294,7 @@ def verify_delta(profile: CodeProfile, lam=None) -> DeltaReport:
         counts[l] = (bad, checked)
 
     operational = all(
-        _windows_ok(F, _psi_rows(F, profile.phi(l), lam), dl, n)
+        _windows_ok(F, _psi_rows(F, profile.phi(l), lam), dl)
         for l, dl in enumerate(profile.d)
     )
     return DeltaReport(

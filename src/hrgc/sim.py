@@ -31,6 +31,7 @@ from .matrices import (
 
 NODE_MAGIC = b"HRGC"
 NODE_VERSION = 1
+NODE_MODES = ("msr", "mbr")      # header byte 5 is the index of the code
 
 
 def _op_rng(adversary, op_counter):
@@ -38,6 +39,7 @@ def _op_rng(adversary, op_counter):
 
 
 STRATEGIES = ("random", "offset", "layer", "consistent_pair")
+POLICIES = ("escalate", "report")
 KNOWLEDGE = ("own", "omniscient")
 
 
@@ -119,6 +121,10 @@ def _check_adversary(profile, spec):
     if spec.layer is not None and not 0 <= spec.layer < profile.q:
         raise InvalidParams(f"adversary layer {spec.layer} outside "
                             f"[0, {profile.q - 1}]")
+    order = profile.field.order
+    if spec.strategy == "offset" and not 1 <= spec.offset < order:
+        raise InvalidParams(f"adversary offset {spec.offset} outside "
+                            f"[1, {order - 1}]")
 
 
 @dataclass
@@ -193,7 +199,7 @@ def _activated(rng, spec, l):
 
 def _perturb_symbol(F, rng, spec, value):
     if spec.strategy == "offset":
-        return F.add(value, spec.offset or 1)
+        return F.add(value, spec.offset)
     if spec.strategy == "layer":
         return F.add(value, rng.randrange(1, F.order))
     return rng.randrange(F.order)
@@ -309,6 +315,9 @@ def _operate(cluster, op, mode, adversary, policy, z=None):
     erased."""
     if mode not in ("plain", "detect", "recover"):
         raise InvalidParams(f"unknown {op} mode {mode!r}")
+    if policy not in POLICIES:
+        raise InvalidParams(f"unknown {op} policy {policy!r}; expected one "
+                            f"of {', '.join(POLICIES)}")
     profile = cluster.profile
     cluster.op_counter += 1
     rng = _op_rng(adversary, cluster.op_counter) if adversary else None
@@ -415,7 +424,7 @@ def encode_node_bytes(profile: CodeProfile, state: NodeState) -> bytes:
     out = bytearray()
     out += NODE_MAGIC
     out.append(NODE_VERSION)
-    out.append(0 if profile.mode == "msr" else 1)
+    out.append(NODE_MODES.index(profile.mode))
     out += q.to_bytes(2, "little")
     out += state.node_id.to_bytes(2, "little")
     out += profile.m.to_bytes(4, "little")
@@ -438,8 +447,7 @@ def decode_node_bytes(data: bytes, profile: CodeProfile) -> NodeState:
                         f"needs {size}")
     if data[4] != NODE_VERSION:
         raise HrgcError(f"unsupported node file version {data[4]}")
-    mode = "msr" if data[5] == 0 else "mbr"
-    if mode != profile.mode:
+    if data[5] != NODE_MODES.index(profile.mode):
         raise HrgcError("node file mode does not match the profile")
     if int.from_bytes(data[6:8], "little") != q:
         raise HrgcError("node file q does not match the profile")

@@ -272,6 +272,31 @@ def test_truncated_node_file_exits_bad_input(mbr_workspace, tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+def test_offset_outside_the_field_exits_bad_input(workspace, capsys):
+    code = run(["reconstruct", "--cluster", workspace["cluster"],
+                "--mode", "detect",
+                "--adversary", "nodes=1;strategy=offset;offset=16",
+                "--out", str(workspace["root"] / "never.bin")])
+    assert code == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err == ("error (InvalidParams): adversary offset 16 outside "
+                   "[1, 15]\n")
+
+
+def test_node_file_with_a_bad_mode_byte_exits_bad_input(mbr_workspace,
+                                                        tmp_path, capsys):
+    cluster = tmp_path / "cluster"
+    shutil.copytree(mbr_workspace["cluster"], cluster)
+    node = cluster / "node_003.bin"
+    data = bytearray(node.read_bytes())
+    data[5] = 7
+    node.write_bytes(bytes(data))
+    assert run(["reconstruct", "--cluster", str(cluster), "--mode", "plain",
+                "--out", str(tmp_path / "never.bin")]) == cli.EXIT_BAD_INPUT
+    assert run(["verify", "--cluster", str(cluster)]) == cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err.count("mode does not match") == 2
+
+
 def _flip_payload_byte(node, offset=100):
     # the header of a q=4 node file is 30 bytes; XOR 1 keeps a GF(16) symbol
     data = bytearray(node.read_bytes())

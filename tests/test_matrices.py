@@ -1,5 +1,10 @@
+import hashlib
+import random
+from itertools import combinations
+
 import pytest
 
+from hrgc import hmsr
 from hrgc.errors import (
     DeltaSearchFailed,
     InvalidAlpha,
@@ -7,14 +12,15 @@ from hrgc.errors import (
     InvalidParams,
 )
 from hrgc.field import field_new
-from hrgc.linalg import det_nonzero, mat_inv
+from hrgc.linalg import det_nonzero, left_null_space, mat_inv, mat_mul
 from hrgc.matrices import (
     CodeProfile,
+    _psi_rows,
+    _windows_ok,
     profile_digest,
     profile_from_text,
     profile_new,
     profile_to_text,
-    repair_windows,
     select_delta,
     verify_delta,
 )
@@ -74,6 +80,27 @@ def test_lambda_distinct_and_deterministic(q3_msr, q4_msr):
     assert again.lam == q3_msr.lam
 
 
+# sha256 of bytes(lam) as the per-window determinant enumeration selected
+# it; lam fixes every node file, so a setup change that moves it fails here.
+# q4_msr and q5_msr are also the bench's MSR profiles.
+LAM_SHA256 = {
+    "q3_msr": "5a8ec84cd145e13a0c5dc38e88d00bc609f866c6777be427644e2583f81e0a8a",
+    "q4_msr": "cddc46fca14a6d5c17dd2352fe95c9698278add1811c23ccb9957412cebb17fe",
+    "q3_mbr": "8954c064c18a6871cf3c9fcb2f87ec6c5ac43726c6180f191e15ef50ccc5e2dd",
+    "q4_mbr": "2b8edc3e191c64037bb4208422f7bc8d90f77f1f41824c7f321f364408f01840",
+    "q5_msr": "d097ff6b277b1ef7d308ff699935b406fbf244d0ef57c150ff0b48ff0094f9a2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAM_SHA256))
+def test_lambda_pinned(name, request):
+    if name == "q5_msr":
+        profile = profile_new("msr", 5, 34, (7, 6, 5, 4, 3), seed=1)
+    else:
+        profile = request.getfixturevalue(name)
+    assert hashlib.sha256(bytes(profile.lam)).hexdigest() == LAM_SHA256[name]
+
+
 def test_select_delta_rejects_impossible_draws():
     # draw budget exhausts when every candidate fails: force it with a field
     # whose windows can never all pass by demanding too many helpers?  not
@@ -85,21 +112,60 @@ def test_select_delta_rejects_impossible_draws():
     assert lam1 == lam2
 
 
-def test_repair_windows_cover_all_failures():
-    wins = repair_windows(9, 4)
-    assert (0, 1, 2, 3) in wins            # z >= 4
-    assert (1, 2, 3, 4) in wins            # z = 0, or detect shift
-    assert (0, 2, 3, 4) in wins            # z = 1
-    for w in wins:
-        assert len(w) == 4 and len(set(w)) == 4
+def _base_minors_regular(F, psi, d):
+    return all(det_nonzero(F, list(sub))
+               for start in (0, 1)
+               for sub in combinations(psi[start:start + d + 1], d))
 
 
-def test_operational_windows_invertible(q3_msr, q4_msr):
+def test_windows_ok_equals_every_base_window_minor(q3_msr, q4_msr):
+    # the null-vector check against the determinant of every d-subset of
+    # rows 0..d and 1..d+1: on each layer's psi under random lambda, and on
+    # random (d+2) x d matrices that are sparse or of deficient rank
+    rng = random.Random(18)
+    cases = []
     for p in (q3_msr, q4_msr):
         F = p.field
-        for l in range(p.q):
-            for win in repair_windows(p.n_nodes, p.d[l]):
-                assert det_nonzero(F, [p.nu_row(g, l) for g in win])
+        for _ in range(15):
+            lam = rng.sample(range(F.order), F.order)
+            cases += [(F, _psi_rows(F, p.phi(l), lam), p.d[l])
+                      for l in range(p.q)]
+    for q in (2, 3, 4):
+        F = field_new(q)
+        for _ in range(40):
+            d = rng.randrange(1, 7)
+            r = rng.choice([d, d - 1])
+            left = [[rng.randrange(F.order) for _ in range(r)]
+                    for _ in range(d + 2)]
+            right = [[rng.randrange(F.order) if rng.random() < 0.8 else 0
+                      for _ in range(d)] for _ in range(r)]
+            psi = (mat_mul(F, left, right) if r
+                   else [[0] * d for _ in range(d + 2)])
+            cases.append((F, psi, d))
+    outcomes = set()
+    for F, psi, d in cases:
+        regular = _base_minors_regular(F, psi, d)
+        assert _windows_ok(F, psi, d) == regular
+        outcomes.add((regular, len(left_null_space(F, psi[:d + 1])) == 1))
+    # accepted, rejected although rows 0..d have full rank, and rejected
+    # with rows 0..d rank-deficient
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_planned_repair_windows_invertible(q3_msr, q4_msr):
+    # every single failure's plain window and detect-shifted window, as the
+    # planner stages them, is regular on every layer
+    for p in (q3_msr, q4_msr):
+        for z in range(p.n_nodes):
+            live = [g for g in range(p.n_nodes) if g != z]
+            plans = {mode: hmsr.staged_request_plan(p, "repair", mode, live)
+                     for mode in ("plain", "detect")}
+            for l, d in enumerate(p.d):
+                ids = {mode: sorted(g for g, j in plan if j >= l)
+                       for mode, plan in plans.items()}
+                assert len(ids["plain"]) == d and len(ids["detect"]) == d + 1
+                for win in (ids["plain"], ids["detect"][1:]):
+                    assert det_nonzero(p.field, [p.nu_row(g, l) for g in win])
 
 
 def test_verify_delta_honest_report_q3(q3_msr):

@@ -445,6 +445,26 @@ def test_truncated_node_file_is_named(q3_msr, tmp_path):
         sim.decode_node_bytes(data + b"\0", q3_msr)
 
 
+# q=3 node file header: magic 0-3, version 4, mode 5, q 6-7, id 8-9, m 10-13,
+# alpha 14-16, k 17-19, profile digest 20-27
+@pytest.mark.parametrize("pos, value, message", [
+    (4, 2, "unsupported node file version 2"),
+    (5, 7, "mode does not match"),
+    (6, 4, "q does not match"),
+    (10, 9, "m does not match"),
+    (14, 4, "alpha does not match"),
+    (17, 3, "k does not match"),
+    (20, None, "profile digest mismatch"),
+])
+def test_corrupt_node_header_field_is_named(q3_mbr, tmp_path, pos, value,
+                                            message):
+    make_cluster(q3_mbr, 19, directory=str(tmp_path))
+    data = bytearray((tmp_path / sim.node_filename(4)).read_bytes())
+    data[pos] = data[pos] ^ 1 if value is None else value
+    with pytest.raises(HrgcError, match=message):
+        sim.decode_node_bytes(bytes(data), q3_mbr)
+
+
 def test_detect_repair_refuses_a_singular_shifted_window(q3_msr):
     # with nodes 3 and 2 failed, node 2's detect helpers at layer 0 are
     # 0, 1, 4..8; the shifted window 1, 4..8 is singular, so checking
@@ -497,6 +517,38 @@ def test_unknown_mode_names_the_operation(code, request):
         sim.repair(cluster, 4, "fast")
     # a refused call leaves the counter, so later adversary draws stay put
     assert cluster.nodes[4] is None and cluster.op_counter == 0
+
+
+@pytest.mark.parametrize("code", ["msr", "mbr"])
+def test_unknown_policy_is_refused(code, request):
+    profile = request.getfixturevalue(f"q3_{code}")
+    cluster = make_cluster(profile, 20)
+    with pytest.raises(InvalidParams,
+                       match="unknown reconstruct policy 'escalte'"):
+        sim.reconstruct(cluster, "detect", policy="escalte")
+    sim.fail_node(cluster, 4)
+    with pytest.raises(InvalidParams, match="unknown repair policy 'escalte'"):
+        sim.repair(cluster, 4, "detect", policy="escalte")
+    assert cluster.nodes[4] is None and cluster.op_counter == 0
+
+
+@pytest.mark.parametrize("offset", [0, -1, 9, 16])
+def test_offset_adversary_is_checked_against_the_field(q3_msr, offset):
+    # GF(9): an offset must be a nonzero field element, 1..8
+    cluster = make_cluster(q3_msr, 22)
+    sim.fail_node(cluster, 0)
+    adversary = sim.AdversarySpec(nodes=frozenset({1}), strategy="offset",
+                                  offset=offset)
+    refused = rf"adversary offset {offset} outside \[1, 8\]"
+    with pytest.raises(InvalidParams, match=refused):
+        sim.repair(cluster, 0, "recover", adversary)
+    with pytest.raises(InvalidParams, match=refused):
+        sim.reconstruct(cluster, "detect", adversary)
+    assert cluster.op_counter == 0 and cluster.nodes[0] is None
+    report, _ = sim.repair(cluster, 0, "recover",
+                           sim.AdversarySpec(nodes=frozenset({1}),
+                                             strategy="offset", offset=8))
+    assert report.ok and report.corrupted == {1}
 
 
 @pytest.mark.parametrize("code", ["msr", "mbr"])
