@@ -30,7 +30,7 @@ from . import sim
 from .capability import capability_sweep, sweep_csv
 from .errors import (AsymmetryDetected, HrgcError, InvalidParams,
                      SingularSystem)
-from .matrices import profile_from_text, profile_new, profile_to_text
+from .matrices import CODES, profile_from_text, profile_new, profile_to_text
 
 EXIT_OK = 0
 EXIT_ALARM = 2
@@ -254,7 +254,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("profile", help="create a code profile")
-    sp.add_argument("--mode", choices=["msr", "mbr"], required=True)
+    sp.add_argument("--mode", choices=CODES, required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--alphas", required=True, help="comma-separated layer sizes")
@@ -280,8 +280,7 @@ def build_parser():
     sp = sub.add_parser("repair", help="regenerate a failed node")
     sp.add_argument("--cluster", required=True)
     sp.add_argument("--node", type=int, required=True)
-    sp.add_argument("--mode", choices=["plain", "detect", "recover"],
-                    default="plain")
+    sp.add_argument("--mode", choices=sim.MODES, default="plain")
     sp.add_argument("--adversary", help="nodes=..;strategy=..;seed=..")
     sp.add_argument("--policy", choices=sim.POLICIES, default="escalate")
     sp.add_argument("--json")
@@ -289,8 +288,7 @@ def build_parser():
 
     sp = sub.add_parser("reconstruct", help="rebuild the original file")
     sp.add_argument("--cluster", required=True)
-    sp.add_argument("--mode", choices=["plain", "detect", "recover"],
-                    default="plain")
+    sp.add_argument("--mode", choices=sim.MODES, default="plain")
     sp.add_argument("--adversary")
     sp.add_argument("--policy", choices=sim.POLICIES, default="escalate")
     sp.add_argument("--out", required=True)

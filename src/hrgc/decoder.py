@@ -221,11 +221,7 @@ def _decode_wb(F, k, xs, r, tau_max):
         f.pop()
     if len(f) > k:
         raise DecodeFailure("decoded polynomial exceeds the message degree")
-    f = f + [0] * (k - len(f))
-    bad = sum(1 for x, v in zip(xs, r) if horner(F, f, x) != v)
-    if bad > tau_max:
-        raise DecodeFailure(f"{bad} mismatches exceed tau_max={tau_max}")
-    return f
+    return f + [0] * (k - len(f))
 
 
 def _poly_divmod(F, num, den):

@@ -104,23 +104,13 @@ def solve_square(F, A, b):
 def solve_least_index(F, A, b, need):
     """Solve using the least-index independent subset of the rows of A.
 
+    Those rows are the pivot columns of A's transpose, in one elimination.
     Returns (x, used_rows).  Raises SingularSystem if rank < need.
     """
-    used = []
-    sub = []
-    rhs = []
-    for i, row in enumerate(A):
-        trial = sub + [row]
-        M = [r[:] for r in trial]
-        if len(_eliminate(F, M)) == len(trial):
-            sub.append(row)
-            rhs.append(b[i])
-            used.append(i)
-            if len(sub) == need:
-                break
-    if len(sub) < need:
-        raise SingularSystem(f"rank {len(sub)} < {need}")
-    return solve_square(F, sub, rhs), used
+    used = _eliminate(F, transpose(A))[:need]
+    if len(used) < need:
+        raise SingularSystem(f"rank {len(used)} < {need}")
+    return solve_square(F, [A[i] for i in used], [b[i] for i in used]), used
 
 
 def null_space(F, A):

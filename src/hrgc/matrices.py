@@ -42,6 +42,7 @@ _SCORED_PASSERS = 3
 _SCORE_SAMPLES = 200
 EXHAUSTIVE_MINOR_CAP = 10**6
 SAMPLED_MINORS_PER_LAYER = 10**5
+CODES = ("msr", "mbr")
 
 
 @dataclass(eq=False)
@@ -100,7 +101,7 @@ class CodeProfile:
 
 def profile_new(mode: str, q: int, m: int, alpha, k=None, seed: int = 1) -> CodeProfile:
     mode = mode.lower()
-    if mode not in ("msr", "mbr"):
+    if mode not in CODES:
         raise InvalidAlpha(f"unknown mode {mode!r}")
     F = field_new(q)
     kap = kappa(q, m)
@@ -310,29 +311,28 @@ def verify_delta(profile: CodeProfile, lam=None) -> DeltaReport:
 # -- serialization ------------------------------------------------------------
 
 
+def _int_seq(text):
+    return tuple(int(v) for v in text.split(","))
+
+
+# The profile document's keys in their canonical (sorted) order, each with
+# the parser of its value; a sequence is written comma-separated.
+_PROFILE_KEYS = {
+    "A": int, "B": int, "alpha": _int_seq, "d": _int_seq, "k": _int_seq,
+    "kappa": _int_seq, "lam": _int_seq, "m": int, "mode": str, "q": int,
+    "seed": int,
+}
+
+
 def profile_to_text(profile: CodeProfile) -> str:
     """Canonical key=value document: sorted keys, one per line, LF endings."""
-    seqs = {
-        "alpha": profile.alpha,
-        "d": profile.d,
-        "k": profile.k,
-        "kappa": profile.kappa,
-        "lam": profile.lam,
-    }
-    fields = {
-        "A": profile.A,
-        "B": profile.B,
-        "m": profile.m,
-        "mode": profile.mode,
-        "q": profile.q,
-        "seed": profile.seed,
-    }
-    fields.update({k: ",".join(str(v) for v in vals) for k, vals in seqs.items()})
-    return "".join(f"{k}={fields[k]}\n" for k in sorted(fields))
-
-
-_PROFILE_INTS = ("A", "B", "m", "q", "seed")
-_PROFILE_SEQS = ("alpha", "d", "k", "kappa", "lam")
+    lines = []
+    for key, parse in _PROFILE_KEYS.items():
+        val = getattr(profile, key)
+        if parse is _int_seq:
+            val = ",".join(map(str, val))
+        lines.append(f"{key}={val}\n")
+    return "".join(lines)
 
 
 def profile_from_text(text: str) -> CodeProfile:
@@ -349,32 +349,28 @@ def profile_from_text(text: str) -> CodeProfile:
             continue
         key, _, val = line.partition("=")
         kv[key] = val
-    missing = [key for key in ("mode",) + _PROFILE_INTS + _PROFILE_SEQS
-               if key not in kv]
+    missing = [key for key in _PROFILE_KEYS if key not in kv]
     if missing:
         raise InvalidParams(f"profile lacks {', '.join(missing)}")
     try:
-        ints = {key: int(kv[key]) for key in _PROFILE_INTS}
-        seqs = {key: tuple(int(v) for v in kv[key].split(","))
-                for key in _PROFILE_SEQS}
+        vals = {key: parse(kv[key]) for key, parse in _PROFILE_KEYS.items()}
     except ValueError as exc:
         raise InvalidParams(f"unparsable profile value: {exc}") from None
-    mode, q = kv["mode"], ints["q"]
-    if mode not in ("msr", "mbr"):
+    mode, q = vals["mode"], vals["q"]
+    if mode not in CODES:
         raise InvalidParams(f"unknown profile mode {mode!r}")
     F = field_new(q)
-    kap = kappa(q, ints["m"])
-    alpha, k, d, A, B = _layer_params(mode, q, kap, seqs["alpha"], seqs["k"])
+    kap = kappa(q, vals["m"])
+    alpha, k, d, A, B = _layer_params(mode, q, kap, vals["alpha"], vals["k"])
     derived = {"kappa": kap, "alpha": alpha, "k": k, "d": d, "A": A, "B": B}
     for key, want in derived.items():
-        got = ints.get(key, seqs.get(key))
-        if got != want:
-            raise InvalidParams(f"profile {key}={got} does not match the "
-                                f"derived {want}")
-    if sorted(seqs["lam"]) != list(range(F.order)):
+        if vals[key] != want:
+            raise InvalidParams(f"profile {key}={vals[key]} does not match "
+                                f"the derived {want}")
+    if sorted(vals["lam"]) != list(range(F.order)):
         raise InvalidParams("profile lam is not a permutation of the "
                             f"{F.order} field elements")
-    return CodeProfile(mode=mode, field=F, **ints, **seqs)
+    return CodeProfile(field=F, **vals)
 
 
 def profile_digest(profile: CodeProfile) -> bytes:

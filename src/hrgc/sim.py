@@ -8,6 +8,9 @@ refused as bad input is not counted.  Adversaries only perturb outgoing
 copies; stored node state is never touched except when a finished repair
 installs the replacement.  An alarm under the default escalate policy always
 ends in either a recover-mode result or an explicit failure report.
+
+An adversary spec is the keys of ``_SPEC_PARSERS``, each default left to
+``AdversarySpec``; a node file is ``_node_header`` then q rows of A symbols.
 """
 
 from __future__ import annotations
@@ -15,23 +18,20 @@ from __future__ import annotations
 import os
 import random
 from collections import Counter
-from dataclasses import dataclass, field as dfield, fields
+from dataclasses import dataclass, field as dfield
 from operator import itemgetter
 
 from . import hmbr, hmsr
-from .errors import HrgcError, InvalidParams, LengthMismatch
+from .errors import HrgcError, InvalidParams
 from .hmsr import HelpSymbolBatch, NodeState
 from .linalg import solve_square, transpose
 from .matrices import (
+    CODES,
     CodeProfile,
     profile_digest,
     profile_from_text,
     profile_to_text,
 )
-
-NODE_MAGIC = b"HRGC"
-NODE_VERSION = 1
-NODE_MODES = ("msr", "mbr")      # header byte 5 is the index of the code
 
 
 def _op_rng(adversary, op_counter):
@@ -40,48 +40,55 @@ def _op_rng(adversary, op_counter):
 
 STRATEGIES = ("random", "offset", "layer", "consistent_pair")
 POLICIES = ("escalate", "report")
-KNOWLEDGE = ("own", "omniscient")
+MODES = ("plain", "detect", "recover")
 
 
 @dataclass(frozen=True)
 class AdversarySpec:
     """Which nodes lie, and how.
 
-    strategy: "random" (uniform resample), "offset" (add a constant),
-    "layer" (random nonzero offsets in layer ``layer`` only), or
-    "consistent_pair" (omniscient-only, detect/recover repair: craft
-    repair-detect errors that the extra helper's check cannot see;
+    strategy: "random" (uniform resample), "offset" (add the constant
+    ``offset``), "layer" (random nonzero offsets in layer ``layer`` only), or
+    "consistent_pair" (detect/recover repair: two liars that know the
+    stacked encoding rows craft errors the extra helper's check cannot see;
     reconstruct refuses it).
-    knowledge: "own" nodes know only their own encoding rows; "omniscient"
-    unlocks consistent_pair.
+    offset, layer: given exactly when the strategy of the same name is used.
     activation: per-(layer, block) probability of perturbing, in [0, 1].
-    Node ids and ``layer`` are checked against the cluster when it is used.
+    Node ids, ``offset`` and ``layer`` are checked against the cluster when
+    it is used.
     """
     nodes: frozenset
     strategy: str = "random"
-    knowledge: str = "own"
     activation: float = 1.0
     seed: int = 0
-    offset: int = 1
+    offset: int | None = None
     layer: int | None = None
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise InvalidParams(f"unknown adversary strategy {self.strategy!r}; "
                                 f"expected one of {', '.join(STRATEGIES)}")
-        if self.knowledge not in KNOWLEDGE:
-            raise InvalidParams(f"unknown adversary knowledge {self.knowledge!r}; "
-                                f"expected one of {', '.join(KNOWLEDGE)}")
-        if self.strategy == "consistent_pair" and self.knowledge != "omniscient":
-            raise InvalidParams("consistent_pair requires omniscient knowledge")
-        if self.strategy == "layer" and self.layer is None:
-            raise InvalidParams("strategy=layer needs layer=...")
+        for key in ("offset", "layer"):
+            given = getattr(self, key) is not None
+            if self.strategy == key and not given:
+                raise InvalidParams(f"strategy={key} needs {key}=...")
+            if given and self.strategy != key:
+                raise InvalidParams(f"{key}= is read only by strategy={key}, "
+                                    f"not {self.strategy}")
         if not 0.0 <= self.activation <= 1.0:
             raise InvalidParams(f"activation {self.activation} outside [0, 1]")
 
 
+_SPEC_PARSERS = {
+    "nodes": lambda v: frozenset(int(g) for g in v.split(",") if g),
+    "strategy": str, "activation": float, "seed": int, "offset": int,
+    "layer": int,
+}
+
+
 def parse_adversary(text: str) -> AdversarySpec:
-    """Parse "nodes=2,5;strategy=random;seed=7;activation=1.0;..."."""
+    """Parse "nodes=2,5;strategy=random;seed=7;activation=1.0;...": each
+    given key through its parser, every other field left to AdversarySpec."""
     kv = {}
     for part in text.split(";"):
         part = part.strip()
@@ -91,19 +98,11 @@ def parse_adversary(text: str) -> AdversarySpec:
         kv[key.strip()] = val.strip()
     if "nodes" not in kv:
         raise InvalidParams("adversary spec needs nodes=...")
-    unknown = sorted(set(kv) - {f.name for f in fields(AdversarySpec)})
+    unknown = sorted(set(kv) - set(_SPEC_PARSERS))
     if unknown:
         raise InvalidParams(f"unknown adversary spec keys {unknown}")
     try:
-        return AdversarySpec(
-            nodes=frozenset(int(v) for v in kv["nodes"].split(",") if v),
-            strategy=kv.get("strategy", "random"),
-            knowledge=kv.get("knowledge", "own"),
-            activation=float(kv.get("activation", "1.0")),
-            seed=int(kv.get("seed", "0")),
-            offset=int(kv.get("offset", "1")),
-            layer=int(kv["layer"]) if "layer" in kv else None,
-        )
+        return AdversarySpec(**{k: _SPEC_PARSERS[k](v) for k, v in kv.items()})
     except ValueError as exc:
         raise InvalidParams(f"bad adversary spec {text!r}: {exc}") from None
 
@@ -122,7 +121,7 @@ def _check_adversary(profile, spec):
         raise InvalidParams(f"adversary layer {spec.layer} outside "
                             f"[0, {profile.q - 1}]")
     order = profile.field.order
-    if spec.strategy == "offset" and not 1 <= spec.offset < order:
+    if spec.offset is not None and not 1 <= spec.offset < order:
         raise InvalidParams(f"adversary offset {spec.offset} outside "
                             f"[1, {order - 1}]")
 
@@ -161,8 +160,6 @@ class Cluster:
 
 def cluster_init(profile: CodeProfile, message, retain_truth=True,
                  directory=None) -> Cluster:
-    if len(message) != profile.B:
-        raise LengthMismatch(f"message length {len(message)} != B={profile.B}")
     if profile.mode == "msr":
         nodes = hmsr.encode(hmsr.arrange_st(message, profile), profile)
     else:
@@ -233,7 +230,7 @@ def _corrupt_batches(profile, batches, spec, rng):
 
 def _apply_consistent_pair(cluster, z, batches, spec, rng):
     """Craft errors that keep the d+1 detect symbols consistent (needs the
-    stacked encoding rows -- the omniscient override)."""
+    stacked encoding rows of the other helpers)."""
     profile = cluster.profile
     F = profile.field
     by_id = {b.helper_id: HelpSymbolBatch(b.helper_id, b.level, dict(b.symbols))
@@ -313,7 +310,7 @@ def _operate(cluster, op, mode, adversary, policy, z=None):
     engine on the answers.  An alarm under the escalate policy, or recover
     mode, runs the recover round, which decodes with the known corrupt nodes
     erased."""
-    if mode not in ("plain", "detect", "recover"):
+    if mode not in MODES:
         raise InvalidParams(f"unknown {op} mode {mode!r}")
     if policy not in POLICIES:
         raise InvalidParams(f"unknown {op} policy {policy!r}; expected one "
@@ -419,59 +416,45 @@ def save_node(directory, profile: CodeProfile, state: NodeState):
         fh.write(data)
 
 
+def _node_header(profile: CodeProfile, node_id: int):
+    """The node file header as ordered (field, bytes) pairs.  The profile
+    fixes every field but "id"; "mode" is the code's index in CODES."""
+    return [("magic", b"HRGC"),
+            ("version", b"\x01"),
+            ("mode", bytes([CODES.index(profile.mode)])),
+            ("q", profile.q.to_bytes(2, "little")),
+            ("id", node_id.to_bytes(2, "little")),
+            ("m", profile.m.to_bytes(4, "little")),
+            ("alpha", bytes(profile.alpha)),
+            ("k", bytes(profile.k)),
+            ("digest", profile_digest(profile))]
+
+
 def encode_node_bytes(profile: CodeProfile, state: NodeState) -> bytes:
-    q = profile.q
-    out = bytearray()
-    out += NODE_MAGIC
-    out.append(NODE_VERSION)
-    out.append(NODE_MODES.index(profile.mode))
-    out += q.to_bytes(2, "little")
-    out += state.node_id.to_bytes(2, "little")
-    out += profile.m.to_bytes(4, "little")
-    out += bytes(profile.alpha)
-    out += bytes(profile.k)
-    out += profile_digest(profile)
-    for row in state.y:
-        out += bytes(row)
-    assert len(out) == 4 + 1 + 1 + 2 + 2 + 4 + q + q + 8 + q * profile.A
-    return bytes(out)
+    header = _node_header(profile, state.node_id)
+    return b"".join([value for _, value in header] + list(map(bytes, state.y)))
 
 
 def decode_node_bytes(data: bytes, profile: CodeProfile) -> NodeState:
-    q = profile.q
-    if data[:4] != NODE_MAGIC:
-        raise HrgcError("bad node file magic")
-    size = 14 + 2 * q + 8 + q * profile.A
+    header = _node_header(profile, 0)
+    A, off = profile.A, 0
+    size = sum(len(want) for _, want in header) + profile.q * A
     if len(data) < size:
         raise HrgcError(f"node file truncated: {len(data)} bytes, the profile "
                         f"needs {size}")
-    if data[4] != NODE_VERSION:
-        raise HrgcError(f"unsupported node file version {data[4]}")
-    if data[5] != NODE_MODES.index(profile.mode):
-        raise HrgcError("node file mode does not match the profile")
-    if int.from_bytes(data[6:8], "little") != q:
-        raise HrgcError("node file q does not match the profile")
-    node_id = int.from_bytes(data[8:10], "little")
-    if int.from_bytes(data[10:14], "little") != profile.m:
-        raise HrgcError("node file m does not match the profile")
-    off = 14
-    if tuple(data[off:off + q]) != profile.alpha:
-        raise HrgcError("node file alpha does not match the profile")
-    off += q
-    if tuple(data[off:off + q]) != profile.k:
-        raise HrgcError("node file k does not match the profile")
-    off += q
-    if data[off:off + 8] != profile_digest(profile):
-        raise HrgcError("node file profile digest mismatch")
-    off += 8
-    payload = data[off:]
-    if len(payload) != q * profile.A:
+    for name, want in header:
+        got, off = data[off:off + len(want)], off + len(want)
+        if name == "id":
+            node_id = int.from_bytes(got, "little")
+        elif got != want:
+            raise HrgcError(f"node file {name} does not match the profile")
+    if len(data) > size:
         raise HrgcError("node file payload longer than the profile's")
-    if max(payload) >= profile.field.order:
+    if max(data[off:]) >= profile.field.order:
         raise HrgcError(f"node file payload holds a symbol outside "
                         f"GF({profile.field.order})")
-    y = [list(payload[r * profile.A:(r + 1) * profile.A]) for r in range(q)]
-    return NodeState(node_id=node_id, y=y)
+    return NodeState(node_id=node_id,
+                     y=[list(data[r:r + A]) for r in range(off, size, A)])
 
 
 def load_node(path, profile: CodeProfile) -> NodeState:

@@ -55,7 +55,7 @@ def adversaries(profile, rng):
         spec(1, strategy="offset", offset=rng.randrange(1, profile.field.order)),
         spec(2, strategy="layer", layer=rng.randrange(profile.q)),
         spec(2, activation=0.3),
-        spec(2, strategy="consistent_pair", knowledge="omniscient"),
+        spec(2, strategy="consistent_pair"),
     ]
 
 

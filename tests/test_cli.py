@@ -283,6 +283,17 @@ def test_offset_outside_the_field_exits_bad_input(workspace, capsys):
                    "[1, 15]\n")
 
 
+def test_knowledge_is_an_unknown_adversary_key(workspace, capsys):
+    code = run(["reconstruct", "--cluster", workspace["cluster"],
+                "--mode", "detect",
+                "--adversary", "nodes=1;knowledge=omniscient",
+                "--out", str(workspace["root"] / "never.bin")])
+    assert code == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err == ("error (InvalidParams): unknown adversary spec keys "
+                   "['knowledge']\n")
+
+
 def test_node_file_with_a_bad_mode_byte_exits_bad_input(mbr_workspace,
                                                         tmp_path, capsys):
     cluster = tmp_path / "cluster"

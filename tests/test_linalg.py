@@ -11,8 +11,8 @@ import pytest
 
 from hrgc.errors import SingularSystem
 from hrgc.field import SUPPORTED_Q, Field
-from hrgc.linalg import (det_nonzero, mat_inv, mat_mul, mat_vec, solve_square,
-                         vec_mat)
+from hrgc.linalg import (det_nonzero, mat_inv, mat_mul, mat_vec,
+                         solve_least_index, solve_square, vec_mat)
 
 WIDTHS = (0, 1, 3, 7, 8, 15, 16, 31, 32, 33, 100)
 
@@ -135,3 +135,37 @@ def test_solvers_match_scalar_loops(q):
             with pytest.raises(SingularSystem,
                                match=rf"^{n}x{n} system singular$"):
                 solve_square(F, S, b)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_solve_least_index_takes_the_rank_raising_rows(q):
+    """Against the greedy reference: row i is used when it raises the rank
+    of the rows before it, until ``need`` rows are used."""
+    F = Field(q)
+    rng = random.Random(f"least-index/{q}")
+    deficient = 0
+    for _ in range(40):
+        need = rng.randrange(1, 7)
+        rows = rng.randrange(0, need + 6)
+        A = rand_matrix(F, rng, rows, need, zeros=rng.choice((0.2, 0.6)))
+        for i in range(1, rows):          # some rows repeat an earlier one
+            if rng.random() < 0.3:
+                A[i] = scalar_comb(F, [rng.randrange(F.order)],
+                                   [A[rng.randrange(i)]], need)
+        b = [rng.randrange(F.order) for _ in range(rows)]
+        want = []
+        for i in range(rows):
+            if (len(want) < need and scalar_rank(F, [A[j] for j in want + [i]])
+                    > len(want)):
+                want.append(i)
+        if len(want) < need:
+            deficient += 1
+            with pytest.raises(SingularSystem,
+                               match=rf"^rank {len(want)} < {need}$"):
+                solve_least_index(F, A, b, need)
+            continue
+        x, used = solve_least_index(F, A, b, need)
+        assert used == want
+        assert [scalar_comb(F, A[i], [[xi] for xi in x], 1)[0] for i in used] \
+            == [b[i] for i in used]
+    assert 0 < deficient < 40

@@ -101,6 +101,22 @@ def test_lambda_pinned(name, request):
     assert hashlib.sha256(bytes(profile.lam)).hexdigest() == LAM_SHA256[name]
 
 
+# sha256 of profile_to_text, which profile.txt holds and whose first 8
+# bytes of SHA-256 every node file embeds.
+PROFILE_TEXT_SHA256 = {
+    "q3_msr": "a38387da03277723a35cfdb3bf63f5f3b44609a2e51c9dbbfd27b1bc9f8f71d3",
+    "q4_msr": "d90d95b1611a8e57e3f0ae4c88a408db55df7a24059c8a5f2b76857525d0cd3c",
+    "q3_mbr": "e8cc2202a3d30b6fcd3afe2cfd3f20e4537da1aaeea0391054b7a62478ca07b7",
+    "q4_mbr": "660bd383bb2beed503bb7bc2ad2023902a21b0cdda1db3012d839c4fbf095947",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_TEXT_SHA256))
+def test_profile_text_pinned(name, request):
+    text = profile_to_text(request.getfixturevalue(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == PROFILE_TEXT_SHA256[name]
+
+
 def test_select_delta_rejects_impossible_draws():
     # draw budget exhausts when every candidate fails: force it with a field
     # whose windows can never all pass by demanding too many helpers?  not

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -268,7 +269,10 @@ def test_parse_adversary():
     spec = sim.parse_adversary("nodes=2,5;strategy=offset;seed=7;offset=3")
     assert spec.nodes == frozenset({2, 5})
     assert spec.strategy == "offset"
-    assert spec.seed == 7 and spec.offset == 3
+    assert spec.seed == 7 and spec.offset == 3 and spec.layer is None
+    # every key left out takes the AdversarySpec default
+    assert sim.parse_adversary("nodes=3") == sim.AdversarySpec(
+        nodes=frozenset({3}))
     with pytest.raises(InvalidParams):
         sim.parse_adversary("strategy=random")
 
@@ -281,18 +285,12 @@ def test_omniscient_collusion_defeats_detection(q3_msr):
     truth = [row[:] for row in cluster.nodes[0].y]
     sim.fail_node(cluster, 0)
     adversary = sim.AdversarySpec(
-        nodes=frozenset({1, 2}), strategy="consistent_pair",
-        knowledge="omniscient", seed=17,
+        nodes=frozenset({1, 2}), strategy="consistent_pair", seed=17,
     )
     report, log = sim.repair(cluster, 0, "detect", adversary)
     assert report.ok
     assert "alarm" not in log.meta
     assert cluster.nodes[0].y != truth
-
-
-def test_consistent_pair_requires_omniscience():
-    with pytest.raises(InvalidParams):
-        sim.AdversarySpec(nodes=frozenset({1, 2}), strategy="consistent_pair")
 
 
 def _tallies(*rows):
@@ -390,6 +388,45 @@ def test_parse_adversary_accepts_bench_specs():
         assert sim.parse_adversary(text).nodes
 
 
+# (spec text, AdversarySpec keywords, refusal): offset= and layer= are
+# given exactly when the strategy of the same name reads them
+UNREAD_OR_MISSING = [
+    ("nodes=1;strategy=random;offset=99;layer=7",
+     dict(strategy="random", offset=99, layer=7),
+     "offset= is read only by strategy=offset, not random"),
+    ("nodes=1;offset=3", dict(offset=3),
+     "offset= is read only by strategy=offset, not random"),
+    ("nodes=1;layer=0", dict(layer=0),
+     "layer= is read only by strategy=layer, not random"),
+    ("nodes=1;strategy=layer;layer=1;offset=3",
+     dict(strategy="layer", layer=1, offset=3),
+     "offset= is read only by strategy=offset, not layer"),
+    ("nodes=1;strategy=offset;offset=2;layer=0",
+     dict(strategy="offset", offset=2, layer=0),
+     "layer= is read only by strategy=layer, not offset"),
+    ("nodes=1,2;strategy=consistent_pair;offset=1",
+     dict(strategy="consistent_pair", offset=1),
+     "offset= is read only by strategy=offset, not consistent_pair"),
+    ("nodes=1;strategy=offset", dict(strategy="offset"),
+     "strategy=offset needs offset="),
+    ("nodes=1;strategy=layer", dict(strategy="layer"),
+     "strategy=layer needs layer="),
+]
+
+
+@pytest.mark.parametrize("text, kwargs, refusal", UNREAD_OR_MISSING)
+def test_offset_and_layer_go_with_their_strategy(q3_msr, text, kwargs,
+                                                 refusal):
+    cluster = make_cluster(q3_msr, 23)
+    sim.fail_node(cluster, 0)
+    with pytest.raises(InvalidParams, match=refusal):
+        sim.reconstruct(cluster, "detect", sim.parse_adversary(text))
+    with pytest.raises(InvalidParams, match=refusal):
+        sim.repair(cluster, 0, "recover",
+                   sim.AdversarySpec(nodes=frozenset({1}), **kwargs))
+    assert cluster.op_counter == 0 and cluster.nodes[0] is None
+
+
 def test_node_ids_are_range_checked(q3_msr):
     cluster = make_cluster(q3_msr, 16)
     for g in (9, 99, -1):
@@ -416,8 +453,7 @@ def test_consistent_pair_needs_detect_or_recover(code, request):
     cluster = make_cluster(profile, 17)
     sim.fail_node(cluster, 0)
     adversary = sim.AdversarySpec(nodes=frozenset({1, 2}),
-                                  strategy="consistent_pair",
-                                  knowledge="omniscient", seed=3)
+                                  strategy="consistent_pair", seed=3)
     with pytest.raises(InvalidParams, match="detect or recover"):
         sim.repair(cluster, 0, "plain", adversary)
     report, _ = sim.repair(cluster, 0, "recover", adversary)
@@ -428,8 +464,7 @@ def test_consistent_pair_needs_detect_or_recover(code, request):
 def test_consistent_pair_refused_on_reconstruct(q3_mbr, mode):
     cluster = make_cluster(q3_mbr, 18)
     adversary = sim.AdversarySpec(nodes=frozenset({1, 2}),
-                                  strategy="consistent_pair",
-                                  knowledge="omniscient", seed=3)
+                                  strategy="consistent_pair", seed=3)
     with pytest.raises(InvalidParams, match="repair-only"):
         sim.reconstruct(cluster, mode, adversary)
     assert cluster.op_counter == 0
@@ -446,15 +481,18 @@ def test_truncated_node_file_is_named(q3_msr, tmp_path):
 
 
 # q=3 node file header: magic 0-3, version 4, mode 5, q 6-7, id 8-9, m 10-13,
-# alpha 14-16, k 17-19, profile digest 20-27
+# alpha 14-16, k 17-19, profile digest 20-27; the version and digest cases
+# keep ids that name the corruption, since their texts are the uniform one
 @pytest.mark.parametrize("pos, value, message", [
-    (4, 2, "unsupported node file version 2"),
+    pytest.param(4, 2, "node file version does not match the profile",
+                 id="4-2-unsupported node file version 2"),
     (5, 7, "mode does not match"),
     (6, 4, "q does not match"),
     (10, 9, "m does not match"),
     (14, 4, "alpha does not match"),
     (17, 3, "k does not match"),
-    (20, None, "profile digest mismatch"),
+    pytest.param(20, None, "node file digest does not match the profile",
+                 id="20-None-profile digest mismatch"),
 ])
 def test_corrupt_node_header_field_is_named(q3_mbr, tmp_path, pos, value,
                                             message):
@@ -463,6 +501,25 @@ def test_corrupt_node_header_field_is_named(q3_mbr, tmp_path, pos, value,
     data[pos] = data[pos] ^ 1 if value is None else value
     with pytest.raises(HrgcError, match=message):
         sim.decode_node_bytes(bytes(data), q3_mbr)
+
+
+# sha256 of encode_node_bytes(node 0) under random_message(profile, 0): the
+# header above, then the q x A payload row by row
+NODE_BYTES_SHA256 = {
+    "q3_msr": "5fbdff4e860beb976ca409d7585e6ef00f685ecaa73ebe65de562ab508b25d50",
+    "q4_msr": "7419a19f187c969c639b95e7ac06b7b1bda2ec16ecc07340be000ba95d58b348",
+    "q3_mbr": "4f9b3b027d5cbeaf84365f7bad26c6a2e966a24f44085814ede17cfefb4663cc",
+    "q4_mbr": "6a5aa7b4a8e082e6e6e7ffe4a046250dda795e3842ea05e7d6e537a485084787",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_BYTES_SHA256))
+def test_node_bytes_pinned(name, request):
+    profile = request.getfixturevalue(name)
+    node = make_cluster(profile, 0).nodes[0]
+    data = sim.encode_node_bytes(profile, node)
+    assert hashlib.sha256(data).hexdigest() == NODE_BYTES_SHA256[name]
+    assert sim.decode_node_bytes(data, profile) == node
 
 
 def test_detect_repair_refuses_a_singular_shifted_window(q3_msr):
