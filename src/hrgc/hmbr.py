@@ -164,8 +164,8 @@ def reconstruct_mbr_detect(batches, profile: CodeProfile) -> ReconstructReport:
 
 def reconstruct_mbr_recover(batches, profile: CodeProfile,
                             prior_flags=frozenset()) -> ReconstructReport:
-    return _reconstruct_recover(batches, profile, prior_flags, rec_m,
-                                message_from_m)
+    return _reconstruct_recover(batches, profile, prior_flags, _m_window,
+                                _m_response, rec_m, message_from_m)
 
 
 def rec_m(blocks, erased, l, profile: CodeProfile):

@@ -17,10 +17,12 @@ once per layer, and both extractors return blocks that reproduce every row of
 their window (``extract_st`` by its symmetry check, ``_extract_m`` as
 Omega T = R2 and Omega S + Delta_part T^t = R1) and are exact on consistent
 rows.  Recover treats each block as a length-(q^2-1) word under the stacked
-encoding vectors, erases previously flagged nodes, and decodes.  Corruption
-flags accumulate across the strict (layer descending, block ascending)
-recovery order within one call; keeping them across calls is the simulator's
-job.
+encoding vectors, erases previously flagged nodes, and decodes, except that
+a reconstruction keeps a block that every present row re-encodes from (the
+decoder would return it and flag no node; see ``_reconstruct_recover``).
+Corruption flags accumulate across the strict (layer descending, block
+ascending) recovery order within one call; keeping them across calls is the
+simulator's job.
 
 The plain/detect/recover repair and reconstruction loops defined here are
 shared with the MBR engine (``hmbr``), which passes its own encoding rows,
@@ -371,9 +373,14 @@ def _reconstruct(batches, profile, mode, window, response, layout):
     return ReconstructReport(mode=mode, ok=True, message=layout(m, profile))
 
 
-def _reconstruct_recover(batches, profile, prior_flags, solve, layout):
+def _reconstruct_recover(batches, profile, prior_flags, window, response,
+                         solve, layout):
     """Solve every block from the full response stack, erasing flagged and
-    missing nodes; flags raised at one block are erasures for the next."""
+    missing nodes; flags raised at one block are erasures for the next.
+    A block whose every present row re-encodes from its extraction off the
+    first k_l present ids (rebuilt only when those change) is kept as it is:
+    every column word of ``solve`` is then a codeword, so within the budget
+    ``solve`` would return the same block and flag no node."""
     q2 = profile.n_nodes
     rows_by_node = {b.helper_id: b.rows for b in batches}
     flags = set(prior_flags) | {g for g in range(q2) if g not in rows_by_node}
@@ -386,14 +393,31 @@ def _reconstruct_recover(batches, profile, prior_flags, solve, layout):
         tallies[l] = {"erasures": sigma, "errors": 0}
         # q^2 - k_l flags is the solvability frontier of both block solvers
         # (sigma + 2 tau + 1 <= q^2 - alpha_l, sigma + 2 tau <= q^2 - k_l)
-        budget = q2 - profile.k[l]
+        a, k, ids = profile.alpha[l], profile.k[l], None
+        budget = q2 - k
         if sigma > budget:
             return _failed(ReconstructReport, f"flagged count {sigma} exceeds "
                            f"layer-{l} budget {budget}", found, tallies)
-        a = profile.alpha[l]
         for t in range(profile.blocks(l)):
             blocks = [None if g in flags else rows_by_node[g][l][t * a:(t + 1) * a]
                       for g in range(q2)]
+            present = [g for g in range(q2) if blocks[g] is not None]
+            if present[:k] != ids:
+                ids = present[:k]
+                try:
+                    extract = window(profile, l, ids)
+                except (LambdaCollision, SingularSystem):
+                    extract = None
+            S = None
+            try:
+                if extract:
+                    S, T = extract([blocks[g] for g in ids])
+            except AsymmetryDetected:
+                pass
+            if S is not None and all(blocks[g] == response(profile, g, l, S, T)
+                                     for g in present):
+                m.s[l][t], m.t_[l][t] = S, T
+                continue
             try:
                 S, T, newly = solve(blocks, frozenset(flags), l, profile)
             except DecodeFailure as exc:
@@ -526,8 +550,8 @@ def reconstruct_detect(batches, profile: CodeProfile) -> ReconstructReport:
 
 def reconstruct_recover(batches, profile: CodeProfile,
                         prior_flags=frozenset()) -> ReconstructReport:
-    return _reconstruct_recover(batches, profile, prior_flags, rec_st,
-                                message_from_st)
+    return _reconstruct_recover(batches, profile, prior_flags, _st_window,
+                                _st_response, rec_st, message_from_st)
 
 
 def rec_st(blocks, erased, l, profile: CodeProfile):

@@ -15,8 +15,10 @@ from hrgc.errors import (
     AsymmetryDetected,
     DecodeFailure,
     HrgcError,
+    LambdaCollision,
     LengthMismatch,
     NotEnoughHelpers,
+    SingularSystem,
 )
 from hrgc.linalg import mat_mul, solve_square, vec_mat
 
@@ -595,3 +597,216 @@ def test_recovery_solvers_reduce_to_the_window_extractors(prof_name, request):
                 assert want is None, (l, t)
             else:
                 assert (S, T) == want and corrupt == set(), (l, t)
+
+
+# -- the certified block exit of recover reconstruction ---------------------------
+
+FIXTURES = ["q3_msr", "q4_msr", "q3_mbr", "q4_mbr"]
+
+
+def _solver_only_recover(batches, profile, prior_flags):
+    """Recover reconstruction that sends every block to the block solver
+    (the loop without the certified exit): (ok, message, corrupted,
+    tallies, failure)."""
+    msr = profile.mode == "msr"
+    solve = hmsr.rec_st if msr else hmbr.rec_m
+    q2 = profile.n_nodes
+    rows_by_node = {b.helper_id: b.rows for b in batches}
+    flags = set(prior_flags) | {g for g in range(q2) if g not in rows_by_node}
+    found, tallies = set(), {}
+    m = hmsr.MessageMatrices(s=[[] for _ in range(profile.q)],
+                             t_=[[] for _ in range(profile.q)])
+    for l in range(profile.q - 1, -1, -1):
+        sigma = len(flags)
+        tallies[l] = {"erasures": sigma, "errors": 0}
+        budget = q2 - profile.k[l]
+        if sigma > budget:
+            return (False, None, frozenset(found), tallies,
+                    f"flagged count {sigma} exceeds layer-{l} budget {budget}")
+        a = profile.alpha[l]
+        for t in range(profile.blocks(l)):
+            blocks = [None if g in flags else rows_by_node[g][l][t * a:(t + 1) * a]
+                      for g in range(q2)]
+            try:
+                S, T, newly = solve(blocks, frozenset(flags), l, profile)
+            except DecodeFailure as exc:
+                return (False, None, frozenset(found), tallies,
+                        f"layer {l} block {t}: {exc}")
+            newly -= flags
+            flags |= newly
+            found |= newly
+            tallies[l]["errors"] += len(newly)
+            m.s[l].append(S)
+            m.t_[l].append(T)
+    layout = hmsr.message_from_st if msr else hmbr.message_from_m
+    return True, layout(m, profile), frozenset(found), tallies, None
+
+
+def _recover(profile):
+    return (hmsr.reconstruct_recover if profile.mode == "msr"
+            else hmbr.reconstruct_mbr_recover)
+
+
+def _recover_outcomes(profile, batches, prior_flags):
+    """(engine outcome, solver-only outcome); an HrgcError is its type and
+    text."""
+    def run(call):
+        try:
+            out = call()
+        except HrgcError as exc:
+            return type(exc).__name__, str(exc)
+        if isinstance(out, tuple):
+            return out
+        return out.ok, out.message, out.corrupted, out.tallies, out.failure
+    return (run(lambda: _recover(profile)(batches, profile, prior_flags)),
+            run(lambda: _solver_only_recover(batches, profile, prior_flags)))
+
+
+def _lying_batches(profile, message, liars, kind, activation, rng):
+    """Recover-mode responses in which each liar, per (layer, block) with
+    probability ``activation``, sends random symbols ("random") or that
+    block's rows of one other message ("consistent": the liars agree)."""
+    nodes = encode_profile(profile, message)
+    other = encode_profile(profile, random_message(profile, rng.randrange(10**6)))
+    out = []
+    for b in recon_batches(profile, nodes, "recover"):
+        rows = {l: list(r) for l, r in b.rows.items()}
+        if b.helper_id in liars:
+            alt = hmsr.tilde_rows(profile, other[b.helper_id])
+            for l, r in rows.items():
+                a = profile.alpha[l]
+                for t in range(profile.blocks(l)):
+                    if rng.random() < activation:
+                        r[t * a:(t + 1) * a] = (
+                            alt[l][t * a:(t + 1) * a] if kind == "consistent"
+                            else [rng.randrange(profile.field.order)
+                                  for _ in range(a)])
+        out.append(hmsr.HelpSymbolBatch(b.helper_id, b.level, rows=rows))
+    return out
+
+
+@pytest.mark.parametrize("prof_name", FIXTURES)
+def test_recover_exit_matches_the_solver_only_loop(prof_name, request):
+    """Certified exit or not, recover reconstruction returns the same ok,
+    message, corrupted set, tallies and failure, for 0 to budget + 2
+    liars that lie at random or consistently, with and without prior
+    flags."""
+    profile = request.getfixturevalue(prof_name)
+    n = profile.n_nodes
+    budget = (n - profile.k[0]) // 2
+    rng = random.Random(prof_name)
+    seen = set()
+    for n_liars in range(budget + 3):
+        for kind in ("random", "consistent"):
+            message = random_message(profile, rng.randrange(10**6))
+            liars = set(rng.sample(range(n), n_liars))
+            activation = rng.choice((1.0, 0.5))
+            batches = _lying_batches(profile, message, liars, kind,
+                                     activation, rng)
+            for prior in (frozenset(), frozenset(rng.sample(range(n), 2))):
+                got, want = _recover_outcomes(profile, batches, prior)
+                assert got == want, (n_liars, kind, activation, prior)
+                seen.add((got[0], bool(got[2]) if got[0] else None))
+                if 2 * n_liars + len(prior) <= n - profile.k[0]:
+                    assert got[:2] == (True, message)
+    # honest, liars named, and explicit failures all occurred; q4_mbr's top
+    # layer (k = 3) names up to 6 liars before the wider layers, so budget + 2
+    # liars never defeat it here
+    assert {(True, False), (True, True)} <= seen
+    assert (False, None) in seen or prof_name == "q4_mbr"
+
+
+@pytest.mark.parametrize("prof_name", FIXTURES)
+@pytest.mark.parametrize("error", [SingularSystem, LambdaCollision,
+                                   AsymmetryDetected])
+def test_recover_exit_falls_through_when_the_window_fails(prof_name, error,
+                                                          request, monkeypatch):
+    """A window that cannot be built (SingularSystem, LambdaCollision) or
+    whose extraction is asymmetric sends every block to the solver, with
+    the solver-only outcome."""
+    profile = request.getfixturevalue(prof_name)
+    module, name = ((hmsr, "_st_window") if profile.mode == "msr"
+                    else (hmbr, "_m_window"))
+
+    def window(profile, l, ids):
+        if error is AsymmetryDetected:
+            def extract(R):
+                raise AsymmetryDetected("patched extraction")
+            return extract
+        raise error("patched window")
+
+    monkeypatch.setattr(module, name, window)
+    rng = random.Random(5)
+    message = random_message(profile, 6)
+    for liars in (set(), {1, profile.n_nodes - 2}):
+        batches = _lying_batches(profile, message, liars, "random", 1.0, rng)
+        got, want = _recover_outcomes(profile, batches, frozenset({3}))
+        assert got == want and got[0] is True, liars
+
+
+@pytest.mark.parametrize("prof_name", FIXTURES)
+def test_recover_exit_reach(prof_name, request, monkeypatch):
+    """An honest recover reconstruction never calls the block solver and
+    builds one extractor per layer.  One flipped symbol in one block of the
+    last node's row, outside every window, sends exactly that block to the
+    solver, which names the node; the later blocks take the exit again.  A
+    liar inside the window makes the next block rebuild its extractor."""
+    profile = request.getfixturevalue(prof_name)
+    F, n, q = profile.field, profile.n_nodes, profile.q
+    module, solver, win = ((hmsr, "rec_st", "_st_window")
+                           if profile.mode == "msr"
+                           else (hmbr, "rec_m", "_m_window"))
+    real_solve, real_window = getattr(module, solver), getattr(module, win)
+    solved, built = [], []
+
+    def counting_solve(blocks, erased, l, p):
+        solved.append((l, blocks))
+        return real_solve(blocks, erased, l, p)
+
+    def counting_window(p, l, ids):
+        built.append(l)
+        return real_window(p, l, ids)
+
+    monkeypatch.setattr(module, solver, counting_solve)
+    monkeypatch.setattr(module, win, counting_window)
+    message = random_message(profile, 91)
+    batches = recon_batches(profile, encode_profile(profile, message),
+                            "recover")
+    rep = _recover(profile)(batches, profile)
+    assert rep.ok and rep.message == message and rep.corrupted == frozenset()
+    assert solved == [] and built == list(range(q - 1, -1, -1))
+
+    l, a = 1, profile.alpha[1]
+    assert profile.blocks(l) > 1
+    for liar, rebuilt in ((n - 1, []), (0, [l])):
+        solved.clear()
+        built.clear()
+        bad = []
+        for b in batches:
+            rows = {j: list(r) for j, r in b.rows.items()}
+            if b.helper_id == liar:
+                rows[l][0] = F.add(rows[l][0], 1)
+            bad.append(hmsr.HelpSymbolBatch(b.helper_id, b.level, rows=rows))
+        rep = _recover(profile)(bad, profile)
+        assert rep.ok and rep.message == message
+        assert rep.corrupted == frozenset({liar})
+        assert [(j, blocks[liar]) for j, blocks in solved] == [
+            (l, [F.add(batches[liar].rows[l][0], 1)] + batches[liar].rows[l][1:a])]
+        assert built == sorted(list(range(q)) + rebuilt, reverse=True), liar
+
+
+@pytest.mark.parametrize("prof_name", ["q3_msr", "q3_mbr"])
+def test_recover_exit_lets_other_window_errors_through(prof_name, request,
+                                                       monkeypatch):
+    profile = request.getfixturevalue(prof_name)
+    module, name = ((hmsr, "_st_window") if profile.mode == "msr"
+                    else (hmbr, "_m_window"))
+
+    def window(profile, l, ids):
+        raise TypeError("not a window failure")
+
+    monkeypatch.setattr(module, name, window)
+    batches = recon_batches(profile, encode_profile(
+        profile, random_message(profile, 7)), "recover")
+    with pytest.raises(TypeError, match="not a window failure"):
+        _recover(profile)(batches, profile)
