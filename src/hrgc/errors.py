@@ -50,7 +50,12 @@ class LambdaCollision(HrgcError):
 
 
 class AsymmetryDetected(HrgcError):
-    """An extracted message matrix failed its symmetry check (corrupt input)."""
+    """An extracted message matrix failed its symmetry check (corrupt input);
+    ``block`` is the lowest failing block of the layer extracted."""
+
+    def __init__(self, message, block=0):
+        super().__init__(message)
+        self.block = block
 
 
 class DecodeFailure(HrgcError):

@@ -11,12 +11,13 @@ The node/report/batch types, the staged request plan, the helper responses
 and the plain/detect/recover repair and reconstruction loops are the MSR
 engine's (``hmsr``).  This module supplies what is particular to MBR: the
 message layout, the mu rows as encoding vectors, repair rows that need no
-lambda mix, the window extractor ``_extract_m``, the row re-encoder
-``_m_response`` and the full-stack block solver ``rec_m``.  Both solvers
-find T first and take S from the strip R1 - Delta_part T^t, which
-``_strip_t`` computes for both; ``rec_m`` decodes the T columns and then the
-strip's columns with one column decoder.  The S blocks use ``hmsr``'s
-symmetric block reader and writer.
+lambda mix, the window extractor ``_extract_m`` (every block of a layer at
+once), the block stacking ``_join`` whose product with mu_g is node g's
+response, and the full-stack block solver ``rec_m``.  Both solvers find T
+first and take S from the strip R1 - Delta_part T^t, which ``_strip_t``
+computes for both, for any number of blocks side by side; ``rec_m`` decodes
+the T columns and then the strip's columns with one column decoder.  The S
+blocks use ``hmsr``'s symmetric block reader and writer.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .hmsr import (  # noqa: F401 -- the shared names are re-exported
     NodeState,
     ReconstructReport,
     RepairReport,
+    _asymmetric_block,
+    _interleave,
     _layer_matrix,
     _reconstruct,
     _reconstruct_recover,
@@ -36,9 +39,8 @@ from .hmsr import (  # noqa: F401 -- the shared names are re-exported
     _symmetric_block,
     _upper_triangle,
     helper_response,
-    symmetric,
 )
-from .linalg import mat_inv, mat_mul, transpose, vec_mat
+from .linalg import mat_inv, mat_mul, vec_mat
 from .matrices import CodeProfile
 
 
@@ -65,20 +67,23 @@ def message_from_m(m: MessageMatrices, profile: CodeProfile):
 
 
 def _join(S, T):
-    """The block [[S, T], [T^t, 0]] of a k x k S and a k x (alpha - k) T."""
-    w = len(T[0])
-    return ([s + t for s, t in zip(S, T)]
-            + [[t[j] for t in T] + [0] * w for j in range(w)])
+    """The blocks [[S, T], [T^t, 0]] side by side, from the k x k blocks S
+    and the k x (alpha - k) blocks T, each side by side (one block: the
+    block itself).  Node g's response is mu_g times it."""
+    k = len(S)
+    w = len(S[0]) // k
+    e = len(T[0]) // w
+    # entry (i, c) of every block of S is S[i][c::k], and so on
+    top = [_interleave([Si[c::k] for c in range(k)] + [Ti[m::e] for m in range(e)])
+           for Si, Ti in zip(S, T)]
+    bottom = [_interleave([Ti[m::e] for Ti in T] + [[0] * w] * e)
+              for m in range(e)]
+    return top + bottom
 
 
 def m_block(m: MessageMatrices, profile: CodeProfile, l: int, t: int):
     """Assemble the alpha_l x alpha_l block [[S, T], [T^t, 0]]."""
     return _join(m.s[l][t], m.t_[l][t])
-
-
-def _m_response(profile, g, l, S, T):
-    """Node g's layer-l response slice for the block: mu_g [[S, T], [T^t, 0]]."""
-    return vec_mat(profile.field, profile.mu_row(g, l), _join(S, T))
 
 
 def encode_mbr(m: MessageMatrices, profile: CodeProfile):
@@ -87,8 +92,8 @@ def encode_mbr(m: MessageMatrices, profile: CodeProfile):
     q = profile.q
     layer_mats = []
     for l in range(q):
-        blocks = [m_block(m, profile, l, t) for t in range(profile.blocks(l))]
-        layer_mats.append(mat_mul(F, profile.phi(l), _layer_matrix(blocks)))
+        layer = _join(_layer_matrix(m.s[l]), _layer_matrix(m.t_[l]))
+        layer_mats.append(mat_mul(F, profile.phi(l), layer))
     nodes = []
     for g in range(profile.n_nodes):
         tilde = [layer_mats[l][g] for l in range(q)]
@@ -100,9 +105,9 @@ def encode_mbr(m: MessageMatrices, profile: CodeProfile):
 # -- repair -------------------------------------------------------------------
 
 
-def _solved_row(profile, z, l, x):
-    """An MBR repair solves node z's layer-l block directly."""
-    return x
+def _solved_row(profile, z, l, X):
+    """An MBR repair solves node z's layer-l rows directly."""
+    return X
 
 
 def regenerate_mbr_plain(z, batches, profile: CodeProfile) -> RepairReport:
@@ -123,25 +128,39 @@ def regenerate_mbr_recover(z, batches, profile: CodeProfile,
 
 
 def _strip_t(F, mu_rows, k, R, T):
-    """R1 - Delta_part T^t: the first k entries of each response row less
-    what its last alpha - k mu entries carry through T^t.  A None row (an
-    erased node) stays None."""
-    t_cols = transpose(T)
-    return [None if r is None else
-            vec_mat(F, [1] + [F.neg(dp) for dp in mu[k:]], [r[:k]] + t_cols)
-            for mu, r in zip(mu_rows, R)]
+    """R1 - Delta_part T^t for every block of each response row: a block's
+    first k entries less what its last alpha - k mu entries carry through
+    that block's T^t, the blocks side by side.  A None row (an erased node)
+    stays None."""
+    a = len(mu_rows[0])
+    e = a - k
+    # U[c][m]: entry (c, m) of every block of T
+    U = [[Tc[m::e] for m in range(e)] for Tc in T]
+    out = []
+    for mu, r in zip(mu_rows, R):
+        coeffs = [1] + [F.neg(dp) for dp in mu[k:]]
+        out.append(None if r is None else _interleave(
+            [vec_mat(F, coeffs, [r[c::a]] + U[c]) for c in range(k)]))
+    return out
 
 
 def _extract_m(F, mu_rows, k, R, omega_inv=None):
-    """Split W = [Omega, Delta_part]; T = Omega^-1 R2; S = Omega^-1 (R1 - Dp T^t).
+    """Split W = [Omega, Delta_part]; T = Omega^-1 R2; S = Omega^-1 (R1 - Dp T^t),
+    for every block of the rows R (the blocks side by side) at once.
 
-    ``omega_inv`` is Omega^-1 when the caller holds it (once per layer)."""
+    ``omega_inv`` is Omega^-1 when the caller holds it (once per layer).
+    Raises AsymmetryDetected naming the lowest block whose S is not
+    symmetric."""
     if omega_inv is None:
         omega_inv = mat_inv(F, [row[:k] for row in mu_rows])
-    T = mat_mul(F, omega_inv, [row[k:] for row in R])
+    a = len(mu_rows[0])
+    T = mat_mul(F, omega_inv,
+                [_interleave([r[c::a] for c in range(k, a)]) for r in R])
     S = mat_mul(F, omega_inv, _strip_t(F, mu_rows, k, R, T))
-    if not symmetric(S):
-        raise AsymmetryDetected("S block asymmetric (corrupt responses)")
+    t = _asymmetric_block(S)
+    if t is not None:
+        raise AsymmetryDetected("S block asymmetric (corrupt responses)",
+                                block=t)
     return S, T
 
 
@@ -153,19 +172,19 @@ def _m_window(profile, l, ids):
 
 
 def reconstruct_mbr_plain(batches, profile: CodeProfile) -> ReconstructReport:
-    return _reconstruct(batches, profile, "plain", _m_window, _m_response,
-                        message_from_m)
+    return _reconstruct(batches, profile, "plain", profile.mu_row, _join,
+                        _m_window, message_from_m)
 
 
 def reconstruct_mbr_detect(batches, profile: CodeProfile) -> ReconstructReport:
-    return _reconstruct(batches, profile, "detect", _m_window, _m_response,
-                        message_from_m)
+    return _reconstruct(batches, profile, "detect", profile.mu_row, _join,
+                        _m_window, message_from_m)
 
 
 def reconstruct_mbr_recover(batches, profile: CodeProfile,
                             prior_flags=frozenset()) -> ReconstructReport:
-    return _reconstruct_recover(batches, profile, prior_flags, _m_window,
-                                _m_response, rec_m, message_from_m)
+    return _reconstruct_recover(batches, profile, prior_flags, profile.mu_row,
+                                _join, _m_window, rec_m, message_from_m)
 
 
 def rec_m(blocks, erased, l, profile: CodeProfile):
@@ -198,10 +217,11 @@ def rec_m(blocks, erased, l, profile: CodeProfile):
     T = decode_columns([None if b is None else b[k:] for b in blocks],
                        profile.alpha[l] - k)
     S = decode_columns(_strip_t(F, mu, k, blocks, T), k)
-    if not symmetric(S):
+    if _asymmetric_block(S) is not None:
         raise DecodeFailure("recovered block not symmetric "
                             "(corruption beyond the budget)")
 
-    corrupt = {g for g in range(q2) if blocks[g] is not None
-               and blocks[g] != _m_response(profile, g, l, S, T)}
+    present = [g for g in range(q2) if blocks[g] is not None]
+    corrupt = {g for g, r in zip(present, mat_mul(
+        F, [mu[g] for g in present], _join(S, T))) if blocks[g] != r}
     return S, T, corrupt

@@ -9,33 +9,40 @@ Y_g = B_g * (U_g + lambda_g * E_g), so that row l of B_g^{-1} Y_g splits into
 blocks mu_{g,l} S_{l,t} + lambda_g mu_{g,l} T_{l,t} -- one inner product per
 helper is enough to repair.
 
-Hostile-mode conventions: detect solves each block once from the first
-helper window and alarms when the extra helper's row disagrees with that
-solution.  This is the alarm of solving the window shifted by one again: the
-windows share every other row, the shifted repair window is checked regular
-once per layer, and both extractors return blocks that reproduce every row of
-their window (``extract_st`` by its symmetry check, ``_extract_m`` as
-Omega T = R2 and Omega S + Delta_part T^t = R1) and are exact on consistent
-rows.  Recover treats each block as a length-(q^2-1) word under the stacked
-encoding vectors, erases previously flagged nodes, and decodes, except that
-a reconstruction keeps a block that every present row re-encodes from (the
-decoder would return it and flag no node; see ``_reconstruct_recover``).
-Corruption flags accumulate across the strict (layer descending, block
-ascending) recovery order within one call; keeping them across calls is the
-simulator's job.
+The plain and detect loops work one layer at a time.  The blocks of a layer
+share their encoding rows, so a repair solves V X = P once, the columns of P
+being the blocks' help symbols, and a reconstruction extracts every block of
+the layer from the responders' whole layer rows at once (a layer row holds
+the blocks side by side, so ``row[c::alpha_l]`` is entry c of every block).
+
+Hostile-mode conventions: detect solves each layer once from the first
+helper window and alarms at the lowest block where the extra helper's row
+disagrees with that solution.  This is the alarm of solving the window
+shifted by one again: the windows share every other row, the shifted repair
+window is checked regular once per layer, and both extractors return blocks
+that reproduce every row of their window (``extract_st`` by its symmetry
+check, ``_extract_m`` as Omega T = R2 and Omega S + Delta_part T^t = R1) and
+are exact on consistent rows.  Recover treats each block as a
+length-(q^2-1) word under the stacked encoding vectors, erases previously
+flagged nodes, and decodes, except that a reconstruction keeps the blocks
+that every present row re-encodes from (the decoder would return them and
+flag no node; see ``_reconstruct_recover``).  Corruption flags accumulate
+across the strict (layer descending, block ascending) recovery order within
+one call; keeping them across calls is the simulator's job.
 
 The plain/detect/recover repair and reconstruction loops defined here are
 shared with the MBR engine (``hmbr``), which passes its own encoding rows,
-block extractor, row re-encoder, block solver and message layout, and the
+block extractor, block stacking, block solver and message layout, and the
 request protocol: ``request_counts`` fixes every round's helpers per layer.
 
 Each step of the block algebra is written once.  ``_pairs`` solves
-R Phi^T = C + Lambda D pair by pair, for the window extractor
-``extract_st`` (alpha_l + 1 rows) and the recovery solver ``rec_st`` (all
-q^2 rows, erased ones None); C and D are symmetric, so row j of each is
-column j's word.  ``_symmetric_block`` reads a symmetric block from an
-iterator over the message and ``_upper_triangle`` writes one back; both
-codes' layouts use them.
+R Phi^T = C + Lambda D pair by pair, each entry a vector with one symbol per
+block, for the window extractor ``extract_st`` (alpha_l + 1 rows, every
+block of a layer) and the recovery solver ``rec_st`` (all q^2 rows, erased
+ones None, one block); C and D are symmetric, so row j of each is column
+j's word.  ``_symmetric_block`` reads a symmetric block from an iterator
+over the message and ``_upper_triangle`` writes one back; both codes'
+layouts use them.
 """
 
 from __future__ import annotations
@@ -51,8 +58,8 @@ from .errors import (
     NotEnoughHelpers,
     SingularSystem,
 )
-from .linalg import (det_nonzero, mat_inv, mat_mul, mat_vec, solve_square,
-                     transpose, vec_mat)
+from .linalg import (det_nonzero, mat_inv, mat_mul, solve_square, transpose,
+                     vec_mat)
 from .matrices import CodeProfile
 
 
@@ -239,26 +246,70 @@ def _contributors(batches, l):
 # between the codes, read from its own module's globals when it runs (never
 # captured at import, so rebinding a module attribute reaches every call):
 #   row(g, l)                  node g's layer-l encoding vector (nu or mu)
-#   finish(profile, z, l, x)   node z's layer-l row block from a solved block
+#   finish(profile, z, l, X)   node z's layer-l rows from the solved blocks,
+#                              X holding one block per column
 #   vandermonde                rows are powers of the node x-values
-#   window(profile, l, ids)    extractor R -> (S, T) for one responder window
-#   response(profile, g, l, S, T)  node g's layer-l response slice for (S, T)
+#   stack(S, T)                the matrix whose product with row(g, l) is
+#                              node g's response to the blocks (S, T)
+#   window(profile, l, ids)    extractor R -> (S, T) for one responder window,
+#                              raising AsymmetryDetected at the lowest
+#                              asymmetric block
 #   solve(blocks, erased, l, profile)  full-stack block solver -> (S, T, bad)
 #   layout(m, profile)         MessageMatrices -> message symbols
+#
+# Blocks side by side: a layer row, and the S and T that the extractors take
+# and return for a layer, hold the layer's blocks in order, each block's
+# columns after the previous block's.  With one block this is the block
+# itself, so the block solvers share these helpers.
 
 
-def _assemble_node(profile, z, tilde_z):
-    rows = [[s for blk in tilde_z[l] for s in blk] for l in range(profile.q)]
+def _interleave(cols):
+    """The row whose entries c, c + n, c + 2n, ... are cols[c] (n = len(cols))."""
+    n = len(cols)
+    row = [0] * (n * len(cols[0])) if cols else []
+    for c, col in enumerate(cols):
+        row[c::n] = col
+    return row
+
+
+def _split(M, w):
+    """The w blocks that the rows of M hold side by side."""
+    n = len(M[0]) // w
+    return [[r[t * n:(t + 1) * n] for r in M] for t in range(w)]
+
+
+def _first_difference(u, v):
+    """The lowest index at which u and v differ, or None."""
+    if u == v:
+        return None
+    return next(i for i, (x, y) in enumerate(zip(u, v)) if x != y)
+
+
+def _asymmetric_block(M):
+    """The lowest block of M (n x n blocks side by side, n = len(M)) that
+    is not symmetric, or None."""
+    n = len(M)
+    return min((t for i in range(n) for j in range(i)
+                if (t := _first_difference(M[i][j::n], M[j][i::n])) is not None),
+               default=None)
+
+
+def _assemble_node(profile, z, layers):
+    """Node z's stored rows from its layer-l rows ``layers[l]``, whose row c
+    holds entry c of every block."""
+    rows = [_interleave(layers[l]) for l in range(profile.q)]
     return mat_mul(profile.field, profile.points.basis(z), rows)
 
 
 def _regenerate(z, batches, profile, mode, row, finish):
-    """Plain/detect repair; each block is solved from the first d helpers,
-    and detect alarms when helper d's symbol disagrees with the solution."""
+    """Plain/detect repair, one layer at a time: P, the helpers x blocks
+    matrix of help symbols, gives V[:d] X = P[:d], one solve for every block
+    of the layer from the first d helpers; detect alarms at the lowest block
+    whose column of V[d:] X differs from helper d's symbols."""
     F = profile.field
     detect = mode == "detect"
     counts = request_counts(profile, "repair", mode, len(batches))
-    tilde = []
+    layers = []
     for l in range(profile.q):
         d, need = profile.d[l], counts[l]
         helpers = _contributors(batches, l)[:need]
@@ -270,22 +321,22 @@ def _regenerate(z, batches, profile, mode, row, finish):
         # the shifted window must be regular for the check to equal a solve
         if detect and not det_nonzero(F, V[1:]):
             raise SingularSystem(f"{d}x{d} system singular")
-        layer_rows = []
-        for t in range(profile.blocks(l)):
-            p = [b.symbols[(l, t)] for b in helpers]
-            try:
-                x = solve_square(F, V[:d], p[:d])
-            except SingularSystem:
-                if detect:
-                    raise
-                raise SingularSystem(
-                    f"repair window {ids} singular at layer {l}") from None
-            if detect and mat_vec(F, V[d:], x) != p[d:]:
+        P = [[b.symbols[(l, t)] for t in range(profile.blocks(l))]
+             for b in helpers]
+        try:
+            X = solve_square(F, V[:d], P[:d])
+        except SingularSystem:
+            if detect:
+                raise
+            raise SingularSystem(
+                f"repair window {ids} singular at layer {l}") from None
+        if detect:
+            t = _first_difference(vec_mat(F, V[d], X), P[d])
+            if t is not None:
                 return RepairReport(mode=mode, ok=False,
                                     alarm={"layer": l, "block": t})
-            layer_rows.append(finish(profile, z, l, x))
-        tilde.append(layer_rows)
-    return RepairReport(mode=mode, ok=True, y=_assemble_node(profile, z, tilde))
+        layers.append(finish(profile, z, l, X))
+    return RepairReport(mode=mode, ok=True, y=_assemble_node(profile, z, layers))
 
 
 def _failed(report_type, failure, found, tallies):
@@ -311,7 +362,7 @@ def _regenerate_recover(z, batches, profile, prior_flags, row, finish,
     found = set()
     tallies = {}
     cap = (q2 - profile.d[-1] - 1) // 2
-    tilde = [[None] * profile.blocks(l) for l in range(profile.q)]
+    layers = [None] * profile.q
     for l in range(profile.q - 1, -1, -1):
         gen = [row(g, l) for g in ids]
         sigma = sum(1 for g in ids if g in flags)
@@ -320,6 +371,7 @@ def _regenerate_recover(z, batches, profile, prior_flags, row, finish,
         if sigma > budget:
             return _failed(RepairReport, f"erasure count {sigma} exceeds "
                            f"layer-{l} budget {budget}", found, tallies)
+        decoded = []
         for t in range(profile.blocks(l)):
             word = [ERASED if g in flags else b.symbols[(l, t)]
                     for g, b in zip(ids, helpers)]
@@ -332,55 +384,87 @@ def _regenerate_recover(z, batches, profile, prior_flags, row, finish,
             flags |= newly
             found |= newly
             tallies[l]["errors"] += len(newly)
-            tilde[l][t] = finish(profile, z, l, res.message)
+            decoded.append(res.message)
+        layers[l] = finish(profile, z, l, transpose(decoded))
     return RepairReport(
-        mode="recover", ok=True, y=_assemble_node(profile, z, tilde),
+        mode="recover", ok=True, y=_assemble_node(profile, z, layers),
         corrupted=frozenset(found), tallies=tallies,
     )
 
 
-def _reconstruct(batches, profile, mode, window, response, layout):
-    """Plain/detect reconstruction; each block is extracted from responders
-    {0..k-1}, whose extractor is prepared once per layer.  Detect alarms on
-    an asymmetric block or when responder k's row differs from its
-    re-encoding under the extracted block."""
+def _certified(F, extract, window_rows, checked, enc, stack, a):
+    """The blocks that extract from ``window_rows`` (alpha_l = a wide, side
+    by side) and re-encode, under the encoding rows ``enc``, to the rows
+    ``checked``.
+
+    Returns (S, T, bad): ``bad`` is the lowest block that is asymmetric or
+    re-encodes to anything else (None when no block does), and S and T list
+    the blocks before it."""
+    w = len(window_rows[0]) // a
+    bad = None
+    try:
+        S, T = extract(window_rows)
+    except AsymmetryDetected as exc:
+        if not exc.block:
+            return [], [], 0
+        # the blocks before the asymmetric one extract on their own
+        bad = w = exc.block
+        window_rows = [r[:w * a] for r in window_rows]
+        checked = [r[:w * a] for r in checked]
+        S, T = extract(window_rows)
+    wrong = [t for r, e in zip(checked, mat_mul(F, enc, stack(S, T)))
+             if (t := _first_difference(r, e)) is not None]
+    if wrong:
+        bad = min(wrong) // a
+    n = w if bad is None else bad
+    return _split(S, w)[:n], _split(T, w)[:n], bad
+
+
+def _reconstruct(batches, profile, mode, row, stack, window, layout):
+    """Plain/detect reconstruction, one layer at a time: the extractor for
+    responders {0..k-1} takes their whole layer rows and returns every
+    block of the layer.  Detect alarms at the lowest block that is
+    asymmetric or whose re-encoding differs from responder k's row."""
+    F = profile.field
     detect = mode == "detect"
     counts = request_counts(profile, "reconstruct", mode, len(batches))
-    m = MessageMatrices(s=[[] for _ in range(profile.q)],
-                        t_=[[] for _ in range(profile.q)])
+    m = MessageMatrices(s=[], t_=[])
     for l in range(profile.q):
-        k, need = profile.k[l], counts[l]
+        k, need, w = profile.k[l], counts[l], profile.blocks(l)
         resp = _contributors(batches, l)[:need]
         if len(resp) < need:
             raise NotEnoughHelpers(
                 f"layer {l} needs {need} responders, got {len(resp)}")
-        extract = window(profile, l, [b.helper_id for b in resp[:k]])
-        a = profile.alpha[l]
-        for t in range(profile.blocks(l)):
-            R = [b.rows[l][t * a:(t + 1) * a] for b in resp]
-            try:
-                S, T = extract(R[:k])
-            except AsymmetryDetected:
-                if not detect:
-                    raise
-                S = None
-            if detect and (S is None or R[k] != response(
-                    profile, resp[k].helper_id, l, S, T)):
+        ids = [b.helper_id for b in resp]
+        extract = window(profile, l, ids[:k])
+        R = [b.rows[l] for b in resp]
+        if detect:
+            S, T, bad = _certified(F, extract, R[:k], R[k:], [row(ids[k], l)],
+                                   stack, profile.alpha[l])
+            if bad is not None:
                 return ReconstructReport(mode=mode, ok=False,
-                                         alarm={"layer": l, "block": t})
-            m.s[l].append(S)
-            m.t_[l].append(T)
+                                         alarm={"layer": l, "block": bad})
+        else:
+            S, T = (_split(M, w) for M in extract(R))
+        m.s.append(S)
+        m.t_.append(T)
     return ReconstructReport(mode=mode, ok=True, message=layout(m, profile))
 
 
-def _reconstruct_recover(batches, profile, prior_flags, window, response,
+def _reconstruct_recover(batches, profile, prior_flags, row, stack, window,
                          solve, layout):
     """Solve every block from the full response stack, erasing flagged and
     missing nodes; flags raised at one block are erasures for the next.
-    A block whose every present row re-encodes from its extraction off the
-    first k_l present ids (rebuilt only when those change) is kept as it is:
-    every column word of ``solve`` is then a codeword, so within the budget
-    ``solve`` would return the same block and flag no node."""
+
+    The blocks that re-encode, on every present row, from their extraction
+    off the first k_l present ids are kept as they are: every column word of
+    ``solve`` is then a codeword, so within the budget ``solve`` would return
+    the same block and flag no node.  One pass extracts and checks every
+    block left in the layer; the first block that fails goes to ``solve``,
+    and the next pass starts after it.  The extractor is rebuilt only when
+    the first k_l present ids change, and the present nodes' encoding rows
+    are stacked again only when a flag changes them."""
+    F = profile.field
     q2 = profile.n_nodes
     rows_by_node = {b.helper_id: b.rows for b in batches}
     flags = set(prior_flags) | {g for g in range(q2) if g not in rows_by_node}
@@ -393,31 +477,33 @@ def _reconstruct_recover(batches, profile, prior_flags, window, response,
         tallies[l] = {"erasures": sigma, "errors": 0}
         # q^2 - k_l flags is the solvability frontier of both block solvers
         # (sigma + 2 tau + 1 <= q^2 - alpha_l, sigma + 2 tau <= q^2 - k_l)
-        a, k, ids = profile.alpha[l], profile.k[l], None
+        a, k, w = profile.alpha[l], profile.k[l], profile.blocks(l)
         budget = q2 - k
         if sigma > budget:
             return _failed(ReconstructReport, f"flagged count {sigma} exceeds "
                            f"layer-{l} budget {budget}", found, tallies)
-        for t in range(profile.blocks(l)):
-            blocks = [None if g in flags else rows_by_node[g][l][t * a:(t + 1) * a]
-                      for g in range(q2)]
-            present = [g for g in range(q2) if blocks[g] is not None]
+        ids = last = None
+        t = 0
+        while t < w:
+            present = [g for g in range(q2) if g not in flags]
             if present[:k] != ids:
                 ids = present[:k]
                 try:
                     extract = window(profile, l, ids)
                 except (LambdaCollision, SingularSystem):
                     extract = None
-            S = None
-            try:
-                if extract:
-                    S, T = extract([blocks[g] for g in ids])
-            except AsymmetryDetected:
-                pass
-            if S is not None and all(blocks[g] == response(profile, g, l, S, T)
-                                     for g in present):
-                m.s[l][t], m.t_[l][t] = S, T
-                continue
+            if present != last:
+                last, enc = present, [row(g, l) for g in present]
+            if extract:
+                R = [rows_by_node[g][l][t * a:] for g in present]
+                S, T, bad = _certified(F, extract, R[:k], R, enc, stack, a)
+                m.s[l][t:t + len(S)] = S
+                m.t_[l][t:t + len(T)] = T
+                t += len(S)
+                if bad is None:
+                    break
+            blocks = [None if g in flags else rows_by_node[g][l][t * a:(t + 1) * a]
+                      for g in range(q2)]
             try:
                 S, T, newly = solve(blocks, frozenset(flags), l, profile)
             except DecodeFailure as exc:
@@ -428,6 +514,7 @@ def _reconstruct_recover(batches, profile, prior_flags, window, response,
             found |= newly
             tallies[l]["errors"] += len(newly)
             m.s[l][t], m.t_[l][t] = S, T
+            t += 1
     return ReconstructReport(
         mode="recover", ok=True, message=layout(m, profile),
         corrupted=frozenset(found), tallies=tallies,
@@ -437,16 +524,15 @@ def _reconstruct_recover(batches, profile, prior_flags, window, response,
 # -- MSR repair -------------------------------------------------------------------
 
 
-def _lambda_mix(profile, z, l, x):
-    """Node z's layer-l block from a solved [S; T] row: x_S + lam_z x_T."""
+def _lambda_mix(profile, z, l, X):
+    """Node z's layer-l rows from the solved [S; T] rows: X_S + lam_z X_T."""
     a = profile.alpha[l]
-    return vec_mat(profile.field, [1, profile.lam[z]], [x[:a], x[a:]])
+    return [profile.field.axpy(X[j], profile.lam[z], X[a + j]) for j in range(a)]
 
 
-def _st_response(profile, g, l, S, T):
-    """Node g's layer-l response slice for the block (S, T):
-    nu_g [S; T] = mu_g S + lam_g mu_g T."""
-    return vec_mat(profile.field, profile.nu_row(g, l), S + T)
+def _st_stack(S, T):
+    """[S; T]: nu_g [S; T] = mu_g S + lam_g mu_g T is node g's response."""
+    return S + T
 
 
 def regenerate_plain(z, batches, profile: CodeProfile) -> RepairReport:
@@ -467,7 +553,7 @@ def regenerate_recover(z, batches, profile: CodeProfile,
 
 
 class ExtractContext:
-    """Per-(layer, responder set) inverses reused across the block loop."""
+    """Per-(layer, responder set) inverses reused across the blocks."""
 
     def __init__(self, profile: CodeProfile, l: int, ids):
         F = profile.field
@@ -477,60 +563,67 @@ class ExtractContext:
         self.lam = [profile.lam[g] for g in ids]
         if len(set(self.lam)) != len(self.lam):
             raise LambdaCollision(f"duplicate coefficients among nodes {ids}")
-        self.phi_t = transpose(self.mu)
-        self.pi_inv = [mat_inv(F, transpose(self.mu[:i] + self.mu[i + 1:]))
-                       for i in range(a)]
+        # (Pi_i^-1)^t for Pi_i = Phi^t without column i
+        self.pi_inv_t = [mat_inv(F, self.mu[:i] + self.mu[i + 1:])
+                         for i in range(a)]
         self.omega_inv = mat_inv(F, self.mu[:a])
 
 
-def symmetric(M):
-    """True when the square matrix M equals its transpose."""
-    return all(M[i][j] == M[j][i] for i in range(len(M)) for j in range(i))
-
-
 def extract_st(R, ids, l, profile: CodeProfile, ctx: ExtractContext = None):
-    """Invert one block from alpha_l + 1 responses (symmetry-based).
+    """Invert the blocks of layer l from alpha_l + 1 responses (symmetry-based).
 
-    R: (alpha_l + 1) x alpha_l stack of response blocks, row order = ids.
-    Returns (S, T); raises AsymmetryDetected when the solution is not
-    symmetric (possible only with corrupt input).
+    R: one response row per id, in the order of ids, holding the blocks side
+    by side (one block: alpha_l symbols).  Returns (S, T), the blocks side by
+    side in the same way; raises AsymmetryDetected, naming the lowest block
+    whose S, or else T, is not symmetric (possible only with corrupt input).
     """
     if ctx is None:
         ctx = ExtractContext(profile, l, ids)
     F = profile.field
     a = profile.alpha[l]
-    C, D = _pairs(F, mat_mul(F, R, ctx.phi_t), ctx.lam)
+    # R Phi^t block by block: one product per row, over entry c of every block
+    C, D = _pairs(F, [mat_mul(F, ctx.mu, [r[c::a] for c in range(a)]) for r in R],
+                  ctx.lam)
     S = _rebuild(F, C, ctx, a)
     T = _rebuild(F, D, ctx, a)
-    for M, name in ((S, "S"), (T, "T")):
-        if not symmetric(M):
-            raise AsymmetryDetected(
-                f"{name} block asymmetric at layer {l} (corrupt responses)"
-            )
+    bad = [(t, name) for name, t in (("S", _asymmetric_block(S)),
+                                     ("T", _asymmetric_block(T))) if t is not None]
+    if bad:
+        t, name = min(bad)
+        raise AsymmetryDetected(
+            f"{name} block asymmetric at layer {l} (corrupt responses)", block=t)
     return S, T
 
 
 def _pairs(F, rhat, lam):
     """Solve C + lam_i D = rhat[i][j], C + lam_j D = rhat[j][i] for every
-    pair of rows i < j.  Returns the symmetric C and D, ERASED on the
-    diagonal and in the rows and columns of the rows that are None."""
+    pair of rows i < j, with every entry a vector (one symbol per block).
+    Returns the symmetric C and D, ERASED on the diagonal and in the rows
+    and columns of the rows that are None."""
     n = len(rhat)
     C = [[ERASED] * n for _ in range(n)]
     D = [[ERASED] * n for _ in range(n)]
     live = [i for i in range(n) if rhat[i] is not None]
+    minus_one = F.neg(1)
     for x, i in enumerate(live):
         ri, lam_i = rhat[i], lam[i]
         for j in live[x + 1:]:
-            dd = F.div(F.sub(ri[j], rhat[j][i]), F.sub(lam_i, lam[j]))
-            C[i][j] = C[j][i] = F.sub(ri[j], F.mul(lam_i, dd))
+            dd = F.scale(F.inv(F.sub(lam_i, lam[j])),
+                         F.axpy(ri[j], minus_one, rhat[j][i]))
+            C[i][j] = C[j][i] = F.axpy(ri[j], F.neg(lam_i), dd)
             D[i][j] = D[j][i] = dd
     return C, D
 
 
 def _rebuild(F, C, ctx, a):
-    """Omega^-1 times the rows row_i(C without its diagonal) Pi_i^-1."""
-    rows = [vec_mat(F, C[i][:i] + C[i][i + 1:], ctx.pi_inv[i]) for i in range(a)]
-    return mat_mul(F, ctx.omega_inv, rows)
+    """Omega^-1 times the rows row_i(C without its diagonal) Pi_i^-1, for
+    C's vectors of blocks; returns the blocks side by side."""
+    # Z[i][c]: entry c of row i, every block
+    Z = [mat_mul(F, ctx.pi_inv_t[i], C[i][:i] + C[i][i + 1:]) for i in range(a)]
+    # cols[c][r]: entry (r, c), every block
+    cols = [mat_mul(F, ctx.omega_inv, [Z[i][c] for i in range(a)])
+            for c in range(a)]
+    return [_interleave([col[r] for col in cols]) for r in range(a)]
 
 
 def _st_window(profile, l, ids):
@@ -539,19 +632,19 @@ def _st_window(profile, l, ids):
 
 
 def reconstruct_plain(batches, profile: CodeProfile) -> ReconstructReport:
-    return _reconstruct(batches, profile, "plain", _st_window, _st_response,
-                        message_from_st)
+    return _reconstruct(batches, profile, "plain", profile.nu_row, _st_stack,
+                        _st_window, message_from_st)
 
 
 def reconstruct_detect(batches, profile: CodeProfile) -> ReconstructReport:
-    return _reconstruct(batches, profile, "detect", _st_window, _st_response,
-                        message_from_st)
+    return _reconstruct(batches, profile, "detect", profile.nu_row, _st_stack,
+                        _st_window, message_from_st)
 
 
 def reconstruct_recover(batches, profile: CodeProfile,
                         prior_flags=frozenset()) -> ReconstructReport:
-    return _reconstruct_recover(batches, profile, prior_flags, _st_window,
-                                _st_response, rec_st, message_from_st)
+    return _reconstruct_recover(batches, profile, prior_flags, profile.nu_row,
+                                _st_stack, _st_window, rec_st, message_from_st)
 
 
 def rec_st(blocks, erased, l, profile: CodeProfile):
@@ -579,7 +672,9 @@ def rec_st(blocks, erased, l, profile: CodeProfile):
         if blocks[g] is None:
             raise DecodeFailure(f"node {g} missing without being flagged")
     mu_t = transpose(mu)
-    C, D = _pairs(F, [None if g in erased else vec_mat(F, blocks[g], mu_t)
+    # one block: every entry of rhat, C and D is a vector of one symbol
+    C, D = _pairs(F, [None if g in erased else
+                      [[v] for v in vec_mat(F, blocks[g], mu_t)]
                       for g in range(q2)], profile.lam)
 
     # column j's word is row j of the symmetric C (resp. D); its diagonal
@@ -589,7 +684,8 @@ def rec_st(blocks, erased, l, profile: CodeProfile):
     decoded = {}        # column j -> its C and D messages; failed columns are out
     for j in present:
         try:
-            res = [decode(F, mu, W[j], tau_max=tau_bud, points=pts) for W in (C, D)]
+            res = [decode(F, mu, [v if v is ERASED else v[0] for v in W[j]],
+                          tau_max=tau_bud, points=pts) for W in (C, D)]
         except DecodeFailure:
             continue
         decoded[j] = [r.message for r in res]
@@ -606,12 +702,12 @@ def rec_st(blocks, erased, l, profile: CodeProfile):
     S = mat_mul(F, transpose([decoded[j][0] for j in chosen]), minv)
     T = mat_mul(F, transpose([decoded[j][1] for j in chosen]), minv)
 
-    if not (symmetric(S) and symmetric(T)):
+    if _asymmetric_block(S) is not None or _asymmetric_block(T) is not None:
         raise DecodeFailure("recovered block not symmetric "
                             "(corruption beyond the budget)")
 
-    corrupt = {g for g in present
-               if blocks[g] != _st_response(profile, g, l, S, T)}
+    corrupt = {g for g, r in zip(present, mat_mul(
+        F, [profile.nu_row(g, l) for g in present], S + T)) if blocks[g] != r}
     if len(corrupt) > tau_bud:
         raise DecodeFailure(
             f"{len(corrupt)} mismatching rows exceed the budget {tau_bud}"

@@ -31,7 +31,8 @@ def vec_mat(F, v, A):
 def _eliminate(F, M, ncols=None):
     """In-place forward elimination; returns pivot columns.  M is augmented-ok.
 
-    Its rows are short, so each step is one list-kernel row operation."""
+    Each step is one list-kernel row operation on the rest of a row,
+    right-hand sides included."""
     neg, inv = F.neg, F.inv
     rows = len(M)
     cols = ncols if ncols is not None else (len(M[0]) if rows else 0)
@@ -92,13 +93,16 @@ def mat_inv(F, A):
 
 
 def solve_square(F, A, b):
-    """Solve A x = b for square regular A."""
+    """Solve A x = b for square regular A.  ``b`` is a vector of n symbols,
+    or an n x w block of right-hand sides (a list of rows), and x is the
+    same kind: one elimination of the augmented rows [A | b] solves every
+    column."""
     n = len(A)
-    M = [A[i][:] + [b[i]] for i in range(n)]
-    pivots = _eliminate(F, M, ncols=n)
-    if len(pivots) != n:
+    block = bool(b) and isinstance(b[0], list)
+    M = [A[i] + (b[i] if block else [b[i]]) for i in range(n)]
+    if len(_eliminate(F, M, ncols=n)) != n:
         raise SingularSystem(f"{n}x{n} system singular")
-    return [M[i][n] for i in range(n)]
+    return [row[n:] if block else row[n] for row in M]
 
 
 def solve_least_index(F, A, b, need):

@@ -20,7 +20,8 @@ from hrgc.errors import (
     NotEnoughHelpers,
     SingularSystem,
 )
-from hrgc.linalg import mat_mul, solve_square, vec_mat
+from hrgc.curve import encode_column
+from hrgc.linalg import det_nonzero, mat_mul, mat_vec, solve_square, vec_mat
 
 
 def test_arrange_shapes_q3(q3_msr):
@@ -810,3 +811,257 @@ def test_recover_exit_lets_other_window_errors_through(prof_name, request,
         profile, random_message(profile, 7)), "recover")
     with pytest.raises(TypeError, match="not a window failure"):
         _recover(profile)(batches, profile)
+
+
+# -- layer-wide block algebra against one block at a time -------------------------
+
+
+def _per_block_regenerate(z, batches, profile, mode, row):
+    """Plain/detect repair that solves one block at a time (the reference
+    for the layer-wide solve)."""
+    F = profile.field
+    detect = mode == "detect"
+    counts = hmsr.request_counts(profile, "repair", mode, len(batches))
+    tilde = []
+    for l in range(profile.q):
+        d, need, a = profile.d[l], counts[l], profile.alpha[l]
+        helpers = _window_order(batches, l)[:need]
+        if len(helpers) < need:
+            raise NotEnoughHelpers(f"{'detect ' if detect else ''}layer {l} "
+                                   f"needs {need} helpers, got {len(helpers)}")
+        ids = [b.helper_id for b in helpers]
+        V = [row(g, l) for g in ids]
+        if detect and not det_nonzero(F, V[1:]):
+            raise SingularSystem(f"{d}x{d} system singular")
+        layer_row = []
+        for t in range(profile.blocks(l)):
+            p = [b.symbols[(l, t)] for b in helpers]
+            try:
+                x = solve_square(F, V[:d], p[:d])
+            except SingularSystem:
+                if detect:
+                    raise
+                raise SingularSystem(
+                    f"repair window {ids} singular at layer {l}") from None
+            if detect and mat_vec(F, V[d:], x) != p[d:]:
+                return hmsr.RepairReport(mode=mode, ok=False,
+                                         alarm={"layer": l, "block": t})
+            if profile.mode == "msr":
+                x = vec_mat(F, [1, profile.lam[z]], [x[:a], x[a:]])
+            layer_row.extend(x)
+        tilde.append(layer_row)
+    return hmsr.RepairReport(mode=mode, ok=True,
+                             y=mat_mul(F, profile.points.basis(z), tilde))
+
+
+def _repair_outcomes(profile, z, batches, mode):
+    """(engine outcome, per-block outcome): the RepairReport, or an
+    HrgcError's type and text."""
+    msr = profile.mode == "msr"
+    engine = getattr(hmsr if msr else hmbr,
+                     f"regenerate_{'' if msr else 'mbr_'}{mode}")
+    row = profile.nu_row if msr else profile.mu_row
+
+    def run(call):
+        try:
+            return call()
+        except HrgcError as exc:
+            return type(exc).__name__, str(exc)
+    return (run(lambda: engine(z, batches, profile)),
+            run(lambda: _per_block_regenerate(z, batches, profile, mode, row)))
+
+
+@pytest.mark.parametrize("prof_name", FIXTURES)
+def test_layer_repair_matches_the_per_block_solve(prof_name, request):
+    """Every failed node, in plain and detect; then one perturbed help
+    symbol: the same report, and detect names its (layer, block)."""
+    profile = request.getfixturevalue(prof_name)
+    F, n = profile.field, profile.n_nodes
+    nodes = encode_profile(profile, random_message(profile, 61))
+    for mode in ("plain", "detect"):
+        for z in range(n):
+            batches = repair_batches(profile, nodes, z, mode)
+            got, want = _repair_outcomes(profile, z, batches, mode)
+            assert got == want and got.ok and got.y == nodes[z].y, (mode, z)
+
+    rng = random.Random(prof_name)
+    alarms = 0
+    for trial in range(30):
+        z = rng.randrange(n)
+        mode = ("plain", "detect")[trial % 2]
+        batches = repair_batches(profile, nodes, z, mode)
+        i = rng.randrange(len(batches))
+        l = rng.randrange(batches[i].level + 1)
+        t = rng.randrange(profile.blocks(l))
+        symbols = dict(batches[i].symbols)
+        symbols[(l, t)] = F.add(symbols[(l, t)], rng.randrange(1, F.order))
+        batches[i] = hmsr.HelpSymbolBatch(batches[i].helper_id,
+                                          batches[i].level, symbols=symbols)
+        got, want = _repair_outcomes(profile, z, batches, mode)
+        assert got == want, (trial, z, mode, l, t)
+        if mode == "detect" and not got.ok:
+            assert got.alarm == {"layer": l, "block": t}
+            alarms += 1
+    assert alarms >= 10
+
+
+@pytest.mark.parametrize("prof_name", FIXTURES)
+@pytest.mark.parametrize("shifted", [False, True])
+def test_layer_repair_singular_window_matches_the_per_block_solve(
+        prof_name, shifted, request, monkeypatch):
+    """A repeated encoding row makes a layer's window singular: the same
+    exception type and text as the per-block solve, in plain and detect.
+    ``shifted`` repeats a row of the shifted detect window only."""
+    profile = request.getfixturevalue(prof_name)
+    name = "nu_row" if profile.mode == "msr" else "mu_row"
+    real = getattr(profile, name)
+    nodes = encode_profile(profile, random_message(profile, 62))
+    z, l = 0, 1
+    d = profile.d[l]
+    # layer l's detect helpers; the plain window is the first d of them
+    ids = [b.helper_id for b in _window_order(
+        repair_batches(profile, nodes, z, "detect"), l)]
+    copy, source = (ids[d], ids[1]) if shifted else (ids[1], ids[0])
+
+    def row(g, j):
+        return real(source if (g, j) == (copy, l) else g, j)
+
+    seen = set()
+    for mode in ("plain", "detect"):
+        batches = repair_batches(profile, nodes, z, mode)
+        monkeypatch.setattr(profile, name, row)
+        got, want = _repair_outcomes(profile, z, batches, mode)
+        monkeypatch.undo()
+        assert got == want, (mode, shifted)
+        seen.add(got if isinstance(got, tuple) else "ok")
+    detect_text = ("SingularSystem", f"{d}x{d} system singular")
+    if shifted:
+        assert seen == {"ok", detect_text}
+    else:
+        assert seen == {detect_text, ("SingularSystem",
+                        f"repair window {ids[:d]} singular at layer {l}")}
+
+
+def _per_block_reconstruct(batches, profile, mode):
+    """Plain/detect reconstruction that extracts one block at a time (the
+    reference for the layer-wide extraction): the report's (ok, alarm,
+    message)."""
+    F = profile.field
+    msr = profile.mode == "msr"
+    detect = mode == "detect"
+    counts = hmsr.request_counts(profile, "reconstruct", mode, len(batches))
+    m = hmsr.MessageMatrices(s=[[] for _ in range(profile.q)],
+                             t_=[[] for _ in range(profile.q)])
+    for l in range(profile.q):
+        k, a = profile.k[l], profile.alpha[l]
+        resp = _window_order(batches, l)[:counts[l]]
+        ids = [b.helper_id for b in resp]
+        for t in range(profile.blocks(l)):
+            R = [b.rows[l][t * a:(t + 1) * a] for b in resp]
+            try:
+                if msr:
+                    S, T = hmsr.extract_st(R[:k], ids[:k], l, profile)
+                else:
+                    S, T = hmbr._extract_m(
+                        F, [profile.mu_row(g, l) for g in ids[:k]], k, R[:k])
+            except AsymmetryDetected:
+                if not detect:
+                    raise
+                return False, {"layer": l, "block": t}, None
+            if detect:
+                if msr:
+                    again = vec_mat(F, profile.nu_row(ids[k], l), S + T)
+                else:
+                    again = vec_mat(F, profile.mu_row(ids[k], l),
+                                    hmbr.m_block(hmsr.MessageMatrices(
+                                        s=[[S]], t_=[[T]]), profile, 0, 0))
+                if again != R[k]:
+                    return False, {"layer": l, "block": t}, None
+            m.s[l].append(S)
+            m.t_[l].append(T)
+    layout = hmsr.message_from_st if msr else hmbr.message_from_m
+    return True, None, layout(m, profile)
+
+
+@pytest.mark.parametrize("prof_name", FIXTURES)
+def test_layer_extraction_matches_the_per_block_extractors(prof_name, request):
+    """The window extractor on a whole layer returns, block by block, what
+    it returns on each block alone, which is the message.  One perturbed
+    symbol in block t > 0 gives the per-block outcome: plain raises the same
+    AsymmetryDetected text or returns the same message, and detect alarms
+    at (layer, t)."""
+    profile = request.getfixturevalue(prof_name)
+    F = profile.field
+    msr = profile.mode == "msr"
+    window = hmsr._st_window if msr else hmbr._m_window
+    message = random_message(profile, 63)
+    truth = (hmsr.arrange_st if msr else hmbr.arrange_m)(message, profile)
+    nodes = encode_profile(profile, message)
+    stack = [hmsr.tilde_rows(profile, s) for s in nodes]
+    for l in range(profile.q):
+        a, k = profile.alpha[l], profile.k[l]
+        ids = list(range(1, k + 1))
+        extract = window(profile, l, ids)
+        S, T = extract([stack[g][l] for g in ids])
+        for t in range(profile.blocks(l)):
+            block = extract([stack[g][l][t * a:(t + 1) * a] for g in ids])
+            assert block == (truth.s[l][t], truth.t_[l][t])
+            assert block == tuple(hmsr._split(M, profile.blocks(l))[t]
+                                  for M in (S, T))
+
+    rng = random.Random(prof_name)
+    outcomes = {"plain": set(), "detect": set()}
+    for trial in range(40):
+        mode = ("plain", "detect")[trial % 2]
+        batches = recon_batches(profile, nodes, mode)
+        l = rng.randrange(1, profile.q) if trial % 4 < 2 else 0
+        a, w = profile.alpha[l], profile.blocks(l)
+        resp = _window_order(batches, l)
+        i = batches.index(resp[rng.randrange(len(resp))])
+        t = rng.randrange(1, w)
+        rows = {j: list(r) for j, r in batches[i].rows.items()}
+        c = t * a + rng.randrange(a)
+        rows[l][c] = F.add(rows[l][c], rng.randrange(1, F.order))
+        batches[i] = hmsr.HelpSymbolBatch(batches[i].helper_id,
+                                          batches[i].level, rows=rows)
+        engine = getattr(hmsr if msr else hmbr,
+                         f"reconstruct_{'' if msr else 'mbr_'}{mode}")
+        got = _outcome(lambda: engine(batches, profile))
+        want = _outcome(lambda: _per_block_reconstruct(batches, profile, mode))
+        assert got == want, (trial, mode, l, t)
+        outcomes[mode].add(got[0])
+        if mode == "detect":
+            assert got[:2] == (False, {"layer": l, "block": t}), (trial, l, t)
+    # plain never notices; MBR windows carry redundancy, so it can raise
+    assert outcomes["plain"] <= {True, "AsymmetryDetected"}
+    assert outcomes["detect"] == {False}
+
+
+@pytest.mark.parametrize("prof_name", FIXTURES)
+def test_node_data_is_the_hermitian_curve_code(prof_name, request):
+    """Column c of every node holds the layered curve codeword of column c
+    of the message layers: for MBR the codeword of the blocks M, for MSR
+    U + lambda_g E with U and E the codewords of S and T."""
+    profile = request.getfixturevalue(prof_name)
+    F, q = profile.field, profile.q
+    msr = profile.mode == "msr"
+    message = random_message(profile, 64)
+    nodes = encode_profile(profile, message)
+    if msr:
+        st = hmsr.arrange_st(message, profile)
+        layers = [[hmsr._layer_matrix(st.s[l]) for l in range(q)],
+                  [hmsr._layer_matrix(st.t_[l]) for l in range(q)]]
+    else:
+        m = hmbr.arrange_m(message, profile)
+        layers = [[hmsr._layer_matrix([hmbr.m_block(m, profile, l, t)
+                                       for t in range(profile.blocks(l))])
+                   for l in range(q)]]
+    for col in range(profile.A):
+        U, *E = [encode_column([[r[col] for r in M] for M in stack],
+                               profile.points) for stack in layers]
+        for g in range(profile.n_nodes):
+            for slot in range(q):
+                want = U[g * q + slot]
+                if msr:
+                    want = F.add(want, F.mul(profile.lam[g], E[0][g * q + slot]))
+                assert nodes[g].y[slot][col] == want, (g, slot, col)

@@ -137,6 +137,29 @@ def test_solvers_match_scalar_loops(q):
                 solve_square(F, S, b)
 
 
+@pytest.mark.parametrize("q", [q for q in SUPPORTED_Q if q <= 5 or q == 8])
+def test_solve_square_with_a_block_of_right_hand_sides(q):
+    """An n x w block of right-hand sides solves to the n x w block whose
+    column j is the vector solve of column j; a singular A raises the
+    vector solve's text."""
+    F = Field(q)
+    rng = random.Random(f"solve-block/{q}")
+    for n, w in ((1, 1), (2, 3), (5, 1), (6, 20), (12, 10), (14, 60)):
+        A = rand_matrix(F, rng, n, n)
+        while scalar_rank(F, A) < n:
+            A = rand_matrix(F, rng, n, n)
+        B = rand_matrix(F, rng, n, w)
+        X = solve_square(F, A, B)
+        columns = [solve_square(F, A, [row[j] for row in B]) for j in range(w)]
+        assert X == [[x[i] for x in columns] for i in range(n)]
+        assert scalar_mat_mul(F, A, X, w) == B
+        if n == 1:
+            continue
+        S = A[:-1] + [A[0]]
+        with pytest.raises(SingularSystem, match=rf"^{n}x{n} system singular$"):
+            solve_square(F, S, B)
+
+
 @pytest.mark.parametrize("q", SUPPORTED_Q)
 def test_solve_least_index_takes_the_rank_raising_rows(q):
     """Against the greedy reference: row i is used when it raises the rank
