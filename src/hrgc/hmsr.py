@@ -20,15 +20,18 @@ helper window and alarms at the lowest block where the extra helper's row
 disagrees with that solution.  This is the alarm of solving the window
 shifted by one again: the windows share every other row, the shifted repair
 window is checked regular once per layer, and both extractors return blocks
-that reproduce every row of their window (``extract_st`` by its symmetry
-check, ``_extract_m`` as Omega T = R2 and Omega S + Delta_part T^t = R1) and
-are exact on consistent rows.  Recover treats each block as a
-length-(q^2-1) word under the stacked encoding vectors, erases previously
-flagged nodes, and decodes, except that a reconstruction keeps the blocks
-that every present row re-encodes from (the decoder would return them and
-flag no node; see ``_reconstruct_recover``).  Corruption flags accumulate
-across the strict (layer descending, block ascending) recovery order within
-one call; keeping them across calls is the simulator's job.
+that reproduce every row of their window (``extract_st`` because a regular
+window maps symmetric (S, T) pairs one to one onto its symbols,
+``_extract_m`` as Omega T = R2 and Omega S + Delta_part T^t = R1, or it
+raises AsymmetryDetected) and are exact on consistent rows.  Recover, one
+loop for both operations, treats each block as a word over the helpers or
+all q^2 nodes, erases previously flagged nodes, keeps the blocks that every
+present row re-encodes from a window solution (the block solver would
+return them and flag no node) and sends the others to the solver:
+``decode`` for a repair, ``rec_st``/``rec_m`` for a reconstruction.
+Corruption flags accumulate across the strict (layer descending, block
+ascending) recovery order within one call; keeping them across calls is the
+simulator's job.
 
 The plain/detect/recover repair and reconstruction loops defined here are
 shared with the MBR engine (``hmbr``), which passes its own encoding rows,
@@ -242,7 +245,7 @@ def _contributors(batches, l):
 
 # -- shared repair/reconstruct loops ---------------------------------------------
 #
-# Both engines run these four loops.  Each entry point passes what differs
+# Both engines run these three loops.  Each entry point passes what differs
 # between the codes, read from its own module's globals when it runs (never
 # captured at import, so rebinding a module attribute reaches every call):
 #   row(g, l)                  node g's layer-l encoding vector (nu or mu)
@@ -251,8 +254,8 @@ def _contributors(batches, l):
 #   vandermonde                rows are powers of the node x-values
 #   stack(S, T)                the matrix whose product with row(g, l) is
 #                              node g's response to the blocks (S, T)
-#   window(profile, l, ids)    extractor R -> (S, T) for one responder window,
-#                              raising AsymmetryDetected at the lowest
+#   window(profile, l, ids)    extractor R -> (S, T) for one responder window;
+#                              MBR's raises AsymmetryDetected at the lowest
 #                              asymmetric block
 #   solve(blocks, erased, l, profile)  full-stack block solver -> (S, T, bad)
 #   layout(m, profile)         MessageMatrices -> message symbols
@@ -274,7 +277,7 @@ def _interleave(cols):
 
 def _split(M, w):
     """The w blocks that the rows of M hold side by side."""
-    n = len(M[0]) // w
+    n = len(M[0]) // w if M else 0
     return [[r[t * n:(t + 1) * n] for r in M] for t in range(w)]
 
 
@@ -339,59 +342,6 @@ def _regenerate(z, batches, profile, mode, row, finish):
     return RepairReport(mode=mode, ok=True, y=_assemble_node(profile, z, layers))
 
 
-def _failed(report_type, failure, found, tallies):
-    return report_type(mode="recover", ok=False, failure=failure,
-                       corrupted=frozenset(found), tallies=tallies)
-
-
-def _regenerate_recover(z, batches, profile, prior_flags, row, finish,
-                        vandermonde):
-    """Full-strength repair: decode every block against all other nodes.
-
-    ``vandermonde``: the rows are powers of the node x-values, so the
-    decoder may interpolate (Welch-Berlekamp) instead of searching supports.
-    """
-    F = profile.field
-    q2 = profile.n_nodes
-    helpers = sorted(batches, key=lambda b: b.helper_id)
-    if len(helpers) != q2 - 1:
-        raise NotEnoughHelpers(f"recovery needs {q2 - 1} batches, got {len(helpers)}")
-    ids = [b.helper_id for b in helpers]
-    points = [profile.x_value(g) for g in ids] if vandermonde else None
-    flags = set(prior_flags)
-    found = set()
-    tallies = {}
-    cap = (q2 - profile.d[-1] - 1) // 2
-    layers = [None] * profile.q
-    for l in range(profile.q - 1, -1, -1):
-        gen = [row(g, l) for g in ids]
-        sigma = sum(1 for g in ids if g in flags)
-        tallies[l] = {"erasures": sigma, "errors": 0}
-        budget = min(q2 - profile.d[l] - 1, cap)
-        if sigma > budget:
-            return _failed(RepairReport, f"erasure count {sigma} exceeds "
-                           f"layer-{l} budget {budget}", found, tallies)
-        decoded = []
-        for t in range(profile.blocks(l)):
-            word = [ERASED if g in flags else b.symbols[(l, t)]
-                    for g, b in zip(ids, helpers)]
-            try:
-                res = decode(F, gen, word, points=points)
-            except DecodeFailure as exc:
-                return _failed(RepairReport, f"layer {l} block {t}: {exc}",
-                               found, tallies)
-            newly = {ids[i] for i in res.error_positions}
-            flags |= newly
-            found |= newly
-            tallies[l]["errors"] += len(newly)
-            decoded.append(res.message)
-        layers[l] = finish(profile, z, l, transpose(decoded))
-    return RepairReport(
-        mode="recover", ok=True, y=_assemble_node(profile, z, layers),
-        corrupted=frozenset(found), tallies=tallies,
-    )
-
-
 def _certified(F, extract, window_rows, checked, enc, stack, a):
     """The blocks that extract from ``window_rows`` (alpha_l = a wide, side
     by side) and re-encode, under the encoding rows ``enc``, to the rows
@@ -451,41 +401,97 @@ def _reconstruct(batches, profile, mode, row, stack, window, layout):
     return ReconstructReport(mode=mode, ok=True, message=layout(m, profile))
 
 
+def _regenerate_recover(z, batches, profile, prior_flags, row, finish,
+                        vandermonde):
+    """Full-strength repair: ``_recover`` over the sorted helpers, whose
+    layer-l help symbols form a row of one-symbol blocks.  The window solves
+    a block from the first d_l present helpers as ``decode``'s codeword exit
+    does, so a block that every helper agrees with is what ``decode``
+    returns, flagging no node; other blocks are decoded against every helper.
+
+    ``vandermonde``: the rows are powers of the node x-values, so the
+    decoder may interpolate (Welch-Berlekamp) instead of searching supports.
+    """
+    F = profile.field
+    q2 = profile.n_nodes
+    helpers = sorted(batches, key=lambda b: b.helper_id)
+    if len(helpers) != q2 - 1:
+        raise NotEnoughHelpers(f"recovery needs {q2 - 1} batches, got {len(helpers)}")
+    ids = [b.helper_id for b in helpers]
+    symbols = {b.helper_id: b.symbols for b in helpers}
+    points = [profile.x_value(g) for g in ids] if vandermonde else None
+    cap = (q2 - profile.d[-1] - 1) // 2
+
+    def window(profile, l, present):
+        inv = mat_inv(F, [row(g, l) for g in present])
+        return lambda R: (mat_mul(F, inv, R), [])
+
+    def solve(blocks, erased, l, profile):
+        res = decode(F, [row(g, l) for g in ids],
+                     [ERASED if b is None else b[0] for b in blocks], points=points)
+        return ([[x] for x in res.message], [],
+                {ids[i] for i in res.error_positions})
+
+    def output(m):
+        return {"y": _assemble_node(profile, z, [
+            finish(profile, z, l, _layer_matrix(m.s[l])) for l in range(profile.q)])}
+
+    return _recover(
+        ids, lambda g, l: [symbols[g][(l, t)] for t in range(profile.blocks(l))],
+        prior_flags, profile, profile.d, [1] * profile.q,
+        [min(q2 - d - 1, cap) for d in profile.d], "erasure",
+        row, _st_stack, window, solve, RepairReport, output)
+
+
 def _reconstruct_recover(batches, profile, prior_flags, row, stack, window,
                          solve, layout):
-    """Solve every block from the full response stack, erasing flagged and
-    missing nodes; flags raised at one block are erasures for the next.
-
-    The blocks that re-encode, on every present row, from their extraction
-    off the first k_l present ids are kept as they are: every column word of
-    ``solve`` is then a codeword, so within the budget ``solve`` would return
-    the same block and flag no node.  One pass extracts and checks every
-    block left in the layer; the first block that fails goes to ``solve``,
-    and the next pass starts after it.  The extractor is rebuilt only when
-    the first k_l present ids change, and the present nodes' encoding rows
-    are stacked again only when a flag changes them."""
-    F = profile.field
+    """Full-strength reconstruction: ``_recover`` over every node's layer
+    rows, missing nodes flagged from the start; a block that fails the
+    layer pass goes to the full-stack block solver ``solve``."""
     q2 = profile.n_nodes
     rows_by_node = {b.helper_id: b.rows for b in batches}
     flags = set(prior_flags) | {g for g in range(q2) if g not in rows_by_node}
+    # q^2 - k_l flags is the solvability frontier of both block solvers
+    # (sigma + 2 tau + 1 <= q^2 - alpha_l, sigma + 2 tau <= q^2 - k_l)
+    return _recover(
+        range(q2), lambda g, l: rows_by_node[g][l], flags, profile, profile.k,
+        profile.alpha, [q2 - k for k in profile.k], "flagged",
+        row, stack, window, solve, ReconstructReport,
+        lambda m: {"message": layout(m, profile)})
+
+
+def _recover(nodes, rows, flags, profile, sizes, widths, budgets, noun, row,
+             stack, window, solve, report, output):
+    """The recover loop of both operations, layers descending.  Node g's
+    layer-l row ``rows(g, l)`` holds the blocks side by side, ``widths[l]``
+    symbols each; flagged ``nodes`` are erased, flags raised at one block
+    are erasures for the next, and a layer with more than ``budgets[l]``
+    flagged nodes fails.  One pass extracts every block left in the layer
+    from the first ``sizes[l]`` present nodes and keeps the blocks before
+    the first one that some present row does not re-encode from (every word
+    of ``solve`` is then a codeword, so within the budget ``solve`` would
+    return the same block and flag no node); that block goes to ``solve``,
+    and the next pass starts after it.  Returns ``report`` with the fields
+    that ``output`` makes of the blocks."""
+    F = profile.field
+    flags = set(flags)
     found = set()
     tallies = {}
     m = MessageMatrices(s=[[None] * profile.blocks(l) for l in range(profile.q)],
                         t_=[[None] * profile.blocks(l) for l in range(profile.q)])
     for l in range(profile.q - 1, -1, -1):
-        sigma = len(flags)
+        sigma = sum(1 for g in nodes if g in flags)
         tallies[l] = {"erasures": sigma, "errors": 0}
-        # q^2 - k_l flags is the solvability frontier of both block solvers
-        # (sigma + 2 tau + 1 <= q^2 - alpha_l, sigma + 2 tau <= q^2 - k_l)
-        a, k, w = profile.alpha[l], profile.k[l], profile.blocks(l)
-        budget = q2 - k
-        if sigma > budget:
-            return _failed(ReconstructReport, f"flagged count {sigma} exceeds "
-                           f"layer-{l} budget {budget}", found, tallies)
+        if sigma > budgets[l]:
+            return report(mode="recover", ok=False, failure=f"{noun} count "
+                          f"{sigma} exceeds layer-{l} budget {budgets[l]}",
+                          corrupted=frozenset(found), tallies=tallies)
+        a, k, w = widths[l], sizes[l], profile.blocks(l)
+        layer = {g: rows(g, l) for g in nodes if g not in flags}
         ids = last = None
         t = 0
         while t < w:
-            present = [g for g in range(q2) if g not in flags]
+            present = [g for g in nodes if g not in flags]
             if present[:k] != ids:
                 ids = present[:k]
                 try:
@@ -495,30 +501,29 @@ def _reconstruct_recover(batches, profile, prior_flags, row, stack, window,
             if present != last:
                 last, enc = present, [row(g, l) for g in present]
             if extract:
-                R = [rows_by_node[g][l][t * a:] for g in present]
+                R = [layer[g][t * a:] for g in present]
                 S, T, bad = _certified(F, extract, R[:k], R, enc, stack, a)
                 m.s[l][t:t + len(S)] = S
                 m.t_[l][t:t + len(T)] = T
                 t += len(S)
                 if bad is None:
                     break
-            blocks = [None if g in flags else rows_by_node[g][l][t * a:(t + 1) * a]
-                      for g in range(q2)]
+            blocks = [None if g in flags else layer[g][t * a:(t + 1) * a]
+                      for g in nodes]
             try:
                 S, T, newly = solve(blocks, frozenset(flags), l, profile)
             except DecodeFailure as exc:
-                return _failed(ReconstructReport, f"layer {l} block {t}: {exc}",
-                               found, tallies)
+                return report(mode="recover", ok=False,
+                              failure=f"layer {l} block {t}: {exc}",
+                              corrupted=frozenset(found), tallies=tallies)
             newly -= flags
             flags |= newly
             found |= newly
             tallies[l]["errors"] += len(newly)
             m.s[l][t], m.t_[l][t] = S, T
             t += 1
-    return ReconstructReport(
-        mode="recover", ok=True, message=layout(m, profile),
-        corrupted=frozenset(found), tallies=tallies,
-    )
+    return report(mode="recover", ok=True, corrupted=frozenset(found),
+                  tallies=tallies, **output(m))
 
 
 # -- MSR repair -------------------------------------------------------------------
@@ -574,8 +579,9 @@ def extract_st(R, ids, l, profile: CodeProfile, ctx: ExtractContext = None):
 
     R: one response row per id, in the order of ids, holding the blocks side
     by side (one block: alpha_l symbols).  Returns (S, T), the blocks side by
-    side in the same way; raises AsymmetryDetected, naming the lowest block
-    whose S, or else T, is not symmetric (possible only with corrupt input).
+    side in the same way.  The window maps symmetric (S, T) pairs one to one
+    onto its alpha_l (alpha_l + 1) response symbols, so the blocks are
+    symmetric and reproduce R, whatever R holds.
     """
     if ctx is None:
         ctx = ExtractContext(profile, l, ids)
@@ -584,15 +590,7 @@ def extract_st(R, ids, l, profile: CodeProfile, ctx: ExtractContext = None):
     # R Phi^t block by block: one product per row, over entry c of every block
     C, D = _pairs(F, [mat_mul(F, ctx.mu, [r[c::a] for c in range(a)]) for r in R],
                   ctx.lam)
-    S = _rebuild(F, C, ctx, a)
-    T = _rebuild(F, D, ctx, a)
-    bad = [(t, name) for name, t in (("S", _asymmetric_block(S)),
-                                     ("T", _asymmetric_block(T))) if t is not None]
-    if bad:
-        t, name = min(bad)
-        raise AsymmetryDetected(
-            f"{name} block asymmetric at layer {l} (corrupt responses)", block=t)
-    return S, T
+    return _rebuild(F, C, ctx, a), _rebuild(F, D, ctx, a)
 
 
 def _pairs(F, rhat, lam):

@@ -21,7 +21,9 @@ from hrgc.errors import (
     SingularSystem,
 )
 from hrgc.curve import encode_column
+from hrgc.decoder import ERASED, decode
 from hrgc.linalg import det_nonzero, mat_mul, mat_vec, solve_square, vec_mat
+from hrgc.matrices import profile_new
 
 
 def test_arrange_shapes_q3(q3_msr):
@@ -347,6 +349,32 @@ def test_extract_st_corruption_never_returns_truth(q3_msr):
             except AsymmetryDetected:
                 continue
             assert (S2, T2) != (st.s[0][0], st.t_[0][0])
+
+
+def test_extract_st_random_rows_extract_symmetric_blocks(q3_msr, q4_msr):
+    """A regular alpha_l + 1 window maps symmetric (S, T) pairs one to one
+    onto its alpha_l (alpha_l + 1) response symbols, so rows of random
+    symbols extract symmetric blocks that reproduce the rows."""
+    q5_msr = profile_new("msr", 5, 34, (7, 6, 5, 4, 3), seed=1)
+    rng = random.Random(23)
+    for p in (q3_msr, q4_msr, q5_msr):
+        F, n = p.field, p.n_nodes
+        regular = 0
+        for l in range(p.q):
+            a = p.alpha[l]
+            for _ in range(12):
+                ids = sorted(rng.sample(range(n), a + 1))
+                try:
+                    ctx = hmsr.ExtractContext(p, l, ids)
+                except (LambdaCollision, SingularSystem):
+                    continue
+                regular += 1
+                R = [[rng.randrange(F.order) for _ in range(3 * a)] for _ in ids]
+                S, T = hmsr.extract_st(R, ids, l, p, ctx)
+                assert hmsr._asymmetric_block(S) is None, (p.q, l, ids)
+                assert hmsr._asymmetric_block(T) is None, (p.q, l, ids)
+                assert mat_mul(F, [p.nu_row(g, l) for g in ids], S + T) == R
+        assert regular >= 3 * p.q
 
 
 def test_detect_mode_catches_what_extraction_absorbs(q3_msr):
@@ -811,6 +839,191 @@ def test_recover_exit_lets_other_window_errors_through(prof_name, request,
         profile, random_message(profile, 7)), "recover")
     with pytest.raises(TypeError, match="not a window failure"):
         _recover(profile)(batches, profile)
+
+
+# -- recover repair through the shared recover loop ------------------------------
+
+
+def _per_block_regenerate_recover(z, batches, profile, prior_flags):
+    """Recover repair that decodes every block against all other nodes (the
+    reference for the shared loop): (ok, y, corrupted, tallies, failure)."""
+    F = profile.field
+    msr = profile.mode == "msr"
+    row = profile.nu_row if msr else profile.mu_row
+    q2 = profile.n_nodes
+    helpers = sorted(batches, key=lambda b: b.helper_id)
+    if len(helpers) != q2 - 1:
+        raise NotEnoughHelpers(f"recovery needs {q2 - 1} batches, got {len(helpers)}")
+    ids = [b.helper_id for b in helpers]
+    points = None if msr else [profile.x_value(g) for g in ids]
+    flags, found, tallies = set(prior_flags), set(), {}
+    cap = (q2 - profile.d[-1] - 1) // 2
+    tilde = [None] * profile.q
+    for l in range(profile.q - 1, -1, -1):
+        gen = [row(g, l) for g in ids]
+        sigma = sum(1 for g in ids if g in flags)
+        tallies[l] = {"erasures": sigma, "errors": 0}
+        budget = min(q2 - profile.d[l] - 1, cap)
+        if sigma > budget:
+            return (False, None, frozenset(found), tallies,
+                    f"erasure count {sigma} exceeds layer-{l} budget {budget}")
+        a = profile.alpha[l]
+        layer_row = []
+        for t in range(profile.blocks(l)):
+            word = [ERASED if g in flags else b.symbols[(l, t)]
+                    for g, b in zip(ids, helpers)]
+            try:
+                res = decode(F, gen, word, points=points)
+            except DecodeFailure as exc:
+                return (False, None, frozenset(found), tallies,
+                        f"layer {l} block {t}: {exc}")
+            newly = {ids[i] for i in res.error_positions}
+            flags |= newly
+            found |= newly
+            tallies[l]["errors"] += len(newly)
+            x = res.message
+            if msr:
+                x = vec_mat(F, [1, profile.lam[z]], [x[:a], x[a:]])
+            layer_row.extend(x)
+        tilde[l] = layer_row
+    return (True, mat_mul(F, profile.points.basis(z), tilde), frozenset(found),
+            tallies, None)
+
+
+def _recover_repair(profile):
+    return (hmsr.regenerate_recover if profile.mode == "msr"
+            else hmbr.regenerate_mbr_recover)
+
+
+def _recover_repair_outcomes(profile, z, batches, prior_flags):
+    """(engine outcome, per-block outcome); an HrgcError is its type and
+    text."""
+    def run(call):
+        try:
+            out = call()
+        except HrgcError as exc:
+            return type(exc).__name__, str(exc)
+        if isinstance(out, tuple):
+            return out
+        return out.ok, out.y, out.corrupted, out.tallies, out.failure
+    return (run(lambda: _recover_repair(profile)(z, batches, profile, prior_flags)),
+            run(lambda: _per_block_regenerate_recover(z, batches, profile,
+                                                      prior_flags)))
+
+
+def _lying_repair_batches(profile, message, z, liars, kind, activation, rng):
+    """Recover-mode help symbols for node z in which each liar, per (layer,
+    block) with probability ``activation``, sends a random symbol ("random")
+    or its symbol for one other message ("consistent": the liars agree)."""
+    nodes = encode_profile(profile, message)
+    other = encode_profile(profile, random_message(profile, rng.randrange(10**6)))
+    out = []
+    for b in repair_batches(profile, nodes, z, "recover"):
+        symbols = dict(b.symbols)
+        if b.helper_id in liars:
+            alt = hmsr.helper_response(other[b.helper_id], profile, b.level,
+                                       z).symbols
+            for key in sorted(symbols):
+                if rng.random() < activation:
+                    symbols[key] = (alt[key] if kind == "consistent"
+                                    else rng.randrange(profile.field.order))
+        out.append(hmsr.HelpSymbolBatch(b.helper_id, b.level, symbols=symbols))
+    return out
+
+
+@pytest.mark.parametrize("prof_name", FIXTURES)
+def test_recover_repair_matches_the_per_block_decode(prof_name, request):
+    """The shared recover loop repairs with the same ok, node, corrupted
+    set, tallies and failure as decoding every block, for 0 to budget + 2
+    liars that lie at random or consistently, in every block or in half of
+    them, with no prior flags, two flagged helpers, or the failed node and
+    one helper flagged (only helpers count as erasures)."""
+    profile = request.getfixturevalue(prof_name)
+    n = profile.n_nodes
+    budget = min(n - profile.d[0] - 1, (n - profile.d[-1] - 1) // 2)
+    rng = random.Random(prof_name)
+    seen = set()
+    for n_liars in range(budget + 3):
+        for kind in ("random", "consistent"):
+            for activation in (1.0, 0.5):
+                z = rng.randrange(n)
+                helpers = [g for g in range(n) if g != z]
+                message = random_message(profile, rng.randrange(10**6))
+                liars = set(rng.sample(helpers, n_liars))
+                batches = _lying_repair_batches(profile, message, z, liars, kind,
+                                                activation, rng)
+                for prior in (frozenset(), frozenset(rng.sample(helpers, 2)),
+                              frozenset({z, rng.choice(helpers)})):
+                    got, want = _recover_repair_outcomes(profile, z, batches,
+                                                         prior)
+                    assert got == want, (n_liars, kind, activation, z, prior)
+                    seen.add((got[0], bool(got[2]) if got[0] else None))
+                    if not liars and got[0]:
+                        assert got[1] == encode_profile(profile, message)[z].y
+    # honest, liars named, and explicit failures all occurred
+    assert {(True, False), (True, True), (False, None)} <= seen
+
+
+@pytest.mark.parametrize("prof_name", FIXTURES)
+def test_recover_repair_reach(prof_name, request, monkeypatch):
+    """An honest recover repair makes no decode call.  One perturbed help
+    symbol of the highest-id helper, at layer 1 block 0 and outside every
+    window, makes exactly one decode call, whose word carries that symbol,
+    and the repair names that helper."""
+    profile = request.getfixturevalue(prof_name)
+    F, n = profile.field, profile.n_nodes
+    words = []
+
+    def counting_decode(F, generator, values, **kw):
+        words.append(values)
+        return decode(F, generator, values, **kw)
+
+    monkeypatch.setattr(hmsr, "decode", counting_decode)
+    nodes = encode_profile(profile, random_message(profile, 92))
+    z, liar = 0, n - 1
+    batches = repair_batches(profile, nodes, z, "recover")
+    rep = _recover_repair(profile)(z, batches, profile)
+    assert rep.ok and rep.y == nodes[z].y and rep.corrupted == frozenset()
+    assert words == []
+
+    assert profile.blocks(1) > 1
+    bad = []
+    for b in batches:
+        symbols = dict(b.symbols)
+        if b.helper_id == liar:
+            symbols[(1, 0)] = F.add(symbols[(1, 0)], 1)
+            lie = symbols[(1, 0)]
+        bad.append(hmsr.HelpSymbolBatch(b.helper_id, b.level, symbols=symbols))
+    rep = _recover_repair(profile)(z, bad, profile)
+    assert rep.ok and rep.y == nodes[z].y and rep.corrupted == frozenset({liar})
+    assert len(words) == 1 and words[0][-1] == lie
+
+
+@pytest.mark.parametrize("prof_name", FIXTURES)
+def test_recover_repair_singular_window_matches_the_per_block_decode(
+        prof_name, request, monkeypatch):
+    """A repeated encoding row makes layer 1's repair window singular: its
+    blocks go to the decoder, with the per-block outcome."""
+    profile = request.getfixturevalue(prof_name)
+    name = "nu_row" if profile.mode == "msr" else "mu_row"
+    real = getattr(profile, name)
+    nodes = encode_profile(profile, random_message(profile, 93))
+    z, l = 0, 1
+    batches = repair_batches(profile, nodes, z, "recover")
+    layers = []
+
+    def counting_decode(F, generator, values, **kw):
+        layers.append(len(generator[0]))
+        return decode(F, generator, values, **kw)
+
+    def row(g, j):
+        return real(1 if (g, j) == (2, l) else g, j)
+
+    monkeypatch.setattr(hmsr, "decode", counting_decode)
+    monkeypatch.setattr(profile, name, row)
+    got, want = _recover_repair_outcomes(profile, z, batches, frozenset())
+    assert got == want
+    assert layers and set(layers) == {profile.d[l]}
 
 
 # -- layer-wide block algebra against one block at a time -------------------------
