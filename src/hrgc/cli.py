@@ -16,7 +16,9 @@ the corruption is beyond their budget (``error``).
 Byte packing: GF(16) stores two symbols per byte (high nibble first); every
 other q stores one symbol per byte, which requires input bytes < q^2.  The
 payload is prefixed with its 8-byte little-endian length, then zero-padded to
-a whole number of B-symbol chunks, each encoded independently.
+a whole number of B-symbol chunks.  A cluster holds one chunk, so ``encode``
+refuses (exit 4) any input that needs more: at q=4 MSR, B = 1320 symbols at
+two symbols per byte less the 8-byte prefix allows 652 bytes.
 """
 
 from __future__ import annotations

@@ -7,17 +7,18 @@ helper per block and equals the per-node storage (the bandwidth-optimal
 point).  All decoding here runs against plain Vandermonde matrices, so the
 recovery budgets are exact; k_l = alpha_l (empty T) is a first-class case.
 
-The node/report/batch types, the staged request plan, the helper responses
-and the plain/detect/recover repair and reconstruction loops are the MSR
-engine's (``hmsr``).  This module supplies what is particular to MBR: the
-message layout, the mu rows as encoding vectors, repair rows that need no
-lambda mix, the window extractor ``_extract_m`` (every block of a layer at
-once), the block stacking ``_join`` whose product with mu_g is node g's
-response, and the full-stack block solver ``rec_m``.  Both solvers find T
-first and take S from the strip R1 - Delta_part T^t, which ``_strip_t``
-computes for both, for any number of blocks side by side; ``rec_m`` decodes
-the T columns and then the strip's columns with one column decoder.  The S
-blocks use ``hmsr``'s symmetric block reader and writer.
+The node/report/batch types, the staged request plan, the helper responses,
+the encoder and the repair and reconstruction loops with their adapters are
+the MSR engine's (``hmsr``).  This module supplies what is particular to
+MBR: the message layout, the mu rows as encoding vectors, repair rows that
+need no lambda mix, the window extractor ``_extract_m`` (every block of a
+layer at once), the block stacking ``_join`` whose product with mu_g is node
+g's response (and so, with the mu rows, the encoding), and the full-stack
+block solver ``rec_m``.  Both solvers find T first and take S from the strip
+R1 - Delta_part T^t, which ``_strip_t`` computes for both, for any number of
+blocks side by side; ``rec_m`` decodes the T columns and then the strip's
+columns with one column decoder.  The S blocks use ``hmsr``'s symmetric
+block reader and writer.
 """
 
 from __future__ import annotations
@@ -26,16 +27,13 @@ from .decoder import ERASED, decode
 from .errors import AsymmetryDetected, DecodeFailure, LengthMismatch
 from .hmsr import (  # noqa: F401 -- the shared names are re-exported
     MessageMatrices,
-    NodeState,
     ReconstructReport,
     RepairReport,
     _asymmetric_block,
+    _encode,
     _interleave,
-    _layer_matrix,
     _reconstruct,
-    _reconstruct_recover,
-    _regenerate,
-    _regenerate_recover,
+    _repair,
     _symmetric_block,
     _upper_triangle,
     helper_response,
@@ -81,25 +79,8 @@ def _join(S, T):
     return top + bottom
 
 
-def m_block(m: MessageMatrices, profile: CodeProfile, l: int, t: int):
-    """Assemble the alpha_l x alpha_l block [[S, T], [T^t, 0]]."""
-    return _join(m.s[l][t], m.t_[l][t])
-
-
 def encode_mbr(m: MessageMatrices, profile: CodeProfile):
-    assert profile.mode == "mbr"
-    F = profile.field
-    q = profile.q
-    layer_mats = []
-    for l in range(q):
-        layer = _join(_layer_matrix(m.s[l]), _layer_matrix(m.t_[l]))
-        layer_mats.append(mat_mul(F, profile.phi(l), layer))
-    nodes = []
-    for g in range(profile.n_nodes):
-        tilde = [layer_mats[l][g] for l in range(q)]
-        y = mat_mul(F, profile.points.basis(g), tilde)
-        nodes.append(NodeState(node_id=g, y=y))
-    return nodes
+    return _encode(m, profile, profile.mu_row, _join)
 
 
 # -- repair -------------------------------------------------------------------
@@ -111,17 +92,17 @@ def _solved_row(profile, z, l, X):
 
 
 def regenerate_mbr_plain(z, batches, profile: CodeProfile) -> RepairReport:
-    return _regenerate(z, batches, profile, "plain", profile.mu_row, _solved_row)
+    return _repair(z, batches, profile, "plain", profile.mu_row, _solved_row, True)
 
 
 def regenerate_mbr_detect(z, batches, profile: CodeProfile) -> RepairReport:
-    return _regenerate(z, batches, profile, "detect", profile.mu_row, _solved_row)
+    return _repair(z, batches, profile, "detect", profile.mu_row, _solved_row, True)
 
 
 def regenerate_mbr_recover(z, batches, profile: CodeProfile,
                            prior_flags=frozenset()) -> RepairReport:
-    return _regenerate_recover(z, batches, profile, prior_flags, profile.mu_row,
-                               _solved_row, vandermonde=True)
+    return _repair(z, batches, profile, "recover", profile.mu_row, _solved_row,
+                   True, prior_flags)
 
 
 # -- reconstruction --------------------------------------------------------------
@@ -173,18 +154,18 @@ def _m_window(profile, l, ids):
 
 def reconstruct_mbr_plain(batches, profile: CodeProfile) -> ReconstructReport:
     return _reconstruct(batches, profile, "plain", profile.mu_row, _join,
-                        _m_window, message_from_m)
+                        _m_window, rec_m, message_from_m)
 
 
 def reconstruct_mbr_detect(batches, profile: CodeProfile) -> ReconstructReport:
     return _reconstruct(batches, profile, "detect", profile.mu_row, _join,
-                        _m_window, message_from_m)
+                        _m_window, rec_m, message_from_m)
 
 
 def reconstruct_mbr_recover(batches, profile: CodeProfile,
                             prior_flags=frozenset()) -> ReconstructReport:
-    return _reconstruct_recover(batches, profile, prior_flags, profile.mu_row,
-                                _join, _m_window, rec_m, message_from_m)
+    return _reconstruct(batches, profile, "recover", profile.mu_row, _join,
+                        _m_window, rec_m, message_from_m, prior_flags)
 
 
 def rec_m(blocks, erased, l, profile: CodeProfile):

@@ -9,11 +9,13 @@ Y_g = B_g * (U_g + lambda_g * E_g), so that row l of B_g^{-1} Y_g splits into
 blocks mu_{g,l} S_{l,t} + lambda_g mu_{g,l} T_{l,t} -- one inner product per
 helper is enough to repair.
 
-The plain and detect loops work one layer at a time.  The blocks of a layer
-share their encoding rows, so a repair solves V X = P once, the columns of P
-being the blocks' help symbols, and a reconstruction extracts every block of
-the layer from the responders' whole layer rows at once (a layer row holds
-the blocks side by side, so ``row[c::alpha_l]`` is entry c of every block).
+Repair and reconstruction run one plain/detect loop and one recover loop.
+A repair is a reconstruction whose blocks are one help symbol wide and
+whose window is the inverse of the helpers' encoding rows.  The blocks of a
+layer share their encoding rows, so the plain/detect loop hands the
+responders' whole layer rows to one window extractor per layer (a layer row
+holds the blocks side by side, so ``row[c::alpha_l]`` is entry c of every
+block): a repair is V^-1 P, the columns of P being the blocks' help symbols.
 
 Hostile-mode conventions: detect solves each layer once from the first
 helper window and alarms at the lowest block where the extra helper's row
@@ -33,9 +35,9 @@ Corruption flags accumulate across the strict (layer descending, block
 ascending) recovery order within one call; keeping them across calls is the
 simulator's job.
 
-The plain/detect/recover repair and reconstruction loops defined here are
-shared with the MBR engine (``hmbr``), which passes its own encoding rows,
-block extractor, block stacking, block solver and message layout, and the
+The encoder, the two loops and their adapters defined here are shared with
+the MBR engine (``hmbr``), which passes its own encoding rows, block
+extractor, block stacking, block solver and message layout, and so is the
 request protocol: ``request_counts`` fixes every round's helpers per layer.
 
 Each step of the block algebra is written once.  ``_pairs`` solves
@@ -164,18 +166,22 @@ def _layer_matrix(blocks_l):
     return rows
 
 
-def encode(st: MessageMatrices, profile: CodeProfile):
-    """Produce the q^2 node states for an arranged message."""
-    assert profile.mode == "msr"
-    F = profile.field
-    n = profile.n_nodes
-    # row g of layer l is nu_{g,l} [S_l; T_l] = mu_{g,l} S_l + lam_g mu_{g,l} T_l
-    layers = [mat_mul(F, [profile.nu_row(g, l) for g in range(n)],
-                      _layer_matrix(st.s[l]) + _layer_matrix(st.t_[l]))
+def _encode(m: MessageMatrices, profile: CodeProfile, row, stack):
+    """The q^2 node states of the message blocks m: node g's layer-l row is
+    row(g, l) times ``stack`` of the layer's S and T blocks side by side."""
+    F, n = profile.field, profile.n_nodes
+    layers = [mat_mul(F, [row(g, l) for g in range(n)],
+                      stack(_layer_matrix(m.s[l]), _layer_matrix(m.t_[l])))
               for l in range(profile.q)]
     return [NodeState(node_id=g, y=mat_mul(
-                F, profile.points.basis(g), [m[g] for m in layers]))
+                F, profile.points.basis(g), [M[g] for M in layers]))
             for g in range(n)]
+
+
+def encode(st: MessageMatrices, profile: CodeProfile):
+    """Produce the q^2 node states for an arranged message: node g's
+    layer-l row is nu_{g,l} [S_l; T_l] = mu_{g,l} S_l + lam_g mu_{g,l} T_l."""
+    return _encode(st, profile, profile.nu_row, _st_stack)
 
 
 def tilde_rows(profile: CodeProfile, state: NodeState):
@@ -245,25 +251,29 @@ def _contributors(batches, l):
 
 # -- shared repair/reconstruct loops ---------------------------------------------
 #
-# Both engines run these three loops.  Each entry point passes what differs
-# between the codes, read from its own module's globals when it runs (never
-# captured at import, so rebinding a module attribute reaches every call):
+# Both engines run two loops, ``_plain_detect`` and ``_recover``, through one
+# adapter per operation (``_repair``, ``_reconstruct``).  The adapter picks
+# the loop by mode and hands it the operation's row reader rows(g, l), its
+# window and its output, which makes the report's fields from each layer's
+# (S, T) pieces.  The entry points pass what differs between the codes, read
+# from their own module's globals when they run (never captured at import, so
+# rebinding a module attribute reaches every call):
 #   row(g, l)                  node g's layer-l encoding vector (nu or mu)
 #   finish(profile, z, l, X)   node z's layer-l rows from the solved blocks,
 #                              X holding one block per column
 #   vandermonde                rows are powers of the node x-values
 #   stack(S, T)                the matrix whose product with row(g, l) is
 #                              node g's response to the blocks (S, T)
-#   window(profile, l, ids)    extractor R -> (S, T) for one responder window;
-#                              MBR's raises AsymmetryDetected at the lowest
-#                              asymmetric block
+#   window(profile, l, ids)    reconstruction extractor R -> (S, T) for one
+#                              responder window; MBR's raises
+#                              AsymmetryDetected at the lowest asymmetric block
 #   solve(blocks, erased, l, profile)  full-stack block solver -> (S, T, bad)
 #   layout(m, profile)         MessageMatrices -> message symbols
 #
-# Blocks side by side: a layer row, and the S and T that the extractors take
-# and return for a layer, hold the layer's blocks in order, each block's
-# columns after the previous block's.  With one block this is the block
-# itself, so the block solvers share these helpers.
+# Blocks side by side: a layer row, the S and T that the extractors take and
+# return for a layer, and a piece hold blocks in order, each block's columns
+# after the previous block's.  With one block this is the block itself, so
+# the block solvers share these helpers.
 
 
 def _interleave(cols):
@@ -279,6 +289,17 @@ def _split(M, w):
     """The w blocks that the rows of M hold side by side."""
     n = len(M[0]) // w if M else 0
     return [[r[t * n:(t + 1) * n] for r in M] for t in range(w)]
+
+
+def _cut(pieces):
+    """The S blocks and the T blocks that a layer's (S, T) pieces hold side
+    by side; S's blocks are square."""
+    S, T = [], []
+    for P, Q in pieces:
+        w = len(P[0]) // len(P)
+        S += _split(P, w)
+        T += _split(Q, w)
+    return S, T
 
 
 def _first_difference(u, v):
@@ -297,59 +318,14 @@ def _asymmetric_block(M):
                default=None)
 
 
-def _assemble_node(profile, z, layers):
-    """Node z's stored rows from its layer-l rows ``layers[l]``, whose row c
-    holds entry c of every block."""
-    rows = [_interleave(layers[l]) for l in range(profile.q)]
-    return mat_mul(profile.field, profile.points.basis(z), rows)
-
-
-def _regenerate(z, batches, profile, mode, row, finish):
-    """Plain/detect repair, one layer at a time: P, the helpers x blocks
-    matrix of help symbols, gives V[:d] X = P[:d], one solve for every block
-    of the layer from the first d helpers; detect alarms at the lowest block
-    whose column of V[d:] X differs from helper d's symbols."""
-    F = profile.field
-    detect = mode == "detect"
-    counts = request_counts(profile, "repair", mode, len(batches))
-    layers = []
-    for l in range(profile.q):
-        d, need = profile.d[l], counts[l]
-        helpers = _contributors(batches, l)[:need]
-        if len(helpers) < need:
-            raise NotEnoughHelpers(f"{'detect ' if detect else ''}layer {l} "
-                                   f"needs {need} helpers, got {len(helpers)}")
-        ids = [b.helper_id for b in helpers]
-        V = [row(g, l) for g in ids]
-        # the shifted window must be regular for the check to equal a solve
-        if detect and not det_nonzero(F, V[1:]):
-            raise SingularSystem(f"{d}x{d} system singular")
-        P = [[b.symbols[(l, t)] for t in range(profile.blocks(l))]
-             for b in helpers]
-        try:
-            X = solve_square(F, V[:d], P[:d])
-        except SingularSystem:
-            if detect:
-                raise
-            raise SingularSystem(
-                f"repair window {ids} singular at layer {l}") from None
-        if detect:
-            t = _first_difference(vec_mat(F, V[d], X), P[d])
-            if t is not None:
-                return RepairReport(mode=mode, ok=False,
-                                    alarm={"layer": l, "block": t})
-        layers.append(finish(profile, z, l, X))
-    return RepairReport(mode=mode, ok=True, y=_assemble_node(profile, z, layers))
-
-
 def _certified(F, extract, window_rows, checked, enc, stack, a):
     """The blocks that extract from ``window_rows`` (alpha_l = a wide, side
     by side) and re-encode, under the encoding rows ``enc``, to the rows
     ``checked``.
 
     Returns (S, T, bad): ``bad`` is the lowest block that is asymmetric or
-    re-encodes to anything else (None when no block does), and S and T list
-    the blocks before it."""
+    re-encodes to anything else (None when no block does), and S and T hold
+    the blocks before it side by side."""
     w = len(window_rows[0]) // a
     bad = None
     try:
@@ -366,65 +342,58 @@ def _certified(F, extract, window_rows, checked, enc, stack, a):
              if (t := _first_difference(r, e)) is not None]
     if wrong:
         bad = min(wrong) // a
-    n = w if bad is None else bad
-    return _split(S, w)[:n], _split(T, w)[:n], bad
+        S, T = ([r[:len(r) // w * bad] for r in M] for M in (S, T))
+    return S, T, bad
 
 
-def _reconstruct(batches, profile, mode, row, stack, window, layout):
-    """Plain/detect reconstruction, one layer at a time: the extractor for
-    responders {0..k-1} takes their whole layer rows and returns every
-    block of the layer.  Detect alarms at the lowest block that is
-    asymmetric or whose re-encoding differs from responder k's row."""
-    F = profile.field
-    detect = mode == "detect"
-    counts = request_counts(profile, "reconstruct", mode, len(batches))
-    m = MessageMatrices(s=[], t_=[])
-    for l in range(profile.q):
-        k, need, w = profile.k[l], counts[l], profile.blocks(l)
-        resp = _contributors(batches, l)[:need]
-        if len(resp) < need:
-            raise NotEnoughHelpers(
-                f"layer {l} needs {need} responders, got {len(resp)}")
-        ids = [b.helper_id for b in resp]
-        extract = window(profile, l, ids[:k])
-        R = [b.rows[l] for b in resp]
-        if detect:
-            S, T, bad = _certified(F, extract, R[:k], R[k:], [row(ids[k], l)],
-                                   stack, profile.alpha[l])
-            if bad is not None:
-                return ReconstructReport(mode=mode, ok=False,
-                                         alarm={"layer": l, "block": bad})
-        else:
-            S, T = (_split(M, w) for M in extract(R))
-        m.s.append(S)
-        m.t_.append(T)
-    return ReconstructReport(mode=mode, ok=True, message=layout(m, profile))
-
-
-def _regenerate_recover(z, batches, profile, prior_flags, row, finish,
-                        vandermonde):
-    """Full-strength repair: ``_recover`` over the sorted helpers, whose
-    layer-l help symbols form a row of one-symbol blocks.  The window solves
-    a block from the first d_l present helpers as ``decode``'s codeword exit
-    does, so a block that every helper agrees with is what ``decode``
-    returns, flagging no node; other blocks are decoded against every helper.
-
-    ``vandermonde``: the rows are powers of the node x-values, so the
-    decoder may interpolate (Welch-Berlekamp) instead of searching supports.
-    """
+def _repair(z, batches, profile, mode, row, finish, vandermonde,
+            prior_flags=frozenset()):
+    """Repair of node z.  A helper's layer-l row is its help symbols, one
+    per block; the window inverts the first d_l helpers' encoding rows, and
+    in detect the window shifted by one must be regular too, for the check
+    to equal solving it.  A recover window solves a block as ``decode``'s
+    codeword exit does, so a kept block is what ``decode`` returns, flagging
+    no node; other blocks are decoded against every helper, interpolating
+    (Welch-Berlekamp) when ``vandermonde``: the rows are powers of the node
+    x-values."""
     F = profile.field
     q2 = profile.n_nodes
-    helpers = sorted(batches, key=lambda b: b.helper_id)
-    if len(helpers) != q2 - 1:
-        raise NotEnoughHelpers(f"recovery needs {q2 - 1} batches, got {len(helpers)}")
-    ids = [b.helper_id for b in helpers]
-    symbols = {b.helper_id: b.symbols for b in helpers}
+    symbols = {b.helper_id: b.symbols for b in batches}
+
+    def rows(g, l):
+        return [symbols[g][(l, t)] for t in range(profile.blocks(l))]
+
+    def window(profile, l, ids):
+        d = len(ids)
+        V = [row(g, l) for g in ids]
+        if mode == "detect" and not det_nonzero(
+                F, V[1:] + [row(_contributors(batches, l)[d].helper_id, l)]):
+            raise SingularSystem(f"{d}x{d} system singular")
+        eye = [[int(i == j) for j in range(d)] for i in range(d)]
+        try:
+            inv = solve_square(F, V, eye)
+        except SingularSystem:
+            if mode == "detect":
+                raise
+            raise SingularSystem(
+                f"repair window {ids} singular at layer {l}") from None
+        return lambda R: (mat_mul(F, inv, R), [])
+
+    def output(layers):
+        # finish's row c holds entry c of every block: one layer row
+        tilde = [_interleave(finish(profile, z, l, _layer_matrix(
+            [S for S, _ in layers[l]]))) for l in range(profile.q)]
+        return {"y": mat_mul(F, profile.points.basis(z), tilde)}
+
+    if mode != "recover":
+        return _plain_detect(batches, rows, profile, mode, profile.d,
+                             [1] * profile.q, row, _st_stack, window,
+                             RepairReport, output)
+    ids = sorted(b.helper_id for b in batches)
+    if len(ids) != q2 - 1:
+        raise NotEnoughHelpers(f"recovery needs {q2 - 1} batches, got {len(ids)}")
     points = [profile.x_value(g) for g in ids] if vandermonde else None
     cap = (q2 - profile.d[-1] - 1) // 2
-
-    def window(profile, l, present):
-        inv = mat_inv(F, [row(g, l) for g in present])
-        return lambda R: (mat_mul(F, inv, R), [])
 
     def solve(blocks, erased, l, profile):
         res = decode(F, [row(g, l) for g in ids],
@@ -432,32 +401,69 @@ def _regenerate_recover(z, batches, profile, prior_flags, row, finish,
         return ([[x] for x in res.message], [],
                 {ids[i] for i in res.error_positions})
 
-    def output(m):
-        return {"y": _assemble_node(profile, z, [
-            finish(profile, z, l, _layer_matrix(m.s[l])) for l in range(profile.q)])}
-
     return _recover(
-        ids, lambda g, l: [symbols[g][(l, t)] for t in range(profile.blocks(l))],
-        prior_flags, profile, profile.d, [1] * profile.q,
+        ids, rows, prior_flags, profile, profile.d, [1] * profile.q,
         [min(q2 - d - 1, cap) for d in profile.d], "erasure",
         row, _st_stack, window, solve, RepairReport, output)
 
 
-def _reconstruct_recover(batches, profile, prior_flags, row, stack, window,
-                         solve, layout):
-    """Full-strength reconstruction: ``_recover`` over every node's layer
-    rows, missing nodes flagged from the start; a block that fails the
-    layer pass goes to the full-stack block solver ``solve``."""
+def _reconstruct(batches, profile, mode, row, stack, window, solve, layout,
+                 prior_flags=frozenset()):
+    """Reconstruction from the nodes' layer rows, whose blocks are alpha_l
+    wide.  In recover, missing nodes are flagged from the start, and a block
+    that fails the layer pass goes to the full-stack block solver ``solve``."""
     q2 = profile.n_nodes
     rows_by_node = {b.helper_id: b.rows for b in batches}
+
+    def rows(g, l):
+        return rows_by_node[g][l]
+
+    def output(layers):
+        s, t_ = zip(*map(_cut, layers))
+        return {"message": layout(MessageMatrices(s=s, t_=t_), profile)}
+
+    if mode != "recover":
+        return _plain_detect(batches, rows, profile, mode, profile.k,
+                             profile.alpha, row, stack, window,
+                             ReconstructReport, output)
     flags = set(prior_flags) | {g for g in range(q2) if g not in rows_by_node}
     # q^2 - k_l flags is the solvability frontier of both block solvers
     # (sigma + 2 tau + 1 <= q^2 - alpha_l, sigma + 2 tau <= q^2 - k_l)
     return _recover(
-        range(q2), lambda g, l: rows_by_node[g][l], flags, profile, profile.k,
-        profile.alpha, [q2 - k for k in profile.k], "flagged",
-        row, stack, window, solve, ReconstructReport,
-        lambda m: {"message": layout(m, profile)})
+        range(q2), rows, flags, profile, profile.k, profile.alpha,
+        [q2 - k for k in profile.k], "flagged",
+        row, stack, window, solve, ReconstructReport, output)
+
+
+def _plain_detect(batches, rows, profile, mode, sizes, widths, row, stack,
+                  window, report, output):
+    """The plain/detect loop of both operations, layers ascending.  Layer l
+    reads ``rows(g, l)`` (blocks side by side, ``widths[l]`` symbols each)
+    from the first ``sizes[l]`` batches of level l or more, ids ascending,
+    one more in detect; the window of the first ``sizes[l]`` extracts every
+    block at once.  Detect alarms at the lowest block that is asymmetric or
+    whose re-encoding differs from the extra row.  Returns ``report`` with
+    the fields that ``output`` makes of the layers, one piece each."""
+    F = profile.field
+    extra = 1 if mode == "detect" else 0
+    layers = []
+    for l in range(profile.q):
+        k = sizes[l]
+        ids = [b.helper_id for b in _contributors(batches, l)][:k + extra]
+        if len(ids) < k + extra:
+            raise NotEnoughHelpers(
+                f"layer {l} needs {k + extra} helpers, got {len(ids)}")
+        extract = window(profile, l, ids[:k])
+        R = [rows(g, l) for g in ids]
+        if extra:
+            S, T, bad = _certified(F, extract, R[:k], R[k:], [row(ids[k], l)],
+                                   stack, widths[l])
+            if bad is not None:
+                return report(mode=mode, ok=False, alarm={"layer": l, "block": bad})
+        else:
+            S, T = extract(R)
+        layers.append([(S, T)])
+    return report(mode=mode, ok=True, **output(layers))
 
 
 def _recover(nodes, rows, flags, profile, sizes, widths, budgets, noun, row,
@@ -472,13 +478,12 @@ def _recover(nodes, rows, flags, profile, sizes, widths, budgets, noun, row,
     of ``solve`` is then a codeword, so within the budget ``solve`` would
     return the same block and flag no node); that block goes to ``solve``,
     and the next pass starts after it.  Returns ``report`` with the fields
-    that ``output`` makes of the blocks."""
+    that ``output`` makes of each layer's (S, T) pieces."""
     F = profile.field
     flags = set(flags)
     found = set()
     tallies = {}
-    m = MessageMatrices(s=[[None] * profile.blocks(l) for l in range(profile.q)],
-                        t_=[[None] * profile.blocks(l) for l in range(profile.q)])
+    layers = [[] for _ in range(profile.q)]
     for l in range(profile.q - 1, -1, -1):
         sigma = sum(1 for g in nodes if g in flags)
         tallies[l] = {"erasures": sigma, "errors": 0}
@@ -503,11 +508,11 @@ def _recover(nodes, rows, flags, profile, sizes, widths, budgets, noun, row,
             if extract:
                 R = [layer[g][t * a:] for g in present]
                 S, T, bad = _certified(F, extract, R[:k], R, enc, stack, a)
-                m.s[l][t:t + len(S)] = S
-                m.t_[l][t:t + len(T)] = T
-                t += len(S)
+                if bad != 0:        # a piece of no block is left out
+                    layers[l].append((S, T))
                 if bad is None:
                     break
+                t += bad
             blocks = [None if g in flags else layer[g][t * a:(t + 1) * a]
                       for g in nodes]
             try:
@@ -520,10 +525,10 @@ def _recover(nodes, rows, flags, profile, sizes, widths, budgets, noun, row,
             flags |= newly
             found |= newly
             tallies[l]["errors"] += len(newly)
-            m.s[l][t], m.t_[l][t] = S, T
+            layers[l].append((S, T))
             t += 1
     return report(mode="recover", ok=True, corrupted=frozenset(found),
-                  tallies=tallies, **output(m))
+                  tallies=tallies, **output(layers))
 
 
 # -- MSR repair -------------------------------------------------------------------
@@ -541,17 +546,17 @@ def _st_stack(S, T):
 
 
 def regenerate_plain(z, batches, profile: CodeProfile) -> RepairReport:
-    return _regenerate(z, batches, profile, "plain", profile.nu_row, _lambda_mix)
+    return _repair(z, batches, profile, "plain", profile.nu_row, _lambda_mix, False)
 
 
 def regenerate_detect(z, batches, profile: CodeProfile) -> RepairReport:
-    return _regenerate(z, batches, profile, "detect", profile.nu_row, _lambda_mix)
+    return _repair(z, batches, profile, "detect", profile.nu_row, _lambda_mix, False)
 
 
 def regenerate_recover(z, batches, profile: CodeProfile,
                        prior_flags=frozenset()) -> RepairReport:
-    return _regenerate_recover(z, batches, profile, prior_flags, profile.nu_row,
-                               _lambda_mix, vandermonde=False)
+    return _repair(z, batches, profile, "recover", profile.nu_row, _lambda_mix,
+                   False, prior_flags)
 
 
 # -- MSR reconstruction -------------------------------------------------------------
@@ -631,18 +636,18 @@ def _st_window(profile, l, ids):
 
 def reconstruct_plain(batches, profile: CodeProfile) -> ReconstructReport:
     return _reconstruct(batches, profile, "plain", profile.nu_row, _st_stack,
-                        _st_window, message_from_st)
+                        _st_window, rec_st, message_from_st)
 
 
 def reconstruct_detect(batches, profile: CodeProfile) -> ReconstructReport:
     return _reconstruct(batches, profile, "detect", profile.nu_row, _st_stack,
-                        _st_window, message_from_st)
+                        _st_window, rec_st, message_from_st)
 
 
 def reconstruct_recover(batches, profile: CodeProfile,
                         prior_flags=frozenset()) -> ReconstructReport:
-    return _reconstruct_recover(batches, profile, prior_flags, profile.nu_row,
-                                _st_stack, _st_window, rec_st, message_from_st)
+    return _reconstruct(batches, profile, "recover", profile.nu_row, _st_stack,
+                        _st_window, rec_st, message_from_st, prior_flags)
 
 
 def rec_st(blocks, erased, l, profile: CodeProfile):

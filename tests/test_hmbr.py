@@ -24,7 +24,7 @@ def test_arrange_q4_k_equals_alpha(q4_mbr):
     for l in range(4):
         for t in range(q4_mbr.blocks(l)):
             assert m.t_[l][t] == [[] for _ in range(q4_mbr.k[l])]
-            blk = hmbr.m_block(m, q4_mbr, l, t)
+            blk = hmbr._join(m.s[l][t], m.t_[l][t])
             assert len(blk) == q4_mbr.alpha[l]
             assert blk == [list(r) for r in zip(*blk)]
 
@@ -37,7 +37,7 @@ def test_arrange_q3_block_symbol_count(q3_mbr):
     assert k * (2 * a - k + 1) // 2 == 5
     assert m.s[0][0] == [[msg[0], msg[1]], [msg[1], msg[2]]]
     assert m.t_[0][0] == [[msg[3]], [msg[4]]]
-    blk = hmbr.m_block(m, q3_mbr, 0, 0)
+    blk = hmbr._join(m.s[0][0], m.t_[0][0])
     assert blk == [list(r) for r in zip(*blk)]
     assert blk[2][2] == 0
 
@@ -70,7 +70,8 @@ def test_encode_layer_identity(prof_name, request):
             mu = p.mu_row(g, l)
             for t in range(p.blocks(l)):
                 blk = tilde[l][t * a:(t + 1) * a]
-                assert blk == vec_mat(F, mu, hmbr.m_block(m, p, l, t))
+                assert blk == vec_mat(F, mu,
+                                      hmbr._join(m.s[l][t], m.t_[l][t]))
 
 
 def test_mbr_point_identity(q3_mbr, q4_mbr):
@@ -200,7 +201,7 @@ def test_rec_m_two_errors_q3(q3_mbr):
     m = hmbr.arrange_m(msg, p)
     l = 0
     a = p.alpha[l]
-    truth = hmbr.m_block(m, p, l, 0)
+    truth = hmbr._join(m.s[l][0], m.t_[l][0])
     blocks = [vec_mat(F, p.mu_row(g, l), truth) for g in range(9)]
     for g in (2, 6):
         blocks[g] = [rng.randrange(9) for _ in range(a)]
@@ -218,7 +219,7 @@ def test_rec_m_priors_plus_new_q4(q4_mbr):
     m = hmbr.arrange_m(msg, p)
     l = 0
     a = p.alpha[l]
-    truth = hmbr.m_block(m, p, l, 0)
+    truth = hmbr._join(m.s[l][0], m.t_[l][0])
     blocks = [vec_mat(F, p.mu_row(g, l), truth) for g in range(16)]
     erased = frozenset({1, 8, 15})
     for g in erased:
@@ -236,7 +237,7 @@ def test_rec_m_no_errors_matches_plain(q3_mbr):
     msg = random_message(p, 14)
     m = hmbr.arrange_m(msg, p)
     l = 1
-    truth = hmbr.m_block(m, p, l, 0)
+    truth = hmbr._join(m.s[l][0], m.t_[l][0])
     blocks = [vec_mat(F, p.mu_row(g, l), truth) for g in range(9)]
     S, T, corrupt = hmbr.rec_m(blocks, frozenset(), l, p)
     assert S == m.s[l][0] and T == m.t_[l][0] and corrupt == set()

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -1186,8 +1187,7 @@ def _per_block_reconstruct(batches, profile, mode):
                     again = vec_mat(F, profile.nu_row(ids[k], l), S + T)
                 else:
                     again = vec_mat(F, profile.mu_row(ids[k], l),
-                                    hmbr.m_block(hmsr.MessageMatrices(
-                                        s=[[S]], t_=[[T]]), profile, 0, 0))
+                                    hmbr._join(S, T))
                 if again != R[k]:
                     return False, {"layer": l, "block": t}, None
             m.s[l].append(S)
@@ -1266,7 +1266,7 @@ def test_node_data_is_the_hermitian_curve_code(prof_name, request):
                   [hmsr._layer_matrix(st.t_[l]) for l in range(q)]]
     else:
         m = hmbr.arrange_m(message, profile)
-        layers = [[hmsr._layer_matrix([hmbr.m_block(m, profile, l, t)
+        layers = [[hmsr._layer_matrix([hmbr._join(m.s[l][t], m.t_[l][t])
                                        for t in range(profile.blocks(l))])
                    for l in range(q)]]
     for col in range(profile.A):
@@ -1278,3 +1278,95 @@ def test_node_data_is_the_hermitian_curve_code(prof_name, request):
                 if msr:
                     want = F.add(want, F.mul(profile.lam[g], E[0][g * q + slot]))
                 assert nodes[g].y[slot][col] == want, (g, slot, col)
+
+
+# -- the plain/detect loop of both operations ------------------------------------
+
+
+def _entry(profile, op, mode):
+    """The engine entry point for (code, op, mode), with the repair's failed
+    node bound to 0."""
+    msr = profile.mode == "msr"
+    name = ("regenerate" if op == "repair" else "reconstruct") + (
+        f"_{mode}" if msr else f"_mbr_{mode}")
+    fn = getattr(hmsr if msr else hmbr, name)
+    return (lambda batches: fn(0, batches, profile)) if op == "repair" else (
+        lambda batches: fn(batches, profile))
+
+
+def _plan_batches(profile, nodes, op, mode):
+    return (repair_batches(profile, nodes, 0, mode) if op == "repair"
+            else recon_batches(profile, nodes, mode))
+
+
+@pytest.mark.parametrize("prof_name", FIXTURES)
+@pytest.mark.parametrize("op", ["repair", "reconstruct"])
+@pytest.mark.parametrize("mode", ["plain", "detect"])
+def test_plain_detect_names_the_short_layer(prof_name, op, mode, request):
+    """A batch list one responder short at layer l (its highest-id
+    responder there drops to level l - 1, or out at layer 0) raises one
+    NotEnoughHelpers text, the same for both operations and both modes."""
+    profile = request.getfixturevalue(prof_name)
+    nodes = encode_profile(profile, random_message(profile, 65))
+    need = hmsr.request_counts(profile, op, mode, profile.n_nodes)
+    for l in range(profile.q):
+        batches = _plan_batches(profile, nodes, op, mode)
+        short = _window_order(batches, l)[-1]
+        batches.remove(short)
+        if l:
+            batches.append(hmsr.HelpSymbolBatch(
+                short.helper_id, l - 1, symbols=short.symbols, rows=short.rows))
+        with pytest.raises(NotEnoughHelpers) as exc:
+            _entry(profile, op, mode)(batches)
+        assert str(exc.value) == (
+            f"layer {l} needs {need[l]} helpers, got {need[l] - 1}")
+
+
+def _count_calls(monkeypatch, original, calls):
+    """Rebind every hrgc module's name for ``original`` to a wrapper that
+    appends each call's positional arguments to ``calls``."""
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hrgc."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapper)
+
+
+@pytest.mark.parametrize("prof_name", FIXTURES)
+def test_plain_detect_engine_reach(prof_name, request, monkeypatch):
+    """The names that the traced bench requires honest plain and detect
+    runs to reach: a repair solves through ``linalg.solve_square`` at least
+    once per layer, one d_l x d_l window each, and never calls
+    ``decoder.decode``; an MSR reconstruction builds one ExtractContext per
+    layer, in layer order."""
+    profile = request.getfixturevalue(prof_name)
+    message = random_message(profile, 66)
+    nodes = encode_profile(profile, message)
+    solves, decodes, contexts = [], [], []
+    _count_calls(monkeypatch, solve_square, solves)
+    _count_calls(monkeypatch, decode, decodes)
+    real_init = hmsr.ExtractContext.__init__
+
+    def init(self, p, l, ids):
+        contexts.append(l)
+        real_init(self, p, l, ids)
+
+    monkeypatch.setattr(hmsr.ExtractContext, "__init__", init)
+    for mode in ("plain", "detect"):
+        batches = _plan_batches(profile, nodes, "repair", mode)
+        solves.clear()
+        rep = _entry(profile, "repair", mode)(batches)
+        assert rep.ok and rep.y == nodes[0].y, mode
+        assert len(solves) >= profile.q and decodes == [], mode
+        assert {len(args[1]) for args in solves} == set(profile.d), mode
+
+        batches = _plan_batches(profile, nodes, "reconstruct", mode)
+        contexts.clear()
+        rep = _entry(profile, "reconstruct", mode)(batches)
+        assert rep.ok and rep.message == message, mode
+        assert decodes == [], mode
+        assert contexts == (list(range(profile.q)) if profile.mode == "msr"
+                            else []), mode
