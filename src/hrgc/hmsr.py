@@ -26,11 +26,13 @@ that reproduce every row of their window (``extract_st`` because a regular
 window maps symmetric (S, T) pairs one to one onto its symbols,
 ``_extract_m`` as Omega T = R2 and Omega S + Delta_part T^t = R1, or it
 raises AsymmetryDetected) and are exact on consistent rows.  Recover, one
-loop for both operations, treats each block as a word over the helpers or
-all q^2 nodes, erases previously flagged nodes, keeps the blocks that every
-present row re-encodes from a window solution (the block solver would
-return them and flag no node) and sends the others to the solver:
-``decode`` for a repair, ``rec_st``/``rec_m`` for a reconstruction.
+loop for both operations, treats each block as a word over the operation's
+nodes (every node but the target in a repair, all q^2 in a reconstruction):
+a node that sent no batch is an erasure, as is a previously flagged node.
+It keeps the blocks that every present row re-encodes from a window
+solution (the block solver would return them and flag no node) and sends
+the others to the solver: ``decode`` for a repair, ``rec_st``/``rec_m`` for
+a reconstruction.
 Corruption flags accumulate across the strict (layer descending, block
 ascending) recovery order within one call; keeping them across calls is the
 simulator's job.
@@ -221,10 +223,9 @@ def recon_response(state: NodeState, profile: CodeProfile,
 
 def request_counts(profile: CodeProfile, op: str, mode: str, n_live: int):
     """Helpers serving each layer in an (op, mode) round: d_l (repair) or k_l
-    (reconstruct), one more in detect; in recover every other node, all
-    q^2 - 1 for a repair and the n_live live nodes for a reconstruction."""
+    (reconstruct), one more in detect; in recover the n_live live nodes."""
     if mode == "recover":
-        return [profile.n_nodes - 1 if op == "repair" else n_live] * profile.q
+        return [n_live] * profile.q
     extra = 1 if mode == "detect" else 0
     return [c + extra for c in (profile.d if op == "repair" else profile.k)]
 
@@ -236,9 +237,6 @@ def staged_request_plan(profile: CodeProfile, op: str, mode: str, live_ids):
     live = sorted(live_ids)
     counts = request_counts(profile, op, mode, len(live))
     if len(live) < counts[0]:
-        if mode == "recover":
-            raise NotEnoughHelpers(
-                f"recovery repair needs all {counts[0]} other nodes live")
         raise NotEnoughHelpers(f"need {counts[0]} live helpers, have {len(live)}")
     helpers, above = iter(live), counts[1:] + [0]
     return [(next(helpers), j) for j in range(profile.q - 1, -1, -1)
@@ -353,9 +351,9 @@ def _repair(z, batches, profile, mode, row, finish, vandermonde,
     in detect the window shifted by one must be regular too, for the check
     to equal solving it.  A recover window solves a block as ``decode``'s
     codeword exit does, so a kept block is what ``decode`` returns, flagging
-    no node; other blocks are decoded against every helper, interpolating
-    (Welch-Berlekamp) when ``vandermonde``: the rows are powers of the node
-    x-values."""
+    no node; other blocks are decoded against every node but z, missing ones
+    erased, interpolating (Welch-Berlekamp) when ``vandermonde``: the rows
+    are powers of the node x-values."""
     F = profile.field
     q2 = profile.n_nodes
     symbols = {b.helper_id: b.symbols for b in batches}
@@ -389,20 +387,18 @@ def _repair(z, batches, profile, mode, row, finish, vandermonde,
         return _plain_detect(batches, rows, profile, mode, profile.d,
                              [1] * profile.q, row, _st_stack, window,
                              RepairReport, output)
-    ids = sorted(b.helper_id for b in batches)
-    if len(ids) != q2 - 1:
-        raise NotEnoughHelpers(f"recovery needs {q2 - 1} batches, got {len(ids)}")
-    points = [profile.x_value(g) for g in ids] if vandermonde else None
+    others = [g for g in range(q2) if g != z]
+    points = [profile.x_value(g) for g in others] if vandermonde else None
     cap = (q2 - profile.d[-1] - 1) // 2
 
     def solve(blocks, erased, l, profile):
-        res = decode(F, [row(g, l) for g in ids],
+        res = decode(F, [row(g, l) for g in others],
                      [ERASED if b is None else b[0] for b in blocks], points=points)
         return ([[x] for x in res.message], [],
-                {ids[i] for i in res.error_positions})
+                {others[i] for i in res.error_positions})
 
     return _recover(
-        ids, rows, prior_flags, profile, profile.d, [1] * profile.q,
+        batches, others, rows, prior_flags, profile, profile.d, [1] * profile.q,
         [min(q2 - d - 1, cap) for d in profile.d], "erasure",
         row, _st_stack, window, solve, RepairReport, output)
 
@@ -410,8 +406,8 @@ def _repair(z, batches, profile, mode, row, finish, vandermonde,
 def _reconstruct(batches, profile, mode, row, stack, window, solve, layout,
                  prior_flags=frozenset()):
     """Reconstruction from the nodes' layer rows, whose blocks are alpha_l
-    wide.  In recover, missing nodes are flagged from the start, and a block
-    that fails the layer pass goes to the full-stack block solver ``solve``."""
+    wide.  In recover, a block that fails the layer pass goes to the
+    full-stack block solver ``solve``."""
     q2 = profile.n_nodes
     rows_by_node = {b.helper_id: b.rows for b in batches}
 
@@ -426,11 +422,10 @@ def _reconstruct(batches, profile, mode, row, stack, window, solve, layout,
         return _plain_detect(batches, rows, profile, mode, profile.k,
                              profile.alpha, row, stack, window,
                              ReconstructReport, output)
-    flags = set(prior_flags) | {g for g in range(q2) if g not in rows_by_node}
     # q^2 - k_l flags is the solvability frontier of both block solvers
     # (sigma + 2 tau + 1 <= q^2 - alpha_l, sigma + 2 tau <= q^2 - k_l)
     return _recover(
-        range(q2), rows, flags, profile, profile.k, profile.alpha,
+        batches, range(q2), rows, prior_flags, profile, profile.k, profile.alpha,
         [q2 - k for k in profile.k], "flagged",
         row, stack, window, solve, ReconstructReport, output)
 
@@ -466,13 +461,14 @@ def _plain_detect(batches, rows, profile, mode, sizes, widths, row, stack,
     return report(mode=mode, ok=True, **output(layers))
 
 
-def _recover(nodes, rows, flags, profile, sizes, widths, budgets, noun, row,
-             stack, window, solve, report, output):
+def _recover(batches, nodes, rows, flags, profile, sizes, widths, budgets,
+             noun, row, stack, window, solve, report, output):
     """The recover loop of both operations, layers descending.  Node g's
     layer-l row ``rows(g, l)`` holds the blocks side by side, ``widths[l]``
-    symbols each; flagged ``nodes`` are erased, flags raised at one block
-    are erasures for the next, and a layer with more than ``budgets[l]``
-    flagged nodes fails.  One pass extracts every block left in the layer
+    symbols each.  The ``nodes`` that sent no batch are flagged before the
+    first layer, flagged nodes are erased, flags raised at one block are
+    erasures for the next, and a layer with more than ``budgets[l]`` flagged
+    nodes fails.  One pass extracts every block left in the layer
     from the first ``sizes[l]`` present nodes and keeps the blocks before
     the first one that some present row does not re-encode from (every word
     of ``solve`` is then a codeword, so within the budget ``solve`` would
@@ -480,7 +476,7 @@ def _recover(nodes, rows, flags, profile, sizes, widths, budgets, noun, row,
     and the next pass starts after it.  Returns ``report`` with the fields
     that ``output`` makes of each layer's (S, T) pieces."""
     F = profile.field
-    flags = set(flags)
+    flags = set(flags) | (set(nodes) - {b.helper_id for b in batches})
     found = set()
     tallies = {}
     layers = [[] for _ in range(profile.q)]

@@ -15,6 +15,17 @@ nodes across calls.  A record holds ``ok``, the alarm, the failure text,
 meta and records and the cluster's ``known_corrupt``, or the exception type
 and text.  Only the standard library is used; pytest does not collect this
 file.
+
+A change meant to alter outcomes lists the records that differ: print each
+record's key with a short hash of its result in each tree, and diff the two
+lists.
+
+    PYTHONPATH=<tree>/src:<tree>/tests python3 -c '
+    import hashlib, outcome_digest
+    for key, result in outcome_digest.records(4):
+        print(key, hashlib.sha256(repr(result).encode()).hexdigest()[:12])
+    ' > <tree>.txt
+    diff parent.txt change.txt
 """
 
 from __future__ import annotations

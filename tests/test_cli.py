@@ -131,6 +131,43 @@ def test_singular_repair_window_exits_decode_failure(workspace, tmp_path,
     assert capsys.readouterr().err == f"error (SingularSystem): {message}\n"
 
 
+def test_singular_repair_window_recover_repair_is_exact(workspace, tmp_path):
+    # the same two failures in recover mode: node 1 is an erasure, the
+    # singular window's blocks go to the decoder, and node 5 comes back
+    cluster = str(tmp_path / "cluster")
+    shutil.copytree(workspace["cluster"], cluster)
+    node = os.path.join(cluster, sim.node_filename(5))
+    original = open(node, "rb").read()
+    for g in ("1", "5"):
+        assert run(["fail", "--cluster", cluster, "--node", g]) == 0
+    os.remove(node)
+    assert run(["repair", "--cluster", cluster, "--node", "5",
+                "--mode", "recover"]) == cli.EXIT_OK
+    assert open(node, "rb").read() == original
+
+
+@pytest.mark.parametrize("mode", ["detect", "recover"])
+def test_repair_with_a_second_failed_node(workspace, tmp_path, capsys, mode):
+    # q=4 MSR, 600 bytes, nodes 3 and 9 failed and node 0 lying: the recover
+    # round (escalated in detect) erases node 3, names node 0 and writes
+    # node 9 exactly
+    src = tmp_path / "input.bin"
+    src.write_bytes(bytes(random.Random(6).randrange(256) for _ in range(600)))
+    cluster = str(tmp_path / "cluster")
+    assert run(["encode", "--profile", workspace["profile"], "--input",
+                str(src), "--outdir", cluster]) == 0
+    node = os.path.join(cluster, sim.node_filename(9))
+    original = open(node, "rb").read()
+    for g in ("3", "9"):
+        assert run(["fail", "--cluster", cluster, "--node", g]) == 0
+    os.remove(node)
+    capsys.readouterr()
+    assert run(["repair", "--cluster", cluster, "--node", "9", "--mode", mode,
+                "--adversary", "nodes=0;seed=2"]) == cli.EXIT_OK
+    assert "corrupted: [0]\n" in capsys.readouterr().out
+    assert open(node, "rb").read() == original
+
+
 def test_capability_csv(tmp_path):
     out = str(tmp_path / "cap.csv")
     assert run(["capability", "--q-range", "4:16:2", "--out", out]) == 0

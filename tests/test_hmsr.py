@@ -134,9 +134,10 @@ def test_staged_plan_recover(q4_msr):
     live = [g for g in range(16) if g != 6]
     plan = hmsr.staged_request_plan(q4_msr, "repair", "recover", live)
     assert plan == [(g, 3) for g in live]
-    with pytest.raises(NotEnoughHelpers, match="all 15 other nodes live"):
-        hmsr.staged_request_plan(q4_msr, "repair", "recover",
-                                 [g for g in live if g != 11])
+    # a second failed node is one more erasure, not a refusal
+    fewer = [g for g in live if g != 11]
+    plan = hmsr.staged_request_plan(q4_msr, "repair", "recover", fewer)
+    assert plan == [(g, 3) for g in fewer]
     # a recover reconstruction asks every live node
     plan = hmsr.staged_request_plan(q4_msr, "reconstruct", "recover", live)
     assert plan == [(g, 3) for g in live]
@@ -1025,6 +1026,32 @@ def test_recover_repair_singular_window_matches_the_per_block_decode(
     got, want = _recover_repair_outcomes(profile, z, batches, frozenset())
     assert got == want
     assert layers and set(layers) == {profile.d[l]}
+
+
+@pytest.mark.parametrize("prof_name", FIXTURES)
+def test_recover_repair_erases_missing_helpers(prof_name, request):
+    """A helper that sent no batch is an erasure at every layer: the repair
+    is exact and names no node.  One missing batch more than the layer-0
+    budget, the smallest, ends in a budget failure, not in an exception: at
+    the highest layer with that budget, which the descending loop checks
+    first (layer 0 for MSR; MBR's budgets are all equal)."""
+    profile = request.getfixturevalue(prof_name)
+    n = profile.n_nodes
+    nodes = encode_profile(profile, random_message(profile, 94))
+    z = 2
+    batches = repair_batches(profile, nodes, z, "recover")
+    rep = _recover_repair(profile)(z, batches[:3] + batches[4:], profile)
+    assert rep.ok and rep.y == nodes[z].y and rep.corrupted == frozenset()
+    assert rep.tallies == {l: {"erasures": 1, "errors": 0}
+                           for l in range(profile.q)}
+    budgets = [min(n - d - 1, (n - profile.d[-1] - 1) // 2) for d in profile.d]
+    budget = budgets[0]
+    top = max(l for l, b in enumerate(budgets) if b == budget)
+    assert top == (0 if profile.mode == "msr" else profile.q - 1)
+    rep = _recover_repair(profile)(z, batches[budget + 1:], profile)
+    assert not rep.ok and rep.y is None and rep.corrupted == frozenset()
+    assert rep.failure == (f"erasure count {budget + 1} exceeds layer-{top} "
+                           f"budget {budget}")
 
 
 # -- layer-wide block algebra against one block at a time -------------------------

@@ -10,7 +10,6 @@ from hrgc.errors import (
     HrgcError,
     InvalidParams,
     LengthMismatch,
-    NotEnoughHelpers,
     SingularSystem,
 )
 from hrgc.matrices import profile_digest
@@ -230,6 +229,16 @@ def test_bandwidth_audit_recover_with_a_failed_node(name, request):
     assert audit["ok"]
     for l, row in audit["phases"]["recover"]["per_layer"].items():
         assert row["actual"] == row["expected"] == (q2 - 1) * profile.blocks(l)
+    # with a second node failed, a recover repair asks the q^2 - 2 live
+    # nodes and erases the missing one
+    sim.fail_node(cluster, 4)
+    sim.fail_node(cluster, 7)
+    report, log = sim.repair(cluster, 4, "recover")
+    assert report.ok and cluster.nodes[4].y == cluster.truth_nodes[4]
+    audit = sim.bandwidth_audit(log, profile)
+    assert audit["ok"]
+    for l, row in audit["phases"]["recover"]["per_layer"].items():
+        assert row["actual"] == row["expected"] == (q2 - 2) * profile.blocks(l)
 
 
 def test_node_file_round_trip(q3_msr, tmp_path):
@@ -609,21 +618,25 @@ def test_offset_adversary_is_checked_against_the_field(q3_msr, offset):
 
 
 @pytest.mark.parametrize("code", ["msr", "mbr"])
-def test_recover_repair_needs_every_other_node(code, request):
+def test_recover_repair_erases_a_second_failed_node(code, request):
     profile = request.getfixturevalue(f"q4_{code}")
     cluster = make_cluster(profile, 21)
     truth = [row[:] for row in cluster.nodes[6].y]
     sim.fail_node(cluster, 6)
     sim.fail_node(cluster, 11)
-    with pytest.raises(NotEnoughHelpers, match="all 15 other nodes live"):
-        sim.repair(cluster, 6, "recover")
-    # an escalated detect repair needs them too
+    report, _ = sim.repair(cluster, 6, "recover")
+    assert report.ok and report.corrupted == frozenset()
+    assert cluster.nodes[6].y == truth
+    sim.fail_node(cluster, 6)
     adversary = sim.AdversarySpec(nodes=frozenset({2}), seed=4)
-    with pytest.raises(NotEnoughHelpers, match="all 15 other nodes live"):
-        sim.repair(cluster, 6, "detect", adversary)
-    assert cluster.nodes[6] is None
     report, log = sim.repair(cluster, 6, "detect", adversary, policy="report")
     assert report.alarm and not report.ok and "escalated" not in log.meta
+    assert cluster.nodes[6] is None
+    # an escalated detect repair erases node 11 as well
+    report, log = sim.repair(cluster, 6, "detect", adversary)
+    assert report.ok and log.meta["escalated"] and report.corrupted == {2}
+    assert cluster.nodes[6].y == truth
+    sim.fail_node(cluster, 6)
     report, _ = sim.repair(cluster, 6, "plain")
     assert report.ok and cluster.nodes[6].y == truth
 
@@ -634,4 +647,4 @@ def test_outcome_digest_pin():
     change that keeps behaviour keeps this pin; a change meant to alter
     outcomes updates it and lists the records that changed in CHANGES.md."""
     assert outcome_digest.digest(1) == (
-        490, "46bc8ff44dc40a038c9f59266fe3ad2067389c99d83cf7f22b587d121c2abe8f")
+        490, "64d6b27ea6d8186a585165571dba2ef299733a93781eef4d73757a7b19586e53")
