@@ -21,6 +21,20 @@ recovery loops erase flagged nodes in every later block, so almost all of
 their words take this exit.  It returns exactly what the search would have
 returned; any other word, or a first-k window that does not determine the
 message, goes to the search unchanged.
+
+With ``points`` the caller may also pass ``suspects``, positions it already
+believes in error (the column words of one block share the rows of its
+liars).  A word that fails the codeword exit then takes the *suspect exit*
+when at most tau_max usable positions are suspects, 2*tau_max <= usable - k,
+the usable points are distinct, and every usable non-suspect position
+re-encodes from the interpolant of the first k of them: that message is
+returned, with the suspects that differ as the errors.  This is exact: the
+codeword c is within |suspects| <= tau_max <= (usable - k)/2 of the word, so
+for every interpolation solution (Q, E) with E != 0, Q - f_c*E has degree
+< k + tau_max and vanishes at the >= k + tau_max positions where the word
+agrees with c, and Welch-Berlekamp returns c's message too.  Any other word
+goes to the search unchanged, so ``suspects`` changes the cost of a result
+or a failure, never the result or the failure.
 """
 
 from __future__ import annotations
@@ -49,10 +63,14 @@ class DecodeResult:
     erasure_positions: frozenset
 
 
-def decode(F, generator, values, tau_max=None, points=None) -> DecodeResult:
+def decode(F, generator, values, tau_max=None, points=None, *,
+           suspects=frozenset()) -> DecodeResult:
     """Decode ``values`` (entries are symbols or ERASED) against ``generator``.
 
     tau_max defaults to the guarantee limit floor((n - k - erasures)/2).
+    ``suspects`` (positions; used with ``points`` only) lets a word whose
+    errors all lie among them skip Welch-Berlekamp by the suspect exit of the
+    module docstring, with the result the search would return.
     """
     n = len(generator)
     k = len(generator[0])
@@ -72,9 +90,10 @@ def decode(F, generator, values, tau_max=None, points=None) -> DecodeResult:
     if message is not None and mat_vec(F, rows, message) == r:
         errors = frozenset()
     else:
-        if xs is not None:
+        message = _suspect_message(F, rows, r, pos, xs, k, tau_max, suspects)
+        if message is None and xs is not None:
             message = _decode_wb(F, k, xs, r, tau_max)
-        else:
+        elif message is None:
             message = _decode_generic(F, rows, r, k, tau_max)
         codeword = mat_vec(F, rows, message)
         errors = frozenset(i for i, v, c in zip(pos, r, codeword) if v != c)
@@ -106,6 +125,24 @@ def _codeword_message(F, rows, r, k, tau_max, xs):
         return _interpolate(F, xs[:k], r[:k])
     except DivisionByZero:
         return None
+
+
+def _suspect_message(F, rows, r, pos, xs, k, tau_max, suspects):
+    """The message of the suspect exit (module docstring) for the usable
+    positions ``pos``, or None when the exit does not apply."""
+    if xs is None or not suspects:
+        return None
+    hit = sum(1 for i in pos if i in suspects)
+    if not hit or hit > tau_max or 2 * tau_max > len(pos) - k:
+        return None
+    if len(set(xs)) != len(xs):
+        return None
+    keep = [x for x, i in enumerate(pos) if i not in suspects]
+    message = _interpolate(F, [xs[x] for x in keep[:k]], [r[x] for x in keep[:k]])
+    codeword = mat_vec(F, rows, message)
+    if any(codeword[x] != r[x] for x in keep):
+        return None
+    return message
 
 
 def _interpolate(F, xs, ys):

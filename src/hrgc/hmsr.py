@@ -656,6 +656,17 @@ def rec_st(blocks, erased, l, profile: CodeProfile):
     alpha_l evaluation code; honest columns decode exactly, so corrupt rows
     collect votes from every honest column while honest rows cannot pass the
     vote threshold.  Returns (S, T, corrupt node ids).
+
+    A liar corrupts its whole row, so the words of a block share their error
+    positions: each word is decoded with the nodes found in error by the
+    earlier words (the C word's go to the D word of the same column) as
+    ``suspects``, and once the first words have named the liars the others
+    take ``decode``'s suspect exit instead of a Welch-Berlekamp solve, with
+    the result that solve returns.  The column of a node named before its
+    turn is decoded last, and only when it can count: when its node has not
+    yet collected more than the threshold of votes, or when its one vote
+    per node could move a column across the threshold.  Votes, columns and
+    failures are therefore those of decoding every column in full.
     """
     F = profile.field
     q2 = profile.n_nodes
@@ -681,17 +692,36 @@ def rec_st(blocks, erased, l, profile: CodeProfile):
     pts = [profile.x_value(g) for g in range(q2)]
     votes = {g: 0 for g in range(q2)}
     decoded = {}        # column j -> its C and D messages; failed columns are out
-    for j in present:
+    named = set()       # nodes in error in an earlier word: the next suspects
+
+    def decode_column(j):
         try:
-            res = [decode(F, mu, [v if v is ERASED else v[0] for v in W[j]],
-                          tau_max=tau_bud, points=pts) for W in (C, D)]
+            res = []
+            for W in (C, D):
+                res.append(decode(F, mu, [v if v is ERASED else v[0] for v in W[j]],
+                                  tau_max=tau_bud, points=pts, suspects=named))
+                named.update(res[-1].error_positions)
         except DecodeFailure:
-            continue
+            return
         decoded[j] = [r.message for r in res]
         for g in res[0].error_positions | res[1].error_positions:
             votes[g] += 1
 
-    good = [j for j in decoded if votes[j] <= tau_bud]
+    # a named node's column waits: it counts only if its node may still be
+    # trusted, or if its one vote per node may move a column across the
+    # threshold
+    later = []
+    for j in present:
+        if j in named:
+            later.append(j)
+        else:
+            decode_column(j)
+    if any(votes[j] <= tau_bud for j in later) or any(
+            tau_bud - len(later) < votes[j] <= tau_bud for j in decoded):
+        for j in later:
+            decode_column(j)
+
+    good = [j for j in sorted(decoded) if votes[j] <= tau_bud]
     if len(good) < a:
         raise DecodeFailure(
             f"only {len(good)} trustworthy columns for dimension {a}"

@@ -304,3 +304,81 @@ def test_only_a_singular_message_solve_becomes_a_decode_failure(monkeypatch):
     monkeypatch.setattr(decoder, "solve_least_index", broken)
     with pytest.raises(TypeError, match="broken solver"):
         decode(F, G, word)
+
+
+# -- the suspect exit ------------------------------------------------------------
+
+
+def test_suspect_exit_skips_welch_berlekamp(monkeypatch):
+    """Errors all among the suspects: no interpolation solve, the same
+    result.  One error outside them: the solve runs."""
+    F = field_new(4)
+    G, xs = vandermonde(F, 15, 6)
+    msg = [3, 0, 11, 6, 1, 9]
+    word = mat_vec(F, G, msg)
+    word[1] = ERASED
+    for i in (4, 10):
+        word[i] = F.add(word[i], 5)
+    want = decode(F, G, word, points=xs)
+    assert want.message == msg and want.error_positions == {4, 10}
+
+    calls = []
+    real = decoder._decode_wb
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(decoder, "_decode_wb", counting)
+    for suspects in ({4, 10}, {1, 4, 7, 10}, {0, 4, 10, 14}):
+        res = decode(F, G, word, points=xs, suspects=frozenset(suspects))
+        assert res == want and calls == [], suspects
+    # a suspect set past tau_max = 4, or one that misses an error
+    for suspects in ({0, 2, 4, 10, 14}, {4, 7}):
+        calls.clear()
+        assert decode(F, G, word, points=xs, suspects=frozenset(suspects)) == want
+        assert len(calls) == 1, suspects
+
+
+def test_suspect_exit_never_changes_the_result():
+    """decode with any suspects returns the message, errors and erasures of
+    decode without them, or fails with the same text.  The words are
+    Vandermonde words over GF(9), GF(16) or GF(25) with random erasures and
+    errors (inside and beyond the radius), tau_max is the default, below or
+    above it, and the suspects are a subset, a superset or disjoint from
+    the errors, or any set."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def cases(draw):
+        F = field_new(draw(st.sampled_from([3, 4, 5])))
+        n = draw(st.integers(2, F.order - 1))
+        k = draw(st.integers(1, n - 1))
+        xs = draw(st.permutations(range(F.order)))[:n]
+        G = [[F.pow(x, j) for j in range(k)] for x in xs]
+        word = mat_vec(F, G, draw(st.lists(st.integers(0, F.order - 1),
+                                           min_size=k, max_size=k)))
+        order = draw(st.permutations(range(n)))
+        sigma = draw(st.integers(0, n - 1))
+        weight = draw(st.integers(0, n - sigma))
+        errors = set(order[sigma:sigma + weight])
+        for i in order[:sigma]:
+            word[i] = ERASED
+        for i in errors:
+            word[i] = F.add(word[i], draw(st.integers(1, F.order - 1)))
+        tau_max = draw(st.one_of(st.none(), st.integers(-1, n)))
+        other = draw(st.sets(st.integers(0, n - 1)))
+        kind = draw(st.sampled_from(["subset", "superset", "disjoint", "any"]))
+        suspects = {"subset": errors & other, "superset": errors | other,
+                    "disjoint": other - errors, "any": other}[kind]
+        return F, G, xs, word, tau_max, frozenset(suspects)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        F, G, xs, word, tau_max, suspects = case
+        assert (_outcome(decode, F, G, word, tau_max, xs, suspects=suspects)
+                == _outcome(decode, F, G, word, tau_max, xs))
+
+    check()

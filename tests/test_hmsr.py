@@ -11,7 +11,7 @@ from conftest import (
     recon_batches,
     repair_batches,
 )
-from hrgc import hmbr, hmsr
+from hrgc import decoder, hmbr, hmsr
 from hrgc.errors import (
     AsymmetryDetected,
     DecodeFailure,
@@ -23,7 +23,8 @@ from hrgc.errors import (
 )
 from hrgc.curve import encode_column
 from hrgc.decoder import ERASED, decode
-from hrgc.linalg import det_nonzero, mat_mul, mat_vec, solve_square, vec_mat
+from hrgc.linalg import (det_nonzero, mat_inv, mat_mul, mat_vec, solve_square,
+                         transpose, vec_mat)
 from hrgc.matrices import profile_new
 
 
@@ -448,6 +449,144 @@ def test_rec_st_with_prior_erasures_q4(q4_msr):
     S2, T2, corrupt = hmsr.rec_st(blocks, erased, l, p)
     assert (S2, T2) == (S, T)
     assert corrupt == {6, 12}
+
+
+def _per_column_rec_st(blocks, erased, l, profile):
+    """rec_st that decodes both words of every present column by the full
+    error search, with no suspects (the reference for the joint location)."""
+    F = profile.field
+    q2 = profile.n_nodes
+    a = profile.alpha[l]
+    mu = profile.phi(l)
+    sigma = len(erased)
+    tau_bud = (q2 - a - 1 - sigma) // 2
+    if tau_bud < 0:
+        raise DecodeFailure(f"{sigma} erasures exceed the recovery budget")
+    present = [g for g in range(q2) if g not in erased]
+    for g in present:
+        if blocks[g] is None:
+            raise DecodeFailure(f"node {g} missing without being flagged")
+    mu_t = transpose(mu)
+    C, D = hmsr._pairs(F, [None if g in erased else
+                           [[v] for v in vec_mat(F, blocks[g], mu_t)]
+                           for g in range(q2)], profile.lam)
+    pts = [profile.x_value(g) for g in range(q2)]
+    votes = {g: 0 for g in range(q2)}
+    decoded = {}
+    for j in present:
+        try:
+            res = [decode(F, mu, [v if v is ERASED else v[0] for v in W[j]],
+                          tau_max=tau_bud, points=pts) for W in (C, D)]
+        except DecodeFailure:
+            continue
+        decoded[j] = [r.message for r in res]
+        for g in res[0].error_positions | res[1].error_positions:
+            votes[g] += 1
+    good = [j for j in decoded if votes[j] <= tau_bud]
+    if len(good) < a:
+        raise DecodeFailure(
+            f"only {len(good)} trustworthy columns for dimension {a}"
+        )
+    chosen = good[:a]
+    minv = mat_inv(F, transpose([mu[j] for j in chosen]))
+    S = mat_mul(F, transpose([decoded[j][0] for j in chosen]), minv)
+    T = mat_mul(F, transpose([decoded[j][1] for j in chosen]), minv)
+    if (hmsr._asymmetric_block(S) is not None
+            or hmsr._asymmetric_block(T) is not None):
+        raise DecodeFailure("recovered block not symmetric "
+                            "(corruption beyond the budget)")
+    corrupt = {g for g, r in zip(present, mat_mul(
+        F, [profile.nu_row(g, l) for g in present], S + T)) if blocks[g] != r}
+    if len(corrupt) > tau_bud:
+        raise DecodeFailure(
+            f"{len(corrupt)} mismatching rows exceed the budget {tau_bud}"
+        )
+    return S, T, corrupt
+
+
+def _st_blocks(profile, l, rng):
+    """A random symmetric (S, T) block of layer l and every node's row of it."""
+    F, a = profile.field, profile.alpha[l]
+    S = [[0] * a for _ in range(a)]
+    T = [[0] * a for _ in range(a)]
+    for i in range(a):
+        for j in range(i, a):
+            S[i][j] = S[j][i] = rng.randrange(F.order)
+            T[i][j] = T[j][i] = rng.randrange(F.order)
+    return S, T, [vec_mat(F, profile.nu_row(g, l), S + T)
+                  for g in range(profile.n_nodes)]
+
+
+@pytest.mark.parametrize("prof_name", ["q3_msr", "q4_msr"])
+def test_rec_st_joint_location_matches_the_per_column_decode(prof_name,
+                                                             request):
+    """Suspects and waiting columns or not, rec_st returns the same (S, T,
+    corrupt) or the same failure, at every layer, for 0 to budget + 2 liars
+    that resample or offset each of their symbols with probability 1 or 1/2,
+    with and without prior erasures."""
+    profile = request.getfixturevalue(prof_name)
+    F, n = profile.field, profile.n_nodes
+    rng = random.Random(prof_name)
+
+    def outcome(solve, blocks, erased, l):
+        try:
+            return solve(blocks, erased, l, profile)
+        except DecodeFailure as exc:
+            return "DecodeFailure", str(exc)
+
+    seen = set()
+    # q=3 words are short, so more of them reach the rare ties past the budget
+    rounds = 8 if profile.q == 3 else 1
+    for l in [l for l in range(profile.q) for _ in range(rounds)]:
+        for sigma in (0, 1, 3):
+            prior = frozenset(rng.sample(range(n), sigma))
+            budget = (n - profile.alpha[l] - 1 - sigma) // 2
+            for n_liars in range(budget + 3):
+                for kind in ("random", "offset"):
+                    for activation in (1.0, 0.5):
+                        S, T, blocks = _st_blocks(profile, l, rng)
+                        rest = [g for g in range(n) if g not in prior]
+                        liars = rng.sample(rest, n_liars)
+                        shift = rng.randrange(1, F.order)
+                        for g in liars:
+                            blocks[g] = [
+                                v if rng.random() >= activation
+                                else rng.randrange(F.order) if kind == "random"
+                                else F.add(v, shift) for v in blocks[g]]
+                        for g in prior:
+                            blocks[g] = None
+                        got = outcome(hmsr.rec_st, blocks, prior, l)
+                        want = outcome(_per_column_rec_st, blocks, prior, l)
+                        assert got == want, (l, prior, liars, kind, activation)
+                        if got[0] == "DecodeFailure":
+                            seen.add("failed")
+                        else:
+                            seen.add("named" if got[2] else "clean")
+                            if n_liars <= budget:
+                                assert got[:2] == (S, T)
+    assert seen == {"clean", "named", "failed"}
+
+
+def test_rec_st_locates_two_liars_with_at_most_two_full_decodes(q4_msr,
+                                                                  monkeypatch):
+    """Two liars that resample their whole rows: the first words locate
+    them, and every later word takes the codeword or the suspect exit (the
+    per-column decode makes about 2 (q^2 - sigma) full decodes)."""
+    p = q4_msr
+    calls = []
+    real = decoder._decode_wb
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(decoder, "_decode_wb", counting)
+    rng = random.Random(25)
+    S, T, blocks = _st_blocks(p, 0, rng)
+    for g in (6, 12):
+        blocks[g] = [rng.randrange(p.field.order) for _ in blocks[g]]
+    assert hmsr.rec_st(blocks, frozenset(), 0, p) == (S, T, {6, 12})
+    assert 1 <= len(calls) <= 2
 
 
 def test_reconstruct_recover_budgeted(q3_msr):
