@@ -7,35 +7,34 @@ helper per block and equals the per-node storage (the bandwidth-optimal
 point).  All decoding here runs against plain Vandermonde matrices, so the
 recovery budgets are exact; k_l = alpha_l (empty T) is a first-class case.
 
-The node/report/batch types, the staged request plan, the helper responses,
-the encoder and the repair and reconstruction loops with their adapters are
-the MSR engine's (``hmsr``).  This module supplies what is particular to
-MBR: the message layout, the mu rows as encoding vectors, repair rows that
-need no lambda mix, the window extractor ``_extract_m`` (every block of a
-layer at once), the block stacking ``_join`` whose product with mu_g is node
-g's response (and so, with the mu rows, the encoding), and the full-stack
-block solver ``rec_m``.  Both solvers find T first and take S from the strip
+The node/report/batch types, the message layout (the profile's index table,
+``CodeProfile.layout``), the staged request plan, the helper responses, the
+encoder and the repair and reconstruction loops with their adapters are the
+MSR engine's (``hmsr``).  This module supplies what is particular to
+MBR: the mu rows as encoding vectors, repair rows that need no lambda mix,
+the window extractor ``_extract_m`` (every block of a layer at once), the
+block stacking ``_join`` whose product with mu_g is node g's response (and
+so, with the mu rows, the encoding), and the full-stack block solver
+``rec_m``.  Both solvers find T first and take S from the strip
 R1 - Delta_part T^t, which ``_strip_t`` computes for both, for any number of
 blocks side by side; ``rec_m`` decodes the T columns and then the strip's
-columns with one column decoder.  The S blocks use ``hmsr``'s symmetric
-block reader and writer.
+columns with one column decoder.
 """
 
 from __future__ import annotations
 
 from .decoder import ERASED, decode
-from .errors import AsymmetryDetected, DecodeFailure, LengthMismatch
+from .errors import AsymmetryDetected, DecodeFailure
 from .hmsr import (  # noqa: F401 -- the shared names are re-exported
     MessageMatrices,
     ReconstructReport,
     RepairReport,
+    _arrange,
     _asymmetric_block,
     _encode,
     _interleave,
     _reconstruct,
     _repair,
-    _symmetric_block,
-    _upper_triangle,
     helper_response,
 )
 from .linalg import mat_inv, mat_mul, vec_mat
@@ -43,25 +42,7 @@ from .matrices import CodeProfile
 
 
 def arrange_m(message, profile: CodeProfile) -> MessageMatrices:
-    if len(message) != profile.B:
-        raise LengthMismatch(f"message length {len(message)} != B={profile.B}")
-    it = iter(message)
-    m = MessageMatrices(s=[[] for _ in range(profile.q)],
-                        t_=[[] for _ in range(profile.q)])
-    for l, (a, k) in enumerate(zip(profile.alpha, profile.k)):
-        for _ in range(profile.blocks(l)):
-            m.s[l].append(_symmetric_block(it, k))
-            m.t_[l].append([[next(it) for _ in range(a - k)] for _ in range(k)])
-    return m
-
-
-def message_from_m(m: MessageMatrices, profile: CodeProfile):
-    out = []
-    for s_layer, t_layer in zip(m.s, m.t_):
-        for S, T in zip(s_layer, t_layer):
-            out += _upper_triangle(S)
-            out += [x for row in T for x in row]
-    return out
+    return _arrange(message, profile)
 
 
 def _join(S, T):
@@ -154,18 +135,18 @@ def _m_window(profile, l, ids):
 
 def reconstruct_mbr_plain(batches, profile: CodeProfile) -> ReconstructReport:
     return _reconstruct(batches, profile, "plain", profile.mu_row, _join,
-                        _m_window, rec_m, message_from_m)
+                        _m_window, rec_m)
 
 
 def reconstruct_mbr_detect(batches, profile: CodeProfile) -> ReconstructReport:
     return _reconstruct(batches, profile, "detect", profile.mu_row, _join,
-                        _m_window, rec_m, message_from_m)
+                        _m_window, rec_m)
 
 
 def reconstruct_mbr_recover(batches, profile: CodeProfile,
                             prior_flags=frozenset()) -> ReconstructReport:
     return _reconstruct(batches, profile, "recover", profile.mu_row, _join,
-                        _m_window, rec_m, message_from_m, prior_flags)
+                        _m_window, rec_m, prior_flags)
 
 
 def rec_m(blocks, erased, l, profile: CodeProfile):

@@ -1,13 +1,12 @@
 """Layered MSR engine: encoding, staged repair, and file reconstruction.
 
-Message layout: the B symbols fill two stacks of symmetric matrices S and T
-(S gets the first half).  Layer l holds A/alpha_l blocks of size
-alpha_l x alpha_l; blocks fill upper-triangle row-major, layers ascending,
-blocks ascending.  Encoding evaluates each column of S (resp. T) as a layered
-curve polynomial and stores, at node g, the q x A slice
-Y_g = B_g * (U_g + lambda_g * E_g), so that row l of B_g^{-1} Y_g splits into
-blocks mu_{g,l} S_{l,t} + lambda_g mu_{g,l} T_{l,t} -- one inner product per
-helper is enough to repair.
+Message layout: ``_arrange`` maps each row of the profile's index table
+(``CodeProfile.layout``) over a message, giving each layer's S and T with
+the blocks side by side, and ``_message`` reads it back.  Encoding evaluates
+each column of S (resp. T) as a layered curve polynomial and stores, at node
+g, the q x A slice Y_g = B_g * (U_g + lambda_g * E_g), so that row l of
+B_g^{-1} Y_g splits into blocks mu_{g,l} S_{l,t} + lambda_g mu_{g,l} T_{l,t}
+-- one inner product per helper is enough to repair.
 
 Repair and reconstruction run one plain/detect loop and one recover loop.
 A repair is a reconstruction whose blocks are one help symbol wide and
@@ -39,22 +38,21 @@ simulator's job.
 
 The encoder, the two loops and their adapters defined here are shared with
 the MBR engine (``hmbr``), which passes its own encoding rows, block
-extractor, block stacking, block solver and message layout, and so is the
-request protocol: ``request_counts`` fixes every round's helpers per layer.
+extractor, block stacking and block solver; so are the message layout and
+the request protocol: ``request_counts`` fixes each layer's helpers.
 
 Each step of the block algebra is written once.  ``_pairs`` solves
 R Phi^T = C + Lambda D pair by pair, each entry a vector with one symbol per
 block, for the window extractor ``extract_st`` (alpha_l + 1 rows, every
 block of a layer) and the recovery solver ``rec_st`` (all q^2 rows, erased
 ones None, one block); C and D are symmetric, so row j of each is column
-j's word.  ``_symmetric_block`` reads a symmetric block from an iterator
-over the message and ``_upper_triangle`` writes one back; both codes'
-layouts use them.
+j's word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from itertools import chain
 
 from .decoder import ERASED, decode
 from .errors import (
@@ -75,10 +73,11 @@ from .matrices import CodeProfile
 
 @dataclass
 class MessageMatrices:
-    """The message blocks of both codes, s[l][t] and t_[l][t].
+    """The layer matrices of both codes, s[l] and t_[l]: layer l's blocks
+    side by side.
 
-    MSR: S and T symmetric alpha_l x alpha_l.  MBR: S symmetric k_l x k_l,
-    T k_l x (alpha_l - k_l).
+    MSR: S and T blocks symmetric alpha_l x alpha_l.  MBR: S blocks symmetric
+    k_l x k_l, T blocks k_l x (alpha_l - k_l).
     """
     s: list
     t_: list
@@ -125,55 +124,38 @@ class ReconstructReport:
 
 
 def arrange_st(message, profile: CodeProfile) -> MessageMatrices:
+    return _arrange(message, profile)
+
+
+def _arrange(message, profile):
+    """The layer matrices: each row of the profile's index table, mapped."""
     if len(message) != profile.B:
         raise LengthMismatch(f"message length {len(message)} != B={profile.B}")
-    it = iter(message)      # S takes the first half, T the second
-    s, t_ = [[[_symmetric_block(it, a) for _ in range(profile.blocks(l))]
-              for l, a in enumerate(profile.alpha)] for _ in range(2)]
-    return MessageMatrices(s=s, t_=t_)
+    get = message.__getitem__
+    return MessageMatrices(*([[list(map(get, r)) for r in M] for M in mats]
+                             for mats in zip(*profile.layout[0])))
 
 
-def _symmetric_block(it, a):
-    """The a x a symmetric block whose upper triangle, row-major, is the
-    next a(a+1)/2 symbols of the iterator ``it``."""
-    M = [[0] * a for _ in range(a)]
-    for i in range(a):
-        for j in range(i, a):
-            M[i][j] = M[j][i] = next(it)
-    return M
-
-
-def _upper_triangle(M):
-    """The upper triangle of the square matrix M, row-major."""
-    return [x for i, row in enumerate(M) for x in row[i:]]
-
-
-def message_from_st(st: MessageMatrices, profile: CodeProfile):
-    return [x for blocks in (st.s, st.t_) for layer in blocks for M in layer
-            for x in _upper_triangle(M)]
+def _message(profile, layers):
+    """The message that every layer's (S, T) layer matrices hold: each index
+    read at its first position in the profile's index table."""
+    flat = list(chain.from_iterable(r for S, T in layers for r in S + T))
+    return list(map(flat.__getitem__, profile.layout[1]))
 
 
 # -- encoding -------------------------------------------------------------------
 
 
-def _layer_matrix(blocks_l):
-    """Horizontally concatenate the blocks of one layer."""
-    a = len(blocks_l[0])
-    rows = []
-    for i in range(a):
-        row = []
-        for M in blocks_l:
-            row.extend(M[i])
-        rows.append(row)
-    return rows
+def _side_by_side(pieces):
+    """The matrix whose rows hold the pieces' rows side by side."""
+    return [list(chain.from_iterable(rows)) for rows in zip(*pieces)]
 
 
 def _encode(m: MessageMatrices, profile: CodeProfile, row, stack):
-    """The q^2 node states of the message blocks m: node g's layer-l row is
-    row(g, l) times ``stack`` of the layer's S and T blocks side by side."""
+    """The q^2 node states of the layer matrices m: node g's layer-l row is
+    row(g, l) times ``stack`` of the layer's S and T."""
     F, n = profile.field, profile.n_nodes
-    layers = [mat_mul(F, [row(g, l) for g in range(n)],
-                      stack(_layer_matrix(m.s[l]), _layer_matrix(m.t_[l])))
+    layers = [mat_mul(F, [row(g, l) for g in range(n)], stack(m.s[l], m.t_[l]))
               for l in range(profile.q)]
     return [NodeState(node_id=g, y=mat_mul(
                 F, profile.points.basis(g), [M[g] for M in layers]))
@@ -253,9 +235,10 @@ def _contributors(batches, l):
 # adapter per operation (``_repair``, ``_reconstruct``).  The adapter picks
 # the loop by mode and hands it the operation's row reader rows(g, l), its
 # window and its output, which makes the report's fields from each layer's
-# (S, T) pieces.  The entry points pass what differs between the codes, read
-# from their own module's globals when they run (never captured at import, so
-# rebinding a module attribute reaches every call):
+# (S, T) pieces, joined side by side.  The entry points pass what differs
+# between the codes, read from their own module's globals when they run
+# (never captured at import, so rebinding a module attribute reaches every
+# call):
 #   row(g, l)                  node g's layer-l encoding vector (nu or mu)
 #   finish(profile, z, l, X)   node z's layer-l rows from the solved blocks,
 #                              X holding one block per column
@@ -266,7 +249,6 @@ def _contributors(batches, l):
 #                              responder window; MBR's raises
 #                              AsymmetryDetected at the lowest asymmetric block
 #   solve(blocks, erased, l, profile)  full-stack block solver -> (S, T, bad)
-#   layout(m, profile)         MessageMatrices -> message symbols
 #
 # Blocks side by side: a layer row, the S and T that the extractors take and
 # return for a layer, and a piece hold blocks in order, each block's columns
@@ -281,23 +263,6 @@ def _interleave(cols):
     for c, col in enumerate(cols):
         row[c::n] = col
     return row
-
-
-def _split(M, w):
-    """The w blocks that the rows of M hold side by side."""
-    n = len(M[0]) // w if M else 0
-    return [[r[t * n:(t + 1) * n] for r in M] for t in range(w)]
-
-
-def _cut(pieces):
-    """The S blocks and the T blocks that a layer's (S, T) pieces hold side
-    by side; S's blocks are square."""
-    S, T = [], []
-    for P, Q in pieces:
-        w = len(P[0]) // len(P)
-        S += _split(P, w)
-        T += _split(Q, w)
-    return S, T
 
 
 def _first_difference(u, v):
@@ -379,7 +344,7 @@ def _repair(z, batches, profile, mode, row, finish, vandermonde,
 
     def output(layers):
         # finish's row c holds entry c of every block: one layer row
-        tilde = [_interleave(finish(profile, z, l, _layer_matrix(
+        tilde = [_interleave(finish(profile, z, l, _side_by_side(
             [S for S, _ in layers[l]]))) for l in range(profile.q)]
         return {"y": mat_mul(F, profile.points.basis(z), tilde)}
 
@@ -403,7 +368,7 @@ def _repair(z, batches, profile, mode, row, finish, vandermonde,
         row, _st_stack, window, solve, RepairReport, output)
 
 
-def _reconstruct(batches, profile, mode, row, stack, window, solve, layout,
+def _reconstruct(batches, profile, mode, row, stack, window, solve,
                  prior_flags=frozenset()):
     """Reconstruction from the nodes' layer rows, whose blocks are alpha_l
     wide.  In recover, a block that fails the layer pass goes to the
@@ -415,8 +380,8 @@ def _reconstruct(batches, profile, mode, row, stack, window, solve, layout,
         return rows_by_node[g][l]
 
     def output(layers):
-        s, t_ = zip(*map(_cut, layers))
-        return {"message": layout(MessageMatrices(s=s, t_=t_), profile)}
+        return {"message": _message(profile, [
+            map(_side_by_side, zip(*pieces)) for pieces in layers])}
 
     if mode != "recover":
         return _plain_detect(batches, rows, profile, mode, profile.k,
@@ -632,18 +597,18 @@ def _st_window(profile, l, ids):
 
 def reconstruct_plain(batches, profile: CodeProfile) -> ReconstructReport:
     return _reconstruct(batches, profile, "plain", profile.nu_row, _st_stack,
-                        _st_window, rec_st, message_from_st)
+                        _st_window, rec_st)
 
 
 def reconstruct_detect(batches, profile: CodeProfile) -> ReconstructReport:
     return _reconstruct(batches, profile, "detect", profile.nu_row, _st_stack,
-                        _st_window, rec_st, message_from_st)
+                        _st_window, rec_st)
 
 
 def reconstruct_recover(batches, profile: CodeProfile,
                         prior_flags=frozenset()) -> ReconstructReport:
     return _reconstruct(batches, profile, "recover", profile.nu_row, _st_stack,
-                        _st_window, rec_st, message_from_st, prior_flags)
+                        _st_window, rec_st, prior_flags)
 
 
 def rec_st(blocks, erased, l, profile: CodeProfile):

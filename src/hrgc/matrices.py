@@ -24,8 +24,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from array import array
 from dataclasses import dataclass, field as dfield
-from itertools import combinations
+from functools import cached_property
+from itertools import accumulate, combinations
 
 from .curve import PointTable, enumerate_points, group_x_value, kappa
 from .errors import (
@@ -90,6 +92,11 @@ class CodeProfile:
 
     def blocks(self, l: int) -> int:
         return self.A // self.alpha[l]
+
+    @cached_property
+    def layout(self):
+        """The message layout's index tables (``_layout_tables``)."""
+        return _layout_tables(self)
 
     @property
     def n_nodes(self) -> int:
@@ -159,6 +166,52 @@ def _layer_params(mode, q, kap, alpha, k):
         assert twice % 2 == 0
         B = twice // 2
     return alpha, kk, d, A, B
+
+
+# -- message layout ------------------------------------------------------------
+
+
+def _layout_tables(profile):
+    """The message layout of both codes as index tables (forward, inverse).
+
+    Block t of layer l has an S and a T part: MSR's symmetric alpha_l x
+    alpha_l, filled S parts first (layers, then blocks, ascending), then T
+    parts; MBR's S symmetric k_l x k_l and T k_l x (alpha_l - k_l), filled
+    block by block.  A symmetric part takes its upper triangle row-major.
+    forward[l] is layer l's [S, T] as message indices, the blocks side by
+    side, an array('I') per row; the array('I') inverse holds each index's
+    first position in forward's rows read in order.
+    """
+    msr = profile.mode == "msr"
+    shapes = [((a, a, True),) * 2 if msr else ((k, k, True), (k, a - k, False))
+              for a, k in zip(profile.alpha, profile.k)]
+    # part p of layer l starts at read position starts[2l + p]
+    starts = list(accumulate((r * c * profile.blocks(l) for l, parts in
+                              enumerate(shapes) for r, c, _ in parts), initial=0))
+    forward, inverse, n = [[None, None] for _ in shapes], array("I"), 0
+    for fill in ((0,), (1,)) if msr else ((0, 1),):
+        for l, parts in enumerate(shapes):
+            w = profile.blocks(l)
+            run = [(p, parts[p][1], *_block_part(*parts[p], w, starts[2 * l + p]))
+                   for p in fill]
+            stride = sum(len(firsts) for *_, firsts in run)   # symbols per block
+            for p, _, M, firsts in run:
+                forward[l][p] = [array("I", [b + o for b in range(
+                    n, n + stride * w, stride) for o in row]) for row in M]
+                n += len(firsts)
+            n += stride * (w - 1)
+            inverse.extend([x + t * c for t in range(w)
+                            for _, c, _, firsts in run for x in firsts])
+    return forward, inverse
+
+
+def _block_part(r, c, symmetric, w, start):
+    """An r x c part, w side by side read from ``start``: block 0's entries
+    as offsets into its run of the message, and each offset's first position."""
+    cells = [(i, j) for i in range(r) for j in range(i if symmetric else 0, c)]
+    at = {cell: n for n, cell in enumerate(cells)}
+    return ([[at[(j, i) if symmetric and j < i else (i, j)] for j in range(c)]
+             for i in range(r)], [start + i * w * c + j for i, j in cells])
 
 
 # -- coefficient selection ---------------------------------------------------

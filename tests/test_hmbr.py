@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    block,
     corrupt_recon,
     corrupt_repair,
     encode_profile,
@@ -23,8 +24,9 @@ def test_arrange_q4_k_equals_alpha(q4_mbr):
     assert q4_mbr.B == 660
     for l in range(4):
         for t in range(q4_mbr.blocks(l)):
-            assert m.t_[l][t] == [[] for _ in range(q4_mbr.k[l])]
-            blk = hmbr._join(m.s[l][t], m.t_[l][t])
+            S, T = block(m, q4_mbr, l, t)
+            assert T == [[] for _ in range(q4_mbr.k[l])]
+            blk = hmbr._join(S, T)
             assert len(blk) == q4_mbr.alpha[l]
             assert blk == [list(r) for r in zip(*blk)]
 
@@ -35,16 +37,17 @@ def test_arrange_q3_block_symbol_count(q3_mbr):
     m = hmbr.arrange_m(msg, q3_mbr)
     k, a = q3_mbr.k[0], q3_mbr.alpha[0]
     assert k * (2 * a - k + 1) // 2 == 5
-    assert m.s[0][0] == [[msg[0], msg[1]], [msg[1], msg[2]]]
-    assert m.t_[0][0] == [[msg[3]], [msg[4]]]
-    blk = hmbr._join(m.s[0][0], m.t_[0][0])
+    S, T = block(m, q3_mbr, 0, 0)
+    assert S == [[msg[0], msg[1]], [msg[1], msg[2]]]
+    assert T == [[msg[3]], [msg[4]]]
+    blk = hmbr._join(S, T)
     assert blk == [list(r) for r in zip(*blk)]
     assert blk[2][2] == 0
 
 
 def test_arrange_zero_and_length(q3_mbr):
     m = hmbr.arrange_m([0] * q3_mbr.B, q3_mbr)
-    assert all(v == 0 for lay in m.s for M in lay for r in M for v in r)
+    assert all(v == 0 for M in m.s + m.t_ for r in M for v in r)
     with pytest.raises(LengthMismatch):
         hmbr.arrange_m([0] * (q3_mbr.B + 1), q3_mbr)
 
@@ -52,7 +55,8 @@ def test_arrange_zero_and_length(q3_mbr):
 def test_arrange_round_trip(q3_mbr, q4_mbr):
     for p in (q3_mbr, q4_mbr):
         msg = random_message(p, 3)
-        assert hmbr.message_from_m(hmbr.arrange_m(msg, p), p) == msg
+        m = hmbr.arrange_m(msg, p)
+        assert hmsr._message(p, list(zip(m.s, m.t_))) == msg
 
 
 @pytest.mark.parametrize("prof_name", ["q3_mbr", "q4_mbr"])
@@ -70,8 +74,7 @@ def test_encode_layer_identity(prof_name, request):
             mu = p.mu_row(g, l)
             for t in range(p.blocks(l)):
                 blk = tilde[l][t * a:(t + 1) * a]
-                assert blk == vec_mat(F, mu,
-                                      hmbr._join(m.s[l][t], m.t_[l][t]))
+                assert blk == vec_mat(F, mu, hmbr._join(*block(m, p, l, t)))
 
 
 def test_mbr_point_identity(q3_mbr, q4_mbr):
@@ -201,12 +204,12 @@ def test_rec_m_two_errors_q3(q3_mbr):
     m = hmbr.arrange_m(msg, p)
     l = 0
     a = p.alpha[l]
-    truth = hmbr._join(m.s[l][0], m.t_[l][0])
+    truth = hmbr._join(*block(m, p, l, 0))
     blocks = [vec_mat(F, p.mu_row(g, l), truth) for g in range(9)]
     for g in (2, 6):
         blocks[g] = [rng.randrange(9) for _ in range(a)]
     S, T, corrupt = hmbr.rec_m(blocks, frozenset(), l, p)
-    assert S == m.s[l][0] and T == m.t_[l][0]
+    assert (S, T) == block(m, p, l, 0)
     assert corrupt == {2, 6}
 
 
@@ -219,7 +222,7 @@ def test_rec_m_priors_plus_new_q4(q4_mbr):
     m = hmbr.arrange_m(msg, p)
     l = 0
     a = p.alpha[l]
-    truth = hmbr._join(m.s[l][0], m.t_[l][0])
+    truth = hmbr._join(*block(m, p, l, 0))
     blocks = [vec_mat(F, p.mu_row(g, l), truth) for g in range(16)]
     erased = frozenset({1, 8, 15})
     for g in erased:
@@ -227,7 +230,7 @@ def test_rec_m_priors_plus_new_q4(q4_mbr):
     for g in (4, 11):
         blocks[g] = [rng.randrange(16) for _ in range(a)]
     S, T, corrupt = hmbr.rec_m(blocks, erased, l, p)
-    assert S == m.s[l][0] and T == m.t_[l][0]
+    assert (S, T) == block(m, p, l, 0)
     assert corrupt == {4, 11}
 
 
@@ -237,10 +240,10 @@ def test_rec_m_no_errors_matches_plain(q3_mbr):
     msg = random_message(p, 14)
     m = hmbr.arrange_m(msg, p)
     l = 1
-    truth = hmbr._join(m.s[l][0], m.t_[l][0])
+    truth = hmbr._join(*block(m, p, l, 0))
     blocks = [vec_mat(F, p.mu_row(g, l), truth) for g in range(9)]
     S, T, corrupt = hmbr.rec_m(blocks, frozenset(), l, p)
-    assert S == m.s[l][0] and T == m.t_[l][0] and corrupt == set()
+    assert (S, T) == block(m, p, l, 0) and corrupt == set()
 
 
 @pytest.mark.parametrize("prof_name", ["q3_mbr", "q4_mbr"])

@@ -1,17 +1,23 @@
+import importlib.util
 import random
 import sys
+from array import array
+from pathlib import Path
 
 import pytest
 
 from conftest import (
+    block,
     corrupt_recon,
     corrupt_repair,
     encode_profile,
     random_message,
     recon_batches,
+    reference_blocks,
+    reference_message,
     repair_batches,
 )
-from hrgc import decoder, hmbr, hmsr
+from hrgc import decoder, hmbr, hmsr, sim
 from hrgc.errors import (
     AsymmetryDetected,
     DecodeFailure,
@@ -23,29 +29,29 @@ from hrgc.errors import (
 )
 from hrgc.curve import encode_column
 from hrgc.decoder import ERASED, decode
-from hrgc.linalg import (det_nonzero, mat_inv, mat_mul, mat_vec, solve_square,
-                         transpose, vec_mat)
-from hrgc.matrices import profile_new
+from hrgc.linalg import (det_nonzero, left_null_space, mat_inv, mat_mul,
+                         mat_vec, solve_square, transpose, vec_mat)
 
 
 def test_arrange_shapes_q3(q3_msr):
     msg = random_message(q3_msr, 1)
     st = hmsr.arrange_st(msg, q3_msr)
-    assert len(st.s[0]) == 2              # A/alpha_0 = 6/3 blocks
-    assert all(len(m) == 3 and len(m[0]) == 3 for m in st.s[0])
+    # A/alpha_0 = 6/3 blocks of 3 x 3 side by side
+    assert [len(r) for r in st.s[0]] == [6] * 3
     # layer-0 block holds alpha(alpha+1)/2 = 6 distinct symbols
+    S = block(st, q3_msr, 0, 0)[0]
     assert sorted({msg[i] for i in range(6)}) == sorted(
-        {st.s[0][0][i][j] for i in range(3) for j in range(i, 3)}
+        {S[i][j] for i in range(3) for j in range(i, 3)}
     )
-    for blocks in (st.s, st.t_):
-        for layer in blocks:
-            for M in layer:
+    for l in range(q3_msr.q):
+        for t in range(q3_msr.blocks(l)):
+            for M in block(st, q3_msr, l, t):
                 assert M == [list(r) for r in zip(*M)]  # symmetric
 
 
 def test_arrange_zero_and_length(q3_msr):
     st = hmsr.arrange_st([0] * 54, q3_msr)
-    assert all(all(all(v == 0 for v in r) for r in M) for lay in st.s for M in lay)
+    assert all(v == 0 for M in st.s + st.t_ for r in M for v in r)
     with pytest.raises(LengthMismatch):
         hmsr.arrange_st([0] * 55, q3_msr)
 
@@ -53,7 +59,49 @@ def test_arrange_zero_and_length(q3_msr):
 def test_arrange_round_trip(q4_msr):
     msg = random_message(q4_msr, 2)
     st = hmsr.arrange_st(msg, q4_msr)
-    assert hmsr.message_from_st(st, q4_msr) == msg
+    assert hmsr._message(q4_msr, list(zip(st.s, st.t_))) == msg
+
+
+@pytest.mark.parametrize(
+    "prof_name", ["q3_msr", "q4_msr", "q3_mbr", "q4_mbr", "q5_msr", "q5_mbr"])
+def test_layout_table_is_the_symbol_by_symbol_layout(prof_name, request,
+                                                    monkeypatch):
+    """The layer matrices that the index table arranges are the reference
+    layout's blocks side by side, and reading them back gives the message.
+    A recover reconstruct with two liars, whose layers come back in several
+    pieces, is exact.  Both tables are array('I')."""
+    profile = request.getfixturevalue(prof_name)
+    msr = profile.mode == "msr"
+    message = random_message(profile, 81)
+    m = (hmsr.arrange_st if msr else hmbr.arrange_m)(message, profile)
+    s, t_ = reference_blocks(message, profile)
+    assert reference_message(s, t_, profile) == message
+    for l in range(profile.q):
+        for M, blocks in ((m.s[l], s[l]), (m.t_[l], t_[l])):
+            assert M == [sum(rows, []) for rows in zip(*blocks)], l
+    assert hmsr._message(profile, list(zip(m.s, m.t_))) == message
+
+    pieces = []
+    side_by_side = hmsr._side_by_side
+
+    def spy(layer_pieces):
+        pieces.append(len(layer_pieces))
+        return side_by_side(layer_pieces)
+
+    monkeypatch.setattr(hmsr, "_side_by_side", spy)
+    liars = set(random.Random(prof_name).sample(range(profile.k[0]), 2))
+    batches = corrupt_recon(
+        recon_batches(profile, encode_profile(profile, message), "recover"),
+        liars, profile.field.order, 82)
+    rep = (hmsr.reconstruct_recover if msr
+           else hmbr.reconstruct_mbr_recover)(batches, profile)
+    assert rep.ok and rep.message == message and rep.corrupted == liars
+    assert max(pieces) > 1
+
+    forward, inverse = profile.layout
+    assert all(isinstance(r, array) and r.typecode == "I"
+               for mats in forward for M in mats for r in M)
+    assert isinstance(inverse, array) and inverse.typecode == "I"
 
 
 def test_encode_zero(q3_msr):
@@ -77,8 +125,9 @@ def test_encode_layer_identity(prof_name, request):
             mu = profile.mu_row(g, l)
             for t in range(profile.blocks(l)):
                 blk = tilde[l][t * a:(t + 1) * a]
-                ms = vec_mat(F, mu, st.s[l][t])
-                mt = vec_mat(F, mu, st.t_[l][t])
+                S, T = block(st, profile, l, t)
+                ms = vec_mat(F, mu, S)
+                mt = vec_mat(F, mu, T)
                 assert blk == [
                     F.add(ms[c], F.mul(profile.lam[g], mt[c])) for c in range(a)
                 ]
@@ -351,14 +400,13 @@ def test_extract_st_corruption_never_returns_truth(q3_msr):
                 S2, T2 = hmsr.extract_st(bad, ids, l, p)
             except AsymmetryDetected:
                 continue
-            assert (S2, T2) != (st.s[0][0], st.t_[0][0])
+            assert (S2, T2) != block(st, p, 0, 0)
 
 
-def test_extract_st_random_rows_extract_symmetric_blocks(q3_msr, q4_msr):
+def test_extract_st_random_rows_extract_symmetric_blocks(q3_msr, q4_msr, q5_msr):
     """A regular alpha_l + 1 window maps symmetric (S, T) pairs one to one
     onto its alpha_l (alpha_l + 1) response symbols, so rows of random
     symbols extract symmetric blocks that reproduce the rows."""
-    q5_msr = profile_new("msr", 5, 34, (7, 6, 5, 4, 3), seed=1)
     rng = random.Random(23)
     for p in (q3_msr, q4_msr, q5_msr):
         F, n = p.field, p.n_nodes
@@ -651,8 +699,7 @@ def _two_window_reconstruct(profile, batches):
     is the alarm."""
     F = profile.field
     msr = profile.mode == "msr"
-    m = hmsr.MessageMatrices(s=[[] for _ in range(profile.q)],
-                             t_=[[] for _ in range(profile.q)])
+    s, t_ = [[[] for _ in range(profile.q)] for _ in range(2)]
     for l in range(profile.q):
         k, a = profile.k[l], profile.alpha[l]
         resp = _window_order(batches, l)[:k + 1]
@@ -671,10 +718,9 @@ def _two_window_reconstruct(profile, batches):
                     return False, {"layer": l, "block": t}, None
             if out[0] != out[1]:
                 return False, {"layer": l, "block": t}, None
-            m.s[l].append(out[0][0])
-            m.t_[l].append(out[0][1])
-    layout = hmsr.message_from_st if msr else hmbr.message_from_m
-    return True, None, layout(m, profile)
+            s[l].append(out[0][0])
+            t_[l].append(out[0][1])
+    return True, None, reference_message(s, t_, profile)
 
 
 def _outcome(call):
@@ -724,6 +770,59 @@ def test_detect_matches_the_two_window_rule(prof_name, request):
             ("reconstruct", True), ("reconstruct", False)} <= seen
 
 
+@pytest.mark.parametrize("prof_name", ["q3_msr", "q4_msr"])
+def test_consistent_pair_passes_detect_reconstruct(prof_name, request):
+    """Two omniscient colluders pass detect reconstruct silently: each adds
+    nu_g [dS; dT] to block 0 of its layer-0 row, for a nonzero symmetric
+    (dS, dT) that every honest detect responder's nu row maps to zero, so
+    every detect row agrees with a wrong block.  Recover hears every node,
+    returns the message and names both."""
+    profile = request.getfixturevalue(prof_name)
+    F, a = profile.field, profile.alpha[0]
+    message = random_message(profile, 91)
+    nodes = encode_profile(profile, message)
+    liars = {0, 1}
+    detect = recon_batches(profile, nodes, "detect")
+    honest = [b.helper_id for b in _window_order(detect, 0)[:profile.k[0] + 1]
+              if b.helper_id not in liars]
+    # one symmetric unit pair per upper-triangle entry of dS, then of dT
+    entries = [(h, i, j) for h in range(2) for i in range(a)
+               for j in range(i, a)]
+
+    def pair(values):
+        D = [[0] * a for _ in range(2 * a)]
+        for (h, i, j), v in zip(entries, values):
+            D[h * a + i][j] = D[h * a + j][i] = v
+        return D
+
+    units = [pair([int(u == e) for e in range(len(entries))])
+             for u in range(len(entries))]
+    null = left_null_space(F, [
+        [x for g in honest for x in vec_mat(F, profile.nu_row(g, 0), D)]
+        for D in units])
+    assert len(null) == a
+    delta = pair(null[0])
+    shift = {g: vec_mat(F, profile.nu_row(g, 0), delta) for g in liars}
+    assert all(any(v) for v in shift.values())
+
+    def lie(batches):
+        out = []
+        for b in batches:
+            if b.helper_id in liars:
+                rows = {l: list(r) for l, r in b.rows.items()}
+                rows[0][:a] = [F.add(x, y)
+                               for x, y in zip(rows[0], shift[b.helper_id])]
+                b = hmsr.HelpSymbolBatch(b.helper_id, b.level, rows=rows)
+            out.append(b)
+        return out
+
+    rep = hmsr.reconstruct_detect(lie(detect), profile)
+    assert rep.ok and rep.alarm is None and rep.message != message
+    rep = hmsr.reconstruct_recover(
+        lie(recon_batches(profile, nodes, "recover")), profile)
+    assert rep.ok and rep.message == message and rep.corrupted == liars
+
+
 @pytest.mark.parametrize("prof_name", ["q3_msr", "q4_msr", "q3_mbr", "q4_mbr"])
 def test_recovery_solvers_reduce_to_the_window_extractors(prof_name, request):
     """With only the extractor's responders present (0..alpha_l for MSR,
@@ -752,7 +851,7 @@ def test_recovery_solvers_reduce_to_the_window_extractors(prof_name, request):
         for t in range(profile.blocks(l)):
             R = [stack[g][l][t * a:(t + 1) * a] for g in ids]
             S, T, corrupt = solve(R + [None] * len(erased), erased, l, profile)
-            assert (S, T) == extract(R) == (truth.s[l][t], truth.t_[l][t])
+            assert (S, T) == extract(R) == block(truth, profile, l, t)
             assert corrupt == set()
 
             R = [[rng.randrange(F.order) for _ in range(a)] for _ in ids]
@@ -784,8 +883,7 @@ def _solver_only_recover(batches, profile, prior_flags):
     rows_by_node = {b.helper_id: b.rows for b in batches}
     flags = set(prior_flags) | {g for g in range(q2) if g not in rows_by_node}
     found, tallies = set(), {}
-    m = hmsr.MessageMatrices(s=[[] for _ in range(profile.q)],
-                             t_=[[] for _ in range(profile.q)])
+    s, t_ = [[[] for _ in range(profile.q)] for _ in range(2)]
     for l in range(profile.q - 1, -1, -1):
         sigma = len(flags)
         tallies[l] = {"erasures": sigma, "errors": 0}
@@ -806,10 +904,10 @@ def _solver_only_recover(batches, profile, prior_flags):
             flags |= newly
             found |= newly
             tallies[l]["errors"] += len(newly)
-            m.s[l].append(S)
-            m.t_[l].append(T)
-    layout = hmsr.message_from_st if msr else hmbr.message_from_m
-    return True, layout(m, profile), frozenset(found), tallies, None
+            s[l].append(S)
+            t_[l].append(T)
+    return (True, reference_message(s, t_, profile), frozenset(found), tallies,
+            None)
 
 
 def _recover(profile):
@@ -1330,8 +1428,7 @@ def _per_block_reconstruct(batches, profile, mode):
     msr = profile.mode == "msr"
     detect = mode == "detect"
     counts = hmsr.request_counts(profile, "reconstruct", mode, len(batches))
-    m = hmsr.MessageMatrices(s=[[] for _ in range(profile.q)],
-                             t_=[[] for _ in range(profile.q)])
+    s, t_ = [[[] for _ in range(profile.q)] for _ in range(2)]
     for l in range(profile.q):
         k, a = profile.k[l], profile.alpha[l]
         resp = _window_order(batches, l)[:counts[l]]
@@ -1356,10 +1453,9 @@ def _per_block_reconstruct(batches, profile, mode):
                                     hmbr._join(S, T))
                 if again != R[k]:
                     return False, {"layer": l, "block": t}, None
-            m.s[l].append(S)
-            m.t_[l].append(T)
-    layout = hmsr.message_from_st if msr else hmbr.message_from_m
-    return True, None, layout(m, profile)
+            s[l].append(S)
+            t_[l].append(T)
+    return True, None, reference_message(s, t_, profile)
 
 
 @pytest.mark.parametrize("prof_name", FIXTURES)
@@ -1381,12 +1477,10 @@ def test_layer_extraction_matches_the_per_block_extractors(prof_name, request):
         a, k = profile.alpha[l], profile.k[l]
         ids = list(range(1, k + 1))
         extract = window(profile, l, ids)
-        S, T = extract([stack[g][l] for g in ids])
+        assert extract([stack[g][l] for g in ids]) == (truth.s[l], truth.t_[l])
         for t in range(profile.blocks(l)):
-            block = extract([stack[g][l][t * a:(t + 1) * a] for g in ids])
-            assert block == (truth.s[l][t], truth.t_[l][t])
-            assert block == tuple(hmsr._split(M, profile.blocks(l))[t]
-                                  for M in (S, T))
+            assert extract([stack[g][l][t * a:(t + 1) * a] for g in ids]) == \
+                block(truth, profile, l, t)
 
     rng = random.Random(prof_name)
     outcomes = {"plain": set(), "detect": set()}
@@ -1428,13 +1522,10 @@ def test_node_data_is_the_hermitian_curve_code(prof_name, request):
     nodes = encode_profile(profile, message)
     if msr:
         st = hmsr.arrange_st(message, profile)
-        layers = [[hmsr._layer_matrix(st.s[l]) for l in range(q)],
-                  [hmsr._layer_matrix(st.t_[l]) for l in range(q)]]
+        layers = [st.s, st.t_]
     else:
         m = hmbr.arrange_m(message, profile)
-        layers = [[hmsr._layer_matrix([hmbr._join(m.s[l][t], m.t_[l][t])
-                                       for t in range(profile.blocks(l))])
-                   for l in range(q)]]
+        layers = [[hmbr._join(m.s[l], m.t_[l]) for l in range(q)]]
     for col in range(profile.A):
         U, *E = [encode_column([[r[col] for r in M] for M in stack],
                                profile.points) for stack in layers]
@@ -1499,6 +1590,29 @@ def _count_calls(monkeypatch, original, calls):
             for key, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, key, wrapper)
+
+
+def test_frozen_bench_names_resolve(q3_msr, q3_mbr, monkeypatch):
+    """The traced bench rebinds every SPANNED name of ``bench/tracer.py`` by
+    ``getattr`` on its hrgc module, and needs one ``sim.cluster_init`` to
+    call its code's arrange name once, through the module global."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("frozen_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for _name, module, attr in tracer.SPANNED:
+        obj = importlib.import_module(f"hrgc.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+
+    message = {p.mode: random_message(p, 83) for p in (q3_msr, q3_mbr)}
+    arranged = {"msr": [], "mbr": []}
+    _count_calls(monkeypatch, hmsr.arrange_st, arranged["msr"])
+    _count_calls(monkeypatch, hmbr.arrange_m, arranged["mbr"])
+    for profile in (q3_msr, q3_mbr):
+        sim.cluster_init(profile, message[profile.mode])
+        assert len(arranged[profile.mode]) == 1, profile.mode
+    assert [len(calls) for calls in arranged.values()] == [1, 1]
 
 
 @pytest.mark.parametrize("prof_name", FIXTURES)

@@ -94,10 +94,7 @@ LAM_SHA256 = {
 
 @pytest.mark.parametrize("name", sorted(LAM_SHA256))
 def test_lambda_pinned(name, request):
-    if name == "q5_msr":
-        profile = profile_new("msr", 5, 34, (7, 6, 5, 4, 3), seed=1)
-    else:
-        profile = request.getfixturevalue(name)
+    profile = request.getfixturevalue(name)
     assert hashlib.sha256(bytes(profile.lam)).hexdigest() == LAM_SHA256[name]
 
 
