@@ -98,6 +98,27 @@ def test_lambda_pinned(name, request):
     assert hashlib.sha256(bytes(profile.lam)).hexdigest() == LAM_SHA256[name]
 
 
+# the same pin on MSR draws no fixture makes: other seeds of the q=4 and q=5
+# profiles, and q=8 (m=63, alpha 8..1), whose layer 0 has 16-row windows
+LAM_SHA256_BY_ARGS = {
+    (8, 63, (8, 7, 6, 5, 4, 3, 2, 1), 1):
+        "cf8d8506688429a9660e2e1b546939bdfec3be649fe61fbbfecf6abbd6fe60e6",
+    (4, 37, (6, 5, 4, 3), 2):
+        "48d106cf43a60089ec5aa5ab914933ac2c51c2b565eb2d963da3287f68382042",
+    (4, 37, (6, 5, 4, 3), 3):
+        "a40fe2c39c9af6366411cd5573917586a204c80ee7fb37d029f8209ff879ce67",
+    (5, 34, (7, 6, 5, 4, 3), 2):
+        "d0333b260c97059f8f39b6399c3653069cdf36f39e22e7c4bba4168e6b444d31",
+}
+
+
+@pytest.mark.parametrize("q,m,alpha,seed", sorted(LAM_SHA256_BY_ARGS))
+def test_lambda_pinned_beyond_the_fixtures(q, m, alpha, seed):
+    profile = profile_new("msr", q, m, alpha, seed=seed)
+    assert (hashlib.sha256(bytes(profile.lam)).hexdigest()
+            == LAM_SHA256_BY_ARGS[q, m, alpha, seed])
+
+
 # sha256 of profile_to_text, which profile.txt holds and whose first 8
 # bytes of SHA-256 every node file embeds.
 PROFILE_TEXT_SHA256 = {
@@ -105,6 +126,8 @@ PROFILE_TEXT_SHA256 = {
     "q4_msr": "d90d95b1611a8e57e3f0ae4c88a408db55df7a24059c8a5f2b76857525d0cd3c",
     "q3_mbr": "e8cc2202a3d30b6fcd3afe2cfd3f20e4537da1aaeea0391054b7a62478ca07b7",
     "q4_mbr": "660bd383bb2beed503bb7bc2ad2023902a21b0cdda1db3012d839c4fbf095947",
+    "q5_msr": "32d56c4ad8cdf5b88f7e0ba6c5e961b461270ad8e5e3a868157a59c51a3c7df0",
+    "q5_mbr": "1fd33a59e7b17926cdc4c2e491a5983beee8de28f5821821d827a465917a9924",
 }
 
 
