@@ -16,7 +16,14 @@ can actually solve with (any single failed node, ascending-id staging) is
 invertible, and among candidate draws the one with the fewest sampled
 singular subsets wins.  Those windows are the d_l-subsets of rows 0..d_l and
 of rows 1..d_l+1, so each layer is checked by the left null vectors of those
-two (d_l + 1) x d_l base windows (``_windows_ok``).
+two (d_l + 1) x d_l base windows.
+
+Both tests run on small Hankel matrices, never on rows of Psi_l: for a set S
+of 2 alpha_l + e rows (e = 0 or 1), the left null space of Psi_l[S] is
+{(w_i f(x_i))_{i in S} : f in null(K_S)}, w_i = 1 / prod_{j != i} (x_i - x_j),
+with K_S the alpha_l x (alpha_l + e) Hankel matrix of the moments
+sum_i w_i lambda_i x_i^s.  This is exact for any lambda because Phi_l is
+Vandermonde at pairwise-distinct x-values (``_HankelForm`` has the proof).
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from .errors import (
     InvalidParams,
 )
 from .field import Field, field_new
-from .linalg import det_nonzero, left_null_space
+from .linalg import det_nonzero, null_space, transpose
 
 MAX_DELTA_DRAWS = 512
 _SCORED_PASSERS = 3
@@ -232,31 +239,87 @@ def _psi_rows(F, phi, lam):
     return [row + F.scale(lam[g], row) for g, row in enumerate(phi)]
 
 
-def _windows_ok(F, psi, d):
-    """True iff every single-failure repair window of one layer is regular.
+class _HankelForm:
+    """The alpha x (alpha + e) Hankel form of 2 alpha + e rows of a layer's psi.
 
-    A plan takes the lowest live ids, so with one node failed the windows
-    are exactly the d-subsets of rows 0..d and of rows 1..d+1 (d <= q^2 - 2).
-    The d-subsets of a (d+1) x d matrix W are all regular exactly when its
-    left null space is one vector h with no zero entry: if rank W < d, the
-    null space has dimension at least 2 and every d rows are dependent; if
-    rank W = d, it is spanned by h, and the rows other than z are dependent
-    exactly when a multiple of h vanishes at z, that is when h_z = 0.
+    For rows S of [Phi, Lambda Phi] at pairwise-distinct x-values, take
+    w_i = 1 / prod_{j in S, j != i} (x_i - x_j).  Sum_i w_i p(x_i) = 0 for
+    every p of degree below |S| - 1 (the leading coefficient of the
+    interpolant of p on S), and the vectors (w_i f(x_i)) with deg f < alpha + e
+    are |S| - alpha independent ones of them, so they are exactly the left
+    null space of Phi[S] (a GRS dual code).  Such a vector also annihilates
+    Lambda Phi[S] exactly when f's coefficients c satisfy
+    sum_t c_t H_{s+t} = 0 for s < alpha, with the moments
+    H_s = sum_i w_i lambda_i x_i^s.  So the left null space of psi[S] is
+    {(w_i f(x_i))_{i in S} : f in null(K_S)}, K_S[s][t] = H_{s+t}, and f -> h is
+    one-to-one.  This holds for any lambda.
+
+    Built once per selection: a table of log(x_i - x_j), the nodes' power
+    rows packed per width, and each base window's evaluation columns.
     """
-    for start in (0, 1):
-        h = left_null_space(F, psi[start:start + d + 1])
-        if len(h) != 1 or not all(h[0]):
-            return False
-    return True
+
+    def __init__(self, F, xs):
+        assert len(set(xs)) == len(xs), "x-values must be pairwise distinct"
+        self.F, self.xs = F, xs
+        self._log_diff = [[F.log(F.sub(xi, xj)) if i != j else 0
+                           for j, xj in enumerate(xs)] for i, xi in enumerate(xs)]
+        self._powers = {}    # width -> every node's [1, x, .., x^(width-1)], packed
+        self._columns = {}   # (a, start) -> [x_i^t for i in the window], t <= a, packed
+
+    def hankel(self, lam, rows, a):
+        """K_S for the rows S = ``rows`` (2a or 2a + 1 of them) of width a."""
+        F, e = self.F, len(rows) - 2 * a
+        width = 2 * a - 1 + e
+        powers = self._powers.get(width)
+        if powers is None:
+            powers = self._powers[width] = F.pack(
+                _phi_rows(F, self.xs, width), width)
+        # w_i lambda_i through logs: log lambda_i - sum_j log(x_i - x_j),
+        # where the diagonal entry j = i of the table is 0
+        coeffs = [lam[i] and F.exp(F.log(lam[i]) - sum(
+            map(self._log_diff[i].__getitem__, rows))) for i in rows]
+        H = F.comb(coeffs, [powers[i] for i in rows], width)
+        return [H[s:s + a + e] for s in range(a)]
+
+    def windows_ok(self, lam, a):
+        """True iff every single-failure repair window of a layer of width a
+        is regular.
+
+        A plan takes the lowest live ids, so with one node failed the windows
+        are exactly the d-subsets (d = 2a <= q^2 - 2) of rows 0..d and of rows
+        1..d+1.  The d-subsets of a (d+1) x d matrix W are all regular exactly
+        when its left null space is one vector h with no zero entry: if
+        rank W < d, the null space has dimension at least 2 and every d rows
+        are dependent; if rank W = d, it is spanned by h, and the rows other
+        than z are dependent exactly when h_z = 0.  Through the Hankel form,
+        h_i = w_i f(x_i) with w_i != 0: the null space of K_S must be one f,
+        and f must not vanish on the window's x-values.
+        """
+        F, d = self.F, 2 * a
+        for start in (0, 1):
+            rows = range(start, start + d + 1)
+            f = null_space(F, self.hankel(lam, rows, a))
+            if len(f) != 1:
+                return False
+            cols = self._columns.get((a, start))
+            if cols is None:
+                cols = self._columns[a, start] = F.pack(transpose(
+                    _phi_rows(F, self.xs[start:start + d + 1], a + 1)), d + 1)
+            if not all(F.comb(f[0], cols, d + 1)):
+                return False
+        return True
 
 
 def select_delta(F: Field, xs, alpha, d, mode: str, seed: int) -> tuple:
     """Seeded draw of a distinct coefficient assignment.
 
     MBR never multiplies by Delta during decoding, so any permutation works.
-    MSR additionally requires every staged repair window to be invertible;
-    among the first few accepted draws the one with the fewest sampled
-    singular d_l-subsets is kept.
+    MSR additionally requires every staged repair window to be invertible
+    (``_HankelForm.windows_ok``); among the first few accepted draws the one
+    with the fewest sampled singular d_l-subsets is kept.  A d_l-subset S of
+    psi_l is regular exactly when its alpha_l x alpha_l Hankel form K_S is,
+    since their left null spaces correspond one to one; so both tests run on
+    alpha x alpha matrices and the draw loop never builds a psi row.
     """
     n = F.order
     rng = random.Random(seed)
@@ -265,14 +328,13 @@ def select_delta(F: Field, xs, alpha, d, mode: str, seed: int) -> tuple:
         rng.shuffle(lam)
         return tuple(lam)
 
-    phis = [_phi_rows(F, xs, a) for a in alpha]
+    form = _HankelForm(F, xs)
     passers = []
     for _ in range(MAX_DELTA_DRAWS):
         lam = list(range(n))
         rng.shuffle(lam)
-        psis = [_psi_rows(F, phi, lam) for phi in phis]
-        if all(_windows_ok(F, psi, dl) for psi, dl in zip(psis, d)):
-            passers.append((tuple(lam), psis))
+        if all(form.windows_ok(lam, a) for a in alpha):
+            passers.append(tuple(lam))
             if len(passers) == _SCORED_PASSERS:
                 break
     if not passers:
@@ -281,15 +343,15 @@ def select_delta(F: Field, xs, alpha, d, mode: str, seed: int) -> tuple:
             f"{MAX_DELTA_DRAWS} draws (q={F.q}, alpha={tuple(alpha)})"
         )
     if len(passers) == 1:
-        return passers[0][0]
+        return passers[0]
     scorer = random.Random(seed ^ 0x5EED)
     best = None
-    for lam, psis in passers:
+    for lam in passers:
         score = 0
-        for psi, dl in zip(psis, d):
+        for a, dl in zip(alpha, d):
             for _ in range(_SCORE_SAMPLES):
                 sub = scorer.sample(range(n), dl)
-                if not det_nonzero(F, [psi[g] for g in sub]):
+                if not det_nonzero(F, form.hankel(lam, sub, a)):
                     score += 1
         if best is None or score < best[0]:
             best = (score, lam)
@@ -347,10 +409,8 @@ def verify_delta(profile: CodeProfile, lam=None) -> DeltaReport:
                 crit_ii = False
         counts[l] = (bad, checked)
 
-    operational = all(
-        _windows_ok(F, _psi_rows(F, profile.phi(l), lam), dl)
-        for l, dl in enumerate(profile.d)
-    )
+    form = _HankelForm(F, profile._xs)
+    operational = all(form.windows_ok(lam, a) for a in profile.alpha)
     return DeltaReport(
         criterion_i=crit_i,
         criterion_ii=crit_i and crit_ii,

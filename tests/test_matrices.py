@@ -11,12 +11,15 @@ from hrgc.errors import (
     InvalidK,
     InvalidParams,
 )
-from hrgc.field import field_new
-from hrgc.linalg import det_nonzero, left_null_space, mat_inv, mat_mul
+from hrgc.curve import group_x_value
+from hrgc.field import SUPPORTED_Q, field_new
+from hrgc.linalg import (det_nonzero, left_null_space, mat_inv, null_space,
+                         vec_mat)
 from hrgc.matrices import (
     CodeProfile,
+    _HankelForm,
+    _phi_rows,
     _psi_rows,
-    _windows_ok,
     profile_digest,
     profile_from_text,
     profile_new,
@@ -137,52 +140,127 @@ def test_profile_text_pinned(name, request):
     assert hashlib.sha256(text.encode()).hexdigest() == PROFILE_TEXT_SHA256[name]
 
 
-def test_select_delta_rejects_impossible_draws():
-    # draw budget exhausts when every candidate fails: force it with a field
-    # whose windows can never all pass by demanding too many helpers?  not
-    # constructible cheaply -- instead check determinism across seeds
-    F = field_new(3)
-    xs = [0] + [F.exp(i) for i in range(8)]
-    lam1 = select_delta(F, xs, (3, 2, 1), (6, 4, 2), "msr", seed=11)
-    lam2 = select_delta(F, xs, (3, 2, 1), (6, 4, 2), "msr", seed=11)
-    assert lam1 == lam2
-
-
 def _base_minors_regular(F, psi, d):
     return all(det_nonzero(F, list(sub))
                for start in (0, 1)
                for sub in combinations(psi[start:start + d + 1], d))
 
 
+def test_select_delta_rejects_impossible_draws(monkeypatch):
+    # the draw budget: with one draw fewer than the first passing draw N the
+    # search fails, and with exactly N the single passer is returned unscored;
+    # N is found with every base-window minor as the reference
+    import hrgc.matrices as mx
+    F = field_new(3)
+    xs = [0] + [F.exp(i) for i in range(8)]
+    alpha, d, seed = (3, 2, 1), (6, 4, 2), 11
+    phis = [_phi_rows(F, xs, a) for a in alpha]
+    rng = random.Random(seed)
+    for n_draws in range(1, mx.MAX_DELTA_DRAWS + 1):
+        lam = list(range(F.order))
+        rng.shuffle(lam)
+        if all(_base_minors_regular(F, _psi_rows(F, phi, lam), dl)
+               for phi, dl in zip(phis, d)):
+            break
+    assert n_draws == 9
+    monkeypatch.setattr(mx, "MAX_DELTA_DRAWS", n_draws - 1)
+    with pytest.raises(DeltaSearchFailed):
+        select_delta(F, xs, alpha, d, "msr", seed=seed)
+    monkeypatch.setattr(mx, "MAX_DELTA_DRAWS", n_draws)
+    assert select_delta(F, xs, alpha, d, "msr", seed=seed) == tuple(lam)
+    monkeypatch.undo()
+    lam1 = select_delta(F, xs, alpha, d, "msr", seed=seed)
+    lam2 = select_delta(F, xs, alpha, d, "msr", seed=seed)
+    assert lam1 == lam2
+
+
+def _degenerate_lams(F, xs, a):
+    """Coefficient vectors that make psi rank-deficient or Vandermonde:
+    zeros, a constant, x^(a-1) (a repeated column), x^a and x^a + 1 (psi is
+    Vandermonde of width 2a), and zeros over half of a random permutation."""
+    rng = random.Random(a)
+    half = rng.sample(range(F.order), F.order)
+    return [
+        [0] * len(xs),
+        [F.exp(3)] * len(xs),
+        [F.pow(x, a - 1) for x in xs],
+        [F.pow(x, a) for x in xs],
+        [F.add(F.pow(x, a), 1) for x in xs],
+        [v if g % 2 else 0 for g, v in enumerate(half)],
+    ]
+
+
+def _weight(F, xs, rows, i):
+    w = 1
+    for j in rows:
+        if j != i:
+            w = F.mul(w, F.sub(xs[i], xs[j]))
+    return F.inv(w)
+
+
+def _poly_at(F, f, x):
+    v = 0
+    for c in reversed(f):
+        v = F.add(F.mul(v, x), c)
+    return v
+
+
+@pytest.mark.parametrize("q,alphas", [
+    (3, (1, 2, 3, 4)), (4, (1, 3, 5, 7)), (5, (2, 4, 7, 10)), (8, (1, 4, 8))])
+def test_hankel_form_is_the_left_null_space_of_psi(q, alphas):
+    # the lemma against generic elimination: for 2a or 2a + 1 rows S of
+    # [Phi, Lambda Phi], h_i = w_i f(x_i) maps null(K_S) one to one onto the
+    # left null space of psi[S], for random and degenerate lambda alike
+    F = field_new(q)
+    xs = [group_x_value(F, g) for g in range(F.order)]
+    form = _HankelForm(F, xs)
+    rng = random.Random(q)
+    for a in alphas:
+        phi = _phi_rows(F, xs, a)
+        for lam in ([rng.sample(range(F.order), F.order) for _ in range(3)]
+                    + _degenerate_lams(F, xs, a)):
+            psi = _psi_rows(F, phi, lam)
+            for e in (0, 1):
+                rows = rng.sample(range(F.order), 2 * a + e)
+                sub = [psi[i] for i in rows]
+                K = form.hankel(lam, rows, a)
+                assert len(K) == a and all(len(r) == a + e for r in K)
+                fs = null_space(F, K)
+                assert len(fs) == len(left_null_space(F, sub))
+                if e == 0:
+                    assert det_nonzero(F, K) == det_nonzero(F, sub)
+                for f in fs:
+                    h = [F.mul(_weight(F, xs, rows, i), _poly_at(F, f, xs[i]))
+                         for i in rows]
+                    assert any(h)
+                    assert vec_mat(F, h, sub) == [0] * (2 * a)
+
+
+def test_x_values_pairwise_distinct():
+    for q in SUPPORTED_Q:
+        F = field_new(q)
+        xs = [group_x_value(F, g) for g in range(F.order)]
+        assert len(set(xs)) == F.order
+
+
 def test_windows_ok_equals_every_base_window_minor(q3_msr, q4_msr):
-    # the null-vector check against the determinant of every d-subset of
-    # rows 0..d and 1..d+1: on each layer's psi under random lambda, and on
-    # random (d+2) x d matrices that are sparse or of deficient rank
+    # the Hankel window check against the determinant of every d-subset of
+    # psi's rows 0..d and 1..d+1: on each layer under random lambda, and
+    # under degenerate lambda that leave psi rank-deficient or Vandermonde
     rng = random.Random(18)
-    cases = []
+    outcomes = set()
     for p in (q3_msr, q4_msr):
         F = p.field
-        for _ in range(15):
-            lam = rng.sample(range(F.order), F.order)
-            cases += [(F, _psi_rows(F, p.phi(l), lam), p.d[l])
-                      for l in range(p.q)]
-    for q in (2, 3, 4):
-        F = field_new(q)
-        for _ in range(40):
-            d = rng.randrange(1, 7)
-            r = rng.choice([d, d - 1])
-            left = [[rng.randrange(F.order) for _ in range(r)]
-                    for _ in range(d + 2)]
-            right = [[rng.randrange(F.order) if rng.random() < 0.8 else 0
-                      for _ in range(d)] for _ in range(r)]
-            psi = (mat_mul(F, left, right) if r
-                   else [[0] * d for _ in range(d + 2)])
-            cases.append((F, psi, d))
-    outcomes = set()
-    for F, psi, d in cases:
-        regular = _base_minors_regular(F, psi, d)
-        assert _windows_ok(F, psi, d) == regular
-        outcomes.add((regular, len(left_null_space(F, psi[:d + 1])) == 1))
+        form = _HankelForm(F, p._xs)
+        for l, a in enumerate(p.alpha):
+            lams = ([rng.sample(range(F.order), F.order) for _ in range(15)]
+                    + _degenerate_lams(F, p._xs, a))
+            for lam in lams:
+                psi = _psi_rows(F, p.phi(l), lam)
+                regular = _base_minors_regular(F, psi, p.d[l])
+                assert form.windows_ok(lam, a) == regular
+                outcomes.add((regular,
+                              len(left_null_space(F, psi[:p.d[l] + 1])) == 1))
     # accepted, rejected although rows 0..d have full rank, and rejected
     # with rows 0..d rank-deficient
     assert outcomes == {(True, True), (False, True), (False, False)}
