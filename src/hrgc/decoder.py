@@ -86,63 +86,54 @@ def decode(F, generator, values, tau_max=None, points=None, *,
     rows = [generator[i] for i in pos]
     r = [values[i] for i in pos]
     xs = None if points is None else [points[i] for i in pos]
-    message = _codeword_message(F, rows, r, k, tau_max, xs)
-    if message is not None and mat_vec(F, rows, message) == r:
-        errors = frozenset()
+    # the codeword exit: with points, tau_max >= 0 makes the interpolation's
+    # first null-space vector the locator E = 1 with Q the interpolant
+    fit = None
+    if xs is None or tau_max >= 0:
+        fit = _fit(F, rows, r, xs, k, range(len(pos)))
+    # the suspect exit of the module docstring
+    if fit is None and xs is not None and suspects:
+        hit = sum(1 for i in pos if i in suspects)
+        if (0 < hit <= tau_max and 2 * tau_max <= len(pos) - k
+                and len(set(xs)) == len(xs)):
+            fit = _fit(F, rows, r, xs, k,
+                       [x for x, i in enumerate(pos) if i not in suspects])
+    if fit is not None:
+        message, codeword = fit
     else:
-        message = _suspect_message(F, rows, r, pos, xs, k, tau_max, suspects)
-        if message is None and xs is not None:
-            message = _decode_wb(F, k, xs, r, tau_max)
-        elif message is None:
-            message = _decode_generic(F, rows, r, k, tau_max)
+        message = (_decode_wb(F, k, xs, r, tau_max) if xs is not None
+                   else _decode_generic(F, rows, r, k, tau_max))
         codeword = mat_vec(F, rows, message)
-        errors = frozenset(i for i, v, c in zip(pos, r, codeword) if v != c)
+    errors = frozenset(i for i, v, c in zip(pos, r, codeword) if v != c)
     if len(errors) > tau_max:
         raise DecodeFailure(f"{len(errors)} mismatches exceed tau_max={tau_max}")
     return DecodeResult(message=message, error_positions=errors,
                         erasure_positions=erased)
 
 
-def _codeword_message(F, rows, r, k, tau_max, xs):
-    """The message of the first k of the usable generator rows, symbols r and,
-    with ``points``, points xs, or None when they do not determine it the way
-    the search would.
+def _fit(F, rows, r, xs, k, trusted):
+    """(message, codeword) of the first k ``trusted`` usable positions when
+    every trusted position re-encodes to its symbol, else None.
 
-    Without ``points`` the search accepts a zero syndrome with the unique
-    message, so a regular first-k window is enough.  With ``points`` and
-    tau_max >= 0 the interpolation's first null-space vector is the locator
-    E = 1 with Q the interpolant, so it returns the same polynomial; a
-    repeated point among the first k leaves the window singular.
+    The message is interpolated at the points xs or, without ``points``,
+    solved from the generator rows: the search accepts a zero syndrome with
+    the unique message, so a regular first-k window is enough.  A repeated
+    point or a singular window does not determine the message: None.
     """
-    if xs is None:
-        try:
-            return solve_square(F, rows[:k], r[:k])
-        except SingularSystem:
-            return None
-    if tau_max < 0:
-        return None
+    first = trusted[:k]
     try:
-        return _interpolate(F, xs[:k], r[:k])
-    except DivisionByZero:
+        if xs is None:
+            message = solve_square(F, [rows[x] for x in first],
+                                   [r[x] for x in first])
+        else:
+            message = _interpolate(F, [xs[x] for x in first],
+                                   [r[x] for x in first])
+    except (SingularSystem, DivisionByZero):
         return None
-
-
-def _suspect_message(F, rows, r, pos, xs, k, tau_max, suspects):
-    """The message of the suspect exit (module docstring) for the usable
-    positions ``pos``, or None when the exit does not apply."""
-    if xs is None or not suspects:
-        return None
-    hit = sum(1 for i in pos if i in suspects)
-    if not hit or hit > tau_max or 2 * tau_max > len(pos) - k:
-        return None
-    if len(set(xs)) != len(xs):
-        return None
-    keep = [x for x, i in enumerate(pos) if i not in suspects]
-    message = _interpolate(F, [xs[x] for x in keep[:k]], [r[x] for x in keep[:k]])
     codeword = mat_vec(F, rows, message)
-    if any(codeword[x] != r[x] for x in keep):
+    if any(codeword[x] != r[x] for x in trusted):
         return None
-    return message
+    return message, codeword
 
 
 def _interpolate(F, xs, ys):

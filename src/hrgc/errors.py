@@ -45,17 +45,8 @@ class SingularSystem(HrgcError):
     """A linear system that the construction promises to be regular was singular."""
 
 
-class LambdaCollision(HrgcError):
-    """Two responding nodes carried the same diagonal coefficient."""
-
-
 class AsymmetryDetected(HrgcError):
-    """An extracted message matrix failed its symmetry check (corrupt input);
-    ``block`` is the lowest failing block of the layer extracted."""
-
-    def __init__(self, message, block=0):
-        super().__init__(message)
-        self.block = block
+    """An extracted message matrix failed its symmetry check (corrupt input)."""
 
 
 class DecodeFailure(HrgcError):

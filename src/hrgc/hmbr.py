@@ -12,7 +12,9 @@ The node/report/batch types, the message layout (the profile's index table,
 encoder and the repair and reconstruction loops with their adapters are the
 MSR engine's (``hmsr``).  This module supplies what is particular to
 MBR: the mu rows as encoding vectors, repair rows that need no lambda mix,
-the window extractor ``_extract_m`` (every block of a layer at once), the
+the window extractor ``_extract_m`` (every block of a layer at once, with
+the lowest block whose S is not symmetric, which the shared loops judge
+bad like a block that re-encodes to something else), the
 block stacking ``_join`` whose product with mu_g is node g's response (and
 so, with the mu rows, the encoding), and the full-stack block solver
 ``rec_m``.  Both solvers find T first and take S from the strip
@@ -24,11 +26,10 @@ columns with one column decoder.
 from __future__ import annotations
 
 from .decoder import ERASED, decode
-from .errors import AsymmetryDetected, DecodeFailure
+from .errors import DecodeFailure
 from .hmsr import (  # noqa: F401 -- the shared names are re-exported
     MessageMatrices,
-    ReconstructReport,
-    RepairReport,
+    Report,
     _arrange,
     _asymmetric_block,
     _encode,
@@ -72,16 +73,16 @@ def _solved_row(profile, z, l, X):
     return X
 
 
-def regenerate_mbr_plain(z, batches, profile: CodeProfile) -> RepairReport:
+def regenerate_mbr_plain(z, batches, profile: CodeProfile) -> Report:
     return _repair(z, batches, profile, "plain", profile.mu_row, _solved_row, True)
 
 
-def regenerate_mbr_detect(z, batches, profile: CodeProfile) -> RepairReport:
+def regenerate_mbr_detect(z, batches, profile: CodeProfile) -> Report:
     return _repair(z, batches, profile, "detect", profile.mu_row, _solved_row, True)
 
 
 def regenerate_mbr_recover(z, batches, profile: CodeProfile,
-                           prior_flags=frozenset()) -> RepairReport:
+                           prior_flags=frozenset()) -> Report:
     return _repair(z, batches, profile, "recover", profile.mu_row, _solved_row,
                    True, prior_flags)
 
@@ -111,19 +112,15 @@ def _extract_m(F, mu_rows, k, R, omega_inv=None):
     for every block of the rows R (the blocks side by side) at once.
 
     ``omega_inv`` is Omega^-1 when the caller holds it (once per layer).
-    Raises AsymmetryDetected naming the lowest block whose S is not
-    symmetric."""
+    Returns (S, T, asym), asym the lowest block whose S is not symmetric
+    (None when every one is)."""
     if omega_inv is None:
         omega_inv = mat_inv(F, [row[:k] for row in mu_rows])
     a = len(mu_rows[0])
     T = mat_mul(F, omega_inv,
                 [_interleave([r[c::a] for c in range(k, a)]) for r in R])
     S = mat_mul(F, omega_inv, _strip_t(F, mu_rows, k, R, T))
-    t = _asymmetric_block(S)
-    if t is not None:
-        raise AsymmetryDetected("S block asymmetric (corrupt responses)",
-                                block=t)
-    return S, T
+    return S, T, _asymmetric_block(S)
 
 
 def _m_window(profile, l, ids):
@@ -133,18 +130,18 @@ def _m_window(profile, l, ids):
     return lambda R: _extract_m(F, mu_rows, k, R, omega_inv)
 
 
-def reconstruct_mbr_plain(batches, profile: CodeProfile) -> ReconstructReport:
+def reconstruct_mbr_plain(batches, profile: CodeProfile) -> Report:
     return _reconstruct(batches, profile, "plain", profile.mu_row, _join,
                         _m_window, rec_m)
 
 
-def reconstruct_mbr_detect(batches, profile: CodeProfile) -> ReconstructReport:
+def reconstruct_mbr_detect(batches, profile: CodeProfile) -> Report:
     return _reconstruct(batches, profile, "detect", profile.mu_row, _join,
                         _m_window, rec_m)
 
 
 def reconstruct_mbr_recover(batches, profile: CodeProfile,
-                            prior_flags=frozenset()) -> ReconstructReport:
+                            prior_flags=frozenset()) -> Report:
     return _reconstruct(batches, profile, "recover", profile.mu_row, _join,
                         _m_window, rec_m, prior_flags)
 

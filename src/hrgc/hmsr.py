@@ -23,11 +23,16 @@ shifted by one again: the windows share every other row, the shifted repair
 window is checked regular once per layer, and both extractors return blocks
 that reproduce every row of their window (``extract_st`` because a regular
 window maps symmetric (S, T) pairs one to one onto its symbols,
-``_extract_m`` as Omega T = R2 and Omega S + Delta_part T^t = R1, or it
-raises AsymmetryDetected) and are exact on consistent rows.  Recover, one
-loop for both operations, treats each block as a word over the operation's
-nodes (every node but the target in a repair, all q^2 in a reconstruction):
-a node that sent no batch is an erasure, as is a previously flagged node.
+``_extract_m`` as Omega T = R2 and Omega S + Delta_part T^t = R1) and are
+exact on consistent rows.  An extractor also returns its lowest asymmetric
+block (only MBR's S can be one), which ``_certified``, the one judge of a
+layer's blocks in every mode, counts as bad like a block that re-encodes
+to something else: detect alarms at the lowest bad block, plain raises
+AsymmetryDetected at an asymmetric one, and recover keeps the blocks
+before the lowest.  Recover, one loop for both operations, treats each
+block as a word over the operation's nodes (every node but the target in a
+repair, all q^2 in a reconstruction): a node that sent no batch is an
+erasure, as is a previously flagged node.
 It keeps the blocks that every present row re-encodes from a window
 solution (the block solver would return them and flag no node) and sends
 the others to the solver: ``decode`` for a repair, ``rec_st``/``rec_m`` for
@@ -58,7 +63,6 @@ from .decoder import ERASED, decode
 from .errors import (
     AsymmetryDetected,
     DecodeFailure,
-    LambdaCollision,
     LengthMismatch,
     NotEnoughHelpers,
     SingularSystem,
@@ -99,20 +103,12 @@ class HelpSymbolBatch:
 
 
 @dataclass
-class RepairReport:
+class Report:
+    """One operation's outcome: a repair sets ``y`` (the repaired node's
+    q x A state), a reconstruction ``message``; each is None unless set."""
     mode: str
     ok: bool
     y: list | None = None
-    alarm: dict | None = None
-    failure: str | None = None
-    corrupted: frozenset = frozenset()
-    tallies: dict = dfield(default_factory=dict)
-
-
-@dataclass
-class ReconstructReport:
-    mode: str
-    ok: bool
     message: list | None = None
     alarm: dict | None = None
     failure: str | None = None
@@ -245,9 +241,9 @@ def _contributors(batches, l):
 #   vandermonde                rows are powers of the node x-values
 #   stack(S, T)                the matrix whose product with row(g, l) is
 #                              node g's response to the blocks (S, T)
-#   window(profile, l, ids)    reconstruction extractor R -> (S, T) for one
-#                              responder window; MBR's raises
-#                              AsymmetryDetected at the lowest asymmetric block
+#   window(profile, l, ids)    reconstruction extractor R -> (S, T, asym)
+#                              for one responder window, asym the lowest
+#                              asymmetric block (MBR's) or None
 #   solve(blocks, erased, l, profile)  full-stack block solver -> (S, T, bad)
 #
 # Blocks side by side: a layer row, the S and T that the extractors take and
@@ -288,23 +284,15 @@ def _certified(F, extract, window_rows, checked, enc, stack, a):
 
     Returns (S, T, bad): ``bad`` is the lowest block that is asymmetric or
     re-encodes to anything else (None when no block does), and S and T hold
-    the blocks before it side by side."""
-    w = len(window_rows[0]) // a
-    bad = None
-    try:
-        S, T = extract(window_rows)
-    except AsymmetryDetected as exc:
-        if not exc.block:
-            return [], [], 0
-        # the blocks before the asymmetric one extract on their own
-        bad = w = exc.block
-        window_rows = [r[:w * a] for r in window_rows]
-        checked = [r[:w * a] for r in checked]
-        S, T = extract(window_rows)
-    wrong = [t for r, e in zip(checked, mat_mul(F, enc, stack(S, T)))
-             if (t := _first_difference(r, e)) is not None]
-    if wrong:
-        bad = min(wrong) // a
+    the blocks before it side by side (rows of no symbol when it is 0)."""
+    S, T, bad = extract(window_rows)
+    if checked and bad != 0:        # no block to keep, none to check
+        for r, e in zip(checked, mat_mul(F, enc, stack(S, T))):
+            t = _first_difference(r, e)
+            if t is not None and (bad is None or t // a < bad):
+                bad = t // a
+    if bad is not None:
+        w = len(window_rows[0]) // a
         S, T = ([r[:len(r) // w * bad] for r in M] for M in (S, T))
     return S, T, bad
 
@@ -340,7 +328,7 @@ def _repair(z, batches, profile, mode, row, finish, vandermonde,
                 raise
             raise SingularSystem(
                 f"repair window {ids} singular at layer {l}") from None
-        return lambda R: (mat_mul(F, inv, R), [])
+        return lambda R: (mat_mul(F, inv, R), [], None)
 
     def output(layers):
         # finish's row c holds entry c of every block: one layer row
@@ -350,8 +338,7 @@ def _repair(z, batches, profile, mode, row, finish, vandermonde,
 
     if mode != "recover":
         return _plain_detect(batches, rows, profile, mode, profile.d,
-                             [1] * profile.q, row, _st_stack, window,
-                             RepairReport, output)
+                             [1] * profile.q, row, _st_stack, window, output)
     others = [g for g in range(q2) if g != z]
     points = [profile.x_value(g) for g in others] if vandermonde else None
     cap = (q2 - profile.d[-1] - 1) // 2
@@ -365,7 +352,7 @@ def _repair(z, batches, profile, mode, row, finish, vandermonde,
     return _recover(
         batches, others, rows, prior_flags, profile, profile.d, [1] * profile.q,
         [min(q2 - d - 1, cap) for d in profile.d], "erasure",
-        row, _st_stack, window, solve, RepairReport, output)
+        row, _st_stack, window, solve, output)
 
 
 def _reconstruct(batches, profile, mode, row, stack, window, solve,
@@ -385,25 +372,26 @@ def _reconstruct(batches, profile, mode, row, stack, window, solve,
 
     if mode != "recover":
         return _plain_detect(batches, rows, profile, mode, profile.k,
-                             profile.alpha, row, stack, window,
-                             ReconstructReport, output)
+                             profile.alpha, row, stack, window, output)
     # q^2 - k_l flags is the solvability frontier of both block solvers
     # (sigma + 2 tau + 1 <= q^2 - alpha_l, sigma + 2 tau <= q^2 - k_l)
     return _recover(
         batches, range(q2), rows, prior_flags, profile, profile.k, profile.alpha,
         [q2 - k for k in profile.k], "flagged",
-        row, stack, window, solve, ReconstructReport, output)
+        row, stack, window, solve, output)
 
 
 def _plain_detect(batches, rows, profile, mode, sizes, widths, row, stack,
-                  window, report, output):
+                  window, output):
     """The plain/detect loop of both operations, layers ascending.  Layer l
     reads ``rows(g, l)`` (blocks side by side, ``widths[l]`` symbols each)
     from the first ``sizes[l]`` batches of level l or more, ids ascending,
     one more in detect; the window of the first ``sizes[l]`` extracts every
-    block at once.  Detect alarms at the lowest block that is asymmetric or
-    whose re-encoding differs from the extra row.  Returns ``report`` with
-    the fields that ``output`` makes of the layers, one piece each."""
+    block at once.  A block that is asymmetric, or whose re-encoding differs
+    from the extra row, is an alarm in detect; plain, which has no extra
+    row, raises AsymmetryDetected at an asymmetric block.  Returns the
+    Report with the fields that ``output`` makes of the layers, one piece
+    each."""
     F = profile.field
     extra = 1 if mode == "detect" else 0
     layers = []
@@ -413,21 +401,19 @@ def _plain_detect(batches, rows, profile, mode, sizes, widths, row, stack,
         if len(ids) < k + extra:
             raise NotEnoughHelpers(
                 f"layer {l} needs {k + extra} helpers, got {len(ids)}")
-        extract = window(profile, l, ids[:k])
         R = [rows(g, l) for g in ids]
-        if extra:
-            S, T, bad = _certified(F, extract, R[:k], R[k:], [row(ids[k], l)],
-                                   stack, widths[l])
-            if bad is not None:
-                return report(mode=mode, ok=False, alarm={"layer": l, "block": bad})
-        else:
-            S, T = extract(R)
+        S, T, bad = _certified(F, window(profile, l, ids[:k]), R[:k], R[k:],
+                               [row(g, l) for g in ids[k:]], stack, widths[l])
+        if bad is not None:
+            if not extra:
+                raise AsymmetryDetected("S block asymmetric (corrupt responses)")
+            return Report(mode=mode, ok=False, alarm={"layer": l, "block": bad})
         layers.append([(S, T)])
-    return report(mode=mode, ok=True, **output(layers))
+    return Report(mode=mode, ok=True, **output(layers))
 
 
 def _recover(batches, nodes, rows, flags, profile, sizes, widths, budgets,
-             noun, row, stack, window, solve, report, output):
+             noun, row, stack, window, solve, output):
     """The recover loop of both operations, layers descending.  Node g's
     layer-l row ``rows(g, l)`` holds the blocks side by side, ``widths[l]``
     symbols each.  The ``nodes`` that sent no batch are flagged before the
@@ -438,7 +424,7 @@ def _recover(batches, nodes, rows, flags, profile, sizes, widths, budgets,
     the first one that some present row does not re-encode from (every word
     of ``solve`` is then a codeword, so within the budget ``solve`` would
     return the same block and flag no node); that block goes to ``solve``,
-    and the next pass starts after it.  Returns ``report`` with the fields
+    and the next pass starts after it.  Returns the Report with the fields
     that ``output`` makes of each layer's (S, T) pieces."""
     F = profile.field
     flags = set(flags) | (set(nodes) - {b.helper_id for b in batches})
@@ -449,7 +435,7 @@ def _recover(batches, nodes, rows, flags, profile, sizes, widths, budgets,
         sigma = sum(1 for g in nodes if g in flags)
         tallies[l] = {"erasures": sigma, "errors": 0}
         if sigma > budgets[l]:
-            return report(mode="recover", ok=False, failure=f"{noun} count "
+            return Report(mode="recover", ok=False, failure=f"{noun} count "
                           f"{sigma} exceeds layer-{l} budget {budgets[l]}",
                           corrupted=frozenset(found), tallies=tallies)
         a, k, w = widths[l], sizes[l], profile.blocks(l)
@@ -462,15 +448,14 @@ def _recover(batches, nodes, rows, flags, profile, sizes, widths, budgets,
                 ids = present[:k]
                 try:
                     extract = window(profile, l, ids)
-                except (LambdaCollision, SingularSystem):
+                except SingularSystem:
                     extract = None
             if present != last:
                 last, enc = present, [row(g, l) for g in present]
             if extract:
                 R = [layer[g][t * a:] for g in present]
                 S, T, bad = _certified(F, extract, R[:k], R, enc, stack, a)
-                if bad != 0:        # a piece of no block is left out
-                    layers[l].append((S, T))
+                layers[l].append((S, T))
                 if bad is None:
                     break
                 t += bad
@@ -479,7 +464,7 @@ def _recover(batches, nodes, rows, flags, profile, sizes, widths, budgets,
             try:
                 S, T, newly = solve(blocks, frozenset(flags), l, profile)
             except DecodeFailure as exc:
-                return report(mode="recover", ok=False,
+                return Report(mode="recover", ok=False,
                               failure=f"layer {l} block {t}: {exc}",
                               corrupted=frozenset(found), tallies=tallies)
             newly -= flags
@@ -488,7 +473,7 @@ def _recover(batches, nodes, rows, flags, profile, sizes, widths, budgets,
             tallies[l]["errors"] += len(newly)
             layers[l].append((S, T))
             t += 1
-    return report(mode="recover", ok=True, corrupted=frozenset(found),
+    return Report(mode="recover", ok=True, corrupted=frozenset(found),
                   tallies=tallies, **output(layers))
 
 
@@ -506,16 +491,16 @@ def _st_stack(S, T):
     return S + T
 
 
-def regenerate_plain(z, batches, profile: CodeProfile) -> RepairReport:
+def regenerate_plain(z, batches, profile: CodeProfile) -> Report:
     return _repair(z, batches, profile, "plain", profile.nu_row, _lambda_mix, False)
 
 
-def regenerate_detect(z, batches, profile: CodeProfile) -> RepairReport:
+def regenerate_detect(z, batches, profile: CodeProfile) -> Report:
     return _repair(z, batches, profile, "detect", profile.nu_row, _lambda_mix, False)
 
 
 def regenerate_recover(z, batches, profile: CodeProfile,
-                       prior_flags=frozenset()) -> RepairReport:
+                       prior_flags=frozenset()) -> Report:
     return _repair(z, batches, profile, "recover", profile.nu_row, _lambda_mix,
                    False, prior_flags)
 
@@ -532,8 +517,6 @@ class ExtractContext:
         assert len(ids) == a + 1
         self.mu = [list(profile.mu_row(g, l)) for g in ids]
         self.lam = [profile.lam[g] for g in ids]
-        if len(set(self.lam)) != len(self.lam):
-            raise LambdaCollision(f"duplicate coefficients among nodes {ids}")
         # (Pi_i^-1)^t for Pi_i = Phi^t without column i
         self.pi_inv_t = [mat_inv(F, self.mu[:i] + self.mu[i + 1:])
                          for i in range(a)]
@@ -592,21 +575,22 @@ def _rebuild(F, C, ctx, a):
 
 def _st_window(profile, l, ids):
     ctx = ExtractContext(profile, l, ids)
-    return lambda R: extract_st(R, ids, l, profile, ctx)
+    # a symmetric extraction: no asymmetric block
+    return lambda R: (*extract_st(R, ids, l, profile, ctx), None)
 
 
-def reconstruct_plain(batches, profile: CodeProfile) -> ReconstructReport:
+def reconstruct_plain(batches, profile: CodeProfile) -> Report:
     return _reconstruct(batches, profile, "plain", profile.nu_row, _st_stack,
                         _st_window, rec_st)
 
 
-def reconstruct_detect(batches, profile: CodeProfile) -> ReconstructReport:
+def reconstruct_detect(batches, profile: CodeProfile) -> Report:
     return _reconstruct(batches, profile, "detect", profile.nu_row, _st_stack,
                         _st_window, rec_st)
 
 
 def reconstruct_recover(batches, profile: CodeProfile,
-                        prior_flags=frozenset()) -> ReconstructReport:
+                        prior_flags=frozenset()) -> Report:
     return _reconstruct(batches, profile, "recover", profile.nu_row, _st_stack,
                         _st_window, rec_st, prior_flags)
 

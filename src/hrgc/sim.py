@@ -23,7 +23,7 @@ from operator import itemgetter
 
 from . import hmbr, hmsr
 from .errors import HrgcError, InvalidParams
-from .hmsr import HelpSymbolBatch, NodeState
+from .hmsr import HelpSymbolBatch, NodeState, Report
 from .linalg import solve_square, transpose
 from .matrices import (
     CODES,
@@ -56,6 +56,15 @@ class AdversarySpec:
     activation: per-(layer, block) probability of perturbing, in [0, 1].
     Node ids, ``offset`` and ``layer`` are checked against the cluster when
     it is used.
+
+    What each mode guarantees against them: in detect, one liar among the
+    responders alarms unless it sits where the left null vector of its
+    layer's detect window is zero (the one-row check never sees its
+    symbols there), and two omniscient colluders can pass detect, in a
+    repair and in a reconstruction alike.  Recover is exact within
+    sigma + 2 tau <= q^2 - k_l in a reconstruction and <= q^2 - 1 - d_l in
+    a repair (sigma erased or flagged nodes, tau liars; a repair also fails
+    when sigma alone passes its layer's erasure budget).
     """
     nodes: frozenset
     strategy: str = "random"
@@ -292,7 +301,7 @@ def _flagged_alarm(cluster, mode, plan, report):
     flagged = sorted(cluster.known_corrupt.intersection(g for g, _ in plan))
     if not flagged:
         return report
-    return type(report)(mode=mode, ok=False, alarm={"flagged": flagged})
+    return Report(mode=mode, ok=False, alarm={"flagged": flagged})
 
 
 def _entry(profile, op, mode):
@@ -343,7 +352,7 @@ def _operate(cluster, op, mode, adversary, policy, z=None):
 
 def repair(cluster: Cluster, z: int, mode: str, adversary: AdversarySpec = None,
            policy: str = "escalate"):
-    """Repair failed node z.  Returns (RepairReport, ExchangeLog)."""
+    """Repair failed node z.  Returns (Report, ExchangeLog)."""
     profile = cluster.profile
     _check_node(profile, z)
     _check_adversary(profile, adversary)
@@ -364,7 +373,7 @@ def repair(cluster: Cluster, z: int, mode: str, adversary: AdversarySpec = None,
 
 def reconstruct(cluster: Cluster, mode: str, adversary: AdversarySpec = None,
                 policy: str = "escalate"):
-    """Reconstruct the stored file.  Returns (ReconstructReport, ExchangeLog)."""
+    """Reconstruct the stored file.  Returns (Report, ExchangeLog)."""
     _check_adversary(cluster.profile, adversary)
     if adversary and adversary.strategy == "consistent_pair":
         raise InvalidParams("strategy consistent_pair is a repair-only "

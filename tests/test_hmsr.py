@@ -22,7 +22,6 @@ from hrgc.errors import (
     AsymmetryDetected,
     DecodeFailure,
     HrgcError,
-    LambdaCollision,
     LengthMismatch,
     NotEnoughHelpers,
     SingularSystem,
@@ -396,11 +395,7 @@ def test_extract_st_corruption_never_returns_truth(q3_msr):
         for delta in range(1, 9):
             bad = [list(r) for r in R]
             bad[target_row][0] = p.field.add(bad[target_row][0], delta)
-            try:
-                S2, T2 = hmsr.extract_st(bad, ids, l, p)
-            except AsymmetryDetected:
-                continue
-            assert (S2, T2) != block(st, p, 0, 0)
+            assert hmsr.extract_st(bad, ids, l, p) != block(st, p, 0, 0)
 
 
 def test_extract_st_random_rows_extract_symmetric_blocks(q3_msr, q4_msr, q5_msr):
@@ -417,7 +412,7 @@ def test_extract_st_random_rows_extract_symmetric_blocks(q3_msr, q4_msr, q5_msr)
                 ids = sorted(rng.sample(range(n), a + 1))
                 try:
                     ctx = hmsr.ExtractContext(p, l, ids)
-                except (LambdaCollision, SingularSystem):
+                except SingularSystem:
                     continue
                 regular += 1
                 R = [[rng.randrange(F.order) for _ in range(3 * a)] for _ in ids]
@@ -708,14 +703,14 @@ def _two_window_reconstruct(profile, batches):
             for win in (resp[:k], resp[1:]):
                 ids = [b.helper_id for b in win]
                 R = [b.rows[l][t * a:(t + 1) * a] for b in win]
-                try:
-                    if msr:
-                        out.append(hmsr.extract_st(R, ids, l, profile))
-                    else:
-                        mu_rows = [profile.mu_row(g, l) for g in ids]
-                        out.append(hmbr._extract_m(F, mu_rows, k, R))
-                except AsymmetryDetected:
+                if msr:
+                    out.append(hmsr.extract_st(R, ids, l, profile))
+                    continue
+                mu_rows = [profile.mu_row(g, l) for g in ids]
+                S, T, asym = hmbr._extract_m(F, mu_rows, k, R)
+                if asym is not None:
                     return False, {"layer": l, "block": t}, None
+                out.append((S, T))
             if out[0] != out[1]:
                 return False, {"layer": l, "block": t}, None
             s[l].append(out[0][0])
@@ -730,7 +725,7 @@ def _outcome(call):
         return type(exc).__name__, str(exc)
     if isinstance(out, tuple):
         return out
-    return out.ok, out.alarm, getattr(out, "y", getattr(out, "message", None))
+    return out.ok, out.alarm, out.message if out.y is None else out.y
 
 
 @pytest.mark.parametrize("prof_name", ["q3_msr", "q3_mbr"])
@@ -844,9 +839,12 @@ def test_recovery_solvers_reduce_to_the_window_extractors(prof_name, request):
         erased = frozenset(range(len(ids), n))
 
         def extract(R):
+            """The window's (S, T), or None when the block is asymmetric."""
             if msr:
                 return hmsr.extract_st(R, ids, l, profile)
-            return hmbr._extract_m(F, [profile.mu_row(g, l) for g in ids], k, R)
+            S, T, asym = hmbr._extract_m(
+                F, [profile.mu_row(g, l) for g in ids], k, R)
+            return (S, T) if asym is None else None
 
         for t in range(profile.blocks(l)):
             R = [stack[g][l][t * a:(t + 1) * a] for g in ids]
@@ -855,10 +853,7 @@ def test_recovery_solvers_reduce_to_the_window_extractors(prof_name, request):
             assert corrupt == set()
 
             R = [[rng.randrange(F.order) for _ in range(a)] for _ in ids]
-            try:
-                want = extract(R)
-            except AsymmetryDetected:
-                want = None
+            want = extract(R)
             try:
                 S, T, corrupt = solve(R + [None] * len(erased), erased, l,
                                       profile)
@@ -985,22 +980,22 @@ def test_recover_exit_matches_the_solver_only_loop(prof_name, request):
 
 
 @pytest.mark.parametrize("prof_name", FIXTURES)
-@pytest.mark.parametrize("error", [SingularSystem, LambdaCollision,
-                                   AsymmetryDetected])
+@pytest.mark.parametrize("error", [SingularSystem, AsymmetryDetected])
 def test_recover_exit_falls_through_when_the_window_fails(prof_name, error,
                                                           request, monkeypatch):
-    """A window that cannot be built (SingularSystem, LambdaCollision) or
-    whose extraction is asymmetric sends every block to the solver, with
-    the solver-only outcome."""
+    """A window that cannot be built (SingularSystem) or whose extraction
+    is asymmetric from block 0 on (AsymmetryDetected: the extractor returns
+    asym = 0) sends every block to the solver, with the solver-only
+    outcome."""
     profile = request.getfixturevalue(prof_name)
     module, name = ((hmsr, "_st_window") if profile.mode == "msr"
                     else (hmbr, "_m_window"))
+    real = getattr(module, name)
 
     def window(profile, l, ids):
         if error is AsymmetryDetected:
-            def extract(R):
-                raise AsymmetryDetected("patched extraction")
-            return extract
+            extract = real(profile, l, ids)
+            return lambda R: (*extract(R)[:2], 0)
         raise error("patched window")
 
     monkeypatch.setattr(module, name, window)
@@ -1322,18 +1317,18 @@ def _per_block_regenerate(z, batches, profile, mode, row):
                 raise SingularSystem(
                     f"repair window {ids} singular at layer {l}") from None
             if detect and mat_vec(F, V[d:], x) != p[d:]:
-                return hmsr.RepairReport(mode=mode, ok=False,
-                                         alarm={"layer": l, "block": t})
+                return hmsr.Report(mode=mode, ok=False,
+                                   alarm={"layer": l, "block": t})
             if profile.mode == "msr":
                 x = vec_mat(F, [1, profile.lam[z]], [x[:a], x[a:]])
             layer_row.extend(x)
         tilde.append(layer_row)
-    return hmsr.RepairReport(mode=mode, ok=True,
-                             y=mat_mul(F, profile.points.basis(z), tilde))
+    return hmsr.Report(mode=mode, ok=True,
+                       y=mat_mul(F, profile.points.basis(z), tilde))
 
 
 def _repair_outcomes(profile, z, batches, mode):
-    """(engine outcome, per-block outcome): the RepairReport, or an
+    """(engine outcome, per-block outcome): the Report, or an
     HrgcError's type and text."""
     msr = profile.mode == "msr"
     engine = getattr(hmsr if msr else hmbr,
@@ -1435,15 +1430,16 @@ def _per_block_reconstruct(batches, profile, mode):
         ids = [b.helper_id for b in resp]
         for t in range(profile.blocks(l)):
             R = [b.rows[l][t * a:(t + 1) * a] for b in resp]
-            try:
-                if msr:
-                    S, T = hmsr.extract_st(R[:k], ids[:k], l, profile)
-                else:
-                    S, T = hmbr._extract_m(
-                        F, [profile.mu_row(g, l) for g in ids[:k]], k, R[:k])
-            except AsymmetryDetected:
+            if msr:
+                S, T = hmsr.extract_st(R[:k], ids[:k], l, profile)
+                asym = None
+            else:
+                S, T, asym = hmbr._extract_m(
+                    F, [profile.mu_row(g, l) for g in ids[:k]], k, R[:k])
+            if asym is not None:
                 if not detect:
-                    raise
+                    raise AsymmetryDetected(
+                        "S block asymmetric (corrupt responses)")
                 return False, {"layer": l, "block": t}, None
             if detect:
                 if msr:
@@ -1464,7 +1460,9 @@ def test_layer_extraction_matches_the_per_block_extractors(prof_name, request):
     it returns on each block alone, which is the message.  One perturbed
     symbol in block t > 0 gives the per-block outcome: plain raises the same
     AsymmetryDetected text or returns the same message, and detect alarms
-    at (layer, t)."""
+    at (layer, t).  Two perturbed blocks of one layer, a re-encoding
+    mismatch and an asymmetric MBR block in either order, give the
+    per-block outcome too: detect alarms at the first of them."""
     profile = request.getfixturevalue(prof_name)
     F = profile.field
     msr = profile.mode == "msr"
@@ -1477,10 +1475,11 @@ def test_layer_extraction_matches_the_per_block_extractors(prof_name, request):
         a, k = profile.alpha[l], profile.k[l]
         ids = list(range(1, k + 1))
         extract = window(profile, l, ids)
-        assert extract([stack[g][l] for g in ids]) == (truth.s[l], truth.t_[l])
+        assert extract([stack[g][l] for g in ids]) == (
+            truth.s[l], truth.t_[l], None)
         for t in range(profile.blocks(l)):
-            assert extract([stack[g][l][t * a:(t + 1) * a] for g in ids]) == \
-                block(truth, profile, l, t)
+            assert extract([stack[g][l][t * a:(t + 1) * a] for g in ids]) == (
+                *block(truth, profile, l, t), None)
 
     rng = random.Random(prof_name)
     outcomes = {"plain": set(), "detect": set()}
@@ -1508,6 +1507,47 @@ def test_layer_extraction_matches_the_per_block_extractors(prof_name, request):
     # plain never notices; MBR windows carry redundancy, so it can raise
     assert outcomes["plain"] <= {True, "AsymmetryDetected"}
     assert outcomes["detect"] == {False}
+
+    # two blocks of one layer in detect, in either order: a window symbol
+    # that leaves its block asymmetric (MBR; MSR absorbs it into another
+    # symmetric block) and a symbol of the extra row, which re-encodes wrong
+    def poke(batches, g, l, c, delta):
+        out = []
+        for b in batches:
+            if b.helper_id == g:
+                rows = {j: list(r) for j, r in b.rows.items()}
+                rows[l][c] = F.add(rows[l][c], delta)
+                b = hmsr.HelpSymbolBatch(b.helper_id, b.level, rows=rows)
+            out.append(b)
+        return out
+
+    plain = recon_batches(profile, nodes, "plain")
+    detect = recon_batches(profile, nodes, "detect")
+    engine = hmsr.reconstruct_detect if msr else hmbr.reconstruct_mbr_detect
+    # a k = 1 MBR block has a 1 x 1 S, never asymmetric
+    layers = [l for l in range(profile.q) if msr or profile.k[l] > 1]
+    for trial in range(8):
+        l = rng.choice(layers)
+        a, k = profile.alpha[l], profile.k[l]
+        ids = [b.helper_id for b in _window_order(detect, l)]
+        first, second = sorted(rng.sample(range(profile.blocks(l)), 2))
+        skew, wrong = (second, first) if trial % 2 else (first, second)
+        for _ in range(50):
+            g, c = rng.choice(ids[:k]), skew * a + rng.randrange(min(a, k))
+            delta = rng.randrange(1, F.order)
+            if msr or _outcome(lambda: _per_block_reconstruct(
+                    poke(plain, g, l, c, delta), profile, "plain"))[0] == \
+                    "AsymmetryDetected":
+                break
+        else:
+            pytest.fail(f"no asymmetric symbol in layer {l} block {skew}")
+        bad = poke(poke(detect, g, l, c, delta), ids[k], l,
+                   wrong * a + rng.randrange(a), rng.randrange(1, F.order))
+        got = _outcome(lambda: engine(bad, profile))
+        want = _outcome(lambda: _per_block_reconstruct(bad, profile, "detect"))
+        assert got == want, (trial, l, skew, wrong)
+        assert got[0] is False and got[1]["layer"] == l
+        assert got[1]["block"] == first or msr, (trial, l, skew, wrong)
 
 
 @pytest.mark.parametrize("prof_name", FIXTURES)
