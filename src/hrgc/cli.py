@@ -8,6 +8,12 @@ a one-line message, never a traceback.  A singular responder window
 (``SingularSystem``) is well-formed input that cannot be solved: exit 3.
 Every run is reproducible from its flags and seeds.
 
+``COMMANDS`` states each subcommand once: its name, help, handler and
+arguments (every command also takes ``--json``).  ``build_parser`` adds only
+the subcommand that ``argv[0]`` names, so a call pays for one subparser; with
+``--help``, an empty argv or an unknown command it adds all seven.  Nothing
+is kept between calls: each call builds its own parser.
+
 ``verify`` is a recover-mode reconstruct of the stored cluster with no
 payload output: it exits 0 when every block decodes with no corrupt node, and
 3 when the certified block solvers name corrupt nodes (``suspect_nodes``) or
@@ -248,70 +254,69 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def build_parser():
+# name, help, handler, and each argument but the shared --json as (flag,
+# add_argument keywords)
+COMMANDS = (
+    ("profile", "create a code profile", cmd_profile, (
+        ("--mode", dict(choices=CODES, required=True)),
+        ("--q", dict(type=int, required=True)),
+        ("--m", dict(type=int, required=True)),
+        ("--alphas", dict(required=True, help="comma-separated layer sizes")),
+        ("--ks", dict(help="comma-separated k sequence (mbr)")),
+        ("--seed", dict(type=int, default=1)),
+        ("--out", dict(required=True)))),
+    ("encode", "encode a file into a cluster directory", cmd_encode, (
+        ("--profile", dict(required=True)),
+        ("--input", dict(required=True)),
+        ("--outdir", dict(required=True)))),
+    ("fail", "mark a node failed", cmd_fail, (
+        ("--cluster", dict(required=True)),
+        ("--node", dict(type=int, required=True)))),
+    ("repair", "regenerate a failed node", cmd_repair, (
+        ("--cluster", dict(required=True)),
+        ("--node", dict(type=int, required=True)),
+        ("--mode", dict(choices=sim.MODES, default="plain")),
+        ("--adversary", dict(help="nodes=..;strategy=..;seed=..")),
+        ("--policy", dict(choices=sim.POLICIES, default="escalate")))),
+    ("reconstruct", "rebuild the original file", cmd_reconstruct, (
+        ("--cluster", dict(required=True)),
+        ("--mode", dict(choices=sim.MODES, default="plain")),
+        ("--adversary", dict()),
+        ("--policy", dict(choices=sim.POLICIES, default="escalate")),
+        ("--out", dict(required=True)))),
+    ("capability", "write the capability sweep CSV", cmd_capability, (
+        ("--q-range", dict(default="4:16:2", help="start:stop:step")),
+        ("--out", dict(required=True)))),
+    ("verify", "audit cluster consistency", cmd_verify, (
+        ("--cluster", dict(required=True)),)),
+)
+
+
+def build_parser(argv=None):
+    """The parser for ``argv``: only the subcommand that ``argv[0]`` names,
+    or every subcommand when it names none (``--help``, an empty or unknown
+    command) or ``argv`` is None."""
     p = _Parser(
         prog="hrgc",
         description="Layered regenerating-code toolkit and cluster simulator",
     )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("profile", help="create a code profile")
-    sp.add_argument("--mode", choices=CODES, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--alphas", required=True, help="comma-separated layer sizes")
-    sp.add_argument("--ks", help="comma-separated k sequence (mbr)")
-    sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--json")
-    sp.set_defaults(fn=cmd_profile)
-
-    sp = sub.add_parser("encode", help="encode a file into a cluster directory")
-    sp.add_argument("--profile", required=True)
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--outdir", required=True)
-    sp.add_argument("--json")
-    sp.set_defaults(fn=cmd_encode)
-
-    sp = sub.add_parser("fail", help="mark a node failed")
-    sp.add_argument("--cluster", required=True)
-    sp.add_argument("--node", type=int, required=True)
-    sp.add_argument("--json")
-    sp.set_defaults(fn=cmd_fail)
-
-    sp = sub.add_parser("repair", help="regenerate a failed node")
-    sp.add_argument("--cluster", required=True)
-    sp.add_argument("--node", type=int, required=True)
-    sp.add_argument("--mode", choices=sim.MODES, default="plain")
-    sp.add_argument("--adversary", help="nodes=..;strategy=..;seed=..")
-    sp.add_argument("--policy", choices=sim.POLICIES, default="escalate")
-    sp.add_argument("--json")
-    sp.set_defaults(fn=cmd_repair)
-
-    sp = sub.add_parser("reconstruct", help="rebuild the original file")
-    sp.add_argument("--cluster", required=True)
-    sp.add_argument("--mode", choices=sim.MODES, default="plain")
-    sp.add_argument("--adversary")
-    sp.add_argument("--policy", choices=sim.POLICIES, default="escalate")
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--json")
-    sp.set_defaults(fn=cmd_reconstruct)
-
-    sp = sub.add_parser("capability", help="write the capability sweep CSV")
-    sp.add_argument("--q-range", default="4:16:2", help="start:stop:step")
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--json")
-    sp.set_defaults(fn=cmd_capability)
-
-    sp = sub.add_parser("verify", help="audit cluster consistency")
-    sp.add_argument("--cluster", required=True)
-    sp.add_argument("--json")
-    sp.set_defaults(fn=cmd_verify)
+    chosen = [c for c in COMMANDS if argv and argv[0] == c[0]] or COMMANDS
+    # with one subcommand built, the usage line still names all seven
+    metavar = None if chosen is COMMANDS else (
+        "{" + ",".join(c[0] for c in COMMANDS) + "}")
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_, fn, arguments in chosen:
+        sp = sub.add_parser(name, help=help_)
+        for flag, options in arguments:
+            sp.add_argument(flag, **options)
+        sp.add_argument("--json")
+        sp.set_defaults(fn=fn)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.fn(args)
     except OSError as exc:

@@ -16,10 +16,11 @@ sum_j y(P)^j * f_j(x(P)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .errors import InvalidM
 from .field import Field
-from .linalg import mat_inv
+from .linalg import mat_inv, mat_mul
 
 
 def kappa(q: int, m: int, j: int | None = None):
@@ -50,15 +51,15 @@ class PointTable:
         self.field = field
         q = field.q
         self.theta = field.trace_zero_set()
+        # one pass of y -> y^q + y, descending, leaves each value's
+        # lowest-index preimage
+        lowest = {field.add(field.pow(y, q), y): y
+                  for y in reversed(range(field.order))}
         pts = []
         self.y_particular = []
         for g in range(q * q):
             x = group_x_value(field, g)
-            rhs = field.pow(x, q + 1)
-            y_p = next(
-                y for y in range(field.order)
-                if field.add(field.pow(y, q), y) == rhs
-            )
+            y_p = lowest[field.pow(x, q + 1)]
             self.y_particular.append(y_p)
             for l in range(q):
                 y = field.add(y_p, self.theta[l])
@@ -85,9 +86,18 @@ class PointTable:
         return self._basis[g]
 
     def basis_inv(self, g: int):
-        if g not in self._basis_inv:
-            self._basis_inv[g] = mat_inv(self.field, self.basis(g))
-        return self._basis_inv[g]
+        """basis(g)^-1.  Group g's y are y_p + theta_l, so basis(g) is
+        basis(0) times the Pascal matrix P(y_p)[i][j] = C(j, i) y_p^(j-i),
+        whose inverse is P(-y_p): one inversion serves every group."""
+        F, q, known = self.field, self.q, self._basis_inv
+        if 0 not in known:
+            known[0] = mat_inv(F, self.basis(0))
+        if g not in known:
+            y, p = F.neg(self.y_particular[g]), F.characteristic
+            pascal = [[F.mul(comb(j, i) % p, F.pow(y, j - i)) if j >= i
+                       else 0 for j in range(q)] for i in range(q)]
+            known[g] = mat_mul(F, pascal, known[0])
+        return known[g]
 
 
 def group_x_value(field: Field, g: int) -> int:

@@ -9,9 +9,17 @@ implementations.
 
 phi = x (index p) is the primitive element; exp/log tables are built by
 repeated multiplication by x and verified to have full period q^2 - 1.
+
+Every table is built a whole row at a time, so a field costs a few
+milliseconds even at q=16: the sum table grows one base-p digit at a time,
+multiplication by x is a digit shift plus one sum-table lookup, product row
+a reads exp rotated by log a at log b, and the translate tables of odd p are
+those rows mapped through per-digit byte tables.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .errors import DivisionByZero, UnsupportedQ
 
@@ -49,26 +57,28 @@ class Field:
         self.modulus = mod
 
         order = self.order
-        # digit-wise add/neg over base p; full tables are small (order^2 <= 65536)
-        digits = [self._digits(a, p, deg) for a in range(order)]
-        undig = lambda ds: sum(d * p**i for i, d in enumerate(ds))
-        self._neg = [undig([(-d) % p for d in digits[a]]) for a in range(order)]
-        self._add = [
-            [
-                undig([(da + db) % p for da, db in zip(digits[a], digits[b])])
-                for b in range(order)
-            ]
-            for a in range(order)
-        ]
+        # the sum table grows a digit at a time, each row whole: with T the
+        # table of the low i digits (w = p^i), a + c*w plus b + d*w is
+        # ((c + d) % p) * w + T[a][b]
+        self._add = [[0]]
+        for w in (p ** i for i in range(deg)):
+            shift = [[(c + d) % p * w for d in range(p)] for c in range(p)]
+            self._add = [[h + x for h in shift[c] for x in row]
+                         for c in range(p) for row in self._add]
+        self._neg = [row.index(0) for row in self._add]
 
-        # exp/log from repeated multiplication by x
+        # exp/log by repeated multiplication by x: x * (low + top x^(2s-1))
+        # is low shifted up one digit plus top * x^(2s) = -top * modulus
+        top_at = p ** (deg - 1)
+        wrap = [sum(-t * c % p * p ** i for i, c in enumerate(mod))
+                for t in range(p)]
         self._exp = [0] * (order - 1)
         self._log = [0] * order
         a = 1
         for i in range(order - 1):
             self._exp[i] = a
             self._log[a] = i
-            a = self._mul_by_x(a)
+            a = self._add[a % top_at * p][wrap[a // top_at]]
         if a != 1 or len(set(self._exp)) != order - 1:
             raise AssertionError(f"modulus for q={q} is not primitive")
         self.phi = self._exp[1] if order > 2 else 1  # = x, index p
@@ -77,40 +87,28 @@ class Field:
         for b in range(1, order):
             self._inv[b] = self._exp[(order - 1 - self._log[b]) % (order - 1)]
 
-        # row-kernel tables: the full product table, and per constant a the
-        # 256-byte bytes.translate tables of b -> a*b (char 2) or b -> digit
-        # i of a*b (odd p); bytes at or past ``order`` map to 0
-        self._mul = [[self.mul(a, b) for b in range(order)] for a in range(order)]
-        pad = [0] * (256 - order)
+        # row-kernel tables: the full product table, row a read off exp
+        # rotated by log a, and per constant a the 256-byte bytes.translate
+        # tables of b -> a*b (char 2) or b -> digit i of a*b (odd p); bytes
+        # at or past ``order`` map to 0
+        at_logs = operator.itemgetter(*self._log[1:])
+        self._mul = [[0] * order] + [
+            [0, *at_logs(self._exp[la:] + self._exp[:la])]
+            for la in self._log[1:]
+        ]
+        pad = bytes(256 - order)
+        rows = [bytes(row) + pad for row in self._mul]
         if p == 2:
-            self._mul_bytes = [bytes(row + pad) for row in self._mul]
+            self._mul_bytes = rows
         else:
-            self._mul_bytes = [
-                [bytes([digits[v][i] for v in row] + pad) for i in range(deg)]
-                for row in self._mul
-            ]
+            digit_tabs = [bytes(b // p ** i % p for b in range(order)) + pad
+                          for i in range(deg)]
+            self._mul_bytes = [[row.translate(tab) for tab in digit_tabs]
+                               for row in rows]
             self._mod_p = bytes(v % p for v in range(256))
         # the bytes kernel costs one translate per digit plane and term, the
         # list kernel one table lookup per symbol and term
         self._wide = 8 * (1 if p == 2 else deg)
-
-    @staticmethod
-    def _digits(a, p, deg):
-        out = []
-        for _ in range(deg):
-            out.append(a % p)
-            a //= p
-        return out
-
-    def _mul_by_x(self, a: int) -> int:
-        p, deg, mod = self.characteristic, self.degree, self.modulus
-        ds = self._digits(a, p, deg)
-        top = ds[-1]
-        ds = [0] + ds[:-1]
-        if top:
-            for i in range(deg):
-                ds[i] = (ds[i] - top * mod[i]) % p
-        return sum(d * p**i for i, d in enumerate(ds))
 
     # -- arithmetic -----------------------------------------------------
 

@@ -191,7 +191,7 @@ def fail_node(cluster: Cluster, z: int):
         raise InvalidParams(f"node {z} already failed")
     cluster.nodes[z] = None
     if cluster.directory:
-        _write_manifest(cluster)
+        _write_manifest(cluster, profile_digest(cluster.profile))
 
 
 # -- adversary machinery --------------------------------------------------------
@@ -366,8 +366,9 @@ def repair(cluster: Cluster, z: int, mode: str, adversary: AdversarySpec = None,
     if report.ok:
         cluster.nodes[z] = NodeState(node_id=z, y=report.y)
         if cluster.directory:
-            save_node(cluster.directory, profile, cluster.nodes[z])
-            _write_manifest(cluster)
+            header = _node_header(profile)
+            save_node(cluster.directory, profile, cluster.nodes[z], header)
+            _write_manifest(cluster, header["digest"])
     return report, log
 
 
@@ -419,39 +420,45 @@ def node_filename(g: int) -> str:
     return f"node_{g:03d}.bin"
 
 
-def save_node(directory, profile: CodeProfile, state: NodeState):
-    data = encode_node_bytes(profile, state)
+def save_node(directory, profile: CodeProfile, state: NodeState,
+              header=None):
+    data = encode_node_bytes(profile, state, header)
     with open(os.path.join(directory, node_filename(state.node_id)), "wb") as fh:
         fh.write(data)
 
 
-def _node_header(profile: CodeProfile, node_id: int):
-    """The node file header as ordered (field, bytes) pairs.  The profile
-    fixes every field but "id"; "mode" is the code's index in CODES."""
-    return [("magic", b"HRGC"),
-            ("version", b"\x01"),
-            ("mode", bytes([CODES.index(profile.mode)])),
-            ("q", profile.q.to_bytes(2, "little")),
-            ("id", node_id.to_bytes(2, "little")),
-            ("m", profile.m.to_bytes(4, "little")),
-            ("alpha", bytes(profile.alpha)),
-            ("k", bytes(profile.k)),
-            ("digest", profile_digest(profile))]
+def _node_header(profile: CodeProfile):
+    """The node file header, field name -> bytes in file order.  The profile
+    fixes every field but "id", which holds node 0 here; "mode" is the
+    code's index in CODES.  A call that writes or reads many node files
+    builds it once and passes it on."""
+    return {"magic": b"HRGC",
+            "version": b"\x01",
+            "mode": bytes([CODES.index(profile.mode)]),
+            "q": profile.q.to_bytes(2, "little"),
+            "id": bytes(2),
+            "m": profile.m.to_bytes(4, "little"),
+            "alpha": bytes(profile.alpha),
+            "k": bytes(profile.k),
+            "digest": profile_digest(profile)}
 
 
-def encode_node_bytes(profile: CodeProfile, state: NodeState) -> bytes:
-    header = _node_header(profile, state.node_id)
-    return b"".join([value for _, value in header] + list(map(bytes, state.y)))
+def encode_node_bytes(profile: CodeProfile, state: NodeState,
+                      header=None) -> bytes:
+    header = {**(header or _node_header(profile)),
+              "id": state.node_id.to_bytes(2, "little")}
+    return b"".join([*header.values(), *map(bytes, state.y)])
 
 
-def decode_node_bytes(data: bytes, profile: CodeProfile) -> NodeState:
-    header = _node_header(profile, 0)
+def decode_node_bytes(data: bytes, profile: CodeProfile,
+                      header=None) -> NodeState:
+    header = header or _node_header(profile)
     A, off = profile.A, 0
-    size = sum(len(want) for _, want in header) + profile.q * A
+    size = sum(map(len, header.values())) + profile.q * A
     if len(data) < size:
         raise HrgcError(f"node file truncated: {len(data)} bytes, the profile "
                         f"needs {size}")
-    for name, want in header:
+    for name, want in header.items():
         got, off = data[off:off + len(want)], off + len(want)
         if name == "id":
             node_id = int.from_bytes(got, "little")
@@ -466,13 +473,13 @@ def decode_node_bytes(data: bytes, profile: CodeProfile) -> NodeState:
                      y=[list(data[r:r + A]) for r in range(off, size, A)])
 
 
-def load_node(path, profile: CodeProfile) -> NodeState:
+def load_node(path, profile: CodeProfile, header=None) -> NodeState:
     with open(path, "rb") as fh:
-        return decode_node_bytes(fh.read(), profile)
+        return decode_node_bytes(fh.read(), profile, header)
 
 
-def _write_manifest(cluster: Cluster):
-    lines = [f"digest={profile_digest(cluster.profile).hex()}"]
+def _write_manifest(cluster: Cluster, digest: bytes):
+    lines = [f"digest={digest.hex()}"]
     for g in range(cluster.profile.n_nodes):
         status = "live" if cluster.nodes[g] is not None else "failed"
         lines.append(f"node_{g:03d}={node_filename(g)},{status}")
@@ -486,10 +493,11 @@ def save_cluster(cluster: Cluster, directory):
     cluster.directory = directory
     with open(os.path.join(directory, "profile.txt"), "w") as fh:
         fh.write(profile_to_text(cluster.profile))
+    header = _node_header(cluster.profile)
     for state in cluster.nodes:
         if state is not None:
-            save_node(directory, cluster.profile, state)
-    _write_manifest(cluster)
+            save_node(directory, cluster.profile, state, header)
+    _write_manifest(cluster, header["digest"])
 
 
 def load_cluster(directory) -> Cluster:
@@ -501,7 +509,8 @@ def load_cluster(directory) -> Cluster:
         for line in fh:
             key, _, val = line.strip().partition("=")
             manifest[key] = val
-    if manifest.get("digest") != profile_digest(profile).hex():
+    header = _node_header(profile)
+    if manifest.get("digest") != header["digest"].hex():
         raise HrgcError("manifest digest does not match the profile")
     for g in range(profile.n_nodes):
         key = f"node_{g:03d}"
@@ -511,7 +520,8 @@ def load_cluster(directory) -> Cluster:
         if status not in ("live", "failed"):
             raise HrgcError(f"manifest {key} has unknown status {status!r}")
         if status == "live":
-            nodes[g] = load_node(os.path.join(directory, fname), profile)
+            nodes[g] = load_node(os.path.join(directory, fname), profile,
+                                 header)
             if nodes[g].node_id != g:
                 raise HrgcError(f"node file {fname} has id {nodes[g].node_id}")
     cluster = Cluster(profile, nodes, directory=directory)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -446,3 +447,77 @@ def test_help_exits_ok():
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--help"])
     assert exc.value.code == 0
+
+
+# a representative argv per subcommand: the first of each leaves every
+# default in place, the second sets every flag
+PARSE_CASES = [
+    ["profile", "--mode", "msr", "--q", "4", "--m", "37", "--alphas",
+     "6,5,4,3", "--out", "p.txt"],
+    ["profile", "--mode", "mbr", "--q", "4", "--m", "37", "--alphas",
+     "6,5,4,3", "--ks", "6,5,4,3", "--seed", "4", "--out", "p.txt",
+     "--json", "r.json"],
+    ["encode", "--profile", "p.txt", "--input", "in.bin", "--outdir", "c"],
+    ["encode", "--profile", "p.txt", "--input", "in.bin", "--outdir", "c",
+     "--json", "r.json"],
+    ["fail", "--cluster", "c", "--node", "3"],
+    ["fail", "--cluster", "c", "--node", "3", "--json", "r.json"],
+    ["repair", "--cluster", "c", "--node", "3"],
+    ["repair", "--cluster", "c", "--node", "3", "--mode", "detect",
+     "--adversary", "nodes=1;seed=2", "--policy", "report", "--json", "r.json"],
+    ["reconstruct", "--cluster", "c", "--out", "o.bin"],
+    ["reconstruct", "--cluster", "c", "--mode", "recover", "--adversary",
+     "nodes=1;seed=2", "--policy", "report", "--out", "o.bin",
+     "--json", "r.json"],
+    ["capability", "--out", "cap.csv"],
+    ["capability", "--q-range", "4:8:2", "--out", "cap.csv", "--json", "r.json"],
+    ["verify", "--cluster", "c"],
+    ["verify", "--cluster", "c", "--json", "r.json"],
+]
+
+
+def test_parse_cases_cover_every_command():
+    assert {argv[0] for argv in PARSE_CASES} == {c[0] for c in cli.COMMANDS}
+    assert len(cli.COMMANDS) == 7
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES,
+                         ids=[f"{a[0]}-{n % 2}" for n, a in enumerate(PARSE_CASES)])
+def test_one_subcommand_parser_parses_as_the_full_one(argv):
+    one = cli.build_parser(argv)
+    sub = next(a for a in one._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == [argv[0]]
+    assert vars(one.parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+def test_one_subcommand_usage_names_every_command(workspace, capsys):
+    # an extra argument is the top-level parser's error, so its usage line
+    # shows; it names all seven commands as the full parser's does
+    argv = ["reconstruct", "--cluster", workspace["cluster"], "--out",
+            str(workspace["root"] / "never.bin"), "extra"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == cli.EXIT_BAD_INPUT
+    err = " ".join(capsys.readouterr().err.split())
+    assert err.startswith("usage: hrgc [-h] {profile,encode,fail,repair,"
+                          "reconstruct,capability,verify} ...")
+    assert "unrecognized arguments: extra" in err
+
+
+def test_top_level_help_lists_every_command():
+    proc = _hrgc(["--help"])
+    assert proc.returncode == 0, proc.stderr
+    listed = proc.stdout.split("{", 1)[1].split("}", 1)[0].split(",")
+    assert listed == [c[0] for c in cli.COMMANDS]
+    for name, help_, *_ in cli.COMMANDS:
+        assert help_ in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["reconstruct", "--cluster",
+                                                   "c"]],
+                         ids=["empty", "unknown-command", "missing-flag"])
+def test_top_level_bad_input_exits_4_without_traceback(argv):
+    proc = _hrgc(argv)
+    assert proc.returncode == cli.EXIT_BAD_INPUT, proc.stderr
+    assert "Traceback" not in proc.stderr and "error" in proc.stderr

@@ -1,0 +1,70 @@
+"""Per-call fixed costs, pinned by counting calls, not by timing.
+
+A command-line call builds one subcommand's parser and one field, and a
+cluster load or save builds the node file header, and so the profile digest,
+once rather than once per node file."""
+
+import argparse
+
+import pytest
+
+from hrgc import cli, field, sim
+from hrgc.matrices import profile_to_text
+
+
+def _counting(monkeypatch, owner, name):
+    """Record every call of ``owner.name`` and pass it through."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+@pytest.fixture
+def stored(q4_msr, tmp_path):
+    """A q=4 MSR cluster on disk, holding a 40-byte file."""
+    directory = str(tmp_path / "cluster")
+    chunk, = cli.pack_file(bytes(range(40)), q4_msr.q, q4_msr.B)
+    sim.cluster_init(q4_msr, chunk, directory=directory)
+    return directory
+
+
+def test_reconstruct_call_builds_one_subparser_and_one_field(
+        stored, tmp_path, monkeypatch, capsys):
+    subparsers = _counting(monkeypatch, argparse._SubParsersAction,
+                           "add_parser")
+    fields = _counting(monkeypatch, field.Field, "__init__")
+    out = tmp_path / "out.bin"
+    assert cli.main(["reconstruct", "--cluster", stored,
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert out.read_bytes() == bytes(range(40))
+    assert [args[1] for args in subparsers] == ["reconstruct"]
+    assert len(fields) == 1
+
+
+def test_save_and_load_cluster_build_one_node_header(q4_msr, stored,
+                                                     monkeypatch):
+    headers = _counting(monkeypatch, sim, "_node_header")
+    digests = _counting(monkeypatch, sim, "profile_digest")
+    cluster = sim.load_cluster(stored)
+    assert (len(headers), len(digests)) == (1, 1)
+    assert profile_to_text(cluster.profile) == profile_to_text(q4_msr)
+    headers.clear()
+    digests.clear()
+    sim.save_cluster(cluster, stored)
+    assert (len(headers), len(digests)) == (1, 1)
+
+
+def test_repair_computes_the_digest_once(stored, monkeypatch):
+    cluster = sim.load_cluster(stored)
+    sim.fail_node(cluster, 5)
+    digests = _counting(monkeypatch, sim, "profile_digest")
+    report, _ = sim.repair(cluster, 5, "plain")
+    assert report.ok
+    # the node file's header and the manifest share one digest
+    assert len(digests) == 1

@@ -10,7 +10,7 @@ from hrgc.curve import (
     kappa,
 )
 from hrgc.errors import InvalidM
-from hrgc.field import field_new
+from hrgc.field import SUPPORTED_Q, field_new
 from hrgc.linalg import mat_mul, solve_square
 
 
@@ -89,7 +89,7 @@ def test_group_x_values():
     assert sorted(xs) == list(range(16))  # every field element exactly once
 
 
-@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_node_basis_invertible(q):
     F = field_new(q)
     table = enumerate_points(F)
@@ -184,3 +184,14 @@ def test_point_table_deterministic():
     a = enumerate_points(field_new(5))
     b = enumerate_points(field_new(5))
     assert a.points == b.points
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_y_particular_is_the_lowest_index_solution(q):
+    # the brute-force search: per group, the first y in index order with
+    # y^q + y = x_g^(q+1)
+    F = field_new(q)
+    want = [next(y for y in range(F.order)
+                 if F.add(F.pow(y, q), y) == F.pow(group_x_value(F, g), q + 1))
+            for g in range(q * q)]
+    assert PointTable(F).y_particular == want

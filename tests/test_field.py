@@ -141,3 +141,42 @@ def test_symbols_stay_in_range():
         a, b = rng.randrange(64), rng.randrange(64)
         for v in (F.add(a, b), F.mul(a, b), F.sub(a, b), F.neg(a)):
             assert 0 <= v < 64
+
+
+def _reference_tables(F):
+    """The add, neg, product and translate tables built the slow way: digit
+    by digit, exp/log by multiplying a digit vector by x, and every product
+    by a scalar exp/log lookup.  Field builds them by whole rows."""
+    p, deg, mod, order = F.characteristic, F.degree, F.modulus, F.order
+    digits = [[a // p ** i % p for i in range(deg)] for a in range(order)]
+
+    def undig(ds):
+        return sum(d * p ** i for i, d in enumerate(ds))
+
+    neg = [undig([-d % p for d in digits[a]]) for a in range(order)]
+    add = [[undig([(x + y) % p for x, y in zip(digits[a], digits[b])])
+            for b in range(order)] for a in range(order)]
+    exp, log, a = [], [0] * order, 1
+    for i in range(order - 1):
+        exp.append(a)
+        log[a] = i
+        ds = digits[a]
+        top, ds = ds[-1], [0] + ds[:-1]
+        a = undig([(d - top * c) % p for d, c in zip(ds, mod)])
+    mul = [[exp[(log[a] + log[b]) % (order - 1)] if a and b else 0
+            for b in range(order)] for a in range(order)]
+    pad = [0] * (256 - order)
+    if p == 2:
+        mul_bytes = [bytes(row + pad) for row in mul]
+    else:
+        mul_bytes = [[bytes([digits[v][i] for v in row] + pad)
+                      for i in range(deg)] for row in mul]
+    return {"_add": add, "_neg": neg, "_exp": exp, "_log": log, "_mul": mul,
+            "_mul_bytes": mul_bytes}
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_row_built_tables_equal_the_digit_by_digit_ones(q):
+    F = field_new(q)
+    for name, want in _reference_tables(F).items():
+        assert getattr(F, name) == want, name
