@@ -19,12 +19,13 @@ payload output: it exits 0 when every block decodes with no corrupt node, and
 3 when the certified block solvers name corrupt nodes (``suspect_nodes``) or
 the corruption is beyond their budget (``error``).
 
-Byte packing: GF(16) stores two symbols per byte (high nibble first); every
-other q stores one symbol per byte, which requires input bytes < q^2.  The
-payload is prefixed with its 8-byte little-endian length, then zero-padded to
-a whole number of B-symbol chunks.  A cluster holds one chunk, so ``encode``
-refuses (exit 4) any input that needs more: at q=4 MSR, B = 1320 symbols at
-two symbols per byte less the 8-byte prefix allows 652 bytes.
+Byte packing: a cluster holds one B-symbol message, the input's 8-byte
+little-endian length and then its bytes, zero-padded to B.  GF(16) stores
+two symbols per byte (high nibble first); every other q stores one symbol per
+byte, which requires every input byte and every byte of the length prefix to
+be below q^2.  ``pack_file`` refuses (exit 4) an input that breaks this or
+needs more than B symbols: at q=4 MSR, B = 1320 symbols at two symbols per
+byte less the 8-byte prefix allows 652 bytes.
 """
 
 from __future__ import annotations
@@ -78,17 +79,27 @@ def symbols_to_bytes(symbols, q: int) -> bytes:
 
 
 def pack_file(data: bytes, q: int, B: int):
-    """Length-prefix, symbol-encode, zero-pad to whole B-symbol chunks."""
-    framed = len(data).to_bytes(8, "little") + data
-    syms = bytes_to_symbols(framed, q)
-    chunks = max(1, -(-len(syms) // B))
-    syms += [0] * (chunks * B - len(syms))
-    return [syms[i * B:(i + 1) * B] for i in range(chunks)]
+    """The cluster's one B-symbol message: the length prefix, then ``data``,
+    as symbols, zero-padded to B."""
+    syms = bytes_to_symbols(data, q)
+    prefix = len(data).to_bytes(8, "little")
+    if q != 4 and max(prefix) >= q * q:
+        raise HrgcError(
+            f"input length {len(data)} not packable: each byte of its 8-byte "
+            f"little-endian length prefix must be below q^2={q * q}; direct "
+            f"byte packing needs q=4 or q=16"
+        )
+    syms = bytes_to_symbols(prefix, q) + syms
+    if len(syms) > B:
+        raise HrgcError(
+            f"input needs {-(-len(syms) // B)} chunks; one cluster holds one "
+            f"B={B} chunk (split the file upstream)"
+        )
+    return syms + [0] * (B - len(syms))
 
 
-def unpack_file(chunks, q: int) -> bytes:
-    syms = [s for chunk in chunks for s in chunk]
-    raw = symbols_to_bytes(syms, q)
+def unpack_file(message, q: int) -> bytes:
+    raw = symbols_to_bytes(message, q)
     if len(raw) < 8:
         raise HrgcError("decoded payload shorter than its length prefix")
     length = int.from_bytes(raw[:8], "little")
@@ -114,7 +125,7 @@ def _load_profile(path):
 
 
 def _emit(args, payload: dict):
-    if getattr(args, "json", None):
+    if args.json:
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -130,7 +141,7 @@ def _report_exit(report) -> int:
     return EXIT_ALARM
 
 
-def _report_payload(report, log=None):
+def _report_payload(report, log):
     out = {
         "mode": report.mode,
         "ok": report.ok,
@@ -140,12 +151,11 @@ def _report_payload(report, log=None):
         out["alarm"] = report.alarm
     if report.failure is not None:
         out["failure"] = report.failure
-    if log is not None:
-        out["downloaded_symbols"] = log.total_symbols()
-        out["downloaded_per_layer"] = log.per_layer()
-        if "alarm" in log.meta:
-            out["alarm"] = log.meta["alarm"]
-            out["escalated"] = bool(log.meta.get("escalated"))
+    out["downloaded_symbols"] = log.total_symbols()
+    out["downloaded_per_layer"] = log.per_layer()
+    if "alarm" in log.meta:
+        out["alarm"] = log.meta["alarm"]
+        out["escalated"] = bool(log.meta.get("escalated"))
     return out
 
 
@@ -170,14 +180,8 @@ def cmd_encode(args) -> int:
     profile = _load_profile(args.profile)
     with open(args.input, "rb") as fh:
         data = fh.read()
-    chunks = pack_file(data, profile.q, profile.B)
-    if len(chunks) != 1:
-        raise HrgcError(
-            f"input needs {len(chunks)} chunks; one cluster holds one "
-            f"B={profile.B} chunk (split the file upstream)"
-        )
-    cluster = sim.cluster_init(profile, chunks[0], retain_truth=False,
-                               directory=args.outdir)
+    sim.cluster_init(profile, pack_file(data, profile.q, profile.B),
+                     retain_truth=False, directory=args.outdir)
     _emit(args, {
         "outdir": args.outdir,
         "nodes": profile.n_nodes,
@@ -210,7 +214,7 @@ def cmd_reconstruct(args) -> int:
                                   policy=args.policy)
     payload = _report_payload(report, log)
     if report.ok:
-        data = unpack_file([report.message], cluster.profile.q)
+        data = unpack_file(report.message, cluster.profile.q)
         with open(args.out, "wb") as fh:
             fh.write(data)
         payload["out"] = args.out
@@ -292,10 +296,10 @@ COMMANDS = (
 )
 
 
-def build_parser(argv=None):
+def build_parser(argv):
     """The parser for ``argv``: only the subcommand that ``argv[0]`` names,
     or every subcommand when it names none (``--help``, an empty or unknown
-    command) or ``argv`` is None."""
+    command)."""
     p = _Parser(
         prog="hrgc",
         description="Layered regenerating-code toolkit and cluster simulator",

@@ -60,7 +60,6 @@ ERASED = None
 class DecodeResult:
     message: list
     error_positions: frozenset
-    erasure_positions: frozenset
 
 
 def decode(F, generator, values, tau_max=None, points=None, *,
@@ -107,8 +106,7 @@ def decode(F, generator, values, tau_max=None, points=None, *,
     errors = frozenset(i for i, v, c in zip(pos, r, codeword) if v != c)
     if len(errors) > tau_max:
         raise DecodeFailure(f"{len(errors)} mismatches exceed tau_max={tau_max}")
-    return DecodeResult(message=message, error_positions=errors,
-                        erasure_positions=erased)
+    return DecodeResult(message=message, error_positions=errors)
 
 
 def _fit(F, rows, r, xs, k, trusted):

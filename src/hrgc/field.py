@@ -156,9 +156,6 @@ class Field:
             raise DivisionByZero("log of 0")
         return self._log[a]
 
-    def elements(self):
-        return range(self.order)
-
     # -- row kernels ----------------------------------------------------
     #
     # Table-driven "multiply a region by a constant" (Plank, Greenan and

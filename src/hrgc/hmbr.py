@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from .decoder import ERASED, decode
 from .errors import DecodeFailure
-from .hmsr import (  # noqa: F401 -- the shared names are re-exported
+from .hmsr import (
     MessageMatrices,
     Report,
     _arrange,
@@ -36,7 +36,7 @@ from .hmsr import (  # noqa: F401 -- the shared names are re-exported
     _interleave,
     _reconstruct,
     _repair,
-    helper_response,
+    helper_response,  # noqa: F401 -- re-exported: MBR helpers answer as MSR's
 )
 from .linalg import mat_inv, mat_mul, vec_mat
 from .matrices import CodeProfile
@@ -107,15 +107,13 @@ def _strip_t(F, mu_rows, k, R, T):
     return out
 
 
-def _extract_m(F, mu_rows, k, R, omega_inv=None):
+def _extract_m(F, mu_rows, k, R, omega_inv):
     """Split W = [Omega, Delta_part]; T = Omega^-1 R2; S = Omega^-1 (R1 - Dp T^t),
     for every block of the rows R (the blocks side by side) at once.
 
-    ``omega_inv`` is Omega^-1 when the caller holds it (once per layer).
+    ``omega_inv`` is Omega^-1, built once per layer by the caller.
     Returns (S, T, asym), asym the lowest block whose S is not symmetric
     (None when every one is)."""
-    if omega_inv is None:
-        omega_inv = mat_inv(F, [row[:k] for row in mu_rows])
     a = len(mu_rows[0])
     T = mat_mul(F, omega_inv,
                 [_interleave([r[c::a] for c in range(k, a)]) for r in R])

@@ -509,11 +509,12 @@ def regenerate_recover(z, batches, profile: CodeProfile,
 
 
 class ExtractContext:
-    """Per-(layer, responder set) inverses reused across the blocks."""
+    """Per-(layer, responder set) inverses reused across the blocks, with the
+    field and the layer's width alpha_l."""
 
     def __init__(self, profile: CodeProfile, l: int, ids):
-        F = profile.field
-        a = profile.alpha[l]
+        self.field = F = profile.field
+        self.width = a = profile.alpha[l]
         assert len(ids) == a + 1
         self.mu = [list(profile.mu_row(g, l)) for g in ids]
         self.lam = [profile.lam[g] for g in ids]
@@ -523,19 +524,17 @@ class ExtractContext:
         self.omega_inv = mat_inv(F, self.mu[:a])
 
 
-def extract_st(R, ids, l, profile: CodeProfile, ctx: ExtractContext = None):
-    """Invert the blocks of layer l from alpha_l + 1 responses (symmetry-based).
+def extract_st(R, ctx: ExtractContext):
+    """Invert the blocks of layer l from alpha_l + 1 responses through
+    ``ctx``, their window (symmetry-based).
 
-    R: one response row per id, in the order of ids, holding the blocks side
-    by side (one block: alpha_l symbols).  Returns (S, T), the blocks side by
-    side in the same way.  The window maps symmetric (S, T) pairs one to one
-    onto its alpha_l (alpha_l + 1) response symbols, so the blocks are
-    symmetric and reproduce R, whatever R holds.
+    R: one response row per responder, in the order of ``ctx``, holding the
+    blocks side by side (one block: alpha_l symbols).  Returns (S, T), the
+    blocks side by side in the same way.  The window maps symmetric (S, T)
+    pairs one to one onto its alpha_l (alpha_l + 1) response symbols, so the
+    blocks are symmetric and reproduce R, whatever R holds.
     """
-    if ctx is None:
-        ctx = ExtractContext(profile, l, ids)
-    F = profile.field
-    a = profile.alpha[l]
+    F, a = ctx.field, ctx.width
     # R Phi^t block by block: one product per row, over entry c of every block
     C, D = _pairs(F, [mat_mul(F, ctx.mu, [r[c::a] for c in range(a)]) for r in R],
                   ctx.lam)
@@ -576,7 +575,7 @@ def _rebuild(F, C, ctx, a):
 def _st_window(profile, l, ids):
     ctx = ExtractContext(profile, l, ids)
     # a symmetric extraction: no asymmetric block
-    return lambda R: (*extract_st(R, ids, l, profile, ctx), None)
+    return lambda R: (*extract_st(R, ctx), None)
 
 
 def reconstruct_plain(batches, profile: CodeProfile) -> Report:

@@ -28,17 +28,16 @@ def vec_mat(F, v, A):
     return F.comb(v, F.pack(A, width), width)
 
 
-def _eliminate(F, M, ncols=None):
+def _eliminate(F, M, ncols):
     """In-place forward elimination; returns pivot columns.  M is augmented-ok.
 
     Each step is one list-kernel row operation on the rest of a row,
     right-hand sides included."""
     neg, inv = F.neg, F.inv
     rows = len(M)
-    cols = ncols if ncols is not None else (len(M[0]) if rows else 0)
     pivots = []
     r = 0
-    for c in range(cols):
+    for c in range(ncols):
         piv = None
         for rr in range(r, rows):
             if M[rr][c]:
@@ -111,7 +110,7 @@ def solve_least_index(F, A, b, need):
     Those rows are the pivot columns of A's transpose, in one elimination.
     Returns (x, used_rows).  Raises SingularSystem if rank < need.
     """
-    used = _eliminate(F, transpose(A))[:need]
+    used = _eliminate(F, transpose(A), len(A))[:need]
     if len(used) < need:
         raise SingularSystem(f"rank {len(used)} < {need}")
     return solve_square(F, [A[i] for i in used], [b[i] for i in used]), used

@@ -67,14 +67,11 @@ class CodeProfile:
     d: tuple
     A: int
     B: int
-    field: Field = dfield(repr=False, default=None)
-    points: PointTable = dfield(repr=False, default=None)
+    field: Field = dfield(repr=False)
+    points: PointTable = dfield(repr=False, init=False)
 
     def __post_init__(self):
-        if self.field is None:
-            self.field = field_new(self.q)
-        if self.points is None:
-            self.points = enumerate_points(self.field)
+        self.points = enumerate_points(self.field)
         self._phi = {}
         self._xs = [group_x_value(self.field, g) for g in range(self.q * self.q)]
 
@@ -121,13 +118,12 @@ def profile_new(mode: str, q: int, m: int, alpha, k=None, seed: int = 1) -> Code
     kap = kappa(q, m)
     alpha, kk, d, A, B = _layer_params(mode, q, kap, alpha, k)
 
-    points = enumerate_points(F)
     xs = [group_x_value(F, g) for g in range(q * q)]
     lam = select_delta(F, xs, alpha, d, mode, seed)
 
     return CodeProfile(
         mode=mode, q=q, m=m, alpha=alpha, k=kk, lam=lam, seed=seed,
-        kappa=kap, d=d, A=A, B=B, field=F, points=points,
+        kappa=kap, d=d, A=A, B=B, field=F,
     )
 
 

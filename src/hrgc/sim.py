@@ -367,7 +367,7 @@ def repair(cluster: Cluster, z: int, mode: str, adversary: AdversarySpec = None,
         cluster.nodes[z] = NodeState(node_id=z, y=report.y)
         if cluster.directory:
             header = _node_header(profile)
-            save_node(cluster.directory, profile, cluster.nodes[z], header)
+            save_node(cluster.directory, cluster.nodes[z], header)
             _write_manifest(cluster, header["digest"])
     return report, log
 
@@ -420,9 +420,8 @@ def node_filename(g: int) -> str:
     return f"node_{g:03d}.bin"
 
 
-def save_node(directory, profile: CodeProfile, state: NodeState,
-              header=None):
-    data = encode_node_bytes(profile, state, header)
+def save_node(directory, state: NodeState, header):
+    data = encode_node_bytes(state, header)
     with open(os.path.join(directory, node_filename(state.node_id)), "wb") as fh:
         fh.write(data)
 
@@ -430,8 +429,8 @@ def save_node(directory, profile: CodeProfile, state: NodeState,
 def _node_header(profile: CodeProfile):
     """The node file header, field name -> bytes in file order.  The profile
     fixes every field but "id", which holds node 0 here; "mode" is the
-    code's index in CODES.  A call that writes or reads many node files
-    builds it once and passes it on."""
+    code's index in CODES.  Every node-file function takes it, so a call that
+    writes or reads many node files builds it once."""
     return {"magic": b"HRGC",
             "version": b"\x01",
             "mode": bytes([CODES.index(profile.mode)]),
@@ -443,16 +442,12 @@ def _node_header(profile: CodeProfile):
             "digest": profile_digest(profile)}
 
 
-def encode_node_bytes(profile: CodeProfile, state: NodeState,
-                      header=None) -> bytes:
-    header = {**(header or _node_header(profile)),
-              "id": state.node_id.to_bytes(2, "little")}
+def encode_node_bytes(state: NodeState, header) -> bytes:
+    header = {**header, "id": state.node_id.to_bytes(2, "little")}
     return b"".join([*header.values(), *map(bytes, state.y)])
 
 
-def decode_node_bytes(data: bytes, profile: CodeProfile,
-                      header=None) -> NodeState:
-    header = header or _node_header(profile)
+def decode_node_bytes(data: bytes, profile: CodeProfile, header) -> NodeState:
     A, off = profile.A, 0
     size = sum(map(len, header.values())) + profile.q * A
     if len(data) < size:
@@ -473,7 +468,7 @@ def decode_node_bytes(data: bytes, profile: CodeProfile,
                      y=[list(data[r:r + A]) for r in range(off, size, A)])
 
 
-def load_node(path, profile: CodeProfile, header=None) -> NodeState:
+def load_node(path, profile: CodeProfile, header) -> NodeState:
     with open(path, "rb") as fh:
         return decode_node_bytes(fh.read(), profile, header)
 
@@ -496,7 +491,7 @@ def save_cluster(cluster: Cluster, directory):
     header = _node_header(cluster.profile)
     for state in cluster.nodes:
         if state is not None:
-            save_node(directory, cluster.profile, state, header)
+            save_node(directory, state, header)
     _write_manifest(cluster, header["digest"])
 
 

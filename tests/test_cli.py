@@ -200,9 +200,9 @@ def test_packing_round_trip_every_length():
                 data = bytes((7 * i + 1) % 256 for i in range(n))
             else:
                 data = bytes((i * 3 + 1) % 9 for i in range(n))
-            chunks = cli.pack_file(data, q, B)
-            assert all(len(c) == B for c in chunks)
-            assert cli.unpack_file(chunks, q) == data
+            message = cli.pack_file(data, q, B)
+            assert len(message) == B
+            assert cli.unpack_file(message, q) == data
 
 
 def test_packing_rejects_large_bytes_for_small_q():
@@ -212,11 +212,61 @@ def test_packing_rejects_large_bytes_for_small_q():
     assert cli.bytes_to_symbols(bytes([255, 0]), 16) == [255, 0]
 
 
-def test_multichunk_packing():
-    data = bytes(range(256)) * 4
-    chunks = cli.pack_file(data, 4, 1320)
-    assert len(chunks) == 2
-    assert cli.unpack_file(chunks, 4) == data
+@pytest.fixture(scope="module")
+def q3_profile(tmp_path_factory):
+    path = tmp_path_factory.mktemp("q3") / "profile.txt"
+    assert run(["profile", "--mode", "msr", "--q", "3", "--m", "8",
+                "--alphas", "3,2,1", "--seed", "2", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("data, message", [
+    # the byte's offset is into the input, not into the length-prefixed frame
+    (bytes([1, 2, 0xC8]), "byte 200 at offset 2 not below q^2=9;"),
+    # 10 = 0x0a is no byte of the input: it is the input's length
+    (bytes([1] * 10), "input length 10 not packable: each byte of its 8-byte "
+                      "little-endian length prefix must be below q^2=9;"),
+], ids=["input-byte", "length-prefix"])
+def test_q3_packing_errors_name_what_cannot_be_packed(q3_profile, tmp_path,
+                                                      capsys, data, message):
+    src = tmp_path / "input.bin"
+    src.write_bytes(data)
+    assert run(["encode", "--profile", str(q3_profile), "--input", str(src),
+                "--outdir", str(tmp_path / "c")]) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error (HrgcError): {message}"), err
+    assert err.endswith("direct byte packing needs q=4 or q=16\n"), err
+
+
+# the largest input one q=4 cluster holds: B symbols at two per byte, less
+# the 8-byte length prefix (MSR B = 1320, MBR B = 660)
+@pytest.mark.parametrize("mode, flags, most", [
+    ("msr", ["--seed", "1"], 652),
+    ("mbr", ["--ks", "6,5,4,3", "--seed", "4"], 322),
+], ids=["msr", "mbr"])
+def test_one_stripe_boundary_through_the_command_line(tmp_path, capsys, mode,
+                                                      flags, most):
+    profile = str(tmp_path / "profile.txt")
+    assert run(["profile", "--mode", mode, "--q", "4", "--m", "37",
+                "--alphas", "6,5,4,3", *flags, "--out", profile]) == 0
+    data = bytes(random.Random(most).randrange(256) for _ in range(most + 1))
+    fits, over = tmp_path / "fits.bin", tmp_path / "over.bin"
+    fits.write_bytes(data[:most])
+    over.write_bytes(data)
+    cluster, out = str(tmp_path / "c"), tmp_path / "out.bin"
+    assert run(["encode", "--profile", profile, "--input", str(fits),
+                "--outdir", cluster]) == cli.EXIT_OK
+    assert run(["reconstruct", "--cluster", cluster, "--out", str(out)]) \
+        == cli.EXIT_OK
+    assert out.read_bytes() == data[:most]
+    capsys.readouterr()
+    assert run(["encode", "--profile", profile, "--input", str(over),
+                "--outdir", str(tmp_path / "c2")]) == cli.EXIT_BAD_INPUT
+    B = 1320 if mode == "msr" else 660
+    assert capsys.readouterr().err == (
+        f"error (HrgcError): input needs 2 chunks; one cluster holds one "
+        f"B={B} chunk (split the file upstream)\n")
+    assert not os.path.exists(tmp_path / "c2")
 
 
 def test_bad_adversary_and_node_exit_codes(workspace, capsys):
@@ -488,7 +538,8 @@ def test_one_subcommand_parser_parses_as_the_full_one(argv):
     sub = next(a for a in one._actions
                if isinstance(a, argparse._SubParsersAction))
     assert list(sub.choices) == [argv[0]]
-    assert vars(one.parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+    full = cli.build_parser([])
+    assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
 
 
 def test_one_subcommand_usage_names_every_command(workspace, capsys):

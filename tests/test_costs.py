@@ -1,15 +1,16 @@
 """Per-call fixed costs, pinned by counting calls, not by timing.
 
-A command-line call builds one subcommand's parser and one field, and a
-cluster load or save builds the node file header, and so the profile digest,
-once rather than once per node file."""
+A command-line call builds one subcommand's parser and one field, a cluster
+load or save builds the node file header, and so the profile digest, once
+rather than once per node file, and a profile enumerates its curve points
+once."""
 
 import argparse
 
 import pytest
 
-from hrgc import cli, field, sim
-from hrgc.matrices import profile_to_text
+from hrgc import cli, field, matrices, sim
+from hrgc.matrices import profile_from_text, profile_new, profile_to_text
 
 
 def _counting(monkeypatch, owner, name):
@@ -29,8 +30,8 @@ def _counting(monkeypatch, owner, name):
 def stored(q4_msr, tmp_path):
     """A q=4 MSR cluster on disk, holding a 40-byte file."""
     directory = str(tmp_path / "cluster")
-    chunk, = cli.pack_file(bytes(range(40)), q4_msr.q, q4_msr.B)
-    sim.cluster_init(q4_msr, chunk, directory=directory)
+    message = cli.pack_file(bytes(range(40)), q4_msr.q, q4_msr.B)
+    sim.cluster_init(q4_msr, message, directory=directory)
     return directory
 
 
@@ -68,3 +69,14 @@ def test_repair_computes_the_digest_once(stored, monkeypatch):
     assert report.ok
     # the node file's header and the manifest share one digest
     assert len(digests) == 1
+
+
+def test_a_profile_enumerates_its_points_once(q4_msr, monkeypatch):
+    points = _counting(monkeypatch, matrices, "enumerate_points")
+    profile = profile_new("msr", 4, 37, (6, 5, 4, 3), seed=1)
+    assert len(points) == 1
+    assert profile_to_text(profile) == profile_to_text(q4_msr)
+    points.clear()
+    profile = profile_from_text(profile_to_text(q4_msr))
+    assert len(points) == 1
+    assert profile.points.points == q4_msr.points.points

@@ -80,7 +80,6 @@ def test_exhaustive_supports_n8_k2(use_points):
                         res = decode(F, G, word, points=pts)
                         assert res.message == msg
                         assert res.error_positions == frozenset(actual)
-                        assert res.erasure_positions == frozenset(erasures)
 
 
 def test_oracle_agreement_sampled():
@@ -201,8 +200,7 @@ def _search_only(F, G, word, tau_max=None, points=None):
     errors = frozenset(i for i in pos if word[i] != cw[i])
     if len(errors) > tau_max:
         raise DecodeFailure(f"{len(errors)} mismatches exceed tau_max={tau_max}")
-    return DecodeResult(message=msg, error_positions=errors,
-                        erasure_positions=erased)
+    return DecodeResult(message=msg, error_positions=errors)
 
 
 def _outcome(fn, F, G, *args, **kwargs):
@@ -210,8 +208,7 @@ def _outcome(fn, F, G, *args, **kwargs):
         r = fn(F, G, *args, **kwargs)
     except DecodeFailure as exc:
         return type(exc).__name__, str(exc)
-    return (r.message, mat_vec(F, G, r.message), r.error_positions,
-            r.erasure_positions)
+    return r.message, mat_vec(F, G, r.message), r.error_positions
 
 
 def _generators(F, rng, n, k):
@@ -283,7 +280,6 @@ def test_clean_word_with_erasures_skips_the_error_search(monkeypatch):
         res = decode(F, G, word, points=points)
         assert res.message == msg
         assert res.error_positions == frozenset()
-        assert res.erasure_positions == frozenset({0, 5, 9})
 
 
 def test_only_a_singular_message_solve_becomes_a_decode_failure(monkeypatch):

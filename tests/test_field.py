@@ -28,7 +28,8 @@ def test_primitive_element_q4():
 def test_q3_order_and_units():
     F = field_new(3)
     assert F.order == 9
-    assert len([a for a in F.elements() if a != 0]) == 8
+    # the 8 units are the powers of the primitive element
+    assert sorted(F.exp(j) for j in range(8)) == list(range(1, 9))
 
 
 def test_exp_table_full_period_q5():
@@ -41,7 +42,7 @@ def test_exp_table_full_period_q5():
 
 def test_char2_self_cancellation():
     F = field_new(4)
-    for a in F.elements():
+    for a in range(F.order):
         assert F.add(a, a) == 0
 
 
@@ -55,7 +56,7 @@ def test_inverses_exhaustive_q3():
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_field_axioms_exhaustive(q):
     F = field_new(q)
-    elems = list(F.elements())
+    elems = list(range(F.order))
     for a in elems:
         for b in elems:
             assert F.add(a, b) == F.add(b, a)
@@ -111,7 +112,7 @@ def test_trace_zero_set_exhaustive_all_q():
         assert len(set(thetas)) == q
         assert thetas[0] == 0
         assert list(thetas) == sorted(thetas)
-        brute = [a for a in F.elements() if F.add(F.pow(a, q), a) == 0]
+        brute = [a for a in range(F.order) if F.add(F.pow(a, q), a) == 0]
         assert list(thetas) == brute
 
 

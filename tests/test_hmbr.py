@@ -14,7 +14,7 @@ from conftest import (
 )
 from hrgc import hmbr, hmsr
 from hrgc.errors import LengthMismatch
-from hrgc.linalg import vec_mat
+from hrgc.linalg import mat_inv, vec_mat
 
 
 def test_arrange_q4_k_equals_alpha(q4_mbr):
@@ -183,13 +183,14 @@ def test_extract_asymmetry_detectable(q3_mbr):
                   key=lambda b: b.helper_id)[: p.k[l]]
     mu_rows = [list(p.mu_row(b.helper_id, l)) for b in resp]
     R = [b.rows[l][:p.alpha[l]] for b in resp]
+    omega_inv = mat_inv(F, [row[:p.k[l]] for row in mu_rows])
     asymmetric = 0
     for row in range(len(R)):
         for col in range(p.alpha[l]):
             bad = [list(r) for r in R]
             bad[row][col] = F.add(bad[row][col], 1)
-            if hmbr._extract_m(F, mu_rows, p.k[l], bad)[2] is not None:
-                asymmetric += 1
+            _, _, asym = hmbr._extract_m(F, mu_rows, p.k[l], bad, omega_inv)
+            asymmetric += asym is not None
     assert asymmetric > 0
 
 

@@ -337,6 +337,17 @@ def test_reconstruct_detect_honest_and_alarm(q3_msr):
     assert alarms / trials >= 1 - 1 / 9
 
 
+def _window_st(R, ids, l, profile):
+    """``hmsr.extract_st`` through the window of layer l and responders ids."""
+    return hmsr.extract_st(R, hmsr.ExtractContext(profile, l, ids))
+
+
+def _window_m(F, mu_rows, k, R):
+    """``hmbr._extract_m`` with the Omega^-1 of the rows ``mu_rows``."""
+    return hmbr._extract_m(F, mu_rows, k, R,
+                           mat_inv(F, [row[:k] for row in mu_rows]))
+
+
 def test_extract_st_identity_pattern(q3_msr):
     # S = identity-patterned symmetric block, T = 0: extraction is exact
     p = q3_msr
@@ -350,7 +361,7 @@ def test_extract_st_identity_pattern(q3_msr):
         mu = p.mu_row(g, l)
         ms = vec_mat(F, mu, S)
         R.append([F.add(ms[c], F.mul(p.lam[g], 0)) for c in range(3)])
-    S2, T2 = hmsr.extract_st(R, ids, l, p)
+    S2, T2 = _window_st(R, ids, l, p)
     assert S2 == S and T2 == T
 
 
@@ -373,7 +384,7 @@ def test_extract_st_random_round_trip_all_layers(q3_msr):
             ms = vec_mat(F, mu, S)
             mt = vec_mat(F, mu, T)
             R.append([F.add(ms[c], F.mul(p.lam[g], mt[c])) for c in range(a)])
-        S2, T2 = hmsr.extract_st(R, ids, l, p)
+        S2, T2 = _window_st(R, ids, l, p)
         assert (S2, T2) == (S, T)
 
 
@@ -395,7 +406,7 @@ def test_extract_st_corruption_never_returns_truth(q3_msr):
         for delta in range(1, 9):
             bad = [list(r) for r in R]
             bad[target_row][0] = p.field.add(bad[target_row][0], delta)
-            assert hmsr.extract_st(bad, ids, l, p) != block(st, p, 0, 0)
+            assert _window_st(bad, ids, l, p) != block(st, p, 0, 0)
 
 
 def test_extract_st_random_rows_extract_symmetric_blocks(q3_msr, q4_msr, q5_msr):
@@ -416,7 +427,7 @@ def test_extract_st_random_rows_extract_symmetric_blocks(q3_msr, q4_msr, q5_msr)
                     continue
                 regular += 1
                 R = [[rng.randrange(F.order) for _ in range(3 * a)] for _ in ids]
-                S, T = hmsr.extract_st(R, ids, l, p, ctx)
+                S, T = hmsr.extract_st(R, ctx)
                 assert hmsr._asymmetric_block(S) is None, (p.q, l, ids)
                 assert hmsr._asymmetric_block(T) is None, (p.q, l, ids)
                 assert mat_mul(F, [p.nu_row(g, l) for g in ids], S + T) == R
@@ -704,10 +715,10 @@ def _two_window_reconstruct(profile, batches):
                 ids = [b.helper_id for b in win]
                 R = [b.rows[l][t * a:(t + 1) * a] for b in win]
                 if msr:
-                    out.append(hmsr.extract_st(R, ids, l, profile))
+                    out.append(_window_st(R, ids, l, profile))
                     continue
                 mu_rows = [profile.mu_row(g, l) for g in ids]
-                S, T, asym = hmbr._extract_m(F, mu_rows, k, R)
+                S, T, asym = _window_m(F, mu_rows, k, R)
                 if asym is not None:
                     return False, {"layer": l, "block": t}, None
                 out.append((S, T))
@@ -841,8 +852,8 @@ def test_recovery_solvers_reduce_to_the_window_extractors(prof_name, request):
         def extract(R):
             """The window's (S, T), or None when the block is asymmetric."""
             if msr:
-                return hmsr.extract_st(R, ids, l, profile)
-            S, T, asym = hmbr._extract_m(
+                return _window_st(R, ids, l, profile)
+            S, T, asym = _window_m(
                 F, [profile.mu_row(g, l) for g in ids], k, R)
             return (S, T) if asym is None else None
 
@@ -1431,10 +1442,10 @@ def _per_block_reconstruct(batches, profile, mode):
         for t in range(profile.blocks(l)):
             R = [b.rows[l][t * a:(t + 1) * a] for b in resp]
             if msr:
-                S, T = hmsr.extract_st(R[:k], ids[:k], l, profile)
+                S, T = _window_st(R[:k], ids[:k], l, profile)
                 asym = None
             else:
-                S, T, asym = hmbr._extract_m(
+                S, T, asym = _window_m(
                     F, [profile.mu_row(g, l) for g in ids[:k]], k, R[:k])
             if asym is not None:
                 if not detect:

@@ -254,7 +254,8 @@ def test_node_file_round_trip(q3_msr, tmp_path):
     assert tuple(data[17:20]) == (4, 3, 2)
     assert data[20:28] == profile_digest(q3_msr)
     assert len(data) == 28 + 3 * 6
-    state = sim.load_node(str(tmp_path / sim.node_filename(4)), q3_msr)
+    state = sim.load_node(str(tmp_path / sim.node_filename(4)), q3_msr,
+                          sim._node_header(q3_msr))
     assert state.node_id == 4
     assert state.y == cluster.nodes[4].y
 
@@ -482,11 +483,12 @@ def test_consistent_pair_refused_on_reconstruct(q3_mbr, mode):
 def test_truncated_node_file_is_named(q3_msr, tmp_path):
     make_cluster(q3_msr, 19, directory=str(tmp_path))
     data = (tmp_path / sim.node_filename(4)).read_bytes()
+    header = sim._node_header(q3_msr)
     for cut in (4, 12, 27, len(data) - 1):
         with pytest.raises(HrgcError, match="truncated"):
-            sim.decode_node_bytes(data[:cut], q3_msr)
+            sim.decode_node_bytes(data[:cut], q3_msr, header)
     with pytest.raises(HrgcError, match="longer"):
-        sim.decode_node_bytes(data + b"\0", q3_msr)
+        sim.decode_node_bytes(data + b"\0", q3_msr, header)
 
 
 # q=3 node file header: magic 0-3, version 4, mode 5, q 6-7, id 8-9, m 10-13,
@@ -509,7 +511,7 @@ def test_corrupt_node_header_field_is_named(q3_mbr, tmp_path, pos, value,
     data = bytearray((tmp_path / sim.node_filename(4)).read_bytes())
     data[pos] = data[pos] ^ 1 if value is None else value
     with pytest.raises(HrgcError, match=message):
-        sim.decode_node_bytes(bytes(data), q3_mbr)
+        sim.decode_node_bytes(bytes(data), q3_mbr, sim._node_header(q3_mbr))
 
 
 # sha256 of encode_node_bytes(node 0) under random_message(profile, 0): the
@@ -526,9 +528,10 @@ NODE_BYTES_SHA256 = {
 def test_node_bytes_pinned(name, request):
     profile = request.getfixturevalue(name)
     node = make_cluster(profile, 0).nodes[0]
-    data = sim.encode_node_bytes(profile, node)
+    header = sim._node_header(profile)
+    data = sim.encode_node_bytes(node, header)
     assert hashlib.sha256(data).hexdigest() == NODE_BYTES_SHA256[name]
-    assert sim.decode_node_bytes(data, profile) == node
+    assert sim.decode_node_bytes(data, profile, header) == node
 
 
 def test_detect_repair_refuses_a_singular_shifted_window(q3_msr):

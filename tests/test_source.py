@@ -94,3 +94,95 @@ def test_the_cache_scan_catches_each_form():
     }
     for source, n in caught.items():
         assert len(_process_wide_caches(ast.parse(source))) == n, source
+
+
+# the public defaults that a caller may leave out: decode's guarantee limit,
+# the process's own arguments and the profile's own coefficients
+NONE_DEFAULTS = {("decoder", "decode", "tau_max"), ("cli", "main", "argv"),
+                 ("matrices", "verify_delta", "lam")}
+
+
+def _is_none_test(node, name, op=(ast.Is, ast.IsNot)):
+    """Whether ``node`` is ``name is None`` (or ``is not None``)."""
+    return (isinstance(node, ast.Compare) and len(node.ops) == 1
+            and isinstance(node.ops[0], op)
+            and getattr(node.left, "id", None) == name
+            and getattr(node.comparators[0], "value", 0) is None)
+
+
+def _computed_when_none(node, name):
+    """Whether ``node`` holds ``name or ...`` or a conditional that is
+    ``name`` itself unless ``name`` is None."""
+    for sub in ast.walk(node):
+        if (isinstance(sub, ast.BoolOp) and isinstance(sub.op, ast.Or)
+                and getattr(sub.values[0], "id", None) == name):
+            return True
+        if isinstance(sub, ast.IfExp) and _is_none_test(sub.test, name):
+            is_none = _is_none_test(sub.test, name, ast.Is)
+            kept = sub.orelse if is_none else sub.body
+            if getattr(kept, "id", None) == name:
+                return True
+    return False
+
+
+def _none_fallbacks(tree):
+    """(function, parameter) for each parameter defaulting to None that its
+    own function replaces with a value it computes: ``x = x or f(...)``,
+    ``if x is None: x = ...`` and ``x = ... if x is None else x``."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        pairs = list(zip(positional[len(positional) - len(a.defaults):],
+                         a.defaults)) + list(zip(a.kwonlyargs, a.kw_defaults))
+        for arg, default in pairs:
+            if getattr(default, "value", 0) is not None:
+                continue
+            x = arg.arg
+            for node in ast.walk(fn):
+                replaced = (
+                    isinstance(node, (ast.Assign, ast.AnnAssign))
+                    and node.value is not None
+                    and _computed_when_none(node.value, x)
+                ) or (
+                    isinstance(node, ast.If) and _is_none_test(node.test, x)
+                    and any(getattr(t, "id", None) == x for stmt in node.body
+                            if isinstance(stmt, ast.Assign)
+                            for t in stmt.targets))
+                if replaced:
+                    found.append((fn.name, x))
+                    break
+    return found
+
+
+def test_no_parameter_defaults_to_a_value_its_function_computes():
+    """Hoisted state is passed, never rebuilt as a fallback: a None default
+    that the function replaces gives it a second call shape that only tests
+    reach, unless it is one of the documented public defaults."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.stem, *pair) for pair in _none_fallbacks(tree)]
+    assert sorted(found) == sorted(NONE_DEFAULTS)
+
+
+def test_the_fallback_scan_catches_each_form():
+    caught = {
+        "def f(x=None):\n    x = x or g()": 1,
+        "def f(x=None):\n    if x is None:\n        x = g()": 1,
+        "def f(x=None):\n    x = g() if x is None else x": 1,
+        "def f(x=None):\n    x = tuple(g() if x is None else x)": 1,
+        "def f(x=None):\n    n = x if x is not None else g()": 1,
+        "def f(y, *, x=None):\n    h = {**(x or g())}": 1,
+        "class C:\n    def f(self, x=None):\n        x = x or g()": 1,
+        "def f(x=None):\n    y = None if x is None else g(x)": 0,
+        "def f(x=None):\n    t = () if x is None else (x,)": 0,
+        "def f(x=None):\n    if x is None:\n        return g()": 0,
+        "def f(x=None):\n    return [v for v in g() if x is None or v]": 0,
+        "def f(x=0):\n    x = x or g()": 0,
+        "def f(x):\n    if x is None:\n        x = g()": 0,
+    }
+    for source, n in caught.items():
+        assert len(_none_fallbacks(ast.parse(source))) == n, source
