@@ -29,8 +29,9 @@ class InvalidParams(HrgcError):
     pass
 
 
-class DeltaSearchFailed(HrgcError):
-    """No coefficient diagonal passing the operational checks within the draw budget."""
+class LambdaSearchFailed(HrgcError):
+    """No coefficient polynomial of a layer met the fibre rule within the
+    draw budget."""
 
 
 class LengthMismatch(HrgcError):

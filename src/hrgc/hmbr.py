@@ -73,18 +73,25 @@ def _solved_row(profile, z, l, X):
     return X
 
 
+def _coefficients(profile, l, f):
+    """The mu rows are powers of x: the unknowns are f's coefficients."""
+    return f
+
+
 def regenerate_mbr_plain(z, batches, profile: CodeProfile) -> Report:
-    return _repair(z, batches, profile, "plain", profile.mu_row, _solved_row, True)
+    return _repair(z, batches, profile, "plain", profile.mu_row, _solved_row,
+                   _coefficients)
 
 
 def regenerate_mbr_detect(z, batches, profile: CodeProfile) -> Report:
-    return _repair(z, batches, profile, "detect", profile.mu_row, _solved_row, True)
+    return _repair(z, batches, profile, "detect", profile.mu_row, _solved_row,
+                   _coefficients)
 
 
 def regenerate_mbr_recover(z, batches, profile: CodeProfile,
                            prior_flags=frozenset()) -> Report:
     return _repair(z, batches, profile, "recover", profile.mu_row, _solved_row,
-                   True, prior_flags)
+                   _coefficients, prior_flags)
 
 
 # -- reconstruction --------------------------------------------------------------

@@ -4,8 +4,9 @@ Message layout: ``_arrange`` maps each row of the profile's index table
 (``CodeProfile.layout``) over a message, giving each layer's S and T with
 the blocks side by side, and ``_message`` reads it back.  Encoding evaluates
 each column of S (resp. T) as a layered curve polynomial and stores, at node
-g, the q x A slice Y_g = B_g * (U_g + lambda_g * E_g), so that row l of
-B_g^{-1} Y_g splits into blocks mu_{g,l} S_{l,t} + lambda_g mu_{g,l} T_{l,t}
+g, the q x A slice Y_g = B_g * (U_g + Lambda_g E_g), Lambda_g the diagonal of
+the layers' lambda_l(x_g), so that row l of B_g^{-1} Y_g splits into blocks
+mu_{g,l} S_{l,t} + lambda_l(x_g) mu_{g,l} T_{l,t}
 -- one inner product per helper is enough to repair.
 
 Repair and reconstruction run one plain/detect loop and one recover loop.
@@ -56,10 +57,11 @@ j's word.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dfield
 from itertools import chain
 
-from .decoder import ERASED, decode
+from .decoder import ERASED, _poly_divmod, decode
 from .errors import (
     AsymmetryDetected,
     DecodeFailure,
@@ -160,7 +162,8 @@ def _encode(m: MessageMatrices, profile: CodeProfile, row, stack):
 
 def encode(st: MessageMatrices, profile: CodeProfile):
     """Produce the q^2 node states for an arranged message: node g's
-    layer-l row is nu_{g,l} [S_l; T_l] = mu_{g,l} S_l + lam_g mu_{g,l} T_l."""
+    layer-l row is nu_{g,l} [S_l; T_l] =
+    mu_{g,l} S_l + lambda_l(x_g) mu_{g,l} T_l."""
     return _encode(st, profile, profile.nu_row, _st_stack)
 
 
@@ -211,11 +214,26 @@ def request_counts(profile: CodeProfile, op: str, mode: str, n_live: int):
 def staged_request_plan(profile: CodeProfile, op: str, mode: str, live_ids):
     """[(helper_id, level)] over ``live_ids``, levels descending and ids
     ascending, such that ``request_counts`` helpers serve each layer (a
-    helper asked at level j serves layers 0..j)."""
+    helper asked at level j serves layers 0..j).  A plain or detect MSR
+    reconstruction passes over a live node that would join the window of a
+    layer l (its first k_l helpers) holding a helper with the same lambda_l
+    (that window would be singular), when enough other nodes remain."""
     live = sorted(live_ids)
     counts = request_counts(profile, op, mode, len(live))
     if len(live) < counts[0]:
         raise NotEnoughHelpers(f"need {counts[0]} live helpers, have {len(live)}")
+    if profile.lam and op == "reconstruct" and mode != "recover":
+        chosen, seen = [], [set() for _ in range(profile.q)]
+        for g in live:
+            if len(chosen) == counts[0]:
+                break
+            window = [l for l in range(profile.q) if len(chosen) < profile.k[l]]
+            if all(profile.lam[l][g] not in seen[l] for l in window):
+                chosen.append(g)
+                for l in window:
+                    seen[l].add(profile.lam[l][g])
+        if len(chosen) == counts[0]:
+            live = chosen
     helpers, above = iter(live), counts[1:] + [0]
     return [(next(helpers), j) for j in range(profile.q - 1, -1, -1)
             for _ in range(counts[j] - above[j])]
@@ -238,7 +256,8 @@ def _contributors(batches, l):
 #   row(g, l)                  node g's layer-l encoding vector (nu or mu)
 #   finish(profile, z, l, X)   node z's layer-l rows from the solved blocks,
 #                              X holding one block per column
-#   vandermonde                rows are powers of the node x-values
+#   split(profile, l, f)       the unknowns of row(g, l) whose products
+#                              with the rows are f(x_g), f of degree < d_l
 #   stack(S, T)                the matrix whose product with row(g, l) is
 #                              node g's response to the blocks (S, T)
 #   window(profile, l, ids)    reconstruction extractor R -> (S, T, asym)
@@ -297,16 +316,18 @@ def _certified(F, extract, window_rows, checked, enc, stack, a):
     return S, T, bad
 
 
-def _repair(z, batches, profile, mode, row, finish, vandermonde,
+def _repair(z, batches, profile, mode, row, finish, split,
             prior_flags=frozenset()):
     """Repair of node z.  A helper's layer-l row is its help symbols, one
     per block; the window inverts the first d_l helpers' encoding rows, and
     in detect the window shifted by one must be regular too, for the check
     to equal solving it.  A recover window solves a block as ``decode``'s
     codeword exit does, so a kept block is what ``decode`` returns, flagging
-    no node; other blocks are decoded against every node but z, missing ones
-    erased, interpolating (Welch-Berlekamp) when ``vandermonde``: the rows
-    are powers of the node x-values."""
+    no node; other blocks are Reed-Solomon words over every node but z,
+    missing ones erased: node g's help symbol is f(x_g) for a polynomial f
+    of degree below d_l, which ``decode`` finds by Welch-Berlekamp from the
+    node x-values and ``split(profile, l, f)`` turns into the unknowns of
+    the encoding rows."""
     F = profile.field
     q2 = profile.n_nodes
     symbols = {b.helper_id: b.symbols for b in batches}
@@ -340,17 +361,19 @@ def _repair(z, batches, profile, mode, row, finish, vandermonde,
         return _plain_detect(batches, rows, profile, mode, profile.d,
                              [1] * profile.q, row, _st_stack, window, output)
     others = [g for g in range(q2) if g != z]
-    points = [profile.x_value(g) for g in others] if vandermonde else None
+    points = [profile.x_value(g) for g in others]
     cap = (q2 - profile.d[-1] - 1) // 2
 
     def solve(blocks, erased, l, profile):
-        res = decode(F, [row(g, l) for g in others],
+        powers = profile.powers(profile.d[l])
+        res = decode(F, [powers[g] for g in others],
                      [ERASED if b is None else b[0] for b in blocks], points=points)
-        return ([[x] for x in res.message], [],
+        return ([[x] for x in split(profile, l, res.message)], [],
                 {others[i] for i in res.error_positions})
 
     return _recover(
-        batches, others, rows, prior_flags, profile, profile.d, [1] * profile.q,
+        batches, others, rows, prior_flags, profile, profile.d,
+        [range(q2)] * profile.q, [1] * profile.q,
         [min(q2 - d - 1, cap) for d in profile.d], "erasure",
         row, _st_stack, window, solve, output)
 
@@ -374,9 +397,12 @@ def _reconstruct(batches, profile, mode, row, stack, window, solve,
         return _plain_detect(batches, rows, profile, mode, profile.k,
                              profile.alpha, row, stack, window, output)
     # q^2 - k_l flags is the solvability frontier of both block solvers
-    # (sigma + 2 tau + 1 <= q^2 - alpha_l, sigma + 2 tau <= q^2 - k_l)
+    # (sigma + 2 tau + 1 <= q^2 - alpha_l, sigma + 2 tau <= q^2 - k_l; MSR's
+    # rec_st also erases the pairs that share lambda_l and refuses past its
+    # own budget).  An MSR window needs distinct lambda_l, MBR's none.
     return _recover(
-        batches, range(q2), rows, prior_flags, profile, profile.k, profile.alpha,
+        batches, range(q2), rows, prior_flags, profile, profile.k,
+        profile.lam or [range(q2)] * profile.q, profile.alpha,
         [q2 - k for k in profile.k], "flagged",
         row, stack, window, solve, output)
 
@@ -412,15 +438,29 @@ def _plain_detect(batches, rows, profile, mode, sizes, widths, row, stack,
     return Report(mode=mode, ok=True, **output(layers))
 
 
-def _recover(batches, nodes, rows, flags, profile, sizes, widths, budgets,
-             noun, row, stack, window, solve, output):
+def _window_ids(present, k, values):
+    """The first k ``present`` nodes g with pairwise-distinct values[g], or
+    the first k when fewer are distinct."""
+    seen, ids = set(), []
+    for g in present:
+        if values[g] not in seen:
+            seen.add(values[g])
+            ids.append(g)
+            if len(ids) == k:
+                return ids
+    return present[:k]
+
+
+def _recover(batches, nodes, rows, flags, profile, sizes, keys, widths,
+             budgets, noun, row, stack, window, solve, output):
     """The recover loop of both operations, layers descending.  Node g's
     layer-l row ``rows(g, l)`` holds the blocks side by side, ``widths[l]``
     symbols each.  The ``nodes`` that sent no batch are flagged before the
     first layer, flagged nodes are erased, flags raised at one block are
     erasures for the next, and a layer with more than ``budgets[l]`` flagged
-    nodes fails.  One pass extracts every block left in the layer
-    from the first ``sizes[l]`` present nodes and keeps the blocks before
+    nodes fails.  One pass extracts every block left in the layer from the
+    first ``sizes[l]`` present nodes whose ``keys[l][g]`` differ (a window of
+    nodes that share one is singular) and keeps the blocks before
     the first one that some present row does not re-encode from (every word
     of ``solve`` is then a codeword, so within the budget ``solve`` would
     return the same block and flag no node); that block goes to ``solve``,
@@ -444,17 +484,19 @@ def _recover(batches, nodes, rows, flags, profile, sizes, widths, budgets,
         t = 0
         while t < w:
             present = [g for g in nodes if g not in flags]
-            if present[:k] != ids:
-                ids = present[:k]
-                try:
-                    extract = window(profile, l, ids)
-                except SingularSystem:
-                    extract = None
             if present != last:
                 last, enc = present, [row(g, l) for g in present]
+                win = _window_ids(present, k, keys[l])
+                if win != ids:
+                    ids = win
+                    try:
+                        extract = window(profile, l, ids)
+                    except SingularSystem:
+                        extract = None
             if extract:
                 R = [layer[g][t * a:] for g in present]
-                S, T, bad = _certified(F, extract, R[:k], R, enc, stack, a)
+                S, T, bad = _certified(F, extract, [layer[g][t * a:] for g in ids],
+                                       R, enc, stack, a)
                 layers[l].append((S, T))
                 if bad is None:
                     break
@@ -481,28 +523,40 @@ def _recover(batches, nodes, rows, flags, profile, sizes, widths, budgets,
 
 
 def _lambda_mix(profile, z, l, X):
-    """Node z's layer-l rows from the solved [S; T] rows: X_S + lam_z X_T."""
+    """Node z's layer-l rows from the solved [S; T] rows:
+    X_S + lambda_l(x_z) X_T."""
     a = profile.alpha[l]
-    return [profile.field.axpy(X[j], profile.lam[z], X[a + j]) for j in range(a)]
+    return [profile.field.axpy(X[j], profile.lam[l][z], X[a + j])
+            for j in range(a)]
+
+
+def _lambda_split(profile, l, f):
+    """[a; b] with f = a + lambda_l b (deg a < alpha_l): nu_g [a; b] =
+    f(x_g) for every node g."""
+    b, a = _poly_divmod(profile.field, f, profile.lam_poly[l])
+    return a + b
 
 
 def _st_stack(S, T):
-    """[S; T]: nu_g [S; T] = mu_g S + lam_g mu_g T is node g's response."""
+    """[S; T]: nu_g [S; T] = mu_g S + lambda_l(x_g) mu_g T is node g's
+    response."""
     return S + T
 
 
 def regenerate_plain(z, batches, profile: CodeProfile) -> Report:
-    return _repair(z, batches, profile, "plain", profile.nu_row, _lambda_mix, False)
+    return _repair(z, batches, profile, "plain", profile.nu_row, _lambda_mix,
+                   _lambda_split)
 
 
 def regenerate_detect(z, batches, profile: CodeProfile) -> Report:
-    return _repair(z, batches, profile, "detect", profile.nu_row, _lambda_mix, False)
+    return _repair(z, batches, profile, "detect", profile.nu_row, _lambda_mix,
+                   _lambda_split)
 
 
 def regenerate_recover(z, batches, profile: CodeProfile,
                        prior_flags=frozenset()) -> Report:
     return _repair(z, batches, profile, "recover", profile.nu_row, _lambda_mix,
-                   False, prior_flags)
+                   _lambda_split, prior_flags)
 
 
 # -- MSR reconstruction -------------------------------------------------------------
@@ -517,7 +571,10 @@ class ExtractContext:
         self.width = a = profile.alpha[l]
         assert len(ids) == a + 1
         self.mu = [list(profile.mu_row(g, l)) for g in ids]
-        self.lam = [profile.lam[g] for g in ids]
+        self.lam = [profile.lam[l][g] for g in ids]
+        if len(set(self.lam)) < len(ids):
+            # a pair that shares lambda_l gives one equation for two unknowns
+            raise SingularSystem(f"window {list(ids)} shares a lambda_{l} value")
         # (Pi_i^-1)^t for Pi_i = Phi^t without column i
         self.pi_inv_t = [mat_inv(F, self.mu[:i] + self.mu[i + 1:])
                          for i in range(a)]
@@ -543,9 +600,10 @@ def extract_st(R, ctx: ExtractContext):
 
 def _pairs(F, rhat, lam):
     """Solve C + lam_i D = rhat[i][j], C + lam_j D = rhat[j][i] for every
-    pair of rows i < j, with every entry a vector (one symbol per block).
-    Returns the symmetric C and D, ERASED on the diagonal and in the rows
-    and columns of the rows that are None."""
+    pair of rows i < j with lam_i != lam_j, with every entry a vector (one
+    symbol per block).  Returns the symmetric C and D, ERASED on the
+    diagonal, at the pairs that share lam, and in the rows and columns of
+    the rows that are None."""
     n = len(rhat)
     C = [[ERASED] * n for _ in range(n)]
     D = [[ERASED] * n for _ in range(n)]
@@ -554,6 +612,8 @@ def _pairs(F, rhat, lam):
     for x, i in enumerate(live):
         ri, lam_i = rhat[i], lam[i]
         for j in live[x + 1:]:
+            if lam[j] == lam_i:
+                continue
             dd = F.scale(F.inv(F.sub(lam_i, lam[j])),
                          F.axpy(ri[j], minus_one, rhat[j][i]))
             C[i][j] = C[j][i] = F.axpy(ri[j], F.neg(lam_i), dd)
@@ -598,12 +658,16 @@ def rec_st(blocks, erased, l, profile: CodeProfile):
     """Recover one (S, T) block from a full q^2-node response stack.
 
     ``blocks``: per node the alpha_l response slice, or None when the node is
-    erased/missing.  Works whenever sigma + 2*tau + 1 <= q^2 - alpha_l (sigma
-    prior erasures, tau undetected corrupt rows): the off-diagonal entries of
-    C = Phi S' Phi^T form, per column, a length-(q^2-1) word of a dimension-
-    alpha_l evaluation code; honest columns decode exactly, so corrupt rows
-    collect votes from every honest column while honest rows cannot pass the
-    vote threshold.  Returns (S, T, corrupt node ids).
+    erased/missing.  Works whenever sigma + 2*tau + 1 + c <= q^2 - alpha_l
+    (sigma prior erasures, tau undetected corrupt rows, c + 1 the most
+    present nodes that share a value of lambda_l; the fibre rule keeps
+    alpha_l + c <= alpha_0): the off-diagonal entries of C = Phi S' Phi^T
+    form, per column, a length-(q^2-1) word of a dimension-alpha_l
+    evaluation code, in which the nodes that share the column's lambda_l are
+    erased too; each column decodes to its own budget, honest columns
+    decode exactly, so corrupt rows collect votes from every honest column
+    they do not share lambda_l with while honest rows cannot pass the vote
+    threshold, the smallest column budget.  Returns (S, T, corrupt node ids).
 
     A liar corrupts its whole row, so the words of a block share their error
     positions: each word is decoded with the nodes found in error by the
@@ -620,12 +684,17 @@ def rec_st(blocks, erased, l, profile: CodeProfile):
     q2 = profile.n_nodes
     a = profile.alpha[l]
     mu = profile.phi(l)
+    lam = profile.lam[l]
     sigma = len(erased)
-    tau_bud = (q2 - a - 1 - sigma) // 2
+    present = [g for g in range(q2) if g not in erased]
+    # column j's budget: its word of q^2 - 1 - sigma usable entries loses
+    # the other present nodes with j's lambda_l
+    share = Counter(lam[g] for g in present)
+    tau_max = {j: (q2 - a - sigma - share[lam[j]]) // 2 for j in present}
+    tau_bud = min(tau_max.values(), default=-1)
     if tau_bud < 0:
         raise DecodeFailure(f"{sigma} erasures exceed the recovery budget")
 
-    present = [g for g in range(q2) if g not in erased]
     for g in present:
         if blocks[g] is None:
             raise DecodeFailure(f"node {g} missing without being flagged")
@@ -633,7 +702,7 @@ def rec_st(blocks, erased, l, profile: CodeProfile):
     # one block: every entry of rhat, C and D is a vector of one symbol
     C, D = _pairs(F, [None if g in erased else
                       [[v] for v in vec_mat(F, blocks[g], mu_t)]
-                      for g in range(q2)], profile.lam)
+                      for g in range(q2)], lam)
 
     # column j's word is row j of the symmetric C (resp. D); its diagonal
     # entry is erased like a flagged node
@@ -647,7 +716,7 @@ def rec_st(blocks, erased, l, profile: CodeProfile):
             res = []
             for W in (C, D):
                 res.append(decode(F, mu, [v if v is ERASED else v[0] for v in W[j]],
-                                  tau_max=tau_bud, points=pts, suspects=named))
+                                  tau_max=tau_max[j], points=pts, suspects=named))
                 named.update(res[-1].error_positions)
         except DecodeFailure:
             return

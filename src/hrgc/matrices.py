@@ -1,29 +1,33 @@
-"""Code profiles: layered encoding matrices, the coefficient diagonal, and
-their selection/verification.
+"""Code profiles: layered encoding matrices, the per-layer coefficient
+polynomials lambda_l, and their selection/verification.
 
 Layer l (0 <= l < q) carries a Vandermonde matrix Phi_l (q^2 x alpha_l) whose
 row g is [1, x_g, ..., x_g^(alpha_l - 1)] with the same x_g convention as the
-point table.  MSR additionally uses Psi_l = [Phi_l, Delta*Phi_l] where Delta
-is a diagonal of q^2 pairwise-distinct coefficients lambda_g.
+point table.  MSR additionally uses Psi_l = [Phi_l, Lambda_l Phi_l], where
+Lambda_l is the diagonal of lambda_l(x_g) and lambda_l is a monic polynomial
+of degree alpha_l (the product-matrix choice of Rashmi, Shah and Kumar,
+lambda = x^alpha).  Row g of Psi_l times [a; b] is
+a(x_g) + lambda_l(x_g) b(x_g) = f(x_g), with f = a + lambda_l b of degree
+below 2 alpha_l = d_l, and (a, b) -> f is one to one: a = f mod lambda_l,
+b = f div lambda_l.  So after a fixed change of basis Psi_l is a Vandermonde
+matrix of width d_l: every d_l rows are regular, the left null vector of any
+d_l + 1 rows has no zero entry, and a repair word is a Reed-Solomon word.
 
-Coefficient selection: pairwise-distinct lambda over the whole field is
-required throughout (the reconstruction extractor divides by lambda_i -
-lambda_j).  The stronger wish -- every d_l-subset of Psi_l independent, for
-all layers at once -- provably has no solution at these field sizes (see
-verify_delta, which reports honestly).  select_delta therefore guarantees the
-*operational* family instead: every helper window that plain/detect repair
-can actually solve with (any single failed node, ascending-id staging) is
-invertible, and among candidate draws the one with the fewest sampled
-singular subsets wins.  Those windows are the d_l-subsets of rows 0..d_l and
-of rows 1..d_l+1, so each layer is checked by the left null vectors of those
-two (d_l + 1) x d_l base windows.
+What lambda_l must still meet is about reconstruction, whose pair solve
+divides by lambda_l(x_i) - lambda_l(x_j); a pair with equal values is an
+erasure for the block solver.  The fibre rule: no value of lambda_l is taken
+at more than 1 + alpha_0 - alpha_l x-values (so lambda_0 permutes them),
+which keeps every layer within the profile-wide recovery budget
+sigma + 2 tau <= q^2 - alpha_0 - 1.  The window rule: lambda_l is distinct on
+x_0 .. x_{alpha_l + 2}, which holds every lowest-id reconstruction window
+with at most one failed node.  ``select_delta`` takes the first fit per
+layer: x^alpha_l (a permutation when gcd(alpha_l, q^2 - 1) = 1 or alpha_l is
+a power of p), else seeded draws.  Dickson polynomials D_n(x, a), a != 0,
+are not tried: they permute GF(Q) only when gcd(n, Q^2 - 1) = 1, where x^n
+already does.  MBR never multiplies by Lambda and carries no lambda.
 
-Both tests run on small Hankel matrices, never on rows of Psi_l: for a set S
-of 2 alpha_l + e rows (e = 0 or 1), the left null space of Psi_l[S] is
-{(w_i f(x_i))_{i in S} : f in null(K_S)}, w_i = 1 / prod_{j != i} (x_i - x_j),
-with K_S the alpha_l x (alpha_l + e) Hankel matrix of the moments
-sum_i w_i lambda_i x_i^s.  This is exact for any lambda because Phi_l is
-Vandermonde at pairwise-distinct x-values (``_HankelForm`` has the proof).
+``verify_delta`` and ``_HankelForm`` (the windows of a layer through a
+small Hankel matrix, exact for any coefficients) check the tables in tests.
 """
 
 from __future__ import annotations
@@ -38,17 +42,15 @@ from itertools import accumulate, combinations
 
 from .curve import PointTable, enumerate_points, group_x_value, kappa
 from .errors import (
-    DeltaSearchFailed,
     InvalidAlpha,
     InvalidK,
     InvalidParams,
+    LambdaSearchFailed,
 )
 from .field import Field, field_new
 from .linalg import det_nonzero, null_space, transpose
 
-MAX_DELTA_DRAWS = 512
-_SCORED_PASSERS = 3
-_SCORE_SAMPLES = 200
+MAX_LAMBDA_DRAWS = 1 << 14
 EXHAUSTIVE_MINOR_CAP = 10**6
 SAMPLED_MINORS_PER_LAYER = 10**5
 CODES = ("msr", "mbr")
@@ -61,7 +63,7 @@ class CodeProfile:
     m: int
     alpha: tuple
     k: tuple
-    lam: tuple
+    lam_poly: tuple          # MSR: lambda_l's coefficients per layer; MBR: ()
     seed: int
     kappa: tuple
     d: tuple
@@ -69,11 +71,19 @@ class CodeProfile:
     B: int
     field: Field = dfield(repr=False)
     points: PointTable = dfield(repr=False, init=False)
+    lam: tuple = dfield(repr=False, init=False)   # lam[l][g] = lambda_l(x_g)
 
     def __post_init__(self):
-        self.points = enumerate_points(self.field)
-        self._phi = {}
-        self._xs = [group_x_value(self.field, g) for g in range(self.q * self.q)]
+        F = self.field
+        self.points = enumerate_points(F)
+        self._powers = {}
+        self._xs = [group_x_value(F, g) for g in range(self.q * self.q)]
+        if self.lam_poly:
+            cols = _power_columns(F, self._xs, self.alpha[0] + 1)
+            self.lam = tuple(tuple(F.comb(c, cols, len(self._xs)))
+                             for c in self.lam_poly)
+        else:
+            self.lam = ()
 
     # -- encoding matrices -------------------------------------------------
 
@@ -85,14 +95,18 @@ class CodeProfile:
         return self.phi(l)[g]
 
     def nu_row(self, g: int, l: int):
-        """Row g of [Phi_l, Delta*Phi_l] (MSR encoding vector of node g)."""
+        """Row g of [Phi_l, Lambda_l Phi_l] (MSR encoding vector of node g)."""
         mu = self.mu_row(g, l)
-        return mu + self.field.scale(self.lam[g], mu)
+        return mu + self.field.scale(self.lam[l][g], mu)
 
     def phi(self, l: int):
-        if l not in self._phi:
-            self._phi[l] = _phi_rows(self.field, self._xs, self.alpha[l])
-        return self._phi[l]
+        return self.powers(self.alpha[l])
+
+    def powers(self, width: int):
+        """Every node's row [1, x_g, ..., x_g^(width - 1)]."""
+        if width not in self._powers:
+            self._powers[width] = _phi_rows(self.field, self._xs, width)
+        return self._powers[width]
 
     def blocks(self, l: int) -> int:
         return self.A // self.alpha[l]
@@ -119,10 +133,10 @@ def profile_new(mode: str, q: int, m: int, alpha, k=None, seed: int = 1) -> Code
     alpha, kk, d, A, B = _layer_params(mode, q, kap, alpha, k)
 
     xs = [group_x_value(F, g) for g in range(q * q)]
-    lam = select_delta(F, xs, alpha, d, mode, seed)
+    lam_poly = select_delta(F, xs, alpha, mode, seed)
 
     return CodeProfile(
-        mode=mode, q=q, m=m, alpha=alpha, k=kk, lam=lam, seed=seed,
+        mode=mode, q=q, m=m, alpha=alpha, k=kk, lam_poly=lam_poly, seed=seed,
         kappa=kap, d=d, A=A, B=B, field=F,
     )
 
@@ -231,6 +245,13 @@ def _phi_rows(F, xs, a):
     return rows
 
 
+def _power_columns(F, xs, width):
+    """Row t holds x_g^t for every node g, packed for ``Field.comb``: the
+    values of a polynomial of degree below ``width`` at every node are one
+    comb of its coefficients."""
+    return F.pack(transpose(_phi_rows(F, xs, width)), len(xs))
+
+
 def _psi_rows(F, phi, lam):
     return [row + F.scale(lam[g], row) for g, row in enumerate(phi)]
 
@@ -306,57 +327,50 @@ class _HankelForm:
         return True
 
 
-def select_delta(F: Field, xs, alpha, d, mode: str, seed: int) -> tuple:
-    """Seeded draw of a distinct coefficient assignment.
+def _meets_rules(vals, a, a0):
+    """Whether a width-a layer's values vals[g] = lambda(x_g) meet the fibre
+    rule (no value at more than 1 + a0 - a nodes, a0 = alpha_0) and the
+    window rule (distinct at nodes 0 .. a + 2)."""
+    window = vals[:a + 3]
+    return (len(set(window)) == len(window)
+            and max(map(vals.count, set(vals))) <= 1 + a0 - a)
 
-    MBR never multiplies by Delta during decoding, so any permutation works.
-    MSR additionally requires every staged repair window to be invertible
-    (``_HankelForm.windows_ok``); among the first few accepted draws the one
-    with the fewest sampled singular d_l-subsets is kept.  A d_l-subset S of
-    psi_l is regular exactly when its alpha_l x alpha_l Hankel form K_S is,
-    since their left null spaces correspond one to one; so both tests run on
-    alpha x alpha matrices and the draw loop never builds a psi row.
+
+def select_delta(F: Field, xs, alpha, mode: str, seed: int) -> tuple:
+    """Each layer's lambda_l as coefficients, lowest first: the first fit
+    under the fibre and window rules of the module docstring.
+
+    MBR carries no lambda: ().  For MSR, layer l takes x^alpha_l when it
+    meets both rules, else the first of up to MAX_LAMBDA_DRAWS monic
+    polynomials of degree alpha_l whose lower coefficients are drawn from
+    Random(seed), one stream for all layers; LambdaSearchFailed names the
+    layer that none fits.  Any such lambda_l makes every d_l rows of Psi_l
+    regular, so no window is checked.
     """
-    n = F.order
-    rng = random.Random(seed)
     if mode == "mbr":
-        lam = list(range(n))
-        rng.shuffle(lam)
-        return tuple(lam)
-
-    form = _HankelForm(F, xs)
-    passers = []
-    for _ in range(MAX_DELTA_DRAWS):
-        lam = list(range(n))
-        rng.shuffle(lam)
-        if all(form.windows_ok(lam, a) for a in alpha):
-            passers.append(tuple(lam))
-            if len(passers) == _SCORED_PASSERS:
-                break
-    if not passers:
-        raise DeltaSearchFailed(
-            f"no coefficient assignment passed the window checks in "
-            f"{MAX_DELTA_DRAWS} draws (q={F.q}, alpha={tuple(alpha)})"
-        )
-    if len(passers) == 1:
-        return passers[0]
-    scorer = random.Random(seed ^ 0x5EED)
-    best = None
-    for lam in passers:
-        score = 0
-        for a, dl in zip(alpha, d):
-            for _ in range(_SCORE_SAMPLES):
-                sub = scorer.sample(range(n), dl)
-                if not det_nonzero(F, form.hankel(lam, sub, a)):
-                    score += 1
-        if best is None or score < best[0]:
-            best = (score, lam)
-    return best[1]
+        return ()
+    n = len(xs)
+    cols = _power_columns(F, xs, alpha[0] + 1)
+    rng = random.Random(seed)
+    out = []
+    for l, a in enumerate(alpha):
+        poly, draws = [0] * a + [1], 0
+        while not _meets_rules(F.comb(poly, cols, n), a, alpha[0]):
+            if draws == MAX_LAMBDA_DRAWS:
+                raise LambdaSearchFailed(
+                    f"layer {l}: neither x^{a} nor {MAX_LAMBDA_DRAWS} drawn "
+                    f"monic polynomials of degree {a} take each value at most "
+                    f"{1 + alpha[0] - a} times and are distinct at nodes "
+                    f"0..{a + 2} (q={F.q}, alpha={tuple(alpha)})")
+            draws += 1
+            poly = [rng.randrange(F.order) for _ in range(a)] + [1]
+        out.append(tuple(poly))
+    return tuple(out)
 
 
 @dataclass
 class DeltaReport:
-    criterion_i: bool
+    criterion_i: bool                # the fibre rule
     criterion_ii: bool
     method: str                      # "exhaustive" | "sampled"
     first_failing_subset: tuple | None   # (layer, node ids) or None
@@ -365,19 +379,22 @@ class DeltaReport:
 
 
 def verify_delta(profile: CodeProfile, lam=None) -> DeltaReport:
-    """Full independence report for an MSR profile (or an override lambda).
+    """Independence report for an MSR profile's tables lam[l][g] =
+    lambda_l(x_g), or for an override table of the same shape.
 
-    criterion (i): all q^2 coefficients distinct.  criterion (ii): every
-    d_l-subset of [Phi_l, Delta*Phi_l] independent -- checked exhaustively
-    when the total subset count is at most 10^6, sampled otherwise.  At the
-    supported field sizes criterion (ii) does not hold for any assignment;
-    the report exists to make that visible, with the failing witness.
+    criterion (i): every layer meets the fibre rule (layer 0's values are
+    distinct).  criterion (ii): every d_l-subset of [Phi_l, Lambda_l Phi_l]
+    independent -- checked exhaustively when the total subset count is at
+    most 10^6, sampled otherwise.  A profile's own tables meet both by
+    construction (module docstring); an override shows what a table that
+    no degree-alpha_l polynomial gives does, with the failing witness.
     """
     assert profile.mode == "msr", "verify_delta applies to MSR profiles"
     F = profile.field
-    lam = tuple(profile.lam if lam is None else lam)
+    lam = profile.lam if lam is None else lam
     n = profile.n_nodes
-    crit_i = len(set(lam)) == n
+    crit_i = all(max(map(vals.count, set(vals))) <= 1 + profile.alpha[0] - a
+                 for vals, a in zip(lam, profile.alpha))
 
     total = sum(math.comb(n, dl) for dl in profile.d)
     exhaustive = total <= EXHAUSTIVE_MINOR_CAP
@@ -387,7 +404,7 @@ def verify_delta(profile: CodeProfile, lam=None) -> DeltaReport:
     witness = None
     counts = {}
     for l, dl in enumerate(profile.d):
-        psi = _psi_rows(F, profile.phi(l), lam)
+        psi = _psi_rows(F, profile.phi(l), lam[l])
         bad = checked = 0
         if exhaustive:
             subsets = combinations(range(n), dl)
@@ -406,7 +423,8 @@ def verify_delta(profile: CodeProfile, lam=None) -> DeltaReport:
         counts[l] = (bad, checked)
 
     form = _HankelForm(F, profile._xs)
-    operational = all(form.windows_ok(lam, a) for a in profile.alpha)
+    operational = all(form.windows_ok(lam[l], a)
+                      for l, a in enumerate(profile.alpha))
     return DeltaReport(
         criterion_i=crit_i,
         criterion_ii=crit_i and crit_ii,
@@ -424,22 +442,33 @@ def _int_seq(text):
     return tuple(int(v) for v in text.split(","))
 
 
+def _layer_seqs(text):
+    return tuple(map(_int_seq, text.split(";")))
+
+
 # The profile document's keys in their canonical (sorted) order, each with
-# the parser of its value; a sequence is written comma-separated.
+# the parser of its value; a sequence is written comma-separated, and
+# lam_poly (MSR only) holds one sequence per layer, separated by ";".
 _PROFILE_KEYS = {
     "A": int, "B": int, "alpha": _int_seq, "d": _int_seq, "k": _int_seq,
-    "kappa": _int_seq, "lam": _int_seq, "m": int, "mode": str, "q": int,
-    "seed": int,
+    "kappa": _int_seq, "lam_poly": _layer_seqs, "m": int, "mode": str,
+    "q": int, "seed": int,
 }
+
+
+def _keys(mode):
+    return [key for key in _PROFILE_KEYS if key != "lam_poly" or mode == "msr"]
 
 
 def profile_to_text(profile: CodeProfile) -> str:
     """Canonical key=value document: sorted keys, one per line, LF endings."""
     lines = []
-    for key, parse in _PROFILE_KEYS.items():
+    for key in _keys(profile.mode):
         val = getattr(profile, key)
-        if parse is _int_seq:
+        if _PROFILE_KEYS[key] is _int_seq:
             val = ",".join(map(str, val))
+        elif key == "lam_poly":
+            val = ";".join(",".join(map(str, c)) for c in val)
         lines.append(f"{key}={val}\n")
     return "".join(lines)
 
@@ -448,8 +477,11 @@ def profile_from_text(text: str) -> CodeProfile:
     """Parse a profile document and re-check every derived field.
 
     Missing, unparsable or inconsistent keys raise InvalidParams; alpha and k
-    go through the same rules as ``profile_new``.  The coefficient draw is
-    only checked to be a permutation of the field, never re-selected.
+    go through the same rules as ``profile_new``.  An MSR lam_poly must hold
+    a monic polynomial of degree alpha_l per layer that meets the fibre and
+    window rules; it is checked, never re-selected.  A document with the
+    single coefficient permutation ``lam=`` of earlier versions is refused:
+    its node files were encoded with other coefficients.
     """
     kv = {}
     for line in text.splitlines():
@@ -458,11 +490,17 @@ def profile_from_text(text: str) -> CodeProfile:
             continue
         key, _, val = line.partition("=")
         kv[key] = val
-    missing = [key for key in _PROFILE_KEYS if key not in kv]
+    if "lam" in kv:
+        raise InvalidParams("profile holds lam=, the one coefficient "
+                            "permutation of earlier versions; this version "
+                            "reads per-layer lam_poly= (make a new profile "
+                            "and encode again)")
+    keys = _keys(kv.get("mode"))
+    missing = [key for key in keys if key not in kv]
     if missing:
         raise InvalidParams(f"profile lacks {', '.join(missing)}")
     try:
-        vals = {key: parse(kv[key]) for key, parse in _PROFILE_KEYS.items()}
+        vals = {key: _PROFILE_KEYS[key](kv[key]) for key in keys}
     except ValueError as exc:
         raise InvalidParams(f"unparsable profile value: {exc}") from None
     mode, q = vals["mode"], vals["q"]
@@ -476,10 +514,19 @@ def profile_from_text(text: str) -> CodeProfile:
         if vals[key] != want:
             raise InvalidParams(f"profile {key}={vals[key]} does not match "
                                 f"the derived {want}")
-    if sorted(vals["lam"]) != list(range(F.order)):
-        raise InvalidParams("profile lam is not a permutation of the "
-                            f"{F.order} field elements")
-    return CodeProfile(field=F, **vals)
+    polys = vals.setdefault("lam_poly", ())
+    if mode == "msr" and (len(polys) != q or any(
+            len(c) != a + 1 or c[-1] != 1 or not set(c) <= set(range(F.order))
+            for c, a in zip(polys, alpha))):
+        raise InvalidParams("profile lam_poly needs, per layer l, the "
+                            "alpha_l + 1 coefficients of a monic "
+                            "polynomial over the field, lowest first")
+    profile = CodeProfile(field=F, **vals)
+    for l, (vals_l, a) in enumerate(zip(profile.lam, alpha)):
+        if not _meets_rules(vals_l, a, alpha[0]):
+            raise InvalidParams(f"profile lam_poly layer {l} breaks the "
+                                "fibre or window rule")
+    return profile
 
 
 def profile_digest(profile: CodeProfile) -> bytes:

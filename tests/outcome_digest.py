@@ -26,6 +26,16 @@ lists.
         print(key, hashlib.sha256(repr(result).encode()).hexdigest()[:12])
     ' > <tree>.txt
     diff parent.txt change.txt
+
+A change that alters bytes everywhere (the coefficients, say) moves every
+hash; its records are compared by kind instead, with no bytes:
+
+    PYTHONPATH=<tree>/src python3 tests/outcome_digest.py 4 kinds > <tree>.txt
+
+prints one line per record, its key and ``kind``: the exception type, or
+the report's mode, verdict (``ok``, ``ok but wrong`` when the message or
+node differs from the truth, the alarm or the failure text) and corrupted
+set.
 """
 
 from __future__ import annotations
@@ -83,7 +93,24 @@ def outcome(cluster, call):
             sorted(log.meta.items()), log.records, sorted(cluster.known_corrupt))
 
 
-def records(trials):
+def kind(cluster, call):
+    """A record's kind, with no bytes (see the module docstring)."""
+    try:
+        report, log = call()
+    except HrgcError as exc:
+        return ("raised", type(exc).__name__)
+    if report.ok:
+        z = log.meta.get("target")
+        exact = (report.message == cluster.truth_message if z is None
+                 else report.y == cluster.truth_nodes[z])
+        verdict = "ok" if exact else "ok but wrong"
+    else:
+        verdict = report.alarm or report.failure
+    return (report.mode, verdict, sorted(report.corrupted))
+
+
+def records(trials, judge=outcome):
+    """(key, judge(cluster, call)) for every operation of the digest."""
     for name, args, kwargs in PROFILES:
         profile = profile_new(*args, **kwargs)
         n = profile.n_nodes
@@ -103,17 +130,17 @@ def records(trials):
                 key = (name, trial, a)
                 for mode, policy in MODES:
                     c = fresh()
-                    yield key + ("reconstruct", mode, policy), outcome(
+                    yield key + ("reconstruct", mode, policy), judge(
                         c, lambda: sim.reconstruct(c, mode, adv, policy))
                     for failed in ((z,), (other, z)):
                         c = fresh(*failed)
-                        yield key + ("repair", failed, mode, policy), outcome(
+                        yield key + ("repair", failed, mode, policy), judge(
                             c, lambda: sim.repair(c, z, mode, adv, policy))
                 c = fresh()
-                yield key + ("chain", "reconstruct"), outcome(
+                yield key + ("chain", "reconstruct"), judge(
                     c, lambda: sim.reconstruct(c, "recover", adv))
                 sim.fail_node(c, z)
-                yield key + ("chain", "repair", z), outcome(
+                yield key + ("chain", "repair", z), judge(
                     c, lambda: sim.repair(c, z, "detect", adv))
 
 
@@ -127,8 +154,18 @@ def digest(trials):
     return count, h.hexdigest()
 
 
+def kinds(trials):
+    """(key, kind) for every operation of the digest."""
+    return records(trials, judge=kind)
+
+
 def main(argv):
-    print(*digest(int(argv[1]) if len(argv) > 1 else 4))
+    trials = int(argv[1]) if len(argv) > 1 else 4
+    if argv[2:] == ["kinds"]:
+        for key, k in kinds(trials):
+            print(key, k)
+    else:
+        print(*digest(trials))
 
 
 if __name__ == "__main__":

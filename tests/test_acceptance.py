@@ -264,7 +264,10 @@ def test_criterion_06_recovery_capability_msr(q4_msr):
     retains only 11 usable symbols for 12 unknowns, so its own threshold
     min(q^2-d_0-1, 4) = 3 rejects the fourth erasure.  Size-4 trials
     therefore end in an explicit decode failure; this test asserts the
-    stated criterion and is expected to fail (see the decisions ledger)."""
+    stated criterion and is expected to fail (see the decisions ledger).
+    With lambda_l of degree alpha_l every 12 remaining nu rows are regular,
+    so the trials read (exact / explicit failure / silent) size 1: 50/0/0,
+    size 2: 50/0/0, size 3: 50/0/0, size 4: 0/50/0, and size 5: 0/50/0."""
     t0 = time.time()
     budget = (16 - q4_msr.d[-1] - 1) // 2
     assert budget == 4

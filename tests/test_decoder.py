@@ -378,3 +378,54 @@ def test_suspect_exit_never_changes_the_result():
                 == _outcome(decode, F, G, word, tau_max, xs))
 
     check()
+
+
+# -- the support search as the oracle of MSR repair words -------------------------
+
+
+def _decoded(call):
+    try:
+        return call()
+    except DecodeFailure:
+        return "DecodeFailure"
+
+
+@pytest.mark.parametrize("prof_name,layers", [
+    ("q3_msr", (0, 1, 2)), ("q4_msr", (0, 1, 2, 3)), ("q5_msr", (0,))])
+def test_msr_repair_words_welch_berlekamp_matches_the_support_search(
+        prof_name, layers, request):
+    """An MSR repair word (node g's help symbol nu_g [a; b]) decoded two
+    ways: by Welch-Berlekamp as the Reed-Solomon word of f = a + lambda_l b,
+    split back into [a; b], and by the support search (``decode`` without
+    points: the codeword exit, then ``_decode_generic``) on the nu rows
+    themselves.  From 0 errors up to the radius floor((q^2 - 1 - d_l)/2)
+    both return the planted message and error positions; one error past it,
+    both return the same or both fail explicitly.  (q5_msr's wider layers
+    are left out: the search over their radius takes minutes.)"""
+    from hrgc import hmsr
+    p = request.getfixturevalue(prof_name)
+    F, n = p.field, p.n_nodes
+    rng = random.Random(prof_name)
+    z = rng.randrange(n)
+    others = [g for g in range(n) if g != z]
+    xs = [p.x_value(g) for g in others]
+    for l in layers:
+        d = p.d[l]
+        nu = [p.nu_row(g, l) for g in others]
+        mono = [p.powers(d)[g] for g in others]
+        radius = (n - 1 - d) // 2
+        for errors in range(radius + 2):
+            x = [rng.randrange(F.order) for _ in range(d)]
+            word = mat_vec(F, nu, x)
+            planted = frozenset(rng.sample(range(n - 1), errors))
+            for i in planted:
+                word[i] = F.add(word[i], rng.randrange(1, F.order))
+            wb = _decoded(lambda: decode(F, mono, word, points=xs))
+            if wb != "DecodeFailure":
+                wb = (hmsr._lambda_split(p, l, wb.message), wb.error_positions)
+            search = _decoded(lambda: decode(F, nu, word))
+            if search != "DecodeFailure":
+                search = (search.message, search.error_positions)
+            assert wb == search, (l, errors)
+            if errors <= radius:
+                assert wb == (x, planted), (l, errors)

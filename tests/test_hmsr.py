@@ -27,7 +27,7 @@ from hrgc.errors import (
     SingularSystem,
 )
 from hrgc.curve import encode_column
-from hrgc.decoder import ERASED, decode
+from hrgc.decoder import ERASED, _poly_divmod, decode
 from hrgc.linalg import (det_nonzero, left_null_space, mat_inv, mat_mul,
                          mat_vec, solve_square, transpose, vec_mat)
 
@@ -128,14 +128,15 @@ def test_encode_layer_identity(prof_name, request):
                 ms = vec_mat(F, mu, S)
                 mt = vec_mat(F, mu, T)
                 assert blk == [
-                    F.add(ms[c], F.mul(profile.lam[g], mt[c])) for c in range(a)
+                    F.add(ms[c], F.mul(profile.lam[l][g], mt[c])) for c in range(a)
                 ]
 
 
 def test_encode_t_zero_is_lambda_independent(q3_msr):
-    from hrgc.matrices import profile_new
-    other = profile_new("msr", 3, 8, (3, 2, 1), seed=77)
-    assert other.lam != q3_msr.lam
+    import dataclasses
+    other = dataclasses.replace(
+        q3_msr, lam_poly=((1, 2, 0, 1), (2, 1, 1), (1, 1)))
+    assert all(a != b for a, b in zip(other.lam, q3_msr.lam))
     msg = random_message(q3_msr, 4)
     msg = msg[:27] + [0] * 27           # T half zeroed
     n1 = encode_profile(q3_msr, msg)
@@ -191,6 +192,45 @@ def test_staged_plan_recover(q4_msr):
     plan = hmsr.staged_request_plan(q4_msr, "reconstruct", "recover", live)
     assert plan == [(g, 3) for g in live]
     assert hmsr.request_counts(q4_msr, "reconstruct", "recover", 15) == [15] * 4
+
+
+def _lowest_ids_plan(profile, op, mode, live):
+    counts = hmsr.request_counts(profile, op, mode, len(live))
+    helpers, above = iter(sorted(live)), counts[1:] + [0]
+    return [(next(helpers), j) for j in range(profile.q - 1, -1, -1)
+            for _ in range(counts[j] - above[j])]
+
+
+def test_reconstruct_plan_passes_over_nodes_that_share_lambda(q4_msr):
+    # with at most two failed nodes the lowest live ids already hold
+    # distinct lambda_l in every window (the first k_l helpers of layer l);
+    # with three, the plan passes over a node that would share one, and
+    # every window of all 1120 failure sets is then regular
+    from itertools import combinations
+    p = q4_msr
+    colliding = 0
+    for nf in (0, 1, 2, 3):
+        for failed in combinations(range(16), nf):
+            live = [g for g in range(16) if g not in failed]
+            for mode in ("plain", "detect"):
+                plan = hmsr.staged_request_plan(p, "reconstruct", mode, live)
+                if nf <= 2:
+                    assert plan == _lowest_ids_plan(
+                        p, "reconstruct", mode, live), (failed, mode)
+                assert [j for _, j in plan] == [
+                    j for _, j in _lowest_ids_plan(p, "reconstruct", mode, live)]
+                windows = [sorted(g for g, j in plan if j >= l)[:p.k[l]]
+                           for l in range(p.q)]
+                colliding += any(len({p.lam[l][g] for g in ids}) < len(ids)
+                                 for l, ids in enumerate(windows))
+    assert colliding == 0
+    message = random_message(p, 5)
+    for mode in ("plain", "detect"):
+        cluster = sim.cluster_init(p, message)
+        for g in (2, 3, 4):        # the lowest ids put 1 and 6 in one window
+            sim.fail_node(cluster, g)
+        report, _ = sim.reconstruct(cluster, mode)
+        assert report.ok and report.message == message
 
 
 @pytest.mark.parametrize("prof_name", ["q3_msr", "q4_msr"])
@@ -360,7 +400,7 @@ def test_extract_st_identity_pattern(q3_msr):
     for g in ids:
         mu = p.mu_row(g, l)
         ms = vec_mat(F, mu, S)
-        R.append([F.add(ms[c], F.mul(p.lam[g], 0)) for c in range(3)])
+        R.append([F.add(ms[c], F.mul(p.lam[l][g], 0)) for c in range(3)])
     S2, T2 = _window_st(R, ids, l, p)
     assert S2 == S and T2 == T
 
@@ -371,7 +411,9 @@ def test_extract_st_random_round_trip_all_layers(q3_msr):
     rng = random.Random(15)
     for l in range(3):
         a = p.alpha[l]
-        ids = sorted(rng.sample(range(9), a + 1))
+        ids = [0] * (a + 1)
+        while len({p.lam[l][g] for g in ids}) <= a:   # a window of distinct lambda_l
+            ids = sorted(rng.sample(range(9), a + 1))
         S = [[0] * a for _ in range(a)]
         T = [[0] * a for _ in range(a)]
         for i in range(a):
@@ -383,7 +425,7 @@ def test_extract_st_random_round_trip_all_layers(q3_msr):
             mu = p.mu_row(g, l)
             ms = vec_mat(F, mu, S)
             mt = vec_mat(F, mu, T)
-            R.append([F.add(ms[c], F.mul(p.lam[g], mt[c])) for c in range(a)])
+            R.append([F.add(ms[c], F.mul(p.lam[l][g], mt[c])) for c in range(a)])
         S2, T2 = _window_st(R, ids, l, p)
         assert (S2, T2) == (S, T)
 
@@ -469,7 +511,7 @@ def test_rec_st_tau1_q3(q3_msr):
         mu = p.mu_row(g, l)
         ms = vec_mat(F, mu, S)
         mt = vec_mat(F, mu, T)
-        blocks.append([F.add(ms[c], F.mul(p.lam[g], mt[c])) for c in range(a)])
+        blocks.append([F.add(ms[c], F.mul(p.lam[l][g], mt[c])) for c in range(a)])
     blocks[4] = [rng.randrange(9) for _ in range(a)]
     S2, T2, corrupt = hmsr.rec_st(blocks, frozenset(), l, p)
     assert (S2, T2) == (S, T)
@@ -494,7 +536,7 @@ def test_rec_st_with_prior_erasures_q4(q4_msr):
         mu = p.mu_row(g, l)
         ms = vec_mat(F, mu, S)
         mt = vec_mat(F, mu, T)
-        blocks.append([F.add(ms[c], F.mul(p.lam[g], mt[c])) for c in range(a)])
+        blocks.append([F.add(ms[c], F.mul(p.lam[l][g], mt[c])) for c in range(a)])
     erased = frozenset({3, 9})
     blocks[3] = None
     blocks[9] = None
@@ -512,25 +554,30 @@ def _per_column_rec_st(blocks, erased, l, profile):
     q2 = profile.n_nodes
     a = profile.alpha[l]
     mu = profile.phi(l)
+    lam = profile.lam[l]
     sigma = len(erased)
-    tau_bud = (q2 - a - 1 - sigma) // 2
+    present = [g for g in range(q2) if g not in erased]
+    # column j's word erases j and the present nodes that share its
+    # lambda_l; each column decodes to decode's default budget, and the
+    # vote threshold is the smallest of them
+    tau_bud = min(((q2 - sigma - sum(lam[g] == lam[j] for g in present) - a)
+                   // 2 for j in present), default=-1)
     if tau_bud < 0:
         raise DecodeFailure(f"{sigma} erasures exceed the recovery budget")
-    present = [g for g in range(q2) if g not in erased]
     for g in present:
         if blocks[g] is None:
             raise DecodeFailure(f"node {g} missing without being flagged")
     mu_t = transpose(mu)
     C, D = hmsr._pairs(F, [None if g in erased else
                            [[v] for v in vec_mat(F, blocks[g], mu_t)]
-                           for g in range(q2)], profile.lam)
+                           for g in range(q2)], profile.lam[l])
     pts = [profile.x_value(g) for g in range(q2)]
     votes = {g: 0 for g in range(q2)}
     decoded = {}
     for j in present:
         try:
             res = [decode(F, mu, [v if v is ERASED else v[0] for v in W[j]],
-                          tau_max=tau_bud, points=pts) for W in (C, D)]
+                          points=pts) for W in (C, D)]
         except DecodeFailure:
             continue
         decoded[j] = [r.message for r in res]
@@ -692,7 +739,7 @@ def _two_window_repair(profile, z, batches):
             if x != solve_square(F, V[1:], p[1:]):
                 return False, {"layer": l, "block": t}, None
             if msr:
-                x = [F.add(x[j], F.mul(profile.lam[z], x[a + j]))
+                x = [F.add(x[j], F.mul(profile.lam[l][z], x[a + j]))
                      for j in range(a)]
             row.extend(x)
         tilde.append(row)
@@ -1094,18 +1141,18 @@ def _per_block_regenerate_recover(z, batches, profile, prior_flags):
     reference for the shared loop): (ok, y, corrupted, tallies, failure)."""
     F = profile.field
     msr = profile.mode == "msr"
-    row = profile.nu_row if msr else profile.mu_row
     q2 = profile.n_nodes
     helpers = sorted(batches, key=lambda b: b.helper_id)
     if len(helpers) != q2 - 1:
         raise NotEnoughHelpers(f"recovery needs {q2 - 1} batches, got {len(helpers)}")
     ids = [b.helper_id for b in helpers]
-    points = None if msr else [profile.x_value(g) for g in ids]
+    points = [profile.x_value(g) for g in ids]
     flags, found, tallies = set(prior_flags), set(), {}
     cap = (q2 - profile.d[-1] - 1) // 2
     tilde = [None] * profile.q
     for l in range(profile.q - 1, -1, -1):
-        gen = [row(g, l) for g in ids]
+        # a help symbol is f(x_g), deg f < d_l (for MSR f = a + lambda_l b)
+        gen = [profile.powers(profile.d[l])[g] for g in ids]
         sigma = sum(1 for g in ids if g in flags)
         tallies[l] = {"erasures": sigma, "errors": 0}
         budget = min(q2 - profile.d[l] - 1, cap)
@@ -1128,7 +1175,8 @@ def _per_block_regenerate_recover(z, batches, profile, prior_flags):
             tallies[l]["errors"] += len(newly)
             x = res.message
             if msr:
-                x = vec_mat(F, [1, profile.lam[z]], [x[:a], x[a:]])
+                b, x = _poly_divmod(F, x, profile.lam_poly[l])
+                x = vec_mat(F, [1, profile.lam[l][z]], [x, b])
             layer_row.extend(x)
         tilde[l] = layer_row
     return (True, mat_mul(F, profile.points.basis(z), tilde), frozenset(found),
@@ -1331,7 +1379,7 @@ def _per_block_regenerate(z, batches, profile, mode, row):
                 return hmsr.Report(mode=mode, ok=False,
                                    alarm={"layer": l, "block": t})
             if profile.mode == "msr":
-                x = vec_mat(F, [1, profile.lam[z]], [x[:a], x[a:]])
+                x = vec_mat(F, [1, profile.lam[l][z]], [x[:a], x[a:]])
             layer_row.extend(x)
         tilde.append(layer_row)
     return hmsr.Report(mode=mode, ok=True,
@@ -1565,27 +1613,39 @@ def test_layer_extraction_matches_the_per_block_extractors(prof_name, request):
 def test_node_data_is_the_hermitian_curve_code(prof_name, request):
     """Column c of every node holds the layered curve codeword of column c
     of the message layers: for MBR the codeword of the blocks M, for MSR
-    U + lambda_g E with U and E the codewords of S and T."""
+    U_g + Lambda_g E_g with U and E the codewords of S and T and Lambda_g
+    the layers' lambda_l(x_g), which is the codeword of the layers
+    s_l + lambda_l t_l (lambda_l t_l, a polynomial in x, is again a curve
+    function, of higher degree)."""
     profile = request.getfixturevalue(prof_name)
     F, q = profile.field, profile.q
-    msr = profile.mode == "msr"
     message = random_message(profile, 64)
     nodes = encode_profile(profile, message)
-    if msr:
+    if profile.mode == "msr":
         st = hmsr.arrange_st(message, profile)
-        layers = [st.s, st.t_]
+
+        def layer_polys(col):
+            out = []
+            for l, lam in enumerate(profile.lam_poly):
+                s = [r[col] for r in st.s[l]]
+                t = [r[col] for r in st.t_[l]]
+                f = s + [0] * len(s)
+                for i, ti in enumerate(t):
+                    for j, lj in enumerate(lam):
+                        f[i + j] = F.add(f[i + j], F.mul(ti, lj))
+                out.append(f)
+            return out
     else:
         m = hmbr.arrange_m(message, profile)
-        layers = [[hmbr._join(m.s[l], m.t_[l]) for l in range(q)]]
+        M = [hmbr._join(m.s[l], m.t_[l]) for l in range(q)]
+
+        def layer_polys(col):
+            return [[r[col] for r in M[l]] for l in range(q)]
     for col in range(profile.A):
-        U, *E = [encode_column([[r[col] for r in M] for M in stack],
-                               profile.points) for stack in layers]
+        word = encode_column(layer_polys(col), profile.points)
         for g in range(profile.n_nodes):
             for slot in range(q):
-                want = U[g * q + slot]
-                if msr:
-                    want = F.add(want, F.mul(profile.lam[g], E[0][g * q + slot]))
-                assert nodes[g].y[slot][col] == want, (g, slot, col)
+                assert nodes[g].y[slot][col] == word[g * q + slot], (g, slot, col)
 
 
 # -- the plain/detect loop of both operations ------------------------------------

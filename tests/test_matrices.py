@@ -6,10 +6,10 @@ import pytest
 
 from hrgc import hmsr
 from hrgc.errors import (
-    DeltaSearchFailed,
     InvalidAlpha,
     InvalidK,
     InvalidParams,
+    LambdaSearchFailed,
 )
 from hrgc.curve import group_x_value
 from hrgc.field import SUPPORTED_Q, field_new
@@ -77,60 +77,70 @@ def test_k_validation():
 
 
 def test_lambda_distinct_and_deterministic(q3_msr, q4_msr):
+    # lambda_0 permutes the x-values, and the choice is a function of the
+    # parameters
     for p in (q3_msr, q4_msr):
-        assert sorted(p.lam) == list(range(p.n_nodes))
+        assert sorted(p.lam[0]) == list(range(p.n_nodes))
     again = profile_new("msr", 3, 8, (3, 2, 1), seed=2)
-    assert again.lam == q3_msr.lam
+    assert again.lam == q3_msr.lam and again.lam_poly == q3_msr.lam_poly
 
 
-# sha256 of bytes(lam) as the per-window determinant enumeration selected
-# it; lam fixes every node file, so a setup change that moves it fails here.
-# q4_msr and q5_msr are also the bench's MSR profiles.
+def _lam_bytes(profile):
+    return bytes(v for vals in profile.lam for v in vals)
+
+
+# sha256 of the tables lam[l][g] = lambda_l(x_g), layers in order; they fix
+# every MSR node file, so a setup change that moves them fails here.  MBR
+# carries no lambda: the empty table.  q4_msr and q5_msr are also the
+# bench's MSR profiles.
 LAM_SHA256 = {
-    "q3_msr": "5a8ec84cd145e13a0c5dc38e88d00bc609f866c6777be427644e2583f81e0a8a",
-    "q4_msr": "cddc46fca14a6d5c17dd2352fe95c9698278add1811c23ccb9957412cebb17fe",
-    "q3_mbr": "8954c064c18a6871cf3c9fcb2f87ec6c5ac43726c6180f191e15ef50ccc5e2dd",
-    "q4_mbr": "2b8edc3e191c64037bb4208422f7bc8d90f77f1f41824c7f321f364408f01840",
-    "q5_msr": "d097ff6b277b1ef7d308ff699935b406fbf244d0ef57c150ff0b48ff0094f9a2",
+    "q3_msr":
+        "ce6e1c76f6c1d4df156cedac7a4e751940ba557337127e5526cb56d077bb4edd",
+    "q4_msr":
+        "59867e0026f6c9c73b9db84aa5693f5df8ffb2ef4b3082964ffd783f514b5606",
+    "q3_mbr": hashlib.sha256(b"").hexdigest(),
+    "q4_mbr": hashlib.sha256(b"").hexdigest(),
+    "q5_msr":
+        "9a5c4b2da633ece861ab9cf19bbaf5e3b1bb3392429601689935e54674cf8e25",
 }
 
 
 @pytest.mark.parametrize("name", sorted(LAM_SHA256))
 def test_lambda_pinned(name, request):
     profile = request.getfixturevalue(name)
-    assert hashlib.sha256(bytes(profile.lam)).hexdigest() == LAM_SHA256[name]
+    assert hashlib.sha256(_lam_bytes(profile)).hexdigest() == LAM_SHA256[name]
 
 
-# the same pin on MSR draws no fixture makes: other seeds of the q=4 and q=5
-# profiles, and q=8 (m=63, alpha 8..1), whose layer 0 has 16-row windows
+# the same pin on MSR profiles no fixture makes: other seeds of the q=4 and
+# q=5 profiles, and q=8 (m=63, alpha 8..1), whose layer 1 needs a draw
 LAM_SHA256_BY_ARGS = {
     (8, 63, (8, 7, 6, 5, 4, 3, 2, 1), 1):
-        "cf8d8506688429a9660e2e1b546939bdfec3be649fe61fbbfecf6abbd6fe60e6",
+        "32ed73c236df1d52dccd0eba75ab7746778ee68484c45c3aa0ebc89158d7c217",
     (4, 37, (6, 5, 4, 3), 2):
-        "48d106cf43a60089ec5aa5ab914933ac2c51c2b565eb2d963da3287f68382042",
+        "1f9fdf7954f907649405aa97531dc35642e4b961496a647d9036b5ec83edc416",
     (4, 37, (6, 5, 4, 3), 3):
-        "a40fe2c39c9af6366411cd5573917586a204c80ee7fb37d029f8209ff879ce67",
+        "4cb073c20dbe927e0b9b2a8893d6aafe5917e09be2d2ddd4e64036af932fa70d",
     (5, 34, (7, 6, 5, 4, 3), 2):
-        "d0333b260c97059f8f39b6399c3653069cdf36f39e22e7c4bba4168e6b444d31",
+        "46ffe97d9e757276a74d1cb53e7d44471869143d6249eb268121ca2ff3d7298a",
 }
 
 
 @pytest.mark.parametrize("q,m,alpha,seed", sorted(LAM_SHA256_BY_ARGS))
 def test_lambda_pinned_beyond_the_fixtures(q, m, alpha, seed):
     profile = profile_new("msr", q, m, alpha, seed=seed)
-    assert (hashlib.sha256(bytes(profile.lam)).hexdigest()
+    assert (hashlib.sha256(_lam_bytes(profile)).hexdigest()
             == LAM_SHA256_BY_ARGS[q, m, alpha, seed])
 
 
 # sha256 of profile_to_text, which profile.txt holds and whose first 8
 # bytes of SHA-256 every node file embeds.
 PROFILE_TEXT_SHA256 = {
-    "q3_msr": "a38387da03277723a35cfdb3bf63f5f3b44609a2e51c9dbbfd27b1bc9f8f71d3",
-    "q4_msr": "d90d95b1611a8e57e3f0ae4c88a408db55df7a24059c8a5f2b76857525d0cd3c",
-    "q3_mbr": "e8cc2202a3d30b6fcd3afe2cfd3f20e4537da1aaeea0391054b7a62478ca07b7",
-    "q4_mbr": "660bd383bb2beed503bb7bc2ad2023902a21b0cdda1db3012d839c4fbf095947",
-    "q5_msr": "32d56c4ad8cdf5b88f7e0ba6c5e961b461270ad8e5e3a868157a59c51a3c7df0",
-    "q5_mbr": "1fd33a59e7b17926cdc4c2e491a5983beee8de28f5821821d827a465917a9924",
+    "q3_msr": "f434c3ac36e765272294886aad13325c17accd21ba976d5c86c8023712de258b",
+    "q4_msr": "481a8eb905a3937d7f1acbdd158c89157c5a5d974874df44cfc9b15037d52f25",
+    "q3_mbr": "a1852759d59f695300fff4e2ea0ff7877354ee7988a1da89fbeee1f91cbcdbc3",
+    "q4_mbr": "caf4ca32d91c0a8dd81af8f45304dbe654ef30a1cd39908661954136fd02fece",
+    "q5_msr": "541daf6d1464946444ce09f409c3af1b0c7ceaf7541d01be1f633638c3e32779",
+    "q5_mbr": "1c8fadbeb5254d522e7d48987c61bc19073fed368eeafaeec346bfac518b79b7",
 }
 
 
@@ -147,31 +157,37 @@ def _base_minors_regular(F, psi, d):
 
 
 def test_select_delta_rejects_impossible_draws(monkeypatch):
-    # the draw budget: with one draw fewer than the first passing draw N the
-    # search fails, and with exactly N the single passer is returned unscored;
-    # N is found with every base-window minor as the reference
+    # the draw budget: x^6 does not permute GF(16), so layer 0 of the q=4
+    # profile is drawn; with one draw fewer than the first fitting draw N
+    # the selection fails naming the layer, and with exactly N it returns
+    # that draw.  N is found with the rules stated from scratch.
     import hrgc.matrices as mx
-    F = field_new(3)
-    xs = [0] + [F.exp(i) for i in range(8)]
-    alpha, d, seed = (3, 2, 1), (6, 4, 2), 11
-    phis = [_phi_rows(F, xs, a) for a in alpha]
+    F = field_new(4)
+    xs = [group_x_value(F, g) for g in range(F.order)]
+    alpha, seed = (6, 5, 4, 3), 1
     rng = random.Random(seed)
-    for n_draws in range(1, mx.MAX_DELTA_DRAWS + 1):
-        lam = list(range(F.order))
-        rng.shuffle(lam)
-        if all(_base_minors_regular(F, _psi_rows(F, phi, lam), dl)
-               for phi, dl in zip(phis, d)):
+
+    def fits(poly):
+        vals = [_poly_at(F, poly, x) for x in xs]
+        return (max(vals.count(v) for v in vals) == 1
+                and len(set(vals[:9])) == 9)
+
+    assert not fits([0] * 6 + [1])
+    for n_draws in range(1, mx.MAX_LAMBDA_DRAWS + 1):
+        poly = [rng.randrange(F.order) for _ in range(6)] + [1]
+        if fits(poly):
             break
-    assert n_draws == 9
-    monkeypatch.setattr(mx, "MAX_DELTA_DRAWS", n_draws - 1)
-    with pytest.raises(DeltaSearchFailed):
-        select_delta(F, xs, alpha, d, "msr", seed=seed)
-    monkeypatch.setattr(mx, "MAX_DELTA_DRAWS", n_draws)
-    assert select_delta(F, xs, alpha, d, "msr", seed=seed) == tuple(lam)
+    assert n_draws == 1746
+    monkeypatch.setattr(mx, "MAX_LAMBDA_DRAWS", n_draws - 1)
+    with pytest.raises(LambdaSearchFailed, match="^layer 0: "):
+        select_delta(F, xs, alpha, "msr", seed=seed)
+    monkeypatch.setattr(mx, "MAX_LAMBDA_DRAWS", n_draws)
+    assert select_delta(F, xs, alpha, "msr", seed=seed)[0] == tuple(poly)
     monkeypatch.undo()
-    lam1 = select_delta(F, xs, alpha, d, "msr", seed=seed)
-    lam2 = select_delta(F, xs, alpha, d, "msr", seed=seed)
-    assert lam1 == lam2
+    assert (select_delta(F, xs, alpha, "msr", seed=seed)
+            == select_delta(F, xs, alpha, "msr", seed=seed))
+    # MBR carries no lambda
+    assert select_delta(F, xs, alpha, "mbr", seed=seed) == ()
 
 
 def _degenerate_lams(F, xs, a):
@@ -287,19 +303,14 @@ def test_verify_delta_honest_report_q3(q3_msr):
     assert rep.criterion_i
     assert rep.operational
     assert rep.method == "exhaustive"
-    # the all-subsets requirement admits no assignment at this field size;
-    # the report must say so and carry a witness
-    assert not rep.criterion_ii
-    l, sub = rep.first_failing_subset
-    assert len(sub) == q3_msr.d[l]
-    assert not det_nonzero(
-        q3_msr.field, [q3_msr.nu_row(g, l) for g in sub]
-    )
+    # with lambda_l of degree alpha_l every d_l-subset is independent
+    assert rep.criterion_ii and rep.first_failing_subset is None
+    assert rep.singular_counts == {0: (0, 84), 1: (0, 126), 2: (0, 36)}
 
 
 def test_verify_delta_flags_duplicate_lambda(q3_msr):
-    lam = list(q3_msr.lam)
-    lam[1] = lam[0]
+    lam = [list(vals) for vals in q3_msr.lam]
+    lam[0][1] = lam[0][0]
     rep = verify_delta(q3_msr, lam=lam)
     assert not rep.criterion_i
     assert not rep.criterion_ii
@@ -307,11 +318,16 @@ def test_verify_delta_flags_duplicate_lambda(q3_msr):
 
 def test_verify_delta_vandermonde_pattern_layer0(q3_msr):
     # lambda_g = x_g^alpha_0 turns layer 0 into a pure Vandermonde stack:
-    # no singular layer-0 subset
+    # no singular layer-0 subset; x^(alpha_0 - 1) repeats a column of
+    # [Phi_0, Lambda Phi_0], so every layer-0 subset is singular, and the
+    # report carries the first as its witness
     p = q3_msr
-    lam = [p.field.pow(p.x_value(g), p.alpha[0]) for g in range(9)]
-    rep = verify_delta(p, lam=lam)
-    assert rep.singular_counts[0] == (0, 84)
+    for e, bad in ((p.alpha[0], 0), (p.alpha[0] - 1, 84)):
+        lam = [[p.field.pow(p.x_value(g), e) for g in range(9)], *p.lam[1:]]
+        rep = verify_delta(p, lam=lam)
+        assert rep.singular_counts[0] == (bad, 84)
+        assert rep.criterion_ii == (bad == 0)
+    assert rep.first_failing_subset == (0, tuple(range(6)))
 
 
 def test_verify_delta_sampled_path(q3_msr, monkeypatch):
@@ -337,7 +353,7 @@ def test_mu_rows_and_nu_rows(q3_msr):
         for l in range(3):
             row = p.nu_row(g, l)
             mu = p.mu_row(g, l)
-            assert row == list(mu) + [F.mul(p.lam[g], v) for v in mu]
+            assert row == list(mu) + [F.mul(p.lam[l][g], v) for v in mu]
     # V rows 0..d_l - 1 of layer l are square and invertible
     for l in range(3):
         d = p.d[l]
@@ -368,9 +384,10 @@ def test_profile_serialization_round_trip(q3_msr, q4_mbr):
 
 
 def test_digest_changes_with_seed(q3_msr):
+    # the seed is part of the document even where it fixes no draw
     other = profile_new("msr", 3, 8, (3, 2, 1), seed=5)
-    if other.lam != q3_msr.lam:
-        assert profile_digest(other) != profile_digest(q3_msr)
+    assert other.lam == q3_msr.lam
+    assert profile_digest(other) != profile_digest(q3_msr)
 
 
 def _edited(profile, key, value):
@@ -383,7 +400,7 @@ def _edited(profile, key, value):
 
 @pytest.mark.parametrize("key,value", [
     ("seed", None),
-    ("lam", None),
+    ("lam_poly", None),
     ("seed", "one"),
     ("alpha", "3,2,x"),
     ("mode", "rs"),
@@ -394,10 +411,31 @@ def _edited(profile, key, value):
     ("lam", "0,1,2,3,4,5,6,7,7"),
     ("lam", "0,1,2,3,4,5,6,7"),
     ("lam", "0,1,2,3,4,5,6,7,9"),
+    ("lam_poly", "0,0,0,1;0,0,1"),          # a layer short
+    ("lam_poly", "0,0,1;0,0,1;0,1"),        # degree 2 at layer 0
+    ("lam_poly", "0,0,0,2;0,0,1;0,1"),      # not monic
+    ("lam_poly", "0,0,0,1;0,9,1;0,1"),      # not a symbol of GF(9)
+    ("lam_poly", "0,0,0,1;0,0,1;x"),
+    ("lam_poly", "0,1,0,1;0,0,1;0,1"),      # x^3 + x: not a permutation
 ])
 def test_profile_from_text_rechecks_every_field(q3_msr, key, value):
     with pytest.raises(InvalidParams):
         profile_from_text(_edited(q3_msr, key, value))
+
+
+def test_profile_from_text_refuses_the_old_coefficient_permutation(q3_msr):
+    # a document of the one-permutation format: its node files were encoded
+    # with other coefficients, so it is refused by name, not reinterpreted
+    text = _edited(q3_msr, "lam_poly", None) + "lam=" + ",".join(
+        map(str, range(9))) + "\n"
+    with pytest.raises(InvalidParams, match="lam=, the one coefficient "
+                                            "permutation of earlier versions"):
+        profile_from_text(text)
+
+
+def test_mbr_profile_carries_no_lambda(q3_mbr):
+    assert q3_mbr.lam_poly == () and q3_mbr.lam == ()
+    assert "lam" not in profile_to_text(q3_mbr)
 
 
 def test_profile_from_text_applies_the_alpha_and_k_rules(q3_msr, q3_mbr):
@@ -407,3 +445,62 @@ def test_profile_from_text_applies_the_alpha_and_k_rules(q3_msr, q3_mbr):
         profile_from_text(_edited(q3_mbr, "k", "1,2,1"))
     with pytest.raises(InvalidAlpha):
         profile_from_text(_edited(q3_mbr, "alpha", "3,3,1"))
+
+
+# -- what lambda_l of degree alpha_l gives ----------------------------------------
+
+
+@pytest.mark.parametrize("name,samples", [
+    ("q3_msr", None), ("q4_msr", 12_000), ("q5_msr", 12_000)])
+def test_every_nu_window_is_regular(name, samples, request):
+    # every d_l-subset of a layer's nu rows is regular: all of them at q=3
+    # (246), a seeded sample over the layers at q=4 and q=5
+    p = request.getfixturevalue(name)
+    n = p.n_nodes
+    if samples is None:
+        subsets = [(l, sub) for l, d in enumerate(p.d)
+                   for sub in combinations(range(n), d)]
+        assert len(subsets) == 246
+    else:
+        rng = random.Random(name)
+        subsets = [(l, rng.sample(range(n), p.d[l]))
+                   for l in (rng.randrange(p.q) for _ in range(samples))]
+    for l, sub in subsets:
+        assert det_nonzero(p.field, [p.nu_row(g, l) for g in sub]), (l, sub)
+
+
+@pytest.mark.parametrize("name", ["q3_msr", "q4_msr", "q5_msr"])
+def test_detect_repair_windows_are_blind_free(name, request):
+    # every single failure's detect window (d_l + 1 helpers, as planned) has
+    # one left null vector, with no zero entry: the one-row check sees a lie
+    # at every helper
+    p = request.getfixturevalue(name)
+    checked = 0
+    for z in range(p.n_nodes):
+        live = [g for g in range(p.n_nodes) if g != z]
+        plan = hmsr.staged_request_plan(p, "repair", "detect", live)
+        for l, d in enumerate(p.d):
+            ids = sorted(g for g, j in plan if j >= l)
+            h = left_null_space(p.field, [p.nu_row(g, l) for g in ids])
+            assert len(h) == 1 and all(h[0]), (z, l)
+            checked += 1
+    assert checked == p.n_nodes * p.q
+
+
+@pytest.mark.parametrize("name,args", [
+    ("q3_msr", None), ("q4_msr", None), ("q5_msr", None),
+    ("q8_msr", ("msr", 8, 63, (8, 7, 6, 5, 4, 3, 2, 1)))])
+def test_lambda_meets_the_fibre_and_window_rules(name, args, request):
+    # no value of lambda_l at more than 1 + alpha_0 - alpha_l nodes (lambda_0
+    # permutes the x-values), lambda_l distinct at nodes 0..alpha_l + 2, and
+    # lambda_l monic of degree alpha_l
+    p = (profile_new(*args, seed=1) if args
+         else request.getfixturevalue(name))
+    F = p.field
+    for l, (a, poly) in enumerate(zip(p.alpha, p.lam_poly)):
+        assert len(poly) == a + 1 and poly[-1] == 1
+        vals = p.lam[l]
+        assert vals == tuple(_poly_at(F, poly, p.x_value(g))
+                             for g in range(p.n_nodes))
+        assert max(vals.count(v) for v in vals) <= 1 + p.alpha[0] - a, l
+        assert len(set(vals[:a + 3])) == a + 3, l

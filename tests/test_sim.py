@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -517,10 +519,10 @@ def test_corrupt_node_header_field_is_named(q3_mbr, tmp_path, pos, value,
 # sha256 of encode_node_bytes(node 0) under random_message(profile, 0): the
 # header above, then the q x A payload row by row
 NODE_BYTES_SHA256 = {
-    "q3_msr": "5fbdff4e860beb976ca409d7585e6ef00f685ecaa73ebe65de562ab508b25d50",
-    "q4_msr": "7419a19f187c969c639b95e7ac06b7b1bda2ec16ecc07340be000ba95d58b348",
-    "q3_mbr": "4f9b3b027d5cbeaf84365f7bad26c6a2e966a24f44085814ede17cfefb4663cc",
-    "q4_mbr": "6a5aa7b4a8e082e6e6e7ffe4a046250dda795e3842ea05e7d6e537a485084787",
+    "q3_msr": "bff497fce56466bfbc04399e1dd8b8e0915eda0d9dd6a7f7d6e1f558cf5e8f41",
+    "q4_msr": "7744f0e219cd644bbf831c53515f23d9d4b9c25de017a356f00330acce69ae77",
+    "q3_mbr": "f0b5ca5308c2489712d7e48bdc6a1ac737a4b3846b61f5386c9bab36793e5695",
+    "q4_mbr": "b5dde9e558d7d6ae9ce61441721806b4be2aba69ed802f7b0143b9883b7895dc",
 }
 
 
@@ -535,11 +537,15 @@ def test_node_bytes_pinned(name, request):
 
 
 def test_detect_repair_refuses_a_singular_shifted_window(q3_msr):
-    # with nodes 3 and 2 failed, node 2's detect helpers at layer 0 are
-    # 0, 1, 4..8; the shifted window 1, 4..8 is singular, so checking
-    # helper 8 against the first window's solution would not see a liar
-    # at helper 0
-    cluster = make_cluster(q3_msr, 12)
+    # no lambda_l of degree alpha_l leaves a repair window singular, so the
+    # guard is shown on a profile whose every layer takes the coefficient
+    # permutation (3, 7, 5, 4, 1, 6, 2, 8, 0) instead: with nodes 3 and 2
+    # failed, node 2's detect helpers at layer 0 are 0, 1, 4..8; the shifted
+    # window 1, 4..8 is singular, so checking helper 8 against the first
+    # window's solution would not see a liar at helper 0
+    profile = dataclasses.replace(q3_msr)
+    profile.lam = ((3, 7, 5, 4, 1, 6, 2, 8, 0),) * profile.q
+    cluster = make_cluster(profile, 12)
     truth = [row[:] for row in cluster.nodes[2].y]
     sim.fail_node(cluster, 3)
     sim.fail_node(cluster, 2)
@@ -548,23 +554,44 @@ def test_detect_repair_refuses_a_singular_shifted_window(q3_msr):
     report, _ = sim.repair(cluster, 2, "plain")
     assert report.ok
     assert cluster.nodes[2].y == truth
+    # the profile's own coefficients: the same repair passes detect
+    cluster = make_cluster(q3_msr, 12)
+    truth = [row[:] for row in cluster.nodes[2].y]
+    sim.fail_node(cluster, 3)
+    sim.fail_node(cluster, 2)
+    report, _ = sim.repair(cluster, 2, "detect")
+    assert report.ok and cluster.nodes[2].y == truth
+
+
+def test_q5_recover_repair_names_five_liars_in_every_layer(q5_msr):
+    # every help symbol of five liars is resampled: each layer's blocks are
+    # Reed-Solomon words of f = a + lambda_l b, decoded by Welch-Berlekamp
+    # (about 20 ms here; the support search on the nu rows took seconds)
+    adversary = sim.parse_adversary("nodes=1,4,9,16,23;seed=5")
+    cluster = make_cluster(q5_msr, 31)
+    sim.fail_node(cluster, 12)
+    t0 = time.perf_counter()
+    report, _ = sim.repair(cluster, 12, "recover", adversary)
+    seconds = time.perf_counter() - t0
+    assert report.ok and cluster.nodes[12].y == cluster.truth_nodes[12]
+    assert report.corrupted == {1, 4, 9, 16, 23}
+    assert report.tallies[q5_msr.q - 1]["errors"] == 5
+    assert seconds < 1.0
 
 
 def test_detect_does_not_certify_a_flagged_helper(q4_msr):
-    # the layer-1 detect window for node 10 has a left null vector that is
-    # zero at helpers 3 and 4, so their layer-1 lies never reach the one-row
-    # check; once they are flagged, a detect result that used them alarms
-    adversary = sim.parse_adversary(
-        "nodes=3,4;strategy=layer;layer=1;activation=1.0;seed=7")
+    # the one-row check cannot clear a node already caught lying: nodes 3
+    # and 4 are flagged but answer honestly here, so every check passes,
+    # and a detect result that used them alarms all the same
     cluster = make_cluster(q4_msr, 5)
     truth = [row[:] for row in cluster.nodes[10].y]
     sim.fail_node(cluster, 10)
     cluster.known_corrupt |= {3, 4}
-    report, log = sim.repair(cluster, 10, "detect", adversary, policy="report")
+    report, log = sim.repair(cluster, 10, "detect", policy="report")
     assert not report.ok and report.y is None
     assert report.alarm == {"flagged": [3, 4]}
     assert cluster.nodes[10] is None
-    report, log = sim.repair(cluster, 10, "detect", adversary)
+    report, log = sim.repair(cluster, 10, "detect")
     assert log.meta["alarm"] == {"flagged": [3, 4]} and log.meta["escalated"]
     assert report.mode == "recover" and report.ok
     assert cluster.nodes[10].y == truth
@@ -650,4 +677,4 @@ def test_outcome_digest_pin():
     change that keeps behaviour keeps this pin; a change meant to alter
     outcomes updates it and lists the records that changed in CHANGES.md."""
     assert outcome_digest.digest(1) == (
-        490, "64d6b27ea6d8186a585165571dba2ef299733a93781eef4d73757a7b19586e53")
+        490, "2d1802deb7c94798bea72f1571cdb416e9b71d40e4def7a1e62b9cc0b356b736")
