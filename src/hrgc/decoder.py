@@ -1,19 +1,19 @@
 """Errors-and-erasures decoding for codes given by an n x k generator matrix.
 
-The generic path does a combinatorial error-support search on the syndrome of
-the punctured word: supports are scanned in lexicographic order, smallest
-weight first, and a result is returned only when exactly one codeword is
-consistent at the winning weight (anything else raises DecodeFailure -- never
-a silently ambiguous answer).  Under the usual guarantee
-``erasures + 2*errors <= n - k`` (with an any-k-rows-independent generator)
-the unique answer is the planted codeword.
+Every engine call has generator rows that are monomial evaluations
+[1, x_i, ..., x_i^(k-1)] and passes the evaluation ``points``: decoding runs
+Welch-Berlekamp interpolation (one linear solve).  Under the usual guarantee
+``erasures + 2*errors <= n - k`` the answer is the planted codeword.
 
-When the generator rows are monomial evaluations [1, x_i, ..., x_i^(k-1)] the
-caller may pass the evaluation ``points``; decoding then runs the
-Welch-Berlekamp interpolation fast path (one linear solve) with identical
-results under the guarantee.
+Without ``points`` (any generator with every k rows independent) decoding
+runs a combinatorial error-support search on the syndrome of the punctured
+word: supports are scanned in lexicographic order, smallest weight first,
+and a result is returned only when exactly one codeword is consistent at the
+winning weight (anything else raises DecodeFailure -- never a silently
+ambiguous answer).  No engine path takes it; the tests keep it as the
+reference that Welch-Berlekamp's results are checked against.
 
-Before either search, a word that is already a codeword exits early: the
+Before either decoder, a word that is already a codeword exits early: the
 message is taken from the first k usable positions (Newton interpolation in
 O(k^2) with ``points``, one k x k solve without), re-encoded on the usable
 positions, and returned with no error positions when every one agrees.  The

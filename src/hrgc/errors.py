@@ -30,8 +30,8 @@ class InvalidParams(HrgcError):
 
 
 class LambdaSearchFailed(HrgcError):
-    """No coefficient polynomial of a layer met the fibre rule within the
-    draw budget."""
+    """No coefficient polynomial of a layer met the fibre rule and the
+    window rule within the draw budget."""
 
 
 class LengthMismatch(HrgcError):

@@ -338,6 +338,7 @@ def _repair(z, batches, profile, mode, row, finish, split,
     def window(profile, l, ids):
         d = len(ids)
         V = [row(g, l) for g in ids]
+        # structured lambda makes this unable to fail; it guards that promise
         if mode == "detect" and not det_nonzero(
                 F, V[1:] + [row(_contributors(batches, l)[d].helper_id, l)]):
             raise SingularSystem(f"{d}x{d} system singular")

@@ -1,5 +1,5 @@
 """Code profiles: layered encoding matrices, the per-layer coefficient
-polynomials lambda_l, and their selection/verification.
+polynomials lambda_l, and their selection.
 
 Layer l (0 <= l < q) carries a Vandermonde matrix Phi_l (q^2 x alpha_l) whose
 row g is [1, x_g, ..., x_g^(alpha_l - 1)] with the same x_g convention as the
@@ -25,9 +25,6 @@ layer: x^alpha_l (a permutation when gcd(alpha_l, q^2 - 1) = 1 or alpha_l is
 a power of p), else seeded draws.  Dickson polynomials D_n(x, a), a != 0,
 are not tried: they permute GF(Q) only when gcd(n, Q^2 - 1) = 1, where x^n
 already does.  MBR never multiplies by Lambda and carries no lambda.
-
-``verify_delta`` and ``_HankelForm`` (the windows of a layer through a
-small Hankel matrix, exact for any coefficients) check the tables in tests.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ import random
 from array import array
 from dataclasses import dataclass, field as dfield
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate
 
 from .curve import PointTable, enumerate_points, group_x_value, kappa
 from .errors import (
@@ -48,11 +45,9 @@ from .errors import (
     LambdaSearchFailed,
 )
 from .field import Field, field_new
-from .linalg import det_nonzero, null_space, transpose
+from .linalg import transpose
 
 MAX_LAMBDA_DRAWS = 1 << 14
-EXHAUSTIVE_MINOR_CAP = 10**6
-SAMPLED_MINORS_PER_LAYER = 10**5
 CODES = ("msr", "mbr")
 
 
@@ -252,81 +247,6 @@ def _power_columns(F, xs, width):
     return F.pack(transpose(_phi_rows(F, xs, width)), len(xs))
 
 
-def _psi_rows(F, phi, lam):
-    return [row + F.scale(lam[g], row) for g, row in enumerate(phi)]
-
-
-class _HankelForm:
-    """The alpha x (alpha + e) Hankel form of 2 alpha + e rows of a layer's psi.
-
-    For rows S of [Phi, Lambda Phi] at pairwise-distinct x-values, take
-    w_i = 1 / prod_{j in S, j != i} (x_i - x_j).  Sum_i w_i p(x_i) = 0 for
-    every p of degree below |S| - 1 (the leading coefficient of the
-    interpolant of p on S), and the vectors (w_i f(x_i)) with deg f < alpha + e
-    are |S| - alpha independent ones of them, so they are exactly the left
-    null space of Phi[S] (a GRS dual code).  Such a vector also annihilates
-    Lambda Phi[S] exactly when f's coefficients c satisfy
-    sum_t c_t H_{s+t} = 0 for s < alpha, with the moments
-    H_s = sum_i w_i lambda_i x_i^s.  So the left null space of psi[S] is
-    {(w_i f(x_i))_{i in S} : f in null(K_S)}, K_S[s][t] = H_{s+t}, and f -> h is
-    one-to-one.  This holds for any lambda.
-
-    Built once per selection: a table of log(x_i - x_j), the nodes' power
-    rows packed per width, and each base window's evaluation columns.
-    """
-
-    def __init__(self, F, xs):
-        assert len(set(xs)) == len(xs), "x-values must be pairwise distinct"
-        self.F, self.xs = F, xs
-        self._log_diff = [[F.log(F.sub(xi, xj)) if i != j else 0
-                           for j, xj in enumerate(xs)] for i, xi in enumerate(xs)]
-        self._powers = {}    # width -> every node's [1, x, .., x^(width-1)], packed
-        self._columns = {}   # (a, start) -> [x_i^t for i in the window], t <= a, packed
-
-    def hankel(self, lam, rows, a):
-        """K_S for the rows S = ``rows`` (2a or 2a + 1 of them) of width a."""
-        F, e = self.F, len(rows) - 2 * a
-        width = 2 * a - 1 + e
-        powers = self._powers.get(width)
-        if powers is None:
-            powers = self._powers[width] = F.pack(
-                _phi_rows(F, self.xs, width), width)
-        # w_i lambda_i through logs: log lambda_i - sum_j log(x_i - x_j),
-        # where the diagonal entry j = i of the table is 0
-        coeffs = [lam[i] and F.exp(F.log(lam[i]) - sum(
-            map(self._log_diff[i].__getitem__, rows))) for i in rows]
-        H = F.comb(coeffs, [powers[i] for i in rows], width)
-        return [H[s:s + a + e] for s in range(a)]
-
-    def windows_ok(self, lam, a):
-        """True iff every single-failure repair window of a layer of width a
-        is regular.
-
-        A plan takes the lowest live ids, so with one node failed the windows
-        are exactly the d-subsets (d = 2a <= q^2 - 2) of rows 0..d and of rows
-        1..d+1.  The d-subsets of a (d+1) x d matrix W are all regular exactly
-        when its left null space is one vector h with no zero entry: if
-        rank W < d, the null space has dimension at least 2 and every d rows
-        are dependent; if rank W = d, it is spanned by h, and the rows other
-        than z are dependent exactly when h_z = 0.  Through the Hankel form,
-        h_i = w_i f(x_i) with w_i != 0: the null space of K_S must be one f,
-        and f must not vanish on the window's x-values.
-        """
-        F, d = self.F, 2 * a
-        for start in (0, 1):
-            rows = range(start, start + d + 1)
-            f = null_space(F, self.hankel(lam, rows, a))
-            if len(f) != 1:
-                return False
-            cols = self._columns.get((a, start))
-            if cols is None:
-                cols = self._columns[a, start] = F.pack(transpose(
-                    _phi_rows(F, self.xs[start:start + d + 1], a + 1)), d + 1)
-            if not all(F.comb(f[0], cols, d + 1)):
-                return False
-        return True
-
-
 def _meets_rules(vals, a, a0):
     """Whether a width-a layer's values vals[g] = lambda(x_g) meet the fibre
     rule (no value at more than 1 + a0 - a nodes, a0 = alpha_0) and the
@@ -366,73 +286,6 @@ def select_delta(F: Field, xs, alpha, mode: str, seed: int) -> tuple:
             poly = [rng.randrange(F.order) for _ in range(a)] + [1]
         out.append(tuple(poly))
     return tuple(out)
-
-
-@dataclass
-class DeltaReport:
-    criterion_i: bool                # the fibre rule
-    criterion_ii: bool
-    method: str                      # "exhaustive" | "sampled"
-    first_failing_subset: tuple | None   # (layer, node ids) or None
-    singular_counts: dict            # layer -> (bad, checked)
-    operational: bool                # all staged repair windows invertible
-
-
-def verify_delta(profile: CodeProfile, lam=None) -> DeltaReport:
-    """Independence report for an MSR profile's tables lam[l][g] =
-    lambda_l(x_g), or for an override table of the same shape.
-
-    criterion (i): every layer meets the fibre rule (layer 0's values are
-    distinct).  criterion (ii): every d_l-subset of [Phi_l, Lambda_l Phi_l]
-    independent -- checked exhaustively when the total subset count is at
-    most 10^6, sampled otherwise.  A profile's own tables meet both by
-    construction (module docstring); an override shows what a table that
-    no degree-alpha_l polynomial gives does, with the failing witness.
-    """
-    assert profile.mode == "msr", "verify_delta applies to MSR profiles"
-    F = profile.field
-    lam = profile.lam if lam is None else lam
-    n = profile.n_nodes
-    crit_i = all(max(map(vals.count, set(vals))) <= 1 + profile.alpha[0] - a
-                 for vals, a in zip(lam, profile.alpha))
-
-    total = sum(math.comb(n, dl) for dl in profile.d)
-    exhaustive = total <= EXHAUSTIVE_MINOR_CAP
-    rng = random.Random(profile.seed ^ 0xA5A5)
-
-    crit_ii = True
-    witness = None
-    counts = {}
-    for l, dl in enumerate(profile.d):
-        psi = _psi_rows(F, profile.phi(l), lam[l])
-        bad = checked = 0
-        if exhaustive:
-            subsets = combinations(range(n), dl)
-        else:
-            subsets = (
-                tuple(sorted(rng.sample(range(n), dl)))
-                for _ in range(SAMPLED_MINORS_PER_LAYER)
-            )
-        for sub in subsets:
-            checked += 1
-            if not det_nonzero(F, [psi[g] for g in sub]):
-                bad += 1
-                if witness is None:
-                    witness = (l, tuple(sub))
-                crit_ii = False
-        counts[l] = (bad, checked)
-
-    form = _HankelForm(F, profile._xs)
-    operational = all(form.windows_ok(lam[l], a)
-                      for l, a in enumerate(profile.alpha))
-    return DeltaReport(
-        criterion_i=crit_i,
-        criterion_ii=crit_i and crit_ii,
-        method="exhaustive" if exhaustive else "sampled",
-        first_failing_subset=witness,
-        singular_counts=counts,
-        operational=operational,
-    )
 
 
 # -- serialization ------------------------------------------------------------

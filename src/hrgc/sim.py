@@ -57,10 +57,11 @@ class AdversarySpec:
     Node ids, ``offset`` and ``layer`` are checked against the cluster when
     it is used.
 
-    What each mode guarantees against them: in detect, one liar among the
-    responders alarms unless it sits where the left null vector of its
-    layer's detect window is zero (the one-row check never sees its
-    symbols there), and two omniscient colluders can pass detect, in a
+    What each mode guarantees against them: in detect, one liar always
+    alarms in a repair (no detect window's left null vector has a zero
+    entry) and alarmed at every block-0 entry of every reconstruction plan
+    with at most one failed node on the q=3 and q=4 test profiles
+    (tests/test_hmsr.py); two omniscient colluders can pass detect, in a
     repair and in a reconstruction alike.  Recover is exact within
     sigma + 2 tau <= q^2 - k_l in a reconstruction and <= q^2 - 1 - d_l in
     a repair (sigma erased or flagged nodes, tau liars; a repair also fails
@@ -294,8 +295,9 @@ def _gather(cluster, log, phase, plan, adversary, rng, z=None):
 
 def _flagged_alarm(cluster, mode, plan, report):
     """A detect result that passed its check but used a flagged helper is an
-    alarm: the one-row check is blind to a helper at which the window's left
-    null vector is zero, so it cannot clear a node already caught lying."""
+    alarm: two colluders can pass the one-row check
+    (test_consistent_pair_passes_detect_reconstruct), so it cannot clear a
+    node already caught lying."""
     if mode != "detect" or not report.ok:
         return report
     flagged = sorted(cluster.known_corrupt.intersection(g for g, _ in plan))

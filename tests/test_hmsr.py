@@ -823,6 +823,44 @@ def test_detect_matches_the_two_window_rule(prof_name, request):
             ("reconstruct", True), ("reconstruct", False)} <= seen
 
 
+@pytest.mark.parametrize("prof_name,failed,positions", [
+    ("q3_msr", None, 260), ("q3_mbr", None, 170),
+    ("q4_msr", (0, 7, 15), 488), ("q4_mbr", (0, 7, 15), 416)])
+def test_a_lone_liar_always_alarms_in_detect_reconstruct(prof_name, failed,
+                                                         positions, request):
+    """One nonzero offset at any entry of block 0 of any responder's layer
+    row raises the alarm at that (layer, block 0), in every detect
+    reconstruct plan with no failed node and with each failed node of
+    ``failed`` (None: every node).  The check is linear in the lie, so one
+    offset per position decides that position: no position is blind."""
+    profile = request.getfixturevalue(prof_name)
+    F, n = profile.field, profile.n_nodes
+    reconstruct = (hmsr.reconstruct_detect if profile.mode == "msr"
+                   else hmbr.reconstruct_mbr_detect)
+    message = random_message(profile, 33)
+    nodes = encode_profile(profile, message)
+    checked = 0
+    for z in [None, *(range(n) if failed is None else failed)]:
+        plan = hmsr.staged_request_plan(profile, "reconstruct", "detect",
+                                        [g for g in range(n) if g != z])
+        batches = [hmsr.recon_response(nodes[g], profile, lvl)
+                   for g, lvl in plan]
+        rep = reconstruct(batches, profile)
+        assert rep.ok and rep.message == message, z
+        for i, b in enumerate(batches):
+            for l in range(b.level + 1):
+                for e in range(profile.alpha[l]):
+                    rows = {j: list(r) for j, r in b.rows.items()}
+                    rows[l][e] = F.add(rows[l][e], 1)
+                    lie = hmsr.HelpSymbolBatch(b.helper_id, b.level, rows=rows)
+                    rep = reconstruct(batches[:i] + [lie] + batches[i + 1:],
+                                      profile)
+                    assert not rep.ok and rep.alarm == {"layer": l, "block": 0}, (
+                        z, b.helper_id, l, e)
+                    checked += 1
+    assert checked == positions
+
+
 @pytest.mark.parametrize("prof_name", ["q3_msr", "q4_msr"])
 def test_consistent_pair_passes_detect_reconstruct(prof_name, request):
     """Two omniscient colluders pass detect reconstruct silently: each adds

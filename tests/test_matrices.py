@@ -13,19 +13,13 @@ from hrgc.errors import (
 )
 from hrgc.curve import group_x_value
 from hrgc.field import SUPPORTED_Q, field_new
-from hrgc.linalg import (det_nonzero, left_null_space, mat_inv, null_space,
-                         vec_mat)
+from hrgc.linalg import det_nonzero, left_null_space, mat_inv
 from hrgc.matrices import (
-    CodeProfile,
-    _HankelForm,
-    _phi_rows,
-    _psi_rows,
     profile_digest,
     profile_from_text,
     profile_new,
     profile_to_text,
     select_delta,
-    verify_delta,
 )
 
 
@@ -150,12 +144,6 @@ def test_profile_text_pinned(name, request):
     assert hashlib.sha256(text.encode()).hexdigest() == PROFILE_TEXT_SHA256[name]
 
 
-def _base_minors_regular(F, psi, d):
-    return all(det_nonzero(F, list(sub))
-               for start in (0, 1)
-               for sub in combinations(psi[start:start + d + 1], d))
-
-
 def test_select_delta_rejects_impossible_draws(monkeypatch):
     # the draw budget: x^6 does not permute GF(16), so layer 0 of the q=4
     # profile is drawn; with one draw fewer than the first fitting draw N
@@ -190,30 +178,6 @@ def test_select_delta_rejects_impossible_draws(monkeypatch):
     assert select_delta(F, xs, alpha, "mbr", seed=seed) == ()
 
 
-def _degenerate_lams(F, xs, a):
-    """Coefficient vectors that make psi rank-deficient or Vandermonde:
-    zeros, a constant, x^(a-1) (a repeated column), x^a and x^a + 1 (psi is
-    Vandermonde of width 2a), and zeros over half of a random permutation."""
-    rng = random.Random(a)
-    half = rng.sample(range(F.order), F.order)
-    return [
-        [0] * len(xs),
-        [F.exp(3)] * len(xs),
-        [F.pow(x, a - 1) for x in xs],
-        [F.pow(x, a) for x in xs],
-        [F.add(F.pow(x, a), 1) for x in xs],
-        [v if g % 2 else 0 for g, v in enumerate(half)],
-    ]
-
-
-def _weight(F, xs, rows, i):
-    w = 1
-    for j in rows:
-        if j != i:
-            w = F.mul(w, F.sub(xs[i], xs[j]))
-    return F.inv(w)
-
-
 def _poly_at(F, f, x):
     v = 0
     for c in reversed(f):
@@ -221,65 +185,11 @@ def _poly_at(F, f, x):
     return v
 
 
-@pytest.mark.parametrize("q,alphas", [
-    (3, (1, 2, 3, 4)), (4, (1, 3, 5, 7)), (5, (2, 4, 7, 10)), (8, (1, 4, 8))])
-def test_hankel_form_is_the_left_null_space_of_psi(q, alphas):
-    # the lemma against generic elimination: for 2a or 2a + 1 rows S of
-    # [Phi, Lambda Phi], h_i = w_i f(x_i) maps null(K_S) one to one onto the
-    # left null space of psi[S], for random and degenerate lambda alike
-    F = field_new(q)
-    xs = [group_x_value(F, g) for g in range(F.order)]
-    form = _HankelForm(F, xs)
-    rng = random.Random(q)
-    for a in alphas:
-        phi = _phi_rows(F, xs, a)
-        for lam in ([rng.sample(range(F.order), F.order) for _ in range(3)]
-                    + _degenerate_lams(F, xs, a)):
-            psi = _psi_rows(F, phi, lam)
-            for e in (0, 1):
-                rows = rng.sample(range(F.order), 2 * a + e)
-                sub = [psi[i] for i in rows]
-                K = form.hankel(lam, rows, a)
-                assert len(K) == a and all(len(r) == a + e for r in K)
-                fs = null_space(F, K)
-                assert len(fs) == len(left_null_space(F, sub))
-                if e == 0:
-                    assert det_nonzero(F, K) == det_nonzero(F, sub)
-                for f in fs:
-                    h = [F.mul(_weight(F, xs, rows, i), _poly_at(F, f, xs[i]))
-                         for i in rows]
-                    assert any(h)
-                    assert vec_mat(F, h, sub) == [0] * (2 * a)
-
-
 def test_x_values_pairwise_distinct():
     for q in SUPPORTED_Q:
         F = field_new(q)
         xs = [group_x_value(F, g) for g in range(F.order)]
         assert len(set(xs)) == F.order
-
-
-def test_windows_ok_equals_every_base_window_minor(q3_msr, q4_msr):
-    # the Hankel window check against the determinant of every d-subset of
-    # psi's rows 0..d and 1..d+1: on each layer under random lambda, and
-    # under degenerate lambda that leave psi rank-deficient or Vandermonde
-    rng = random.Random(18)
-    outcomes = set()
-    for p in (q3_msr, q4_msr):
-        F = p.field
-        form = _HankelForm(F, p._xs)
-        for l, a in enumerate(p.alpha):
-            lams = ([rng.sample(range(F.order), F.order) for _ in range(15)]
-                    + _degenerate_lams(F, p._xs, a))
-            for lam in lams:
-                psi = _psi_rows(F, p.phi(l), lam)
-                regular = _base_minors_regular(F, psi, p.d[l])
-                assert form.windows_ok(lam, a) == regular
-                outcomes.add((regular,
-                              len(left_null_space(F, psi[:p.d[l] + 1])) == 1))
-    # accepted, rejected although rows 0..d have full rank, and rejected
-    # with rows 0..d rank-deficient
-    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def test_planned_repair_windows_invertible(q3_msr, q4_msr):
@@ -296,50 +206,6 @@ def test_planned_repair_windows_invertible(q3_msr, q4_msr):
                 assert len(ids["plain"]) == d and len(ids["detect"]) == d + 1
                 for win in (ids["plain"], ids["detect"][1:]):
                     assert det_nonzero(p.field, [p.nu_row(g, l) for g in win])
-
-
-def test_verify_delta_honest_report_q3(q3_msr):
-    rep = verify_delta(q3_msr)
-    assert rep.criterion_i
-    assert rep.operational
-    assert rep.method == "exhaustive"
-    # with lambda_l of degree alpha_l every d_l-subset is independent
-    assert rep.criterion_ii and rep.first_failing_subset is None
-    assert rep.singular_counts == {0: (0, 84), 1: (0, 126), 2: (0, 36)}
-
-
-def test_verify_delta_flags_duplicate_lambda(q3_msr):
-    lam = [list(vals) for vals in q3_msr.lam]
-    lam[0][1] = lam[0][0]
-    rep = verify_delta(q3_msr, lam=lam)
-    assert not rep.criterion_i
-    assert not rep.criterion_ii
-
-
-def test_verify_delta_vandermonde_pattern_layer0(q3_msr):
-    # lambda_g = x_g^alpha_0 turns layer 0 into a pure Vandermonde stack:
-    # no singular layer-0 subset; x^(alpha_0 - 1) repeats a column of
-    # [Phi_0, Lambda Phi_0], so every layer-0 subset is singular, and the
-    # report carries the first as its witness
-    p = q3_msr
-    for e, bad in ((p.alpha[0], 0), (p.alpha[0] - 1, 84)):
-        lam = [[p.field.pow(p.x_value(g), e) for g in range(9)], *p.lam[1:]]
-        rep = verify_delta(p, lam=lam)
-        assert rep.singular_counts[0] == (bad, 84)
-        assert rep.criterion_ii == (bad == 0)
-    assert rep.first_failing_subset == (0, tuple(range(6)))
-
-
-def test_verify_delta_sampled_path(q3_msr, monkeypatch):
-    # subset spaces above the exhaustive cap switch to seeded sampling;
-    # shrink both knobs so the branch runs in test time
-    import hrgc.matrices as mx
-    monkeypatch.setattr(mx, "EXHAUSTIVE_MINOR_CAP", 10)
-    monkeypatch.setattr(mx, "SAMPLED_MINORS_PER_LAYER", 500)
-    rep = verify_delta(q3_msr)
-    assert rep.method == "sampled"
-    assert all(checked == 500 for _, checked in rep.singular_counts.values())
-    assert rep.criterion_i and rep.operational
 
 
 def test_mu_rows_and_nu_rows(q3_msr):
@@ -363,7 +229,6 @@ def test_mu_rows_and_nu_rows(q3_msr):
 
 
 def test_any_alpha_rows_of_phi_independent_q3(q3_msr):
-    from itertools import combinations
     p = q3_msr
     for l in range(3):
         a = p.alpha[l]
