@@ -104,14 +104,13 @@ def _strip_t(F, mu_rows, k, R, T):
     stays None."""
     a = len(mu_rows[0])
     e = a - k
-    # U[c][m]: entry (c, m) of every block of T
-    U = [[Tc[m::e] for m in range(e)] for Tc in T]
-    out = []
-    for mu, r in zip(mu_rows, R):
-        coeffs = [1] + [F.neg(dp) for dp in mu[k:]]
-        out.append(None if r is None else _interleave(
-            [vec_mat(F, coeffs, [r[c::a]] + U[c]) for c in range(k)]))
-    return out
+    # U[m]: entry (c, m) of every block of T, at the place of the strip's
+    # entry c of that block
+    U = [_interleave([Tc[m::e] for Tc in T]) for m in range(e)]
+    return [None if r is None else vec_mat(
+                F, [1] + [F.neg(dp) for dp in mu[k:]],
+                [_interleave([r[c::a] for c in range(k)])] + U)
+            for mu, r in zip(mu_rows, R)]
 
 
 def _extract_m(F, mu_rows, k, R, omega_inv):

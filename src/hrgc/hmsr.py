@@ -52,13 +52,18 @@ R Phi^T = C + Lambda D pair by pair, each entry a vector with one symbol per
 block, for the window extractor ``extract_st`` (alpha_l + 1 rows, every
 block of a layer) and the recovery solver ``rec_st`` (all q^2 rows, erased
 ones None, one block); C and D are symmetric, so row j of each is column
-j's word.
+j's word.  The extractor's products run on rows that hold every block, and
+its window inverts one matrix: row i of C = Phi S Phi^T is a polynomial of
+degree below alpha_l at the window's x-values, so Lagrange weights complete
+the diagonal of C's first alpha_l rows and columns, E = Omega S Omega^T,
+and S = Omega^-1 E Omega^-T (T likewise from D).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dfield
+from functools import reduce
 from itertools import chain
 
 from .decoder import ERASED, _poly_divmod, decode
@@ -167,9 +172,11 @@ def encode(st: MessageMatrices, profile: CodeProfile):
     return _encode(st, profile, profile.nu_row, _st_stack)
 
 
-def tilde_rows(profile: CodeProfile, state: NodeState):
-    """B_g^{-1} Y_g: row l carries the layer-l payload of node g."""
-    return mat_mul(profile.field, profile.points.basis_inv(state.node_id), state.y)
+def tilde_rows(profile: CodeProfile, state: NodeState, level: int):
+    """Rows 0..level of B_g^{-1} Y_g: row l carries the layer-l payload of
+    node g."""
+    return mat_mul(profile.field,
+                   profile.points.basis_inv(state.node_id)[:level + 1], state.y)
 
 
 def helper_response(state: NodeState, profile: CodeProfile, level: int,
@@ -177,7 +184,7 @@ def helper_response(state: NodeState, profile: CodeProfile, level: int,
     """Repair help symbols for layers 0..level, computed from local state only."""
     assert state.node_id != target
     F = profile.field
-    tilde = tilde_rows(profile, state)
+    tilde = tilde_rows(profile, state, level)
     symbols = {}
     for l in range(level + 1):
         a = profile.alpha[l]
@@ -192,11 +199,9 @@ def helper_response(state: NodeState, profile: CodeProfile, level: int,
 def recon_response(state: NodeState, profile: CodeProfile,
                    level: int) -> HelpSymbolBatch:
     """Reconstruction rows: layer rows 0..level of B_g^{-1} Y_g."""
-    tilde = tilde_rows(profile, state)
-    return HelpSymbolBatch(
-        helper_id=state.node_id, level=level,
-        rows={l: tilde[l] for l in range(level + 1)},
-    )
+    rows = tilde_rows(profile, state, level)
+    return HelpSymbolBatch(helper_id=state.node_id, level=level,
+                           rows=dict(enumerate(rows)))
 
 
 # -- staged request protocol ----------------------------------------------------
@@ -215,25 +220,32 @@ def staged_request_plan(profile: CodeProfile, op: str, mode: str, live_ids):
     """[(helper_id, level)] over ``live_ids``, levels descending and ids
     ascending, such that ``request_counts`` helpers serve each layer (a
     helper asked at level j serves layers 0..j).  A plain or detect MSR
-    reconstruction passes over a live node that would join the window of a
-    layer l (its first k_l helpers) holding a helper with the same lambda_l
-    (that window would be singular), when enough other nodes remain."""
+    reconstruction passes over a live node that would join the first
+    counts[l] helpers of a layer l (its window of k_l, and in detect the
+    extra responder) holding a helper with the same lambda_l, when enough
+    other nodes remain: an extra responder that shares lambda_l with the
+    window can leave a lie blind.  When too few remain it keeps only the
+    window's k_l distinct (a window that shares lambda_l is singular)."""
     live = sorted(live_ids)
     counts = request_counts(profile, op, mode, len(live))
     if len(live) < counts[0]:
         raise NotEnoughHelpers(f"need {counts[0]} live helpers, have {len(live)}")
     if profile.lam and op == "reconstruct" and mode != "recover":
-        chosen, seen = [], [set() for _ in range(profile.q)]
-        for g in live:
+        # distinct lambda_l over each layer's first counts[l] helpers, else
+        # over its window alone
+        for sizes in (counts, profile.k):
+            chosen, seen = [], [set() for _ in range(profile.q)]
+            for g in live:
+                if len(chosen) == counts[0]:
+                    break
+                window = [l for l in range(profile.q) if len(chosen) < sizes[l]]
+                if all(profile.lam[l][g] not in seen[l] for l in window):
+                    chosen.append(g)
+                    for l in window:
+                        seen[l].add(profile.lam[l][g])
             if len(chosen) == counts[0]:
+                live = chosen
                 break
-            window = [l for l in range(profile.q) if len(chosen) < profile.k[l]]
-            if all(profile.lam[l][g] not in seen[l] for l in window):
-                chosen.append(g)
-                for l in window:
-                    seen[l].add(profile.lam[l][g])
-        if len(chosen) == counts[0]:
-            live = chosen
     helpers, above = iter(live), counts[1:] + [0]
     return [(next(helpers), j) for j in range(profile.q - 1, -1, -1)
             for _ in range(counts[j] - above[j])]
@@ -564,8 +576,11 @@ def regenerate_recover(z, batches, profile: CodeProfile,
 
 
 class ExtractContext:
-    """Per-(layer, responder set) inverses reused across the blocks, with the
-    field and the layer's width alpha_l."""
+    """The window of layer l and the responders ``ids``, built once and
+    reused across the blocks: the field, the layer's width alpha_l, the
+    responders' mu rows and lambda_l values, Omega^-1 (Omega the first
+    alpha_l mu rows) and the Lagrange weights that complete the diagonal of
+    C = Phi S Phi^T."""
 
     def __init__(self, profile: CodeProfile, l: int, ids):
         self.field = F = profile.field
@@ -576,9 +591,14 @@ class ExtractContext:
         if len(set(self.lam)) < len(ids):
             # a pair that shares lambda_l gives one equation for two unknowns
             raise SingularSystem(f"window {list(ids)} shares a lambda_{l} value")
-        # (Pi_i^-1)^t for Pi_i = Phi^t without column i
-        self.pi_inv_t = [mat_inv(F, self.mu[:i] + self.mu[i + 1:])
-                         for i in range(a)]
+        # row i of C is p_i(x_j), p_i = mu_i S times the powers of x, of
+        # degree below alpha_l: p_i(x_i) has weight -delta_i / delta_j on
+        # p_i(x_j), delta_j = prod_{m != j} (x_j - x_m) over the window
+        xs = [profile.x_value(g) for g in ids]
+        delta = [reduce(F.mul, [F.sub(x, y) for y in xs if y != x], 1)
+                 for x in xs]
+        self.weights = [[F.neg(F.div(delta[i], delta[j]))
+                         for j in range(a + 1) if j != i] for i in range(a)]
         self.omega_inv = mat_inv(F, self.mu[:a])
 
 
@@ -593,10 +613,15 @@ def extract_st(R, ctx: ExtractContext):
     blocks are symmetric and reproduce R, whatever R holds.
     """
     F, a = ctx.field, ctx.width
-    # R Phi^t block by block: one product per row, over entry c of every block
-    C, D = _pairs(F, [mat_mul(F, ctx.mu, [r[c::a] for c in range(a)]) for r in R],
-                  ctx.lam)
-    return _rebuild(F, C, ctx, a), _rebuild(F, D, ctx, a)
+    w = len(R[0]) // a
+    # R Phi^t for every responder and block in one product: row c of the
+    # right factor holds entry c of every block of every responder, so
+    # responder i's w columns of product row j are its rhat entry j
+    P = mat_mul(F, ctx.mu, [list(chain.from_iterable(r[c::a] for r in R))
+                            for c in range(a)])
+    C, D = _pairs(F, [[row[i * w:(i + 1) * w] for row in P]
+                      for i in range(a + 1)], ctx.lam)
+    return _rebuild(F, C, D, ctx, w)
 
 
 def _pairs(F, rhat, lam):
@@ -622,15 +647,27 @@ def _pairs(F, rhat, lam):
     return C, D
 
 
-def _rebuild(F, C, ctx, a):
-    """Omega^-1 times the rows row_i(C without its diagonal) Pi_i^-1, for
-    C's vectors of blocks; returns the blocks side by side."""
-    # Z[i][c]: entry c of row i, every block
-    Z = [mat_mul(F, ctx.pi_inv_t[i], C[i][:i] + C[i][i + 1:]) for i in range(a)]
-    # cols[c][r]: entry (r, c), every block
-    cols = [mat_mul(F, ctx.omega_inv, [Z[i][c] for i in range(a)])
-            for c in range(a)]
-    return [_interleave([col[r] for col in cols]) for r in range(a)]
+def _rebuild(F, C, D, ctx, w):
+    """(S, T), the blocks side by side, from the window's C = Phi S Phi^T
+    and D = Phi T Phi^T (vectors of w blocks, diagonal unknown).  The first
+    alpha_l rows and columns of C, diagonal completed, are
+    E = Omega S Omega^T, so S = Omega^-1 E Omega^-T; T likewise from D.  Both
+    are solved together on rows whose entry j is [C_ij || D_ij]."""
+    a, n = ctx.width, 2 * w
+    E = []
+    for i, weights in enumerate(ctx.weights):
+        known = [C[i][j] + D[i][j] for j in range(a + 1) if j != i]
+        diagonal = vec_mat(F, weights, known)
+        E.append(list(chain.from_iterable(
+            known[:i] + [diagonal] + known[i:a - 1])))
+    # Omega^-1 E; then Omega^-1 times its transpose, whose row j holds
+    # entry j of every row: entry r of row c of the result is S_cr (T_cr)
+    G = mat_mul(F, ctx.omega_inv, E)
+    K = mat_mul(F, ctx.omega_inv, [
+        list(chain.from_iterable(g[j * n:(j + 1) * n] for g in G))
+        for j in range(a)])
+    return tuple([_interleave([k[r * n + h:r * n + h + w] for r in range(a)])
+                  for k in K] for h in (0, w))
 
 
 def _st_window(profile, l, ids):

@@ -3,13 +3,15 @@
 A command-line call builds one subcommand's parser and one field, a cluster
 load or save builds the node file header, and so the profile digest, once
 rather than once per node file, and a profile enumerates its curve points
-once."""
+once.  A reconstruction window inverts one matrix, and its extractor's kernel
+calls do not grow with the number of blocks."""
 
 import argparse
+import random
 
 import pytest
 
-from hrgc import cli, field, matrices, sim
+from hrgc import cli, field, hmbr, hmsr, matrices, sim
 from hrgc.matrices import profile_from_text, profile_new, profile_to_text
 
 
@@ -80,3 +82,43 @@ def test_a_profile_enumerates_its_points_once(q4_msr, monkeypatch):
     profile = profile_from_text(profile_to_text(q4_msr))
     assert len(points) == 1
     assert profile.points.points == q4_msr.points.points
+
+
+def test_an_msr_window_inverts_one_matrix(q4_msr, monkeypatch):
+    # Omega^-1 only: the diagonal completion replaces the alpha_l inverses
+    # of Phi without one row
+    inverses = _counting(monkeypatch, hmsr, "mat_inv")
+    for l, a in enumerate(q4_msr.alpha):
+        ids = hmsr._window_ids(list(range(q4_msr.n_nodes)), a + 1,
+                               q4_msr.lam[l])
+        inverses.clear()
+        hmsr.ExtractContext(q4_msr, l, ids)
+        assert len(inverses) == 1, l
+
+
+def _comb_calls(extract, rows):
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting(mp, field.Field, "comb")
+        extract(rows)
+    return len(calls)
+
+
+def test_window_extractors_make_one_kernel_call_per_product_row(q4_msr,
+                                                                q4_mbr):
+    """The extractors multiply rows that hold every block, so one block or
+    all A/alpha_0 blocks of q=4 layer 0 cost the same number of
+    ``Field.comb`` calls: one per row of each product (``extract_st``:
+    R Phi^t, the alpha_0 diagonals and two Omega^-1 products;
+    ``_extract_m``: T, one strip per responder and S)."""
+    rng = random.Random(9)
+    for p, window, calls in (
+            (q4_msr, hmsr._st_window, 4 * q4_msr.alpha[0] + 1),
+            (q4_mbr, hmbr._m_window, 3 * q4_mbr.k[0])):
+        n = p.n_nodes
+        ids = hmsr._window_ids(list(range(n)), p.k[0],
+                               p.lam[0] if p.lam else range(n))
+        extract = window(p, 0, ids)
+        for width in (p.alpha[0], p.A):
+            rows = [[rng.randrange(p.field.order) for _ in range(width)]
+                    for _ in ids]
+            assert _comb_calls(extract, rows) == calls, (p.mode, width)

@@ -118,7 +118,7 @@ def test_encode_layer_identity(prof_name, request):
     st = hmsr.arrange_st(msg, profile)
     nodes = encode_profile(profile, msg)
     for g in range(profile.n_nodes):
-        tilde = hmsr.tilde_rows(profile, nodes[g])
+        tilde = hmsr.tilde_rows(profile, nodes[g], profile.q - 1)
         for l in range(profile.q):
             a = profile.alpha[l]
             mu = profile.mu_row(g, l)
@@ -202,28 +202,42 @@ def _lowest_ids_plan(profile, op, mode, live):
 
 
 def test_reconstruct_plan_passes_over_nodes_that_share_lambda(q4_msr):
-    # with at most two failed nodes the lowest live ids already hold
-    # distinct lambda_l in every window (the first k_l helpers of layer l);
-    # with three, the plan passes over a node that would share one, and
-    # every window of all 1120 failure sets is then regular
+    # each layer's first counts[l] helpers (its window of k_l, and in
+    # detect the extra responder) hold distinct lambda_l in every plan with
+    # at most two failed nodes: with at most one the lowest live ids already
+    # do, and 25 two-failure detect plans pass over a node that would share
+    # one (failed 0 and 2: node 6 shares lambda_3 with node 1, so node 7
+    # answers at level 3 instead); with three, when too few nodes remain for
+    # that, only the windows of k_l keep distinct lambda_l, and every window
+    # of all 1120 failure sets is then regular
     from itertools import combinations
     p = q4_msr
-    colliding = 0
+    colliding = passed_over = 0
     for nf in (0, 1, 2, 3):
         for failed in combinations(range(16), nf):
             live = [g for g in range(16) if g not in failed]
             for mode in ("plain", "detect"):
                 plan = hmsr.staged_request_plan(p, "reconstruct", mode, live)
+                lowest = _lowest_ids_plan(p, "reconstruct", mode, live)
                 if nf <= 2:
-                    assert plan == _lowest_ids_plan(
-                        p, "reconstruct", mode, live), (failed, mode)
-                assert [j for _, j in plan] == [
-                    j for _, j in _lowest_ids_plan(p, "reconstruct", mode, live)]
-                windows = [sorted(g for g, j in plan if j >= l)[:p.k[l]]
-                           for l in range(p.q)]
-                colliding += any(len({p.lam[l][g] for g in ids}) < len(ids)
-                                 for l, ids in enumerate(windows))
-    assert colliding == 0
+                    passed_over += plan != lowest
+                    assert plan == lowest or (nf, mode) == (2, "detect")
+                assert [j for _, j in plan] == [j for _, j in lowest]
+                served = [sorted(g for g, j in plan if j >= l)
+                          for l in range(p.q)]
+                counts = hmsr.request_counts(p, "reconstruct", mode,
+                                             len(live))
+                for sizes in (p.k, counts):
+                    shared = any(len({p.lam[l][g] for g in ids[:sizes[l]]})
+                                 < sizes[l] for l, ids in enumerate(served))
+                    if sizes is p.k:
+                        colliding += shared
+                    elif nf <= 2:
+                        assert not shared, (failed, mode)
+    assert colliding == 0 and passed_over == 25
+    assert hmsr.staged_request_plan(
+        p, "reconstruct", "detect", [1, *range(3, 16)]) == [
+            (1, 3), (3, 3), (4, 3), (5, 3), (7, 3), (8, 2), (9, 1), (10, 0)]
     message = random_message(p, 5)
     for mode in ("plain", "detect"):
         cluster = sim.cluster_init(p, message)
@@ -474,6 +488,87 @@ def test_extract_st_random_rows_extract_symmetric_blocks(q3_msr, q4_msr, q5_msr)
                 assert hmsr._asymmetric_block(T) is None, (p.q, l, ids)
                 assert mat_mul(F, [p.nu_row(g, l) for g in ids], S + T) == R
         assert regular >= 3 * p.q
+
+
+def _square_system_st(p, l, ids, R):
+    """The symmetric (S, T), blocks side by side, that ``solve_square``
+    returns for the alpha_l (alpha_l + 1) equations of the window: unknowns
+    the upper triangles of S and T, equation (i, c) that entry c of node
+    ids[i]'s response mu_i S + lambda_l mu_i T is entry c of R[i]."""
+    F, a = p.field, p.alpha[l]
+    upper = [(u, v) for u in range(a) for v in range(u, a)]
+    A, b = [], []
+    for i, g in enumerate(ids):
+        mu, lam = p.mu_row(g, l), p.lam[l][g]
+        for c in range(a):
+            # S_rc for every r is the unknown (min(r, c), max(r, c))
+            row = [mu[u if v == c else v] if c in (u, v) else 0
+                   for u, v in upper]
+            A.append(row + F.scale(lam, row))
+            b.append(R[i][c::a])
+    x = solve_square(F, A, b)
+    out = []
+    for half in (x[:len(upper)], x[len(upper):]):
+        M = [[None] * a for _ in range(a)]
+        for (u, v), vals in zip(upper, half):
+            M[u][v] = M[v][u] = vals
+        out.append([hmsr._interleave(row) for row in M])
+    return tuple(out)
+
+
+def test_extract_st_equals_the_square_system_solution(q3_msr, q4_msr, q5_msr):
+    """The diagonal-completed extraction returns, block by block, the one
+    symmetric (S, T) that eliminating the square alpha_l (alpha_l + 1)
+    system of the window returns, for random rows at every layer."""
+    rng = random.Random(41)
+    for p in (q3_msr, q4_msr, q5_msr):
+        F, n = p.field, p.n_nodes
+        for l in range(p.q):
+            a, solved = p.alpha[l], 0
+            while solved < 3:
+                ids = sorted(rng.sample(range(n), a + 1))
+                try:
+                    ctx = hmsr.ExtractContext(p, l, ids)
+                except SingularSystem:
+                    continue
+                R = [[rng.randrange(F.order) for _ in range(4 * a)]
+                     for _ in ids]
+                assert hmsr.extract_st(R, ctx) == _square_system_st(
+                    p, l, ids, R), (p.q, l, ids)
+                solved += 1
+
+
+def test_diagonal_weights_are_the_lagrange_weights(q3_msr, q4_msr, q5_msr):
+    """-delta_i / delta_j is the weight on p(x_j) of p(x_i), for p of degree
+    below alpha_l known at the window's other alpha_l x-values: the
+    Lagrange basis polynomial of x_j, prod_{m != i, j} (x_i - x_m) /
+    (x_j - x_m), at x_i."""
+    rng = random.Random(42)
+    for p in (q3_msr, q4_msr, q5_msr):
+        F = p.field
+        for l in range(p.q):
+            a = p.alpha[l]
+            ids = hmsr._window_ids(rng.sample(range(p.n_nodes), p.n_nodes),
+                                   a + 1, p.lam[l])
+            xs = [p.x_value(g) for g in ids]
+            ctx = hmsr.ExtractContext(p, l, ids)
+            for i in range(a):
+                others = [j for j in range(a + 1) if j != i]
+                want = []
+                for j in others:
+                    w = 1
+                    for m in others:
+                        if m != j:
+                            w = F.mul(w, F.div(F.sub(xs[i], xs[m]),
+                                               F.sub(xs[j], xs[m])))
+                    want.append(w)
+                assert ctx.weights[i] == want, (p.q, l, i)
+                # and it evaluates a polynomial of degree below alpha_l
+                coeffs = [rng.randrange(F.order) for _ in range(a)]
+                values = [vec_mat(F, p.mu_row(g, l), [[c] for c in coeffs])[0]
+                          for g in ids]
+                assert vec_mat(F, want, [[values[j]] for j in others]) == [
+                    values[i]]
 
 
 def test_detect_mode_catches_what_extraction_absorbs(q3_msr):
@@ -825,28 +920,37 @@ def test_detect_matches_the_two_window_rule(prof_name, request):
 
 @pytest.mark.parametrize("prof_name,failed,positions", [
     ("q3_msr", None, 260), ("q3_mbr", None, 170),
-    ("q4_msr", (0, 7, 15), 488), ("q4_mbr", (0, 7, 15), 416)])
+    ("q4_msr", (0, 7, 15), 488), ("q4_mbr", (0, 7, 15), 416),
+    ("q3_msr", 2, 936)])
 def test_a_lone_liar_always_alarms_in_detect_reconstruct(prof_name, failed,
                                                          positions, request):
     """One nonzero offset at any entry of block 0 of any responder's layer
     row raises the alarm at that (layer, block 0), in every detect
     reconstruct plan with no failed node and with each failed node of
-    ``failed`` (None: every node).  The check is linear in the lie, so one
-    offset per position decides that position: no position is blind."""
+    ``failed`` (None: every node), or, when ``failed`` is a number, with
+    every set of that many failed nodes.  The check is linear in the lie,
+    so one offset per position decides that position: no position is
+    blind."""
+    from itertools import combinations
     profile = request.getfixturevalue(prof_name)
     F, n = profile.field, profile.n_nodes
     reconstruct = (hmsr.reconstruct_detect if profile.mode == "msr"
                    else hmbr.reconstruct_mbr_detect)
     message = random_message(profile, 33)
     nodes = encode_profile(profile, message)
+    if isinstance(failed, int):
+        failure_sets = list(combinations(range(n), failed))
+    else:
+        failure_sets = [(), *((z,) for z in (range(n) if failed is None
+                                             else failed))]
     checked = 0
-    for z in [None, *(range(n) if failed is None else failed)]:
+    for down in failure_sets:
         plan = hmsr.staged_request_plan(profile, "reconstruct", "detect",
-                                        [g for g in range(n) if g != z])
+                                        [g for g in range(n) if g not in down])
         batches = [hmsr.recon_response(nodes[g], profile, lvl)
                    for g, lvl in plan]
         rep = reconstruct(batches, profile)
-        assert rep.ok and rep.message == message, z
+        assert rep.ok and rep.message == message, down
         for i, b in enumerate(batches):
             for l in range(b.level + 1):
                 for e in range(profile.alpha[l]):
@@ -856,7 +960,7 @@ def test_a_lone_liar_always_alarms_in_detect_reconstruct(prof_name, failed,
                     rep = reconstruct(batches[:i] + [lie] + batches[i + 1:],
                                       profile)
                     assert not rep.ok and rep.alarm == {"layer": l, "block": 0}, (
-                        z, b.helper_id, l, e)
+                        down, b.helper_id, l, e)
                     checked += 1
     assert checked == positions
 
@@ -926,7 +1030,7 @@ def test_recovery_solvers_reduce_to_the_window_extractors(prof_name, request):
     solve = hmsr.rec_st if msr else hmbr.rec_m
     message = random_message(profile, 77)
     truth = (hmsr.arrange_st if msr else hmbr.arrange_m)(message, profile)
-    stack = [hmsr.tilde_rows(profile, s)
+    stack = [hmsr.tilde_rows(profile, s, profile.q - 1)
              for s in encode_profile(profile, message)]
     rng = random.Random(78)
     for l in range(profile.q):
@@ -1031,7 +1135,7 @@ def _lying_batches(profile, message, liars, kind, activation, rng):
     for b in recon_batches(profile, nodes, "recover"):
         rows = {l: list(r) for l, r in b.rows.items()}
         if b.helper_id in liars:
-            alt = hmsr.tilde_rows(profile, other[b.helper_id])
+            alt = hmsr.tilde_rows(profile, other[b.helper_id], profile.q - 1)
             for l, r in rows.items():
                 a = profile.alpha[l]
                 for t in range(profile.blocks(l)):
@@ -1567,7 +1671,7 @@ def test_layer_extraction_matches_the_per_block_extractors(prof_name, request):
     message = random_message(profile, 63)
     truth = (hmsr.arrange_st if msr else hmbr.arrange_m)(message, profile)
     nodes = encode_profile(profile, message)
-    stack = [hmsr.tilde_rows(profile, s) for s in nodes]
+    stack = [hmsr.tilde_rows(profile, s, profile.q - 1) for s in nodes]
     for l in range(profile.q):
         a, k = profile.alpha[l], profile.k[l]
         ids = list(range(1, k + 1))
