@@ -231,8 +231,6 @@ def staged_request_plan(profile: CodeProfile, op: str, mode: str, live_ids):
     if len(live) < counts[0]:
         raise NotEnoughHelpers(f"need {counts[0]} live helpers, have {len(live)}")
     if profile.lam and op == "reconstruct" and mode != "recover":
-        # distinct lambda_l over each layer's first counts[l] helpers, else
-        # over its window alone
         for sizes in (counts, profile.k):
             chosen, seen = [], [set() for _ in range(profile.q)]
             for g in live:
