@@ -159,8 +159,9 @@ class Field:
     # -- row kernels ----------------------------------------------------
     #
     # Table-driven "multiply a region by a constant" (Plank, Greenan and
-    # Miller, FAST 2013).  Rows are lists of symbols; the scalar mul/add
-    # above stay the reference the kernels are tested against.
+    # Miller, FAST 2013).  Rows are lists of symbols, or bytes of one symbol
+    # per byte; the scalar mul/add above stay the reference the kernels are
+    # tested against.
 
     def scale(self, a: int, row):
         """a * row, elementwise."""
@@ -173,14 +174,30 @@ class Field:
         return [add[x][pa[y]] for x, y in zip(acc, row)]
 
     def pack(self, rows, width: int):
-        """``rows`` (each ``width`` symbols) in the form ``comb`` takes:
+        """``rows`` (each ``width`` symbols) in the form the combs take:
         bytes, one symbol per byte, when the rows are wide enough for the
         bytes kernel to win, else the lists themselves."""
         return [bytes(r) for r in rows] if width >= self._wide else rows
 
     def comb(self, coeffs, rows, width: int):
         """sum_i coeffs[i] * rows[i] as a list of ``width`` symbols, for
-        ``rows`` from ``pack``; zero coefficients cost nothing.
+        ``rows`` from ``pack``; zero coefficients cost nothing.  The list
+        view of ``comb_bytes``: wide rows take its lanes, and its narrow sum
+        is this list loop."""
+        if width >= self._wide:
+            return list(self.comb_bytes(coeffs, rows, width))
+        # axpy, inlined: the narrow block solves run this loop
+        add, mul = self._add, self._mul
+        acc = [0] * width
+        for a, r in zip(coeffs, rows):
+            if a:
+                pa = mul[a]
+                acc = [add[x][pa[y]] for x, y in zip(acc, r)]
+        return acc
+
+    def comb_bytes(self, coeffs, rows, width: int) -> bytes:
+        """sum_i coeffs[i] * rows[i] as ``width`` bytes, one symbol per
+        byte, for ``rows`` from ``pack`` or rows already held as bytes.
 
         Wide rows are big-int lanes of one byte per symbol.  In char 2 the
         sum is XOR.  For odd p each base-p digit has its own accumulator
@@ -190,21 +207,14 @@ class Field:
         sum_i p^i plane_i.
         """
         if width < self._wide:
-            # axpy, inlined: the narrow block solves run this loop
-            add, mul = self._add, self._mul
-            acc = [0] * width
-            for a, r in zip(coeffs, rows):
-                if a:
-                    pa = mul[a]
-                    acc = [add[x][pa[y]] for x, y in zip(acc, r)]
-            return acc
+            return bytes(self.comb(coeffs, rows, width))
         tabs = self._mul_bytes
         if self.characteristic == 2:
             acc = 0
             for a, r in zip(coeffs, rows):
                 if a:
                     acc ^= int.from_bytes(r.translate(tabs[a]), "little")
-            return list(acc.to_bytes(width, "little"))
+            return acc.to_bytes(width, "little")
         p, mod = self.characteristic, self._mod_p
 
         def reduce(v):
@@ -225,7 +235,7 @@ class Field:
         acc = 0
         for v in reversed(planes):
             acc = acc * p + reduce(v)
-        return list(acc.to_bytes(width, "little"))
+        return acc.to_bytes(width, "little")
 
     # -- structure ------------------------------------------------------
 

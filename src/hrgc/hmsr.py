@@ -9,6 +9,14 @@ the layers' lambda_l(x_g), so that row l of B_g^{-1} Y_g splits into blocks
 mu_{g,l} S_{l,t} + lambda_l(x_g) mu_{g,l} T_{l,t}
 -- one inner product per helper is enough to repair.
 
+A helper's layer rows stay bytes from the basis transform (``tilde_rows``)
+to its help symbols (``helper_response``), which are ints keyed by the
+profile's prebuilt (l, t) tuples.  Reconstruction rows (``recon_response``)
+stay lists because the reconstruction loops compare rows with ``!=``, the
+simulated liars' rows are rewritten as lists, and a bytes row never equals
+a list of the same symbols; node states stay lists because a repair
+reports one, whose repr the outcome digest pins.
+
 Repair and reconstruction run one plain/detect loop and one recover loop.
 A repair is a reconstruction whose blocks are one help symbol wide and
 whose window is the inverse of the helpers' encoding rows.  The blocks of a
@@ -174,34 +182,43 @@ def encode(st: MessageMatrices, profile: CodeProfile):
 
 def tilde_rows(profile: CodeProfile, state: NodeState, level: int):
     """Rows 0..level of B_g^{-1} Y_g: row l carries the layer-l payload of
-    node g."""
-    return mat_mul(profile.field,
-                   profile.points.basis_inv(state.node_id)[:level + 1], state.y)
+    node g.  Each row is bytes, one symbol per byte (the node file's row
+    layout): ``helper_response`` slices it straight into the help-symbol
+    product, and ``recon_response`` hands it on as a list."""
+    F, A = profile.field, profile.A
+    y = F.pack(state.y, A)
+    return [F.comb_bytes(c, y, A)
+            for c in profile.points.basis_inv(state.node_id)[:level + 1]]
 
 
 def helper_response(state: NodeState, profile: CodeProfile, level: int,
                     target: int) -> HelpSymbolBatch:
-    """Repair help symbols for layers 0..level, computed from local state only."""
+    """Repair help symbols for layers 0..level, computed from local state
+    only.  Each layer row stays bytes from the basis transform to the
+    product, whose factor rows are its bytes slices; the symbols come out
+    as ints, keyed by the profile's ``help_keys`` tuples, so a response
+    builds no key."""
     assert state.node_id != target
     F = profile.field
     tilde = tilde_rows(profile, state, level)
     symbols = {}
-    for l in range(level + 1):
+    for l, (row, keys) in enumerate(zip(tilde, profile.help_keys)):
         a = profile.alpha[l]
         # block t's symbol is its slice of the row times mu_z: mu_z times the
         # matrix whose row j holds entry j of every block
-        dots = vec_mat(F, profile.mu_row(target, l),
-                       [tilde[l][j::a] for j in range(a)])
-        symbols.update(((l, t), v) for t, v in enumerate(dots))
+        symbols.update(zip(keys, F.comb_bytes(
+            profile.mu_row(target, l), [row[j::a] for j in range(a)],
+            len(keys))))
     return HelpSymbolBatch(helper_id=state.node_id, level=level, symbols=symbols)
 
 
 def recon_response(state: NodeState, profile: CodeProfile,
                    level: int) -> HelpSymbolBatch:
-    """Reconstruction rows: layer rows 0..level of B_g^{-1} Y_g."""
+    """Reconstruction rows: layer rows 0..level of B_g^{-1} Y_g, as lists
+    (see the module docstring)."""
     rows = tilde_rows(profile, state, level)
     return HelpSymbolBatch(helper_id=state.node_id, level=level,
-                           rows=dict(enumerate(rows)))
+                           rows=dict(enumerate(map(list, rows))))
 
 
 # -- staged request protocol ----------------------------------------------------
@@ -291,10 +308,16 @@ def _interleave(cols):
 
 
 def _first_difference(u, v):
-    """The lowest index at which u and v differ, or None."""
-    if u == v:
-        return None
-    return next(i for i, (x, y) in enumerate(zip(u, v)) if x != y)
+    """The lowest index at which u and v differ (the shorter length when one
+    is a proper prefix of the other), or None when they hold the same
+    symbols, whether as lists or bytes."""
+    if u != v:
+        for i, (x, y) in enumerate(zip(u, v)):
+            if x != y:
+                return i
+        if len(u) != len(v):
+            return min(len(u), len(v))
+    return None
 
 
 def _asymmetric_block(M):
@@ -343,7 +366,7 @@ def _repair(z, batches, profile, mode, row, finish, split,
     symbols = {b.helper_id: b.symbols for b in batches}
 
     def rows(g, l):
-        return [symbols[g][(l, t)] for t in range(profile.blocks(l))]
+        return list(map(symbols[g].__getitem__, profile.help_keys[l]))
 
     def window(profile, l, ids):
         d = len(ids)

@@ -111,6 +111,13 @@ class CodeProfile:
         """The message layout's index tables (``_layout_tables``)."""
         return _layout_tables(self)
 
+    @cached_property
+    def help_keys(self):
+        """Per layer l, the keys (l, t) of its blocks' help symbols, built
+        once so that a helper response makes none."""
+        return tuple(tuple((l, t) for t in range(self.blocks(l)))
+                     for l in range(self.q))
+
     @property
     def n_nodes(self) -> int:
         return self.q * self.q

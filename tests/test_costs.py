@@ -4,13 +4,16 @@ A command-line call builds one subcommand's parser and one field, a cluster
 load or save builds the node file header, and so the profile digest, once
 rather than once per node file, and a profile enumerates its curve points
 once.  A reconstruction window inverts one matrix, and its extractor's kernel
-calls do not grow with the number of blocks."""
+calls do not grow with the number of blocks.  A helper response makes one
+bytes-kernel call per layer for the basis transform and one for the help
+symbols, and builds no key tuple."""
 
 import argparse
 import random
 
 import pytest
 
+from conftest import encode_profile
 from hrgc import cli, field, hmbr, hmsr, matrices, sim
 from hrgc.matrices import profile_from_text, profile_new, profile_to_text
 
@@ -122,3 +125,26 @@ def test_window_extractors_make_one_kernel_call_per_product_row(q4_msr,
             rows = [[rng.randrange(p.field.order) for _ in range(width)]
                     for _ in ids]
             assert _comb_calls(extract, rows) == calls, (p.mode, width)
+
+
+@pytest.mark.parametrize("prof_name", ["q4_msr", "q5_msr", "q5_mbr"])
+def test_a_helper_response_makes_two_kernel_calls_per_layer(prof_name,
+                                                             request,
+                                                             monkeypatch):
+    """At level L: L + 1 basis-transform calls (rows A wide) and L + 1
+    help-symbol calls (one symbol per block), all on bytes rows, so the
+    list kernel never runs; every key is the profile's own (l, t) tuple."""
+    profile = request.getfixturevalue(prof_name)
+    nodes = encode_profile(profile, [1] * profile.B)
+    hmsr.tilde_rows(profile, nodes[2], 0)     # B_2^-1, built at first use
+    calls = _counting(monkeypatch, field.Field, "comb_bytes")
+    lists = _counting(monkeypatch, field.Field, "comb")
+    for level in range(profile.q):
+        calls.clear()
+        batch = hmsr.helper_response(nodes[2], profile, level, 0)
+        widths = [args[3] for args in calls]
+        assert widths == [profile.A] * (level + 1) + [
+            profile.blocks(l) for l in range(level + 1)], level
+        assert not lists
+        keys = profile.help_keys
+        assert all(key is keys[key[0]][key[1]] for key in batch.symbols)

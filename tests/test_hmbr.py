@@ -68,7 +68,7 @@ def test_encode_layer_identity(prof_name, request):
     m = hmbr.arrange_m(msg, p)
     nodes = encode_profile(p, msg)
     for g in range(p.n_nodes):
-        tilde = hmsr.tilde_rows(p, nodes[g], p.q - 1)
+        tilde = [list(r) for r in hmsr.tilde_rows(p, nodes[g], p.q - 1)]
         for l in range(p.q):
             a = p.alpha[l]
             mu = p.mu_row(g, l)

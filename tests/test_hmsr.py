@@ -118,7 +118,8 @@ def test_encode_layer_identity(prof_name, request):
     st = hmsr.arrange_st(msg, profile)
     nodes = encode_profile(profile, msg)
     for g in range(profile.n_nodes):
-        tilde = hmsr.tilde_rows(profile, nodes[g], profile.q - 1)
+        tilde = [list(r) for r in
+                 hmsr.tilde_rows(profile, nodes[g], profile.q - 1)]
         for l in range(profile.q):
             a = profile.alpha[l]
             mu = profile.mu_row(g, l)
@@ -154,6 +155,59 @@ def test_helper_response_counts(q3_msr):
     zero_nodes = encode_profile(q3_msr, [0] * 54)
     batch = hmsr.helper_response(zero_nodes[1], q3_msr, 2, 0)
     assert set(batch.symbols.values()) == {0}
+
+
+@pytest.mark.parametrize(
+    "prof_name", ["q3_msr", "q4_msr", "q5_msr", "q3_mbr", "q4_mbr", "q5_mbr"])
+def test_help_symbols_equal_the_per_block_reference(prof_name, request):
+    """For every node, level and target, the help symbols are mu_z times
+    each block's slice of the list rows B_g^-1 Y_g, and the reconstruction
+    rows are those rows as int lists.  The fixtures cover odd p and char 2,
+    rows narrower than the bytes kernel's lanes (q=3) and wider ones."""
+    profile = request.getfixturevalue(prof_name)
+    F, n, q = profile.field, profile.n_nodes, profile.q
+    nodes = encode_profile(profile, random_message(profile, 31))
+    mu_cols = [transpose([profile.mu_row(z, l) for z in range(n)])
+               for l in range(q)]
+    for g in range(n):
+        ref = mat_mul(F, profile.points.basis_inv(g), nodes[g].y)
+        # want[l][t][z]: mu_z times block t's slice of row l
+        want = [mat_mul(F, [ref[l][t * a:(t + 1) * a]
+                            for t in range(profile.blocks(l))], mu_cols[l])
+                for l, a in enumerate(profile.alpha)]
+        for level in range(q):
+            rows = hmsr.recon_response(nodes[g], profile, level).rows
+            assert rows == dict(enumerate(ref[:level + 1])), (g, level)
+            assert all(type(r) is list and all(type(v) is int for v in r)
+                       for r in rows.values())
+            for z in range(n):
+                if z == g:
+                    continue
+                symbols = hmsr.helper_response(nodes[g], profile, level,
+                                               z).symbols
+                assert symbols == {(l, t): want[l][t][z]
+                                   for l in range(level + 1)
+                                   for t in range(profile.blocks(l))}, (
+                    g, level, z)
+                assert all(type(v) is int for v in symbols.values())
+
+
+def test_first_difference_of_prefixes_and_mixed_containers():
+    """The first differing index, the shorter length for a proper prefix,
+    and None for the same symbols in a list and in bytes; so a mixed
+    symmetric matrix is no asymmetric block."""
+    first = hmsr._first_difference
+    assert first([1, 2], [1, 2, 3]) == 2
+    assert first([1, 2, 3], [1, 2]) == 2
+    assert first([], [5]) == 0
+    assert first([4, 2], [1, 2]) == 0
+    assert first(b"\x01\x02", [1, 2]) is None
+    assert first(b"\x01\x02", [1, 3]) == 1
+    assert first(b"\x01\x02", [1, 2, 0]) == 2
+    assert first([], b"") is None
+    # two 2 x 2 blocks side by side, row 0 in bytes, row 1 a list
+    assert hmsr._asymmetric_block([b"\x00\x01\x00\x02", [1, 0, 2, 0]]) is None
+    assert hmsr._asymmetric_block([b"\x00\x01\x00\x02", [1, 0, 3, 0]]) == 1
 
 
 def test_staged_plan_q4_totals(q4_msr):
@@ -1030,7 +1084,7 @@ def test_recovery_solvers_reduce_to_the_window_extractors(prof_name, request):
     solve = hmsr.rec_st if msr else hmbr.rec_m
     message = random_message(profile, 77)
     truth = (hmsr.arrange_st if msr else hmbr.arrange_m)(message, profile)
-    stack = [hmsr.tilde_rows(profile, s, profile.q - 1)
+    stack = [[list(r) for r in hmsr.tilde_rows(profile, s, profile.q - 1)]
              for s in encode_profile(profile, message)]
     rng = random.Random(78)
     for l in range(profile.q):
@@ -1135,7 +1189,8 @@ def _lying_batches(profile, message, liars, kind, activation, rng):
     for b in recon_batches(profile, nodes, "recover"):
         rows = {l: list(r) for l, r in b.rows.items()}
         if b.helper_id in liars:
-            alt = hmsr.tilde_rows(profile, other[b.helper_id], profile.q - 1)
+            alt = [list(r) for r in
+                   hmsr.tilde_rows(profile, other[b.helper_id], profile.q - 1)]
             for l, r in rows.items():
                 a = profile.alpha[l]
                 for t in range(profile.blocks(l)):
@@ -1671,7 +1726,8 @@ def test_layer_extraction_matches_the_per_block_extractors(prof_name, request):
     message = random_message(profile, 63)
     truth = (hmsr.arrange_st if msr else hmbr.arrange_m)(message, profile)
     nodes = encode_profile(profile, message)
-    stack = [hmsr.tilde_rows(profile, s, profile.q - 1) for s in nodes]
+    stack = [[list(r) for r in hmsr.tilde_rows(profile, s, profile.q - 1)]
+             for s in nodes]
     for l in range(profile.q):
         a, k = profile.alpha[l], profile.k[l]
         ids = list(range(1, k + 1))

@@ -2,7 +2,8 @@
 
 Widths cover the empty row, the list kernel (narrow rows) and the bytes
 kernel (wide rows); 300-term sums pass the odd-characteristic lane limit of
-255 // (p - 1) - 1 terms before a reduction.
+255 // (p - 1) - 1 terms before a reduction.  ``comb`` is checked as the list
+view of ``comb_bytes``, which also takes rows already held as bytes.
 """
 
 import random
@@ -54,13 +55,18 @@ def rand_matrix(F, rng, rows, cols, zeros=0.2):
 def test_comb_matches_scalar_loops(q):
     F = Field(q)
     rng = random.Random(f"comb/{q}")
+    assert {F._wide - 1, F._wide} <= set(WIDTHS)  # both kernels, at the edge
     for width in WIDTHS:
         for terms in (0, 1, 5, 300):
             rows = rand_matrix(F, rng, terms, width)
             coeffs = [0 if rng.random() < 0.2 else rng.randrange(F.order)
                       for _ in range(terms)]
-            got = F.comb(coeffs, F.pack(rows, width), width)
+            packed = F.pack(rows, width)
+            got = F.comb(coeffs, packed, width)
             assert got == scalar_comb(F, coeffs, rows, width), (width, terms)
+            assert list(F.comb_bytes(coeffs, packed, width)) == got
+            assert F.comb_bytes(coeffs, [bytes(r) for r in rows],
+                                width) == bytes(got), (width, terms)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_Q)
@@ -70,8 +76,10 @@ def test_wide_sum_of_largest_digits_reduces_its_lanes(q):
     top = F.order - 1               # all base-p digits p - 1
     for width in (1, 40, 100):
         rows = [[top] * width] * 300
-        got = F.comb([1] * 300, F.pack(rows, width), width)
+        packed = F.pack(rows, width)
+        got = F.comb([1] * 300, packed, width)
         assert got == scalar_comb(F, [1] * 300, rows, width)
+        assert F.comb_bytes([1] * 300, packed, width) == bytes(got)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_Q)
