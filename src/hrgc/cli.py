@@ -36,7 +36,6 @@ import os
 import sys
 
 from . import sim
-from .capability import capability_sweep, sweep_csv
 from .errors import (AsymmetryDetected, HrgcError, InvalidParams,
                      SingularSystem)
 from .matrices import CODES, profile_from_text, profile_new, profile_to_text
@@ -224,6 +223,9 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_capability(args) -> int:
+    # imported here: only this command needs capability's fractions, decimal
+    # and csv, which would add to every command's start-up
+    from .capability import capability_sweep, sweep_csv
     bounds = _int_list(args.q_range, ":", "--q-range")
     if len(bounds) != 3:
         raise InvalidParams(f"--q-range {args.q_range!r}: expected start:stop:step")

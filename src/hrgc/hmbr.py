@@ -11,7 +11,8 @@ The node/report/batch types, the message layout (the profile's index table,
 ``CodeProfile.layout``), the staged request plan, the helper responses, the
 encoder and the repair and reconstruction loops with their adapters are the
 MSR engine's (``hmsr``).  This module supplies what is particular to
-MBR: the mu rows as encoding vectors, repair rows that need no lambda mix,
+MBR: the mu rows as encoding vectors, the repair divisor x^alpha_l that
+leaves a repair polynomial as it is,
 the window extractor ``_extract_m`` (every block of a layer at once, with
 the lowest block whose S is not symmetric, which the shared loops judge
 bad like a block that re-encodes to something else), the
@@ -68,30 +69,23 @@ def encode_mbr(m: MessageMatrices, profile: CodeProfile):
 # -- repair -------------------------------------------------------------------
 
 
-def _solved_row(profile, z, l, X):
-    """An MBR repair solves node z's layer-l rows directly."""
-    return X
-
-
-def _coefficients(profile, l, f):
-    """The mu rows are powers of x: the unknowns are f's coefficients."""
-    return f
+def _power_divisor(profile, z, l):
+    """x^alpha_l: the mu rows are powers of x, so node z's layer-l row is
+    f itself (deg f < d_l = alpha_l), f mod x^alpha_l."""
+    return [0] * profile.alpha[l] + [1]
 
 
 def regenerate_mbr_plain(z, batches, profile: CodeProfile) -> Report:
-    return _repair(z, batches, profile, "plain", profile.mu_row, _solved_row,
-                   _coefficients)
+    return _repair(z, batches, profile, "plain", _power_divisor)
 
 
 def regenerate_mbr_detect(z, batches, profile: CodeProfile) -> Report:
-    return _repair(z, batches, profile, "detect", profile.mu_row, _solved_row,
-                   _coefficients)
+    return _repair(z, batches, profile, "detect", _power_divisor)
 
 
 def regenerate_mbr_recover(z, batches, profile: CodeProfile,
                            prior_flags=frozenset()) -> Report:
-    return _repair(z, batches, profile, "recover", profile.mu_row, _solved_row,
-                   _coefficients, prior_flags)
+    return _repair(z, batches, profile, "recover", _power_divisor, prior_flags)
 
 
 # -- reconstruction --------------------------------------------------------------

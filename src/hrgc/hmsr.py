@@ -18,18 +18,21 @@ a list of the same symbols; node states stay lists because a repair
 reports one, whose repr the outcome digest pins.
 
 Repair and reconstruction run one plain/detect loop and one recover loop.
-A repair is a reconstruction whose blocks are one help symbol wide and
-whose window is the inverse of the helpers' encoding rows.  The blocks of a
-layer share their encoding rows, so the plain/detect loop hands the
-responders' whole layer rows to one window extractor per layer (a layer row
-holds the blocks side by side, so ``row[c::alpha_l]`` is entry c of every
-block): a repair is V^-1 P, the columns of P being the blocks' help symbols.
+A repair is a reconstruction whose blocks are one help symbol wide: a help
+symbol is f(x_g) for a polynomial f of degree below d_l, so the window maps
+the first d_l helpers' symbols to the node's rows by reduced Lagrange basis
+polynomials (``_repair``).  The blocks of a layer share their encoding
+rows, so the plain/detect loop hands the responders' whole layer rows to
+one window extractor per layer (a layer row holds the blocks side by side,
+so ``row[c::alpha_l]`` is entry c of every block): a repair is M P, M the
+window's map and the columns of P the blocks' help symbols.
 
 Hostile-mode conventions: detect solves each layer once from the first
 helper window and alarms at the lowest block where the extra helper's row
 disagrees with that solution.  This is the alarm of solving the window
-shifted by one again: the windows share every other row, the shifted repair
-window is checked regular once per layer, and both extractors return blocks
+shifted by one again: the windows share every other row, a repair's
+Lagrange weights of the extra helper have no zero entry (every shifted
+window is regular), and both extractors return blocks
 that reproduce every row of their window (``extract_st`` because a regular
 window maps symmetric (S, T) pairs one to one onto its symbols,
 ``_extract_m`` as Omega T = R2 and Omega S + Delta_part T^t = R1) and are
@@ -51,9 +54,10 @@ ascending) recovery order within one call; keeping them across calls is the
 simulator's job.
 
 The encoder, the two loops and their adapters defined here are shared with
-the MBR engine (``hmbr``), which passes its own encoding rows, block
-extractor, block stacking and block solver; so are the message layout and
-the request protocol: ``request_counts`` fixes each layer's helpers.
+the MBR engine (``hmbr``), which passes its own repair divisor, encoding
+rows, block extractor, block stacking and block solver; so are the message
+layout and the request protocol: ``request_counts`` fixes each layer's
+helpers.
 
 Each step of the block algebra is written once.  ``_pairs`` solves
 R Phi^T = C + Lambda D pair by pair, each entry a vector with one symbol per
@@ -275,16 +279,17 @@ def _contributors(batches, l):
 # Both engines run two loops, ``_plain_detect`` and ``_recover``, through one
 # adapter per operation (``_repair``, ``_reconstruct``).  The adapter picks
 # the loop by mode and hands it the operation's row reader rows(g, l), its
-# window and its output, which makes the report's fields from each layer's
-# (S, T) pieces, joined side by side.  The entry points pass what differs
-# between the codes, read from their own module's globals when they run
-# (never captured at import, so rebinding a module attribute reaches every
-# call):
+# window, its encode(l, ids, gs) (the rows whose products with stack(S, T)
+# of window ids's extraction are nodes gs' rows: the encoding rows, or in
+# an MSR repair Lagrange weights of the window) and its output, which makes
+# the report's fields from each layer's (S, T) pieces, joined side by side.
+# The entry points pass what differs between the codes, read from their own
+# module's globals when they run (never captured at import, so rebinding a
+# module attribute reaches every call):
 #   row(g, l)                  node g's layer-l encoding vector (nu or mu)
-#   finish(profile, z, l, X)   node z's layer-l rows from the solved blocks,
-#                              X holding one block per column
-#   split(profile, l, f)       the unknowns of row(g, l) whose products
-#                              with the rows are f(x_g), f of degree < d_l
+#   divisor(profile, z, l)     the monic r with node z's layer-l row
+#                              f mod r, f of degree < d_l the polynomial
+#                              whose values f(x_g) are the help symbols
 #   stack(S, T)                the matrix whose product with row(g, l) is
 #                              node g's response to the blocks (S, T)
 #   window(profile, l, ids)    reconstruction extractor R -> (S, T, asym)
@@ -331,8 +336,8 @@ def _asymmetric_block(M):
 
 def _certified(F, extract, window_rows, checked, enc, stack, a):
     """The blocks that extract from ``window_rows`` (alpha_l = a wide, side
-    by side) and re-encode, under the encoding rows ``enc``, to the rows
-    ``checked``.
+    by side) and re-encode, under the rows ``enc`` times ``stack`` of the
+    extraction, to the rows ``checked``.
 
     Returns (S, T, bad): ``bad`` is the lowest block that is asymmetric or
     re-encodes to anything else (None when no block does), and S and T hold
@@ -349,67 +354,89 @@ def _certified(F, extract, window_rows, checked, enc, stack, a):
     return S, T, bad
 
 
-def _repair(z, batches, profile, mode, row, finish, split,
-            prior_flags=frozenset()):
+def _repair(z, batches, profile, mode, divisor, prior_flags=frozenset()):
     """Repair of node z.  A helper's layer-l row is its help symbols, one
-    per block; the window inverts the first d_l helpers' encoding rows, and
-    in detect the window shifted by one must be regular too, for the check
-    to equal solving it.  A recover window solves a block as ``decode``'s
-    codeword exit does, so a kept block is what ``decode`` returns, flagging
-    no node; other blocks are Reed-Solomon words over every node but z,
-    missing ones erased: node g's help symbol is f(x_g) for a polynomial f
-    of degree below d_l, which ``decode`` finds by Welch-Berlekamp from the
-    node x-values and ``split(profile, l, f)`` turns into the unknowns of
-    the encoding rows."""
+    per block: node g's symbol is f(x_g) for a polynomial f of degree below
+    d_l, and node z's layer-l rows are f mod ``divisor(profile, z, l)``.  So
+    the window of the first d_l helpers maps their symbols straight to node
+    z's rows: column i of its map is l_i mod the divisor, l_i the Lagrange
+    basis polynomial of the window's x-values at helper i (``_remainder_map``
+    for MSR; MBR, whose divisor x^alpha_l leaves f as it is, still inverts
+    its mu rows, the same map).  An extraction's S is node z's rows and its
+    T is f in the basis whose evaluation at x_g is ``encode``'s row of node
+    g, for detect's extra-helper check and recover's kept-block
+    certification: for MSR, f's values at the window, its symbols, with the
+    Lagrange weights l(x_g); for MBR, f's coefficients, node z's rows, with
+    the mu rows.  A kept recover block is what ``decode``'s codeword exit
+    returns, flagging no node; other blocks are Reed-Solomon words over
+    every node but z, missing ones erased, which ``decode`` solves by
+    Welch-Berlekamp from the node x-values for f."""
     F = profile.field
     q2 = profile.n_nodes
     symbols = {b.helper_id: b.symbols for b in batches}
+    x = profile.x_value
 
     def rows(g, l):
         return list(map(symbols[g].__getitem__, profile.help_keys[l]))
 
     def window(profile, l, ids):
+        if profile.lam:
+            M = _remainder_map(F, [x(g) for g in ids], divisor(profile, z, l))
+            return lambda R: (mat_mul(F, M, R), R, None)
         d = len(ids)
-        V = [row(g, l) for g in ids]
-        # structured lambda makes this unable to fail; it guards that promise
-        if mode == "detect" and not det_nonzero(
-                F, V[1:] + [row(_contributors(batches, l)[d].helper_id, l)]):
+        V = [profile.mu_row(g, l) for g in ids]
+        if mode == "detect" and not det_nonzero(F, V[1:] + [
+                profile.mu_row(_contributors(batches, l)[d].helper_id, l)]):
             raise SingularSystem(f"{d}x{d} system singular")
         eye = [[int(i == j) for j in range(d)] for i in range(d)]
         try:
-            inv = solve_square(F, V, eye)
+            M = solve_square(F, V, eye)
         except SingularSystem:
             if mode == "detect":
                 raise
             raise SingularSystem(
                 f"repair window {ids} singular at layer {l}") from None
-        return lambda R: (mat_mul(F, inv, R), [], None)
+
+        def extract(R):
+            S = mat_mul(F, M, R)
+            return S, S, None
+        return extract
+
+    def encode(l, ids, gs):
+        if profile.lam:
+            return _lagrange_weights(F, [x(g) for g in ids],
+                                     [x(g) for g in gs])
+        return [profile.mu_row(g, l) for g in gs]
+
+    def f_basis(S, T):
+        return T
 
     def output(layers):
-        # finish's row c holds entry c of every block: one layer row
-        tilde = [_interleave(finish(profile, z, l, _side_by_side(
-            [S for S, _ in layers[l]]))) for l in range(profile.q)]
+        # S's row c holds entry c of every block: one layer row
+        tilde = [_interleave(_side_by_side([S for S, _ in layers[l]]))
+                 for l in range(profile.q)]
         return {"y": mat_mul(F, profile.points.basis(z), tilde)}
 
     if mode != "recover":
         return _plain_detect(batches, rows, profile, mode, profile.d,
-                             [1] * profile.q, row, _st_stack, window, output)
+                             [1] * profile.q, encode, f_basis, window, output)
     others = [g for g in range(q2) if g != z]
-    points = [profile.x_value(g) for g in others]
+    points = [x(g) for g in others]
     cap = (q2 - profile.d[-1] - 1) // 2
 
     def solve(blocks, erased, l, profile):
         powers = profile.powers(profile.d[l])
         res = decode(F, [powers[g] for g in others],
                      [ERASED if b is None else b[0] for b in blocks], points=points)
-        return ([[x] for x in split(profile, l, res.message)], [],
+        return ([[v] for v in _poly_divmod(F, res.message,
+                                           divisor(profile, z, l))[1]], [],
                 {others[i] for i in res.error_positions})
 
     return _recover(
         batches, others, rows, prior_flags, profile, profile.d,
         [range(q2)] * profile.q, [1] * profile.q,
         [min(q2 - d - 1, cap) for d in profile.d], "erasure",
-        row, _st_stack, window, solve, output)
+        encode, f_basis, window, solve, output)
 
 
 def _reconstruct(batches, profile, mode, row, stack, window, solve,
@@ -423,13 +450,16 @@ def _reconstruct(batches, profile, mode, row, stack, window, solve,
     def rows(g, l):
         return rows_by_node[g][l]
 
+    def encode(l, ids, gs):
+        return [row(g, l) for g in gs]
+
     def output(layers):
         return {"message": _message(profile, [
             map(_side_by_side, zip(*pieces)) for pieces in layers])}
 
     if mode != "recover":
         return _plain_detect(batches, rows, profile, mode, profile.k,
-                             profile.alpha, row, stack, window, output)
+                             profile.alpha, encode, stack, window, output)
     # q^2 - k_l flags is the solvability frontier of both block solvers
     # (sigma + 2 tau + 1 <= q^2 - alpha_l, sigma + 2 tau <= q^2 - k_l; MSR's
     # rec_st also erases the pairs that share lambda_l and refuses past its
@@ -438,10 +468,10 @@ def _reconstruct(batches, profile, mode, row, stack, window, solve,
         batches, range(q2), rows, prior_flags, profile, profile.k,
         profile.lam or [range(q2)] * profile.q, profile.alpha,
         [q2 - k for k in profile.k], "flagged",
-        row, stack, window, solve, output)
+        encode, stack, window, solve, output)
 
 
-def _plain_detect(batches, rows, profile, mode, sizes, widths, row, stack,
+def _plain_detect(batches, rows, profile, mode, sizes, widths, encode, stack,
                   window, output):
     """The plain/detect loop of both operations, layers ascending.  Layer l
     reads ``rows(g, l)`` (blocks side by side, ``widths[l]`` symbols each)
@@ -463,7 +493,8 @@ def _plain_detect(batches, rows, profile, mode, sizes, widths, row, stack,
                 f"layer {l} needs {k + extra} helpers, got {len(ids)}")
         R = [rows(g, l) for g in ids]
         S, T, bad = _certified(F, window(profile, l, ids[:k]), R[:k], R[k:],
-                               [row(g, l) for g in ids[k:]], stack, widths[l])
+                               encode(l, ids[:k], ids[k:]) if extra else [],
+                               stack, widths[l])
         if bad is not None:
             if not extra:
                 raise AsymmetryDetected("S block asymmetric (corrupt responses)")
@@ -486,7 +517,7 @@ def _window_ids(present, k, values):
 
 
 def _recover(batches, nodes, rows, flags, profile, sizes, keys, widths,
-             budgets, noun, row, stack, window, solve, output):
+             budgets, noun, encode, stack, window, solve, output):
     """The recover loop of both operations, layers descending.  Node g's
     layer-l row ``rows(g, l)`` holds the blocks side by side, ``widths[l]``
     symbols each.  The ``nodes`` that sent no batch are flagged before the
@@ -519,7 +550,7 @@ def _recover(batches, nodes, rows, flags, profile, sizes, keys, widths,
         while t < w:
             present = [g for g in nodes if g not in flags]
             if present != last:
-                last, enc = present, [row(g, l) for g in present]
+                last = present
                 win = _window_ids(present, k, keys[l])
                 if win != ids:
                     ids = win
@@ -527,6 +558,7 @@ def _recover(batches, nodes, rows, flags, profile, sizes, keys, widths,
                         extract = window(profile, l, ids)
                     except SingularSystem:
                         extract = None
+                enc = encode(l, ids, present)
             if extract:
                 R = [layer[g][t * a:] for g in present]
                 S, T, bad = _certified(F, extract, [layer[g][t * a:] for g in ids],
@@ -556,19 +588,75 @@ def _recover(batches, nodes, rows, flags, profile, sizes, keys, widths,
 # -- MSR repair -------------------------------------------------------------------
 
 
-def _lambda_mix(profile, z, l, X):
-    """Node z's layer-l rows from the solved [S; T] rows:
-    X_S + lambda_l(x_z) X_T."""
-    a = profile.alpha[l]
-    return [profile.field.axpy(X[j], profile.lam[l][z], X[a + j])
-            for j in range(a)]
+def _deltas(F, xs):
+    """prod_{j != i} (x_i - x_j) for each of the distinct points x_i of xs."""
+    return [reduce(F.mul, [F.sub(x, y) for y in xs if y != x], 1) for x in xs]
 
 
-def _lambda_split(profile, l, f):
-    """[a; b] with f = a + lambda_l b (deg a < alpha_l): nu_g [a; b] =
-    f(x_g) for every node g."""
-    b, a = _poly_divmod(profile.field, f, profile.lam_poly[l])
-    return a + b
+def _lagrange_weights(F, xs, points):
+    """Per point x, [l_i(x)], l_i the Lagrange basis polynomials of the
+    distinct points xs: the weights whose combination of the values f(x_i)
+    is f(x) for every f of degree below len(xs).  Off the points, l_i(x) is
+    prod_j (x - x_j) / ((x - x_i) delta_i), never zero."""
+    inverses = [F.inv(delta) for delta in _deltas(F, xs)]
+    rows = []
+    for x in points:
+        if x in xs:
+            rows.append([int(x == y) for y in xs])
+            continue
+        diffs = [F.sub(x, y) for y in xs]
+        rows.append(F.scale(reduce(F.mul, diffs, 1),
+                            [F.div(c, dx) for c, dx in zip(inverses, diffs)]))
+    return rows
+
+
+def _divide_linear(F, f, x0):
+    """(f div (x - x0), f(x0)) by synthetic division, coefficients lowest
+    first."""
+    acc, out = 0, []
+    for c in reversed(f):
+        acc = F.add(F.mul(acc, x0), c)
+        out.append(acc)
+    value = out.pop()
+    out.reverse()
+    return out, value
+
+
+def _remainder_map(F, xs, r):
+    """The matrix whose column i is l_i mod r, l_i the Lagrange basis
+    polynomial of the distinct points xs at xs[i] and r monic of degree
+    alpha (coefficients lowest first): its product with the values f(x_i)
+    is f mod r for every f of degree below len(xs).
+
+    l_i = Q_i / delta_i for Q_i = P / (x - x_i), P = prod_j (x - x_j).  With
+    P_r = P mod r, g_i = (P_r - P_r(x_i)) / (x - x_i) and
+    h_i = (r - r(x_i)) / (x - x_i), (x - x_i)(g_i + s h_i) is
+    P_r + s r - P_r(x_i) - s r(x_i): so Q_i mod r = g_i + s h_i for
+    s = -P_r(x_i) / r(x_i), O(alpha) per point besides delta_i.  When
+    r(x_i) = 0, x - x_i is no unit mod r, and Q_i itself is reduced."""
+    P = [1]
+    for xi in xs:
+        P = F.axpy([0] + P, F.neg(xi), P + [0])
+    P_r = _poly_divmod(F, P, r)[1]
+    cols = []
+    for xi, delta in zip(xs, _deltas(F, xs)):
+        h, r_at = _divide_linear(F, r, xi)
+        if r_at:
+            g, p_at = _divide_linear(F, P_r, xi)
+            u = F.axpy(g + [0], F.neg(F.div(p_at, r_at)), h)
+        else:
+            u = _poly_divmod(F, _divide_linear(F, P, xi)[0], r)[1]
+        cols.append(F.scale(F.inv(delta), u))
+    return transpose(cols)
+
+
+def _lambda_divisor(profile, z, l):
+    """lambda_l - lambda_l(x_z): a help symbol f(x_g) = nu_g [a; b] is the
+    value of f = a + lambda_l b (deg a, b < alpha_l), and node z's layer-l
+    row a + lambda_l(x_z) b is f mod this divisor."""
+    F = profile.field
+    lam = profile.lam_poly[l]
+    return [F.sub(lam[0], profile.lam[l][z]), *lam[1:]]
 
 
 def _st_stack(S, T):
@@ -578,19 +666,17 @@ def _st_stack(S, T):
 
 
 def regenerate_plain(z, batches, profile: CodeProfile) -> Report:
-    return _repair(z, batches, profile, "plain", profile.nu_row, _lambda_mix,
-                   _lambda_split)
+    return _repair(z, batches, profile, "plain", _lambda_divisor)
 
 
 def regenerate_detect(z, batches, profile: CodeProfile) -> Report:
-    return _repair(z, batches, profile, "detect", profile.nu_row, _lambda_mix,
-                   _lambda_split)
+    return _repair(z, batches, profile, "detect", _lambda_divisor)
 
 
 def regenerate_recover(z, batches, profile: CodeProfile,
                        prior_flags=frozenset()) -> Report:
-    return _repair(z, batches, profile, "recover", profile.nu_row, _lambda_mix,
-                   _lambda_split, prior_flags)
+    return _repair(z, batches, profile, "recover", _lambda_divisor,
+                   prior_flags)
 
 
 # -- MSR reconstruction -------------------------------------------------------------
@@ -615,9 +701,7 @@ class ExtractContext:
         # row i of C is p_i(x_j), p_i = mu_i S times the powers of x, of
         # degree below alpha_l: p_i(x_i) has weight -delta_i / delta_j on
         # p_i(x_j), delta_j = prod_{m != j} (x_j - x_m) over the window
-        xs = [profile.x_value(g) for g in ids]
-        delta = [reduce(F.mul, [F.sub(x, y) for y in xs if y != x], 1)
-                 for x in xs]
+        delta = _deltas(F, [profile.x_value(g) for g in ids])
         self.weights = [[F.neg(F.div(delta[i], delta[j]))
                          for j in range(a + 1) if j != i] for i in range(a)]
         self.omega_inv = mat_inv(F, self.mu[:a])

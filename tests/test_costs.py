@@ -6,15 +6,18 @@ rather than once per node file, and a profile enumerates its curve points
 once.  A reconstruction window inverts one matrix, and its extractor's kernel
 calls do not grow with the number of blocks.  A helper response makes one
 bytes-kernel call per layer for the basis transform and one for the help
-symbols, and builds no key tuple."""
+symbols, and builds no key tuple.  An MSR repair window is closed form and
+eliminates nothing; an MBR repair inverts one window per layer (and checks
+the shifted window once per layer in detect), which keeps the names that the
+traced bench requires reached."""
 
 import argparse
 import random
 
 import pytest
 
-from conftest import encode_profile
-from hrgc import cli, field, hmbr, hmsr, matrices, sim
+from conftest import encode_profile, random_message, repair_batches
+from hrgc import cli, field, hmbr, hmsr, linalg, matrices, sim
 from hrgc.matrices import profile_from_text, profile_new, profile_to_text
 
 
@@ -148,3 +151,56 @@ def test_a_helper_response_makes_two_kernel_calls_per_layer(prof_name,
         assert not lists
         keys = profile.help_keys
         assert all(key is keys[key[0]][key[1]] for key in batch.symbols)
+
+
+@pytest.mark.parametrize("prof_name", ["q3_msr", "q4_msr", "q5_msr"])
+def test_an_msr_repair_eliminates_nothing(prof_name, request, monkeypatch):
+    """Closed-form windows: an honest MSR repair makes no elimination
+    (``linalg._eliminate`` or ``det_nonzero``) in plain, detect or
+    recover."""
+    profile = request.getfixturevalue(prof_name)
+    nodes = encode_profile(profile, random_message(profile, 5))
+    modes = {mode: repair_batches(profile, nodes, 2, mode)
+             for mode in ("plain", "detect", "recover")}
+    eliminations = _counting(monkeypatch, linalg, "_eliminate")
+    determinants = _counting(monkeypatch, hmsr, "det_nonzero")
+    for mode, batches in modes.items():
+        report = getattr(hmsr, f"regenerate_{mode}")(2, batches, profile)
+        assert report.ok and report.y == nodes[2].y, mode
+        assert eliminations == [] and determinants == [], mode
+
+
+@pytest.mark.parametrize("prof_name", ["q3_mbr", "q4_mbr", "q5_mbr"])
+def test_an_mbr_repair_inverts_one_window_per_layer(prof_name, request,
+                                                   monkeypatch):
+    """An honest MBR repair makes one ``solve_square`` per layer, d_l x d_l,
+    and in detect one ``det_nonzero`` per layer."""
+    profile = request.getfixturevalue(prof_name)
+    nodes = encode_profile(profile, random_message(profile, 6))
+    solves = _counting(monkeypatch, hmsr, "solve_square")
+    determinants = _counting(monkeypatch, hmsr, "det_nonzero")
+    for mode in ("plain", "detect"):
+        solves.clear()
+        determinants.clear()
+        batches = repair_batches(profile, nodes, 2, mode)
+        report = getattr(hmbr, f"regenerate_mbr_{mode}")(2, batches, profile)
+        assert report.ok and report.y == nodes[2].y, mode
+        assert [len(args[1]) for args in solves] == list(profile.d), mode
+        assert len(determinants) == (profile.q if mode == "detect" else 0)
+
+
+def test_a_repair_cycle_reaches_solve_square_and_det_nonzero(q4_msr, q4_mbr,
+                                                            monkeypatch):
+    """``bench/run.py`` requires every traced pass to reach
+    ``linalg.solve_square`` and ``linalg.det_nonzero``.  MSR repair reaches
+    neither, so one plain and one detect repair on q=4 MSR and MBR clusters
+    must, through MBR."""
+    solves = _counting(monkeypatch, hmsr, "solve_square")
+    determinants = _counting(monkeypatch, hmsr, "det_nonzero")
+    for profile in (q4_msr, q4_mbr):
+        cluster = sim.cluster_init(profile, random_message(profile, 7))
+        for mode in ("plain", "detect"):
+            sim.fail_node(cluster, 5)
+            report, _ = sim.repair(cluster, 5, mode)
+            assert report.ok, (profile.mode, mode)
+    assert solves and determinants

@@ -396,12 +396,15 @@ def test_msr_repair_words_welch_berlekamp_matches_the_support_search(
         prof_name, layers, request):
     """An MSR repair word (node g's help symbol nu_g [a; b]) decoded two
     ways: by Welch-Berlekamp as the Reed-Solomon word of f = a + lambda_l b,
-    split back into [a; b], and by the support search (``decode`` without
+    reduced mod lambda_l - lambda_l(x_g) at every node g (the repair's
+    ``_lambda_divisor``), and by the support search (``decode`` without
     points: the codeword exit, then ``_decode_generic``) on the nu rows
-    themselves.  From 0 errors up to the radius floor((q^2 - 1 - d_l)/2)
-    both return the planted message and error positions; one error past it,
-    both return the same or both fail explicitly.  (q5_msr's wider layers
-    are left out: the search over their radius takes minutes.)"""
+    themselves, whose [a; b] gives a + lambda_l(x_g) b at every node; two
+    lambda_l values fix [a; b].  From 0 errors up to the radius
+    floor((q^2 - 1 - d_l)/2) both return the planted message and error
+    positions; one error past it, both return the same or both fail
+    explicitly.  (q5_msr's wider layers are left out: the search over their
+    radius takes minutes.)"""
     from hrgc import hmsr
     p = request.getfixturevalue(prof_name)
     F, n = p.field, p.n_nodes
@@ -410,7 +413,16 @@ def test_msr_repair_words_welch_berlekamp_matches_the_support_search(
     others = [g for g in range(n) if g != z]
     xs = [p.x_value(g) for g in others]
     for l in layers:
-        d = p.d[l]
+        d, a = p.d[l], p.alpha[l]
+        assert len(set(p.lam[l])) > 1
+
+        def reduced(f):
+            return [decoder._poly_divmod(F, f,
+                                         hmsr._lambda_divisor(p, g, l))[1]
+                    for g in range(n)]
+
+        def mixed(ab):
+            return [F.axpy(ab[:a], p.lam[l][g], ab[a:]) for g in range(n)]
         nu = [p.nu_row(g, l) for g in others]
         mono = [p.powers(d)[g] for g in others]
         radius = (n - 1 - d) // 2
@@ -422,10 +434,10 @@ def test_msr_repair_words_welch_berlekamp_matches_the_support_search(
                 word[i] = F.add(word[i], rng.randrange(1, F.order))
             wb = _decoded(lambda: decode(F, mono, word, points=xs))
             if wb != "DecodeFailure":
-                wb = (hmsr._lambda_split(p, l, wb.message), wb.error_positions)
+                wb = (reduced(wb.message), wb.error_positions)
             search = _decoded(lambda: decode(F, nu, word))
             if search != "DecodeFailure":
-                search = (search.message, search.error_positions)
+                search = (mixed(search.message), search.error_positions)
             assert wb == search, (l, errors)
             if errors <= radius:
-                assert wb == (x, planted), (l, errors)
+                assert wb == (mixed(x), planted), (l, errors)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 import time
@@ -12,7 +11,6 @@ from hrgc.errors import (
     HrgcError,
     InvalidParams,
     LengthMismatch,
-    SingularSystem,
 )
 from hrgc.matrices import profile_digest
 
@@ -536,25 +534,10 @@ def test_node_bytes_pinned(name, request):
     assert sim.decode_node_bytes(data, profile, header) == node
 
 
-def test_detect_repair_refuses_a_singular_shifted_window(q3_msr):
-    # no lambda_l of degree alpha_l leaves a repair window singular, so the
-    # guard is shown on a profile whose every layer takes the coefficient
-    # permutation (3, 7, 5, 4, 1, 6, 2, 8, 0) instead: with nodes 3 and 2
-    # failed, node 2's detect helpers at layer 0 are 0, 1, 4..8; the shifted
-    # window 1, 4..8 is singular, so checking helper 8 against the first
-    # window's solution would not see a liar at helper 0
-    profile = dataclasses.replace(q3_msr)
-    profile.lam = ((3, 7, 5, 4, 1, 6, 2, 8, 0),) * profile.q
-    cluster = make_cluster(profile, 12)
-    truth = [row[:] for row in cluster.nodes[2].y]
-    sim.fail_node(cluster, 3)
-    sim.fail_node(cluster, 2)
-    with pytest.raises(SingularSystem, match="6x6 system singular"):
-        sim.repair(cluster, 2, "detect")
-    report, _ = sim.repair(cluster, 2, "plain")
-    assert report.ok
-    assert cluster.nodes[2].y == truth
-    # the profile's own coefficients: the same repair passes detect
+def test_detect_repair_with_two_failed_nodes_is_exact(q3_msr):
+    # with nodes 3 and 2 failed, node 2's detect helpers at layer 0 are 0,
+    # 1, 4..8; the repair window 0, 1, 4..7 is Lagrange over distinct
+    # x-values, so detect checks helper 8 against it and the repair is exact
     cluster = make_cluster(q3_msr, 12)
     truth = [row[:] for row in cluster.nodes[2].y]
     sim.fail_node(cluster, 3)
