@@ -35,11 +35,12 @@ from .hmsr import (
     _asymmetric_block,
     _encode,
     _interleave,
+    _product,
     _reconstruct,
     _repair,
     helper_response,  # noqa: F401 -- re-exported: MBR helpers answer as MSR's
 )
-from .linalg import mat_inv, mat_mul, vec_mat
+from .linalg import mat_inv, mat_mul
 from .matrices import CodeProfile
 
 
@@ -94,30 +95,35 @@ def regenerate_mbr_recover(z, batches, profile: CodeProfile,
 def _strip_t(F, mu_rows, k, R, T):
     """R1 - Delta_part T^t for every block of each response row: a block's
     first k entries less what its last alpha - k mu entries carry through
-    that block's T^t, the blocks side by side.  A None row (an erased node)
-    stays None."""
+    that block's T^t, the blocks side by side, as bytes.  A None row (an
+    erased node) stays None.  With k = alpha there is no T, and the strip
+    is the row itself."""
     a = len(mu_rows[0])
     e = a - k
+    if not e:
+        return R
     # U[m]: entry (c, m) of every block of T, at the place of the strip's
     # entry c of that block
     U = [_interleave([Tc[m::e] for Tc in T]) for m in range(e)]
-    return [None if r is None else vec_mat(
-                F, [1] + [F.neg(dp) for dp in mu[k:]],
-                [_interleave([r[c::a] for c in range(k)])] + U)
+    width = len(U[0])
+    return [None if r is None else F.comb_bytes(
+                [1] + [F.neg(dp) for dp in mu[k:]],
+                [_interleave([r[c::a] for c in range(k)])] + U, width)
             for mu, r in zip(mu_rows, R)]
 
 
 def _extract_m(F, mu_rows, k, R, omega_inv):
     """Split W = [Omega, Delta_part]; T = Omega^-1 R2; S = Omega^-1 (R1 - Dp T^t),
-    for every block of the rows R (the blocks side by side) at once.
+    for every block of the rows R (bytes, the blocks side by side) at once.
 
     ``omega_inv`` is Omega^-1, built once per layer by the caller.
-    Returns (S, T, asym), asym the lowest block whose S is not symmetric
-    (None when every one is)."""
+    Returns (S, T, asym), bytes rows, asym the lowest block whose S is not
+    symmetric (None when every one is)."""
     a = len(mu_rows[0])
-    T = mat_mul(F, omega_inv,
-                [_interleave([r[c::a] for c in range(k, a)]) for r in R])
-    S = mat_mul(F, omega_inv, _strip_t(F, mu_rows, k, R, T))
+    T = (_product(F, omega_inv,
+                  [_interleave([r[c::a] for c in range(k, a)]) for r in R])
+         if a > k else [b""] * k)
+    S = _product(F, omega_inv, _strip_t(F, mu_rows, k, R, T))
     return S, T, _asymmetric_block(S)
 
 
@@ -180,5 +186,5 @@ def rec_m(blocks, erased, l, profile: CodeProfile):
 
     present = [g for g in range(q2) if blocks[g] is not None]
     corrupt = {g for g, r in zip(present, mat_mul(
-        F, [mu[g] for g in present], _join(S, T))) if blocks[g] != r}
+        F, [mu[g] for g in present], _join(S, T))) if list(blocks[g]) != r}
     return S, T, corrupt

@@ -11,11 +11,12 @@ mu_{g,l} S_{l,t} + lambda_l(x_g) mu_{g,l} T_{l,t}
 
 A helper's layer rows stay bytes from the basis transform (``tilde_rows``)
 to its help symbols (``helper_response``), which are ints keyed by the
-profile's prebuilt (l, t) tuples.  Reconstruction rows (``recon_response``)
-stay lists because the reconstruction loops compare rows with ``!=``, the
-simulated liars' rows are rewritten as lists, and a bytes row never equals
-a list of the same symbols; node states stay lists because a repair
-reports one, whose repr the outcome digest pins.
+profile's prebuilt (l, t) tuples, and to the rows of a reconstruction
+(``recon_response``), which the window extractors multiply as bytes on
+``Field.comb_bytes`` up to the message.  Rows are compared by value
+(bytes, a liar's ``bytearray`` and a list of the same symbols are all one
+row to the checks); node states stay lists because a repair reports one,
+whose repr the outcome digest pins.
 
 Repair and reconstruction run one plain/detect loop and one recover loop.
 A repair is a reconstruction whose blocks are one help symbol wide: a help
@@ -60,12 +61,12 @@ layout and the request protocol: ``request_counts`` fixes each layer's
 helpers.
 
 Each step of the block algebra is written once.  ``_pairs`` solves
-R Phi^T = C + Lambda D pair by pair, each entry a vector with one symbol per
-block, for the window extractor ``extract_st`` (alpha_l + 1 rows, every
-block of a layer) and the recovery solver ``rec_st`` (all q^2 rows, erased
-ones None, one block); C and D are symmetric, so row j of each is column
-j's word.  The extractor's products run on rows that hold every block, and
-its window inverts one matrix: row i of C = Phi S Phi^T is a polynomial of
+R Phi^T = C + Lambda D for every pair of rows, each entry bytes with one
+symbol per block, for the window extractor ``extract_st`` (alpha_l + 1
+rows, every block of a layer) and the recovery solver ``rec_st`` (all q^2
+rows, erased ones None, one block); C and D are symmetric, so row j of each
+is column j's word.  The extractor's products run on bytes rows that hold
+every block, and its window inverts one matrix: row i of C = Phi S Phi^T is a polynomial of
 degree below alpha_l at the window's x-values, so Lagrange weights complete
 the diagonal of C's first alpha_l rows and columns, E = Omega S Omega^T,
 and S = Omega^-1 E Omega^-T (T likewise from D).
@@ -86,8 +87,7 @@ from .errors import (
     NotEnoughHelpers,
     SingularSystem,
 )
-from .linalg import (det_nonzero, mat_inv, mat_mul, solve_square, transpose,
-                     vec_mat)
+from .linalg import det_nonzero, mat_inv, mat_mul, solve_square, transpose
 from .matrices import CodeProfile
 
 
@@ -118,7 +118,7 @@ class HelpSymbolBatch:
     helper_id: int
     level: int
     symbols: dict = dfield(default=None)   # (l, t) -> symbol      (repair)
-    rows: dict = dfield(default=None)      # l -> list of A symbols (reconstruct)
+    rows: dict = dfield(default=None)      # l -> bytes of A symbols (reconstruct)
 
 
 @dataclass
@@ -188,7 +188,7 @@ def tilde_rows(profile: CodeProfile, state: NodeState, level: int):
     """Rows 0..level of B_g^{-1} Y_g: row l carries the layer-l payload of
     node g.  Each row is bytes, one symbol per byte (the node file's row
     layout): ``helper_response`` slices it straight into the help-symbol
-    product, and ``recon_response`` hands it on as a list."""
+    product, and ``recon_response`` hands it on as it is."""
     F, A = profile.field, profile.A
     y = F.pack(state.y, A)
     return [F.comb_bytes(c, y, A)
@@ -218,11 +218,11 @@ def helper_response(state: NodeState, profile: CodeProfile, level: int,
 
 def recon_response(state: NodeState, profile: CodeProfile,
                    level: int) -> HelpSymbolBatch:
-    """Reconstruction rows: layer rows 0..level of B_g^{-1} Y_g, as lists
-    (see the module docstring)."""
-    rows = tilde_rows(profile, state, level)
+    """Reconstruction rows: layer rows 0..level of B_g^{-1} Y_g, the bytes
+    of ``tilde_rows``."""
     return HelpSymbolBatch(helper_id=state.node_id, level=level,
-                           rows=dict(enumerate(map(list, rows))))
+                           rows=dict(enumerate(tilde_rows(profile, state,
+                                                          level))))
 
 
 # -- staged request protocol ----------------------------------------------------
@@ -304,12 +304,20 @@ def _contributors(batches, l):
 
 
 def _interleave(cols):
-    """The row whose entries c, c + n, c + 2n, ... are cols[c] (n = len(cols))."""
+    """The bytearray row whose entries c, c + n, c + 2n, ... are cols[c]
+    (n = len(cols))."""
     n = len(cols)
-    row = [0] * (n * len(cols[0])) if cols else []
+    row = bytearray(n * len(cols[0]) if cols else 0)
     for c, col in enumerate(cols):
         row[c::n] = col
     return row
+
+
+def _product(F, M, rows):
+    """M times the matrix of the bytes-like ``rows``, one
+    ``Field.comb_bytes`` per row of M: bytes rows."""
+    width = len(rows[0])
+    return [F.comb_bytes(c, rows, width) for c in M]
 
 
 def _first_difference(u, v):
@@ -344,7 +352,7 @@ def _certified(F, extract, window_rows, checked, enc, stack, a):
     the blocks before it side by side (rows of no symbol when it is 0)."""
     S, T, bad = extract(window_rows)
     if checked and bad != 0:        # no block to keep, none to check
-        for r, e in zip(checked, mat_mul(F, enc, stack(S, T))):
+        for r, e in zip(checked, _product(F, enc, stack(S, T))):
             t = _first_difference(r, e)
             if t is not None and (bad is None or t // a < bad):
                 bad = t // a
@@ -375,14 +383,22 @@ def _repair(z, batches, profile, mode, divisor, prior_flags=frozenset()):
     q2 = profile.n_nodes
     symbols = {b.helper_id: b.symbols for b in batches}
     x = profile.x_value
+    deltas = {}     # an MSR window's ids -> their barycentric products
 
     def rows(g, l):
-        return list(map(symbols[g].__getitem__, profile.help_keys[l]))
+        return bytes(map(symbols[g].__getitem__, profile.help_keys[l]))
+
+    def xs_deltas(ids):
+        xs = [x(g) for g in ids]
+        key = tuple(ids)
+        if key not in deltas:
+            deltas[key] = _deltas(F, xs)
+        return xs, deltas[key]
 
     def window(profile, l, ids):
         if profile.lam:
-            M = _remainder_map(F, [x(g) for g in ids], divisor(profile, z, l))
-            return lambda R: (mat_mul(F, M, R), R, None)
+            M = _remainder_map(F, *xs_deltas(ids), divisor(profile, z, l))
+            return lambda R: (_product(F, M, R), R, None)
         d = len(ids)
         V = [profile.mu_row(g, l) for g in ids]
         if mode == "detect" and not det_nonzero(F, V[1:] + [
@@ -398,14 +414,13 @@ def _repair(z, batches, profile, mode, divisor, prior_flags=frozenset()):
                 f"repair window {ids} singular at layer {l}") from None
 
         def extract(R):
-            S = mat_mul(F, M, R)
+            S = _product(F, M, R)
             return S, S, None
         return extract
 
     def encode(l, ids, gs):
         if profile.lam:
-            return _lagrange_weights(F, [x(g) for g in ids],
-                                     [x(g) for g in gs])
+            return _lagrange_weights(F, *xs_deltas(ids), [x(g) for g in gs])
         return [profile.mu_row(g, l) for g in gs]
 
     def f_basis(S, T):
@@ -593,12 +608,13 @@ def _deltas(F, xs):
     return [reduce(F.mul, [F.sub(x, y) for y in xs if y != x], 1) for x in xs]
 
 
-def _lagrange_weights(F, xs, points):
+def _lagrange_weights(F, xs, deltas, points):
     """Per point x, [l_i(x)], l_i the Lagrange basis polynomials of the
-    distinct points xs: the weights whose combination of the values f(x_i)
-    is f(x) for every f of degree below len(xs).  Off the points, l_i(x) is
+    distinct points xs, whose ``_deltas`` are ``deltas``: the weights whose
+    combination of the values f(x_i) is f(x) for every f of degree below
+    len(xs).  Off the points, l_i(x) is
     prod_j (x - x_j) / ((x - x_i) delta_i), never zero."""
-    inverses = [F.inv(delta) for delta in _deltas(F, xs)]
+    inverses = [F.inv(delta) for delta in deltas]
     rows = []
     for x in points:
         if x in xs:
@@ -622,11 +638,12 @@ def _divide_linear(F, f, x0):
     return out, value
 
 
-def _remainder_map(F, xs, r):
+def _remainder_map(F, xs, deltas, r):
     """The matrix whose column i is l_i mod r, l_i the Lagrange basis
-    polynomial of the distinct points xs at xs[i] and r monic of degree
-    alpha (coefficients lowest first): its product with the values f(x_i)
-    is f mod r for every f of degree below len(xs).
+    polynomial of the distinct points xs at xs[i] (``deltas`` their
+    ``_deltas``) and r monic of degree alpha (coefficients lowest first):
+    its product with the values f(x_i) is f mod r for every f of degree
+    below len(xs).
 
     l_i = Q_i / delta_i for Q_i = P / (x - x_i), P = prod_j (x - x_j).  With
     P_r = P mod r, g_i = (P_r - P_r(x_i)) / (x - x_i) and
@@ -639,7 +656,7 @@ def _remainder_map(F, xs, r):
         P = F.axpy([0] + P, F.neg(xi), P + [0])
     P_r = _poly_divmod(F, P, r)[1]
     cols = []
-    for xi, delta in zip(xs, _deltas(F, xs)):
+    for xi, delta in zip(xs, deltas):
         h, r_at = _divide_linear(F, r, xi)
         if r_at:
             g, p_at = _divide_linear(F, P_r, xi)
@@ -722,8 +739,7 @@ def extract_st(R, ctx: ExtractContext):
     # R Phi^t for every responder and block in one product: row c of the
     # right factor holds entry c of every block of every responder, so
     # responder i's w columns of product row j are its rhat entry j
-    P = mat_mul(F, ctx.mu, [list(chain.from_iterable(r[c::a] for r in R))
-                            for c in range(a)])
+    P = _product(F, ctx.mu, [b"".join(r[c::a] for r in R) for c in range(a)])
     C, D = _pairs(F, [[row[i * w:(i + 1) * w] for row in P]
                       for i in range(a + 1)], ctx.lam)
     return _rebuild(F, C, D, ctx, w)
@@ -731,30 +747,47 @@ def extract_st(R, ctx: ExtractContext):
 
 def _pairs(F, rhat, lam):
     """Solve C + lam_i D = rhat[i][j], C + lam_j D = rhat[j][i] for every
-    pair of rows i < j with lam_i != lam_j, with every entry a vector (one
-    symbol per block).  Returns the symmetric C and D, ERASED on the
-    diagonal, at the pairs that share lam, and in the rows and columns of
-    the rows that are None."""
+    pair of rows i < j with lam_i != lam_j, with every entry bytes (one
+    symbol per block): D_ij = (r_ij - r_ji) / (lam_i - lam_j) and
+    C_ij = r_ij - lam_i D_ij.  The pairs with one difference lam_i - lam_j
+    share D's coefficients and the pairs with one lam_i share C's, so each
+    group is one two-term ``Field.comb_bytes`` (``_fill``).  Returns the
+    symmetric C and D, ERASED on the diagonal, at the pairs that share lam,
+    and in the rows and columns of the rows that are None."""
     n = len(rhat)
     C = [[ERASED] * n for _ in range(n)]
     D = [[ERASED] * n for _ in range(n)]
     live = [i for i in range(n) if rhat[i] is not None]
-    minus_one = F.neg(1)
+    by_difference, by_lam = {}, {}
     for x, i in enumerate(live):
-        ri, lam_i = rhat[i], lam[i]
         for j in live[x + 1:]:
-            if lam[j] == lam_i:
-                continue
-            dd = F.scale(F.inv(F.sub(lam_i, lam[j])),
-                         F.axpy(ri[j], minus_one, rhat[j][i]))
-            C[i][j] = C[j][i] = F.axpy(ri[j], F.neg(lam_i), dd)
-            D[i][j] = D[j][i] = dd
+            if lam[j] != lam[i]:
+                by_difference.setdefault(F.sub(lam[i], lam[j]), []).append(
+                    (i, j))
+                by_lam.setdefault(lam[i], []).append((i, j))
+    for d, pairs in by_difference.items():
+        inv = F.inv(d)
+        _fill(F, D, pairs, (inv, F.neg(inv)), [rhat[i][j] for i, j in pairs],
+              [rhat[j][i] for i, j in pairs])
+    for lam_i, pairs in by_lam.items():
+        _fill(F, C, pairs, (1, F.neg(lam_i)), [rhat[i][j] for i, j in pairs],
+              [D[i][j] for i, j in pairs])
     return C, D
+
+
+def _fill(F, M, pairs, coeffs, u, v):
+    """M_ij = M_ji = coeffs[0] u[p] + coeffs[1] v[p] for each pair
+    p = (i, j) of ``pairs``, in one ``Field.comb_bytes`` over the entries
+    joined end to end."""
+    w = len(u[0])
+    out = F.comb_bytes(coeffs, (b"".join(u), b"".join(v)), w * len(pairs))
+    for y, (i, j) in enumerate(pairs):
+        M[i][j] = M[j][i] = out[y * w:(y + 1) * w]
 
 
 def _rebuild(F, C, D, ctx, w):
     """(S, T), the blocks side by side, from the window's C = Phi S Phi^T
-    and D = Phi T Phi^T (vectors of w blocks, diagonal unknown).  The first
+    and D = Phi T Phi^T (bytes of w blocks, diagonal unknown).  The first
     alpha_l rows and columns of C, diagonal completed, are
     E = Omega S Omega^T, so S = Omega^-1 E Omega^-T; T likewise from D.  Both
     are solved together on rows whose entry j is [C_ij || D_ij]."""
@@ -762,15 +795,13 @@ def _rebuild(F, C, D, ctx, w):
     E = []
     for i, weights in enumerate(ctx.weights):
         known = [C[i][j] + D[i][j] for j in range(a + 1) if j != i]
-        diagonal = vec_mat(F, weights, known)
-        E.append(list(chain.from_iterable(
-            known[:i] + [diagonal] + known[i:a - 1])))
+        known.insert(i, F.comb_bytes(weights, known, n))
+        E.append(b"".join(known[:a]))
     # Omega^-1 E; then Omega^-1 times its transpose, whose row j holds
     # entry j of every row: entry r of row c of the result is S_cr (T_cr)
-    G = mat_mul(F, ctx.omega_inv, E)
-    K = mat_mul(F, ctx.omega_inv, [
-        list(chain.from_iterable(g[j * n:(j + 1) * n] for g in G))
-        for j in range(a)])
+    G = _product(F, ctx.omega_inv, E)
+    K = _product(F, ctx.omega_inv, [b"".join(g[j * n:(j + 1) * n] for g in G)
+                                    for j in range(a)])
     return tuple([_interleave([k[r * n + h:r * n + h + w] for r in range(a)])
                   for k in K] for h in (0, w))
 
@@ -841,11 +872,15 @@ def rec_st(blocks, erased, l, profile: CodeProfile):
     for g in present:
         if blocks[g] is None:
             raise DecodeFailure(f"node {g} missing without being flagged")
-    mu_t = transpose(mu)
-    # one block: every entry of rhat, C and D is a vector of one symbol
-    C, D = _pairs(F, [None if g in erased else
-                      [[v] for v in vec_mat(F, blocks[g], mu_t)]
-                      for g in range(q2)], lam)
+    # rhat of every present node in one product: entry x of row j is
+    # present[x]'s rhat entry j; one block, so every entry of rhat, C and D
+    # is bytes of one symbol
+    P = _product(F, mu, [bytes(blocks[g][c] for g in present)
+                         for c in range(a)])
+    rhat = [None] * q2
+    for x, g in enumerate(present):
+        rhat[g] = [row[x:x + 1] for row in P]
+    C, D = _pairs(F, rhat, lam)
 
     # column j's word is row j of the symmetric C (resp. D); its diagonal
     # entry is erased like a flagged node
@@ -896,7 +931,8 @@ def rec_st(blocks, erased, l, profile: CodeProfile):
                             "(corruption beyond the budget)")
 
     corrupt = {g for g, r in zip(present, mat_mul(
-        F, [profile.nu_row(g, l) for g in present], S + T)) if blocks[g] != r}
+        F, [profile.nu_row(g, l) for g in present], S + T))
+        if list(blocks[g]) != r}
     if len(corrupt) > tau_bud:
         raise DecodeFailure(
             f"{len(corrupt)} mismatching rows exceed the budget {tau_bud}"

@@ -227,7 +227,7 @@ def _corrupt_batches(profile, batches, spec, rng):
                     symbols[(l, t)] = _perturb_symbol(F, rng, spec, symbols[(l, t)])
             out.append(HelpSymbolBatch(b.helper_id, b.level, symbols=symbols))
         else:
-            rows = {l: list(row) for l, row in b.rows.items()}
+            rows = {l: bytearray(row) for l, row in b.rows.items()}
             for l in sorted(rows):
                 a = profile.alpha[l]
                 for t in range(profile.blocks(l)):

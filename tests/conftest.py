@@ -143,9 +143,9 @@ def corrupt_recon(batches, corrupt_ids, order, seed, layers=None):
         if b.helper_id not in corrupt_ids:
             out.append(b)
             continue
-        rows = {l: list(r) for l, r in b.rows.items()}
+        rows = {l: bytearray(r) for l, r in b.rows.items()}
         for l in sorted(rows):
             if layers is None or l in layers:
-                rows[l] = [rng.randrange(order) for _ in rows[l]]
+                rows[l] = bytearray(rng.randrange(order) for _ in rows[l])
         out.append(hmsr.HelpSymbolBatch(b.helper_id, b.level, rows=rows))
     return out

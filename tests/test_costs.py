@@ -3,20 +3,23 @@
 A command-line call builds one subcommand's parser and one field, a cluster
 load or save builds the node file header, and so the profile digest, once
 rather than once per node file, and a profile enumerates its curve points
-once.  A reconstruction window inverts one matrix, and its extractor's kernel
-calls do not grow with the number of blocks.  A helper response makes one
+once.  A reconstruction window inverts one matrix, its extractor's kernel
+calls do not grow with the number of blocks, and an honest plain or detect
+reconstruction runs on the bytes kernel alone.  A helper response makes one
 bytes-kernel call per layer for the basis transform and one for the help
-symbols, and builds no key tuple.  An MSR repair window is closed form and
-eliminates nothing; an MBR repair inverts one window per layer (and checks
-the shifted window once per layer in detect), which keeps the names that the
-traced bench requires reached."""
+symbols, and builds no key tuple.  An MSR repair window is closed form,
+eliminates nothing and computes its barycentric products once; an MBR
+repair inverts one window per layer (and checks the shifted window once per
+layer in detect), which keeps the names that the traced bench requires
+reached."""
 
 import argparse
 import random
 
 import pytest
 
-from conftest import encode_profile, random_message, repair_batches
+from conftest import (encode_profile, random_message, recon_batches,
+                      repair_batches)
 from hrgc import cli, field, hmbr, hmsr, linalg, matrices, sim
 from hrgc.matrices import profile_from_text, profile_new, profile_to_text
 
@@ -102,32 +105,62 @@ def test_an_msr_window_inverts_one_matrix(q4_msr, monkeypatch):
         assert len(inverses) == 1, l
 
 
-def _comb_calls(extract, rows):
+def _kernel_calls(extract, rows):
     with pytest.MonkeyPatch.context() as mp:
-        calls = _counting(mp, field.Field, "comb")
+        calls = _counting(mp, field.Field, "comb_bytes")
         extract(rows)
     return len(calls)
 
 
 def test_window_extractors_make_one_kernel_call_per_product_row(q4_msr,
+                                                                q3_mbr,
                                                                 q4_mbr):
-    """The extractors multiply rows that hold every block, so one block or
-    all A/alpha_0 blocks of q=4 layer 0 cost the same number of
-    ``Field.comb`` calls: one per row of each product (``extract_st``:
-    R Phi^t, the alpha_0 diagonals and two Omega^-1 products;
-    ``_extract_m``: T, one strip per responder and S)."""
+    """The extractors multiply bytes rows that hold every block, so one
+    block or all A/alpha_0 blocks of layer 0 cost the same number of
+    ``Field.comb_bytes`` calls.  ``extract_st``: alpha_0 + 1 rows of
+    R Phi^t, one D per distinct lambda_i - lambda_j (i < j) of the window
+    and one C per lambda_i of its first alpha_0 responders (``_pairs``),
+    alpha_0 diagonals and two Omega^-1 products.  ``_extract_m``: T, one
+    strip per responder and S, 3 k_0; with k_0 = alpha_0 (q=4) there is no
+    T and each strip is its row, so S alone, k_0."""
     rng = random.Random(9)
-    for p, window, calls in (
-            (q4_msr, hmsr._st_window, 4 * q4_msr.alpha[0] + 1),
-            (q4_mbr, hmbr._m_window, 3 * q4_mbr.k[0])):
+    F, a = q4_msr.field, q4_msr.alpha[0]
+    for p, window in ((q4_msr, hmsr._st_window), (q3_mbr, hmbr._m_window),
+                      (q4_mbr, hmbr._m_window)):
         n = p.n_nodes
         ids = hmsr._window_ids(list(range(n)), p.k[0],
                                p.lam[0] if p.lam else range(n))
+        if p.lam:
+            lam = [p.lam[0][g] for g in ids]
+            differences = {F.sub(x, y) for i, x in enumerate(lam)
+                           for y in lam[i + 1:]}
+            calls = (a + 1) + len(differences) + a + a + 2 * a
+        else:
+            calls = (3 if p.alpha[0] > p.k[0] else 1) * p.k[0]
         extract = window(p, 0, ids)
         for width in (p.alpha[0], p.A):
-            rows = [[rng.randrange(p.field.order) for _ in range(width)]
+            rows = [bytes(rng.randrange(p.field.order) for _ in range(width))
                     for _ in ids]
-            assert _comb_calls(extract, rows) == calls, (p.mode, width)
+            assert _kernel_calls(extract, rows) == calls, (p.mode, p.q, width)
+
+
+@pytest.mark.parametrize("prof_name", ["q5_msr", "q5_mbr"])
+def test_an_honest_reconstruct_never_runs_the_list_kernel(prof_name, request,
+                                                          monkeypatch):
+    """Plain and detect reconstruction keep the rows bytes from the basis
+    transform to the message: at q=5 every product, the responses' basis
+    transforms included, is a ``Field.comb_bytes`` on rows wide enough for
+    its lanes, so ``Field.comb`` never runs."""
+    profile = request.getfixturevalue(prof_name)
+    message = random_message(profile, 8)
+    nodes = encode_profile(profile, message)
+    recon_batches(profile, nodes, "detect")   # every B_g^-1, built at first use
+    lists = _counting(monkeypatch, field.Field, "comb")
+    for mode in ("plain", "detect"):
+        engine = sim._entry(profile, "reconstruct", mode)
+        report = engine(recon_batches(profile, nodes, mode), profile)
+        assert report.ok and report.message == message, mode
+        assert lists == [], mode
 
 
 @pytest.mark.parametrize("prof_name", ["q4_msr", "q5_msr", "q5_mbr"])
@@ -168,6 +201,21 @@ def test_an_msr_repair_eliminates_nothing(prof_name, request, monkeypatch):
         report = getattr(hmsr, f"regenerate_{mode}")(2, batches, profile)
         assert report.ok and report.y == nodes[2].y, mode
         assert eliminations == [] and determinants == [], mode
+
+
+@pytest.mark.parametrize("prof_name", ["q3_msr", "q4_msr", "q5_msr"])
+def test_an_msr_detect_repair_computes_each_window_delta_once(prof_name,
+                                                              request,
+                                                              monkeypatch):
+    """A window's barycentric products serve both its map and the extra
+    helper's Lagrange weights: one ``_deltas`` per layer."""
+    profile = request.getfixturevalue(prof_name)
+    nodes = encode_profile(profile, random_message(profile, 5))
+    batches = repair_batches(profile, nodes, 2, "detect")
+    deltas = _counting(monkeypatch, hmsr, "_deltas")
+    report = hmsr.regenerate_detect(2, batches, profile)
+    assert report.ok and report.y == nodes[2].y
+    assert len(deltas) == profile.q
 
 
 @pytest.mark.parametrize("prof_name", ["q3_mbr", "q4_mbr", "q5_mbr"])

@@ -26,7 +26,7 @@ def test_arrange_q4_k_equals_alpha(q4_mbr):
         for t in range(q4_mbr.blocks(l)):
             S, T = block(m, q4_mbr, l, t)
             assert T == [[] for _ in range(q4_mbr.k[l])]
-            blk = hmbr._join(S, T)
+            blk = [list(r) for r in hmbr._join(S, T)]
             assert len(blk) == q4_mbr.alpha[l]
             assert blk == [list(r) for r in zip(*blk)]
 
@@ -40,7 +40,7 @@ def test_arrange_q3_block_symbol_count(q3_mbr):
     S, T = block(m, q3_mbr, 0, 0)
     assert S == [[msg[0], msg[1]], [msg[1], msg[2]]]
     assert T == [[msg[3]], [msg[4]]]
-    blk = hmbr._join(S, T)
+    blk = [list(r) for r in hmbr._join(S, T)]
     assert blk == [list(r) for r in zip(*blk)]
     assert blk[2][2] == 0
 

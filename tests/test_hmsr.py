@@ -162,7 +162,7 @@ def test_helper_response_counts(q3_msr):
 def test_help_symbols_equal_the_per_block_reference(prof_name, request):
     """For every node, level and target, the help symbols are mu_z times
     each block's slice of the list rows B_g^-1 Y_g, and the reconstruction
-    rows are those rows as int lists.  The fixtures cover odd p and char 2,
+    rows are those rows as bytes.  The fixtures cover odd p and char 2,
     rows narrower than the bytes kernel's lanes (q=3) and wider ones."""
     profile = request.getfixturevalue(prof_name)
     F, n, q = profile.field, profile.n_nodes, profile.q
@@ -177,9 +177,9 @@ def test_help_symbols_equal_the_per_block_reference(prof_name, request):
                 for l, a in enumerate(profile.alpha)]
         for level in range(q):
             rows = hmsr.recon_response(nodes[g], profile, level).rows
-            assert rows == dict(enumerate(ref[:level + 1])), (g, level)
-            assert all(type(r) is list and all(type(v) is int for v in r)
-                       for r in rows.values())
+            assert rows == dict(enumerate(map(bytes, ref[:level + 1]))), (
+                g, level)
+            assert all(type(r) is bytes for r in rows.values())
             for z in range(n):
                 if z == g:
                     continue
@@ -446,14 +446,19 @@ def test_reconstruct_detect_honest_and_alarm(q3_msr):
 
 
 def _window_st(R, ids, l, profile):
-    """``hmsr.extract_st`` through the window of layer l and responders ids."""
-    return hmsr.extract_st(R, hmsr.ExtractContext(profile, l, ids))
+    """``hmsr.extract_st`` through the window of layer l and responders ids,
+    on the rows R as bytes; the blocks come back as int lists."""
+    S, T = hmsr.extract_st([bytes(r) for r in R],
+                           hmsr.ExtractContext(profile, l, ids))
+    return [list(r) for r in S], [list(r) for r in T]
 
 
 def _window_m(F, mu_rows, k, R):
-    """``hmbr._extract_m`` with the Omega^-1 of the rows ``mu_rows``."""
-    return hmbr._extract_m(F, mu_rows, k, R,
-                           mat_inv(F, [row[:k] for row in mu_rows]))
+    """``hmbr._extract_m`` with the Omega^-1 of the rows ``mu_rows``, on
+    the rows R as bytes; the blocks come back as int lists."""
+    S, T, asym = hmbr._extract_m(F, mu_rows, k, [bytes(r) for r in R],
+                                 mat_inv(F, [row[:k] for row in mu_rows]))
+    return [list(r) for r in S], [list(r) for r in T], asym
 
 
 def test_extract_st_identity_pattern(q3_msr):
@@ -537,7 +542,7 @@ def test_extract_st_random_rows_extract_symmetric_blocks(q3_msr, q4_msr, q5_msr)
                     continue
                 regular += 1
                 R = [[rng.randrange(F.order) for _ in range(3 * a)] for _ in ids]
-                S, T = hmsr.extract_st(R, ctx)
+                S, T = hmsr.extract_st([bytes(r) for r in R], ctx)
                 assert hmsr._asymmetric_block(S) is None, (p.q, l, ids)
                 assert hmsr._asymmetric_block(T) is None, (p.q, l, ids)
                 assert mat_mul(F, [p.nu_row(g, l) for g in ids], S + T) == R
@@ -587,8 +592,8 @@ def test_extract_st_equals_the_square_system_solution(q3_msr, q4_msr, q5_msr):
                     continue
                 R = [[rng.randrange(F.order) for _ in range(4 * a)]
                      for _ in ids]
-                assert hmsr.extract_st(R, ctx) == _square_system_st(
-                    p, l, ids, R), (p.q, l, ids)
+                assert hmsr.extract_st([bytes(r) for r in R], ctx) == (
+                    _square_system_st(p, l, ids, R)), (p.q, l, ids)
                 solved += 1
 
 
@@ -718,7 +723,7 @@ def _per_column_rec_st(blocks, erased, l, profile):
             raise DecodeFailure(f"node {g} missing without being flagged")
     mu_t = transpose(mu)
     C, D = hmsr._pairs(F, [None if g in erased else
-                           [[v] for v in vec_mat(F, blocks[g], mu_t)]
+                           [bytes([v]) for v in vec_mat(F, blocks[g], mu_t)]
                            for g in range(q2)], profile.lam[l])
     pts = [profile.x_value(g) for g in range(q2)]
     votes = {g: 0 for g in range(q2)}
@@ -1008,7 +1013,7 @@ def test_a_lone_liar_always_alarms_in_detect_reconstruct(prof_name, failed,
         for i, b in enumerate(batches):
             for l in range(b.level + 1):
                 for e in range(profile.alpha[l]):
-                    rows = {j: list(r) for j, r in b.rows.items()}
+                    rows = {j: bytearray(r) for j, r in b.rows.items()}
                     rows[l][e] = F.add(rows[l][e], 1)
                     lie = hmsr.HelpSymbolBatch(b.helper_id, b.level, rows=rows)
                     rep = reconstruct(batches[:i] + [lie] + batches[i + 1:],
@@ -1058,7 +1063,7 @@ def test_consistent_pair_passes_detect_reconstruct(prof_name, request):
         out = []
         for b in batches:
             if b.helper_id in liars:
-                rows = {l: list(r) for l, r in b.rows.items()}
+                rows = {l: bytearray(r) for l, r in b.rows.items()}
                 rows[0][:a] = [F.add(x, y)
                                for x, y in zip(rows[0], shift[b.helper_id])]
                 b = hmsr.HelpSymbolBatch(b.helper_id, b.level, rows=rows)
@@ -1187,7 +1192,7 @@ def _lying_batches(profile, message, liars, kind, activation, rng):
     other = encode_profile(profile, random_message(profile, rng.randrange(10**6)))
     out = []
     for b in recon_batches(profile, nodes, "recover"):
-        rows = {l: list(r) for l, r in b.rows.items()}
+        rows = {l: bytearray(r) for l, r in b.rows.items()}
         if b.helper_id in liars:
             alt = [list(r) for r in
                    hmsr.tilde_rows(profile, other[b.helper_id], profile.q - 1)]
@@ -1301,16 +1306,53 @@ def test_recover_exit_reach(prof_name, request, monkeypatch):
         built.clear()
         bad = []
         for b in batches:
-            rows = {j: list(r) for j, r in b.rows.items()}
+            rows = {j: bytearray(r) for j, r in b.rows.items()}
             if b.helper_id == liar:
                 rows[l][0] = F.add(rows[l][0], 1)
             bad.append(hmsr.HelpSymbolBatch(b.helper_id, b.level, rows=rows))
         rep = _recover(profile)(bad, profile)
         assert rep.ok and rep.message == message
         assert rep.corrupted == frozenset({liar})
-        assert [(j, blocks[liar]) for j, blocks in solved] == [
-            (l, [F.add(batches[liar].rows[l][0], 1)] + batches[liar].rows[l][1:a])]
+        assert [(j, list(blocks[liar])) for j, blocks in solved] == [
+            (l, [F.add(batches[liar].rows[l][0], 1)]
+             + list(batches[liar].rows[l][1:a]))]
         assert built == sorted(list(range(q)) + rebuilt, reverse=True), liar
+
+
+@pytest.mark.parametrize("prof_name", FIXTURES)
+def test_block_solvers_compare_rows_by_value(prof_name, request, monkeypatch):
+    """The honest rows are bytes and the liar's a ``bytearray`` with one
+    flipped symbol, as the simulator's liars send them: the block that
+    goes to the solver comes back exact, and the solver, which compares
+    every row with its re-encoding, names the liar alone."""
+    profile = request.getfixturevalue(prof_name)
+    F, n = profile.field, profile.n_nodes
+    module, solver = ((hmsr, "rec_st") if profile.mode == "msr"
+                      else (hmbr, "rec_m"))
+    real_solve, named = getattr(module, solver), []
+
+    def counting_solve(blocks, erased, l, p):
+        S, T, corrupt = real_solve(blocks, erased, l, p)
+        named.append(corrupt)
+        return S, T, corrupt
+
+    monkeypatch.setattr(module, solver, counting_solve)
+    message = random_message(profile, 96)
+    batches = recon_batches(profile, encode_profile(profile, message),
+                            "recover")
+    assert all(type(r) is bytes for b in batches for r in b.rows.values())
+    for liar in (0, n - 1):
+        named.clear()
+        out = []
+        for b in batches:
+            if b.helper_id == liar:
+                rows = {l: bytearray(r) for l, r in b.rows.items()}
+                rows[0][0] = F.add(rows[0][0], 1)
+                b = hmsr.HelpSymbolBatch(b.helper_id, b.level, rows=rows)
+            out.append(b)
+        rep = _recover(profile)(out, profile)
+        assert rep.ok and rep.message == message, liar
+        assert rep.corrupted == frozenset({liar}) and named == [{liar}], liar
 
 
 @pytest.mark.parametrize("prof_name", ["q3_msr", "q3_mbr"])
@@ -1658,16 +1700,17 @@ def test_msr_repair_map_is_the_window_inverse(prof_name, request):
             R = [[b.symbols[key] for key in profile.help_keys[l]]
                  for b in helpers[:d]]
             xs = [profile.x_value(g) for g in ids[:d]]
+            deltas = hmsr._deltas(F, xs)
             rows = mat_mul(F, hmsr._remainder_map(
-                F, xs, hmsr._lambda_divisor(profile, z, l)), R)
+                F, xs, deltas, hmsr._lambda_divisor(profile, z, l)), R)
             eye = [[int(i == j) for j in range(d)] for i in range(d)]
             inv = solve_square(F, [profile.nu_row(g, l) for g in ids[:d]], eye)
             X = mat_mul(F, inv, R)
             assert rows == [F.axpy(X[j], profile.lam[l][z], X[a + j])
                             for j in range(a)], (z, l)
-            assert hmsr._interleave(rows) == truth[l], (z, l)
+            assert list(hmsr._interleave(rows)) == truth[l], (z, l)
             weights, = hmsr._lagrange_weights(
-                F, xs, [profile.x_value(ids[d])])
+                F, xs, deltas, [profile.x_value(ids[d])])
             assert weights == vec_mat(F, profile.nu_row(ids[d], l), inv)
             assert all(weights), (z, l)
 
@@ -1751,7 +1794,7 @@ def _per_block_reconstruct(batches, profile, mode):
                 else:
                     again = vec_mat(F, profile.mu_row(ids[k], l),
                                     hmbr._join(S, T))
-                if again != R[k]:
+                if again != list(R[k]):
                     return False, {"layer": l, "block": t}, None
             s[l].append(S)
             t_[l].append(T)
@@ -1774,16 +1817,21 @@ def test_layer_extraction_matches_the_per_block_extractors(prof_name, request):
     message = random_message(profile, 63)
     truth = (hmsr.arrange_st if msr else hmbr.arrange_m)(message, profile)
     nodes = encode_profile(profile, message)
-    stack = [[list(r) for r in hmsr.tilde_rows(profile, s, profile.q - 1)]
-             for s in nodes]
+    stack = [hmsr.tilde_rows(profile, s, profile.q - 1) for s in nodes]
+
+    def extract_lists(R):
+        S, T, asym = extract(R)
+        return [list(r) for r in S], [list(r) for r in T], asym
+
     for l in range(profile.q):
         a, k = profile.alpha[l], profile.k[l]
         ids = list(range(1, k + 1))
         extract = window(profile, l, ids)
-        assert extract([stack[g][l] for g in ids]) == (
+        assert extract_lists([stack[g][l] for g in ids]) == (
             truth.s[l], truth.t_[l], None)
         for t in range(profile.blocks(l)):
-            assert extract([stack[g][l][t * a:(t + 1) * a] for g in ids]) == (
+            assert extract_lists([stack[g][l][t * a:(t + 1) * a]
+                                  for g in ids]) == (
                 *block(truth, profile, l, t), None)
 
     rng = random.Random(prof_name)
@@ -1796,7 +1844,7 @@ def test_layer_extraction_matches_the_per_block_extractors(prof_name, request):
         resp = _window_order(batches, l)
         i = batches.index(resp[rng.randrange(len(resp))])
         t = rng.randrange(1, w)
-        rows = {j: list(r) for j, r in batches[i].rows.items()}
+        rows = {j: bytearray(r) for j, r in batches[i].rows.items()}
         c = t * a + rng.randrange(a)
         rows[l][c] = F.add(rows[l][c], rng.randrange(1, F.order))
         batches[i] = hmsr.HelpSymbolBatch(batches[i].helper_id,
@@ -1820,7 +1868,7 @@ def test_layer_extraction_matches_the_per_block_extractors(prof_name, request):
         out = []
         for b in batches:
             if b.helper_id == g:
-                rows = {j: list(r) for j, r in b.rows.items()}
+                rows = {j: bytearray(r) for j, r in b.rows.items()}
                 rows[l][c] = F.add(rows[l][c], delta)
                 b = hmsr.HelpSymbolBatch(b.helper_id, b.level, rows=rows)
             out.append(b)

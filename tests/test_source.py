@@ -194,6 +194,7 @@ UNNAMED_IN_SRC = {
                         ("hmbr", ("regenerate_mbr", "reconstruct_mbr")))
        for op in ops for mode in ("plain", "detect", "recover")},
     ("sim", "bandwidth_audit"): "the bench's traffic gate reads it",
+    ("linalg", "vec_mat"): "the bench's tracer wraps it by name",
     **{("capability", name): "the paper's closed form, which the "
        "acceptance tests check" for name in (
            "cutset_bound", "msr_point", "mbr_point", "layer_equivalents",
