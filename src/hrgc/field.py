@@ -20,6 +20,7 @@ those rows mapped through per-digit byte tables.
 from __future__ import annotations
 
 import operator
+from itertools import repeat
 
 from .errors import DivisionByZero, UnsupportedQ
 
@@ -107,8 +108,12 @@ class Field:
                                for row in rows]
             self._mod_p = bytes(v % p for v in range(256))
         # the bytes kernel costs one translate per digit plane and term, the
-        # list kernel one table lookup per symbol and term
-        self._wide = 8 * (1 if p == 2 else deg)
+        # list kernel one table lookup per symbol and term; a product keeps
+        # a term's lanes for reuse (a dict lookup) once its translates span
+        # 256 bytes
+        planes = 1 if p == 2 else deg
+        self._wide = 8 * planes
+        self._reuse = 256 // planes
 
     # -- arithmetic -----------------------------------------------------
 
@@ -197,45 +202,77 @@ class Field:
 
     def comb_bytes(self, coeffs, rows, width: int) -> bytes:
         """sum_i coeffs[i] * rows[i] as ``width`` bytes, one symbol per
-        byte, for ``rows`` from ``pack`` or rows already held as bytes.
-
-        Wide rows are big-int lanes of one byte per symbol.  In char 2 the
-        sum is XOR.  For odd p each base-p digit has its own accumulator
-        whose byte lanes add the digits of each product; a lane gains at
-        most p - 1 per term, so a ``% p`` translate every 255 // (p - 1) - 1
-        terms keeps it below 256, and the reduced planes recombine as
-        sum_i p^i plane_i.
-        """
+        byte, for ``rows`` from ``pack`` or rows already held as bytes: one
+        row of ``product``, which keeps no lanes for another."""
         if width < self._wide:
             return bytes(self.comb(coeffs, rows, width))
-        tabs = self._mul_bytes
+        return self._lane_sum(coeffs, rows, width, None)
+
+    def product(self, M, rows, width: int):
+        """M times the matrix of ``rows``: per row c of M, sum_j c[j] *
+        rows[j] as ``width`` bytes, one symbol per byte, for bytes-like
+        ``rows`` (on narrow widths, lists too).
+
+        Rows wide enough keep the lanes of c[j] * rows[j] per source row j
+        and coefficient, so each (row, coefficient) pair is translated and
+        read once however many rows of M share it: the columns of the
+        encoding matrices repeat values (powers of the node x-values).
+        Narrow rows take ``comb``'s list loop."""
+        if width < self._wide:
+            return [bytes(self.comb(c, rows, width)) for c in M]
+        seen = [{} for _ in rows] if width >= self._reuse else None
+        return [self._lane_sum(c, rows, width, seen) for c in M]
+
+    def _lane_sum(self, coeffs, rows, width, seen):
+        """The wide kernel: sum_j coeffs[j] * rows[j] on big-int lanes of
+        one byte per symbol, with ``seen[j]`` (when not None) the lanes of
+        row j per coefficient, filled as they are made.
+
+        In char 2 a lane holds the product and the sum is XOR.  For odd p
+        the base-p digit planes of a product sit side by side in one int
+        (plane i at byte i * width) and add as ints; a lane gains at most
+        p - 1 per term, so reducing the digits mod p (``_digits``) every
+        255 // (p - 1) - 1 terms keeps it below 256, and the reduced planes
+        recombine as sum_i p^i plane_i."""
+        tabs, acc, from_bytes = self._mul_bytes, 0, int.from_bytes
         if self.characteristic == 2:
-            acc = 0
-            for a, r in zip(coeffs, rows):
-                if a:
-                    acc ^= int.from_bytes(r.translate(tabs[a]), "little")
+            if seen is None:
+                for a, r in zip(coeffs, rows):
+                    if a:
+                        acc ^= from_bytes(r.translate(tabs[a]), "little")
+            else:
+                for a, r, lanes in zip(coeffs, rows, seen):
+                    if a:
+                        v = lanes.get(a)
+                        if v is None:
+                            v = lanes[a] = from_bytes(
+                                r.translate(tabs[a]), "little")
+                        acc ^= v
             return acc.to_bytes(width, "little")
-        p, mod = self.characteristic, self._mod_p
-
-        def reduce(v):
-            return int.from_bytes(v.to_bytes(width, "little").translate(mod),
-                                  "little")
-
-        limit = 255 // (p - 1) - 1
-        planes = [0] * self.degree
-        terms = 0
-        for a, r in zip(coeffs, rows):
+        p = self.characteristic
+        limit, terms = 255 // (p - 1) - 1, 0
+        for a, r, lanes in zip(coeffs, rows, seen or repeat(None)):
             if a:
                 if terms == limit:
-                    planes = [reduce(v) for v in planes]
+                    acc = from_bytes(self._digits(acc, width), "little")
                     terms = 0
-                for i, tab in enumerate(tabs[a]):
-                    planes[i] += int.from_bytes(r.translate(tab), "little")
+                v = None if lanes is None else lanes.get(a)
+                if v is None:
+                    v = from_bytes(b"".join([r.translate(t) for t in tabs[a]]),
+                                   "little")
+                    if lanes is not None:
+                        lanes[a] = v
+                acc += v
                 terms += 1
-        acc = 0
-        for v in reversed(planes):
-            acc = acc * p + reduce(v)
+        planes, acc = self._digits(acc, width), 0
+        for i in range(self.degree - 1, -1, -1):
+            acc = acc * p + from_bytes(planes[i * width:(i + 1) * width],
+                                       "little")
         return acc.to_bytes(width, "little")
+
+    def _digits(self, v: int, width: int) -> bytes:
+        """The odd-p lanes v, every digit reduced mod p, as bytes."""
+        return v.to_bytes(self.degree * width, "little").translate(self._mod_p)
 
     # -- structure ------------------------------------------------------
 

@@ -9,14 +9,17 @@ the layers' lambda_l(x_g), so that row l of B_g^{-1} Y_g splits into blocks
 mu_{g,l} S_{l,t} + lambda_l(x_g) mu_{g,l} T_{l,t}
 -- one inner product per helper is enough to repair.
 
-A helper's layer rows stay bytes from the basis transform (``tilde_rows``)
-to its help symbols (``helper_response``), which are ints keyed by the
-profile's prebuilt (l, t) tuples, and to the rows of a reconstruction
-(``recon_response``), which the window extractors multiply as bytes on
-``Field.comb_bytes`` up to the message.  Rows are compared by value
-(bytes, a liar's ``bytearray`` and a list of the same symbols are all one
-row to the checks); node states stay lists because a repair reports one,
-whose repr the outcome digest pins.
+Symbol rows are bytes-like, one symbol per byte, from the layer matrices
+to the node states and back to the message.  The encoder multiplies the
+layer matrices' bytes rows on ``Field.product`` and stores each node state
+as ``bytearray`` rows, the node file's row layout; a repair reports one
+such state.  A helper's layer rows stay bytes from the basis transform
+(``tilde_rows``, which reads the state as it is) to its help symbols
+(``helper_response``), which are ints keyed by the profile's prebuilt
+(l, t) tuples, and to the rows of a reconstruction (``recon_response``),
+which the window extractors multiply as bytes up to the message.  Rows are
+compared by value (bytes, a ``bytearray`` and a list of the same symbols
+are all one row to the checks); the message alone is a list.
 
 Repair and reconstruction run one plain/detect loop and one recover loop.
 A repair is a reconstruction whose blocks are one help symbol wide: a help
@@ -77,7 +80,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field as dfield
 from functools import reduce
-from itertools import chain
 
 from .decoder import ERASED, _poly_divmod, decode
 from .errors import (
@@ -109,7 +111,7 @@ class MessageMatrices:
 @dataclass
 class NodeState:
     node_id: int
-    y: list                  # q x A symbol matrix
+    y: list                  # q rows of A symbols, a bytearray each
 
 
 @dataclass
@@ -124,7 +126,8 @@ class HelpSymbolBatch:
 @dataclass
 class Report:
     """One operation's outcome: a repair sets ``y`` (the repaired node's
-    q x A state), a reconstruction ``message``; each is None unless set."""
+    state, q bytearray rows of A symbols), a reconstruction ``message`` (a
+    list); each is None unless set."""
     mode: str
     ok: bool
     y: list | None = None
@@ -153,28 +156,36 @@ def _arrange(message, profile):
 
 def _message(profile, layers):
     """The message that every layer's (S, T) layer matrices hold: each index
-    read at its first position in the profile's index table."""
-    flat = list(chain.from_iterable(r for S, T in layers for r in S + T))
-    return list(map(flat.__getitem__, profile.layout[1]))
+    read at its first position in the profile's index table, from their
+    rows joined as bytes."""
+    return list(profile.read_message(
+        b"".join([bytes(r) for S, T in layers for M in (S, T) for r in M])))
 
 
 # -- encoding -------------------------------------------------------------------
 
 
 def _side_by_side(pieces):
-    """The matrix whose rows hold the pieces' rows side by side."""
-    return [list(chain.from_iterable(rows)) for rows in zip(*pieces)]
+    """The matrix whose rows hold the pieces' rows side by side, as bytes
+    (a block solver's pieces may be lists)."""
+    return [b"".join(map(bytes, rows)) for rows in zip(*pieces)]
 
 
 def _encode(m: MessageMatrices, profile: CodeProfile, row, stack):
     """The q^2 node states of the layer matrices m: node g's layer-l row is
-    row(g, l) times ``stack`` of the layer's S and T."""
+    row(g, l) times ``stack`` of the layer's S and T, taken as bytes."""
     F, n = profile.field, profile.n_nodes
-    layers = [mat_mul(F, [row(g, l) for g in range(n)], stack(m.s[l], m.t_[l]))
+    layers = [_product(F, [row(g, l) for g in range(n)],
+                       list(map(bytes, stack(m.s[l], m.t_[l]))))
               for l in range(profile.q)]
-    return [NodeState(node_id=g, y=mat_mul(
+    return [NodeState(node_id=g, y=_node_rows(
                 F, profile.points.basis(g), [M[g] for M in layers]))
             for g in range(n)]
+
+
+def _node_rows(F, basis, tilde):
+    """A node state, B_g times its layer rows ``tilde``: bytearray rows."""
+    return list(map(bytearray, _product(F, basis, tilde)))
 
 
 def encode(st: MessageMatrices, profile: CodeProfile):
@@ -185,13 +196,13 @@ def encode(st: MessageMatrices, profile: CodeProfile):
 
 
 def tilde_rows(profile: CodeProfile, state: NodeState, level: int):
-    """Rows 0..level of B_g^{-1} Y_g: row l carries the layer-l payload of
-    node g.  Each row is bytes, one symbol per byte (the node file's row
-    layout): ``helper_response`` slices it straight into the help-symbol
-    product, and ``recon_response`` hands it on as it is."""
+    """Rows 0..level of B_g^{-1} Y_g, from the state's rows as they are:
+    row l carries the layer-l payload of node g.  Each row is bytes, one
+    symbol per byte (the node file's row layout): ``helper_response``
+    slices it straight into the help-symbol product, and
+    ``recon_response`` hands it on as it is."""
     F, A = profile.field, profile.A
-    y = F.pack(state.y, A)
-    return [F.comb_bytes(c, y, A)
+    return [F.comb_bytes(c, state.y, A)
             for c in profile.points.basis_inv(state.node_id)[:level + 1]]
 
 
@@ -314,10 +325,9 @@ def _interleave(cols):
 
 
 def _product(F, M, rows):
-    """M times the matrix of the bytes-like ``rows``, one
-    ``Field.comb_bytes`` per row of M: bytes rows."""
-    width = len(rows[0])
-    return [F.comb_bytes(c, rows, width) for c in M]
+    """M times the matrix of the bytes-like ``rows`` on ``Field.product``:
+    bytes rows."""
+    return F.product(M, rows, len(rows[0]))
 
 
 def _first_difference(u, v):
@@ -384,9 +394,10 @@ def _repair(z, batches, profile, mode, divisor, prior_flags=frozenset()):
     symbols = {b.helper_id: b.symbols for b in batches}
     x = profile.x_value
     deltas = {}     # an MSR window's ids -> their barycentric products
+    readers = profile.help_readers
 
     def rows(g, l):
-        return bytes(map(symbols[g].__getitem__, profile.help_keys[l]))
+        return bytes(readers[l](symbols[g]))
 
     def xs_deltas(ids):
         xs = [x(g) for g in ids]
@@ -430,7 +441,7 @@ def _repair(z, batches, profile, mode, divisor, prior_flags=frozenset()):
         # S's row c holds entry c of every block: one layer row
         tilde = [_interleave(_side_by_side([S for S, _ in layers[l]]))
                  for l in range(profile.q)]
-        return {"y": mat_mul(F, profile.points.basis(z), tilde)}
+        return {"y": _node_rows(F, profile.points.basis(z), tilde)}
 
     if mode != "recover":
         return _plain_detect(batches, rows, profile, mode, profile.d,

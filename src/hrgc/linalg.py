@@ -1,6 +1,9 @@
 """Dense linear algebra over a Field: matrices are list-of-row-lists of ints.
 
-The products are row combinations on the Field row kernels (``Field.comb``);
+These serve the small coefficient matrices (window inverses, basis changes,
+the decoders and the recover-mode block solvers); the engines multiply their
+bytes symbol rows on ``Field.product`` instead.  The products here are row
+combinations on the list view of the Field row kernels (``Field.comb``);
 elimination steps are ``Field.axpy`` row operations."""
 
 from __future__ import annotations

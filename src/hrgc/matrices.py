@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import random
 from array import array
 from dataclasses import dataclass, field as dfield
@@ -118,9 +119,28 @@ class CodeProfile:
         return tuple(tuple((l, t) for t in range(self.blocks(l)))
                      for l in range(self.q))
 
+    @cached_property
+    def read_message(self):
+        """The message from the layer matrices' symbols read in order (a
+        bytes-like object): ``_tuple_getter`` of the layout's inverse."""
+        return _tuple_getter(self.layout[1])
+
+    @cached_property
+    def help_readers(self):
+        """Per layer, a helper's row of help symbols, one per block, from
+        its ``{(l, t): symbol}`` dict: ``_tuple_getter`` of ``help_keys``."""
+        return tuple(map(_tuple_getter, self.help_keys))
+
     @property
     def n_nodes(self) -> int:
         return self.q * self.q
+
+
+def _tuple_getter(keys):
+    """``operator.itemgetter(*keys)``, whose result is a tuple for one key
+    too (``itemgetter`` of one key returns the item itself)."""
+    get = operator.itemgetter(*keys)
+    return get if len(keys) > 1 else lambda x: (get(x),)
 
 
 # -- profile construction ---------------------------------------------------

@@ -446,7 +446,7 @@ def _node_header(profile: CodeProfile):
 
 def encode_node_bytes(state: NodeState, header) -> bytes:
     header = {**header, "id": state.node_id.to_bytes(2, "little")}
-    return b"".join([*header.values(), *map(bytes, state.y)])
+    return b"".join([*header.values(), *state.y])
 
 
 def decode_node_bytes(data: bytes, profile: CodeProfile, header) -> NodeState:
@@ -467,7 +467,7 @@ def decode_node_bytes(data: bytes, profile: CodeProfile, header) -> NodeState:
         raise HrgcError(f"node file payload holds a symbol outside "
                         f"GF({profile.field.order})")
     return NodeState(node_id=node_id,
-                     y=[list(data[r:r + A]) for r in range(off, size, A)])
+                     y=[bytearray(data[r:r + A]) for r in range(off, size, A)])
 
 
 def load_node(path, profile: CodeProfile, header) -> NodeState:

@@ -88,6 +88,8 @@ def outcome(cluster, call):
     out = getattr(report, "y", None)
     if out is None:
         out = getattr(report, "message", None)
+    else:
+        out = [list(row) for row in out]    # a node's rows, by value
     return (report.mode, report.ok, report.alarm, report.failure,
             sorted(report.corrupted), sorted(report.tallies.items()), out,
             sorted(log.meta.items()), log.records, sorted(cluster.known_corrupt))

@@ -45,6 +45,28 @@ def test_end_to_end_round_trip(workspace):
     assert open(out, "rb").read() == workspace["payload"]
 
 
+def test_node_files_round_trip_and_a_repair_rewrites_one_byte_for_byte(
+        workspace, tmp_path):
+    """A node file loads as bytearray rows that encode back to the file's
+    bytes, and a command-line repair of a failed node whose file is gone
+    writes the same file again."""
+    cluster = tmp_path / "cluster"
+    shutil.copytree(workspace["cluster"], cluster)
+    profile = sim.load_cluster(str(cluster)).profile
+    header = sim._node_header(profile)
+    files = {g: (cluster / sim.node_filename(g)).read_bytes()
+             for g in range(profile.n_nodes)}
+    for data in files.values():
+        state = sim.decode_node_bytes(data, profile, header)
+        assert [type(row) for row in state.y] == [bytearray] * profile.q
+        assert sim.encode_node_bytes(state, header) == data
+    path = cluster / sim.node_filename(6)
+    assert run(["fail", "--cluster", str(cluster), "--node", "6"]) == 0
+    path.unlink()
+    assert run(["repair", "--cluster", str(cluster), "--node", "6"]) == 0
+    assert path.read_bytes() == files[6]
+
+
 def test_verify_consistent_cluster(workspace):
     assert run(["verify", "--cluster", workspace["cluster"]]) == 0
 

@@ -4,22 +4,21 @@ A command-line call builds one subcommand's parser and one field, a cluster
 load or save builds the node file header, and so the profile digest, once
 rather than once per node file, and a profile enumerates its curve points
 once.  A reconstruction window inverts one matrix, its extractor's kernel
-calls do not grow with the number of blocks, and an honest plain or detect
-reconstruction runs on the bytes kernel alone.  A helper response makes one
-bytes-kernel call per layer for the basis transform and one for the help
-symbols, and builds no key tuple.  An MSR repair window is closed form,
-eliminates nothing and computes its barycentric products once; an MBR
-repair inverts one window per layer (and checks the shifted window once per
-layer in detect), which keeps the names that the traced bench requires
-reached."""
+calls do not grow with the number of blocks, and an honest encode and plain
+or detect repair and reconstruction run on the bytes kernels alone.  A
+helper response makes one bytes-kernel call per layer for the basis
+transform and one for the help symbols, and builds no key tuple.  An MSR
+repair window is closed form, eliminates nothing and computes its
+barycentric products once; an MBR repair inverts one window per layer (and
+checks the shifted window once per layer in detect), which keeps the names
+that the traced bench requires reached."""
 
 import argparse
 import random
 
 import pytest
 
-from conftest import (encode_profile, random_message, recon_batches,
-                      repair_batches)
+from conftest import encode_profile, random_message, repair_batches
 from hrgc import cli, field, hmbr, hmsr, linalg, matrices, sim
 from hrgc.matrices import profile_from_text, profile_new, profile_to_text
 
@@ -106,23 +105,27 @@ def test_an_msr_window_inverts_one_matrix(q4_msr, monkeypatch):
 
 
 def _kernel_calls(extract, rows):
+    """(``Field.product`` calls, ``Field.comb_bytes`` calls) of one
+    extraction."""
     with pytest.MonkeyPatch.context() as mp:
-        calls = _counting(mp, field.Field, "comb_bytes")
+        products = _counting(mp, field.Field, "product")
+        combs = _counting(mp, field.Field, "comb_bytes")
         extract(rows)
-    return len(calls)
+    return len(products), len(combs)
 
 
-def test_window_extractors_make_one_kernel_call_per_product_row(q4_msr,
-                                                                q3_mbr,
-                                                                q4_mbr):
+def test_window_extractors_make_one_kernel_call_per_product(q4_msr, q3_mbr,
+                                                            q4_mbr):
     """The extractors multiply bytes rows that hold every block, so one
-    block or all A/alpha_0 blocks of layer 0 cost the same number of
-    ``Field.comb_bytes`` calls.  ``extract_st``: alpha_0 + 1 rows of
-    R Phi^t, one D per distinct lambda_i - lambda_j (i < j) of the window
-    and one C per lambda_i of its first alpha_0 responders (``_pairs``),
-    alpha_0 diagonals and two Omega^-1 products.  ``_extract_m``: T, one
-    strip per responder and S, 3 k_0; with k_0 = alpha_0 (q=4) there is no
-    T and each strip is its row, so S alone, k_0."""
+    block or all A/alpha_0 blocks of layer 0 cost the same kernel calls: one
+    ``Field.product`` per matrix product and one ``Field.comb_bytes`` per
+    other combination.  ``extract_st``: three products (R Phi^t and the two
+    Omega^-1 products) and, in ``_pairs``, one D per distinct
+    lambda_i - lambda_j (i < j) of the window and one C per lambda_i of its
+    first alpha_0 responders, then alpha_0 diagonals.  ``_extract_m``: the
+    T and S products and one strip per responder, k_0; with k_0 = alpha_0
+    (q=4) there is no T and each strip is its row, so the S product
+    alone."""
     rng = random.Random(9)
     F, a = q4_msr.field, q4_msr.alpha[0]
     for p, window in ((q4_msr, hmsr._st_window), (q3_mbr, hmbr._m_window),
@@ -134,9 +137,11 @@ def test_window_extractors_make_one_kernel_call_per_product_row(q4_msr,
             lam = [p.lam[0][g] for g in ids]
             differences = {F.sub(x, y) for i, x in enumerate(lam)
                            for y in lam[i + 1:]}
-            calls = (a + 1) + len(differences) + a + a + 2 * a
+            calls = (3, len(differences) + a + a)
+        elif p.alpha[0] > p.k[0]:
+            calls = (2, p.k[0])
         else:
-            calls = (3 if p.alpha[0] > p.k[0] else 1) * p.k[0]
+            calls = (1, 0)
         extract = window(p, 0, ids)
         for width in (p.alpha[0], p.A):
             rows = [bytes(rng.randrange(p.field.order) for _ in range(width))
@@ -145,22 +150,28 @@ def test_window_extractors_make_one_kernel_call_per_product_row(q4_msr,
 
 
 @pytest.mark.parametrize("prof_name", ["q5_msr", "q5_mbr"])
-def test_an_honest_reconstruct_never_runs_the_list_kernel(prof_name, request,
-                                                          monkeypatch):
-    """Plain and detect reconstruction keep the rows bytes from the basis
-    transform to the message: at q=5 every product, the responses' basis
-    transforms included, is a ``Field.comb_bytes`` on rows wide enough for
-    its lanes, so ``Field.comb`` never runs."""
+def test_honest_operations_never_run_the_list_kernel(prof_name, request,
+                                                     monkeypatch):
+    """Encoding, plain and detect repair and plain and detect
+    reconstruction keep the rows bytes from the layer matrices to the node
+    states and back to the message: at q=5 every product, the basis
+    transforms included, runs on bytes rows wide enough for the lanes, so
+    neither ``Field.pack`` nor ``Field.comb`` runs."""
     profile = request.getfixturevalue(prof_name)
     message = random_message(profile, 8)
-    nodes = encode_profile(profile, message)
-    recon_batches(profile, nodes, "detect")   # every B_g^-1, built at first use
+    for g in range(profile.n_nodes):          # B_g^-1, built at first use
+        profile.points.basis_inv(g)
     lists = _counting(monkeypatch, field.Field, "comb")
+    packs = _counting(monkeypatch, field.Field, "pack")
+    cluster = sim.cluster_init(profile, message)
+    assert (lists, packs) == ([], [])
     for mode in ("plain", "detect"):
-        engine = sim._entry(profile, "reconstruct", mode)
-        report = engine(recon_batches(profile, nodes, mode), profile)
+        report, _ = sim.reconstruct(cluster, mode)
         assert report.ok and report.message == message, mode
-        assert lists == [], mode
+        sim.fail_node(cluster, 3)
+        report, _ = sim.repair(cluster, 3, mode)
+        assert report.ok and report.y == cluster.truth_nodes[3], mode
+        assert (lists, packs) == ([], []), mode
 
 
 @pytest.mark.parametrize("prof_name", ["q4_msr", "q5_msr", "q5_mbr"])

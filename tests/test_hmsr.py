@@ -30,6 +30,7 @@ from hrgc.curve import encode_column
 from hrgc.decoder import ERASED, _poly_divmod, decode
 from hrgc.linalg import (det_nonzero, left_null_space, mat_inv, mat_mul,
                          mat_vec, solve_square, transpose, vec_mat)
+from hrgc.matrices import profile_new
 
 
 def test_arrange_shapes_q3(q3_msr):
@@ -310,6 +311,29 @@ def test_regenerate_plain_round_trip_every_node(prof_name, request):
         batches = repair_batches(profile, nodes, z, "plain")
         rep = hmsr.regenerate_plain(z, batches, profile)
         assert rep.ok and rep.y == nodes[z].y
+
+
+@pytest.mark.parametrize("mode", ["msr", "mbr"])
+def test_a_one_block_layer_round_trips_and_repairs_every_node(mode):
+    """alpha = (6, 3, 2, 1) at q=4: A = 6, narrower than the bytes kernel's
+    lanes, and layer 0 holds one block, so a helper's layer-0 row is one
+    help symbol read from its dict as a one-symbol row.  Through the
+    simulator, each mode reconstructs the message and repairs every node
+    exactly."""
+    k = (5, 3, 2, 1) if mode == "mbr" else None
+    profile = profile_new(mode, 4, 37, (6, 3, 2, 1), k=k, seed=1)
+    assert (profile.A, profile.blocks(0)) == (6, 1)
+    assert profile.A < profile.field._wide
+    message = random_message(profile, 37)
+    cluster = sim.cluster_init(profile, message)
+    for op_mode in ("plain", "detect", "recover"):
+        report, _ = sim.reconstruct(cluster, op_mode)
+        assert report.ok and report.message == message, op_mode
+        for z in range(profile.n_nodes):
+            sim.fail_node(cluster, z)
+            report, _ = sim.repair(cluster, z, op_mode)
+            assert report.ok, (op_mode, z)
+            assert report.y == cluster.truth_nodes[z], (op_mode, z)
 
 
 def test_regenerate_plain_zero_file(q3_msr):
@@ -897,7 +921,8 @@ def _two_window_repair(profile, z, batches):
                      for j in range(a)]
             row.extend(x)
         tilde.append(row)
-    return True, None, mat_mul(F, profile.points.basis(z), tilde)
+    return True, None, list(map(bytearray,
+                                mat_mul(F, profile.points.basis(z), tilde)))
 
 
 def _two_window_reconstruct(profile, batches):
@@ -1418,8 +1443,9 @@ def _per_block_regenerate_recover(z, batches, profile, prior_flags):
                 x = vec_mat(F, [1, profile.lam[l][z]], [x, b])
             layer_row.extend(x)
         tilde[l] = layer_row
-    return (True, mat_mul(F, profile.points.basis(z), tilde), frozenset(found),
-            tallies, None)
+    return (True, list(map(bytearray, mat_mul(F, profile.points.basis(z),
+                                               tilde))),
+            frozenset(found), tallies, None)
 
 
 def _recover_repair(profile):
@@ -1627,7 +1653,8 @@ def _per_block_regenerate(z, batches, profile, mode, row):
             layer_row.extend(x)
         tilde.append(layer_row)
     return hmsr.Report(mode=mode, ok=True,
-                       y=mat_mul(F, profile.points.basis(z), tilde))
+                       y=list(map(bytearray,
+                                  mat_mul(F, profile.points.basis(z), tilde))))
 
 
 def _repair_outcomes(profile, z, batches, mode):

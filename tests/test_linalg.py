@@ -83,6 +83,44 @@ def test_wide_sum_of_largest_digits_reduces_its_lanes(q):
 
 
 @pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_product_matches_scalar_loops(q):
+    """``Field.product`` against one scalar sum per row of M: widths on
+    both sides of the list kernel's edge (``_wide``) and of lane reuse
+    (``_reuse``), more columns than the odd-p lanes take between
+    reductions, zero coefficients and an all-zero column, one-row M, and
+    columns that repeat a few values, whose lanes are reused.  Each row is
+    also ``comb_bytes`` of the same terms."""
+    F = Field(q)
+    rng = random.Random(f"product/{q}")
+    p = F.characteristic
+    limit = 255 // (p - 1) - 1 if p > 2 else 0
+    few = [0, 1, F.order - 1, rng.randrange(2, F.order - 1)]
+    cases = [(width, cols) for width in sorted({1, F._wide - 1, F._wide,
+                                                F._reuse - 1, F._reuse, 300})
+             for cols in (1, 5)]
+    cases += [(F._wide, limit + 3), (F._reuse, limit + 3)]
+    for width, cols in cases:
+        rows = rand_matrix(F, rng, cols, width)
+        packed = [bytes(r) for r in rows]
+        for n, values in ((1, None), (6, None), (9, few)):
+            M = ([[rng.choice(values) for _ in range(cols)] for _ in range(n)]
+                 if values else rand_matrix(F, rng, n, cols))
+            if cols > 1:                        # an all-zero column
+                for row in M:
+                    row[0] = 0
+            got = F.product(M, packed, width)
+            assert got == [bytes(scalar_comb(F, c, rows, width)) for c in M], (
+                width, cols, n)
+            assert got == [F.comb_bytes(c, packed, width) for c in M]
+    top = F.order - 1                       # every digit p - 1
+    for width in (F._wide, F._reuse):
+        rows = [bytes([top] * width)] * (limit + 3)
+        M = [[1] * (limit + 3)] * 3
+        want = bytes(scalar_comb(F, M[0], rows, width))
+        assert F.product(M, rows, width) == [want] * 3
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
 def test_scale_and_axpy_match_scalar(q):
     F = Field(q)
     rng = random.Random(f"axpy/{q}")
