@@ -9,13 +9,13 @@ recovery budgets are exact; k_l = alpha_l (empty T) is a first-class case.
 
 The node/report/batch types, the message layout (the profile's index table,
 ``CodeProfile.layout``), the staged request plan, the helper responses, the
-encoder and the repair and reconstruction loops with their adapters are the
-MSR engine's (``hmsr``).  This module supplies what is particular to
-MBR: the mu rows as encoding vectors, the repair divisor x^alpha_l that
-leaves a repair polynomial as it is,
-the window extractor ``_extract_m`` (every block of a layer at once, with
-the lowest block whose S is not symmetric, which the shared loops judge
-bad like a block that re-encodes to something else), the
+encoder, the repair and reconstruction loops with their adapters and the
+window inverse are the MSR engine's (``hmsr``).  This module supplies what
+is particular to MBR: the mu rows as encoding vectors, the repair divisor
+x^alpha_l that leaves a repair polynomial as it is, the reconstruction
+window ``_m_window`` with its extractor ``_extract_m`` (every block of a
+layer at once, with the lowest block whose S is not symmetric, which the
+shared loops judge bad like a block that re-encodes to something else), the
 block stacking ``_join`` whose product with mu_g is node g's response (and
 so, with the mu rows, the encoding), and the full-stack block solver
 ``rec_m``.  Both solvers find T first and take S from the strip
@@ -33,14 +33,16 @@ from .hmsr import (
     Report,
     _arrange,
     _asymmetric_block,
+    _deltas,
     _encode,
     _interleave,
+    _inverse,
     _product,
     _reconstruct,
     _repair,
     helper_response,  # noqa: F401 -- re-exported: MBR helpers answer as MSR's
 )
-from .linalg import mat_inv, mat_mul
+from .linalg import mat_mul
 from .matrices import CodeProfile
 
 
@@ -130,24 +132,24 @@ def _extract_m(F, mu_rows, k, R, omega_inv):
 def _m_window(profile, l, ids):
     F, k = profile.field, profile.k[l]
     mu_rows = [profile.mu_row(g, l) for g in ids]
-    omega_inv = mat_inv(F, [row[:k] for row in mu_rows])
-    return lambda R: _extract_m(F, mu_rows, k, R, omega_inv)
+    xs = [profile.x_value(g) for g in ids]
+    omega_inv = _inverse(F, xs, _deltas(F, xs))
+    return ((lambda R: _extract_m(F, mu_rows, k, R, omega_inv)),
+            lambda gs: [profile.mu_row(g, l) for g in gs])
 
 
 def reconstruct_mbr_plain(batches, profile: CodeProfile) -> Report:
-    return _reconstruct(batches, profile, "plain", profile.mu_row, _join,
-                        _m_window, rec_m)
+    return _reconstruct(batches, profile, "plain", _join, _m_window, rec_m)
 
 
 def reconstruct_mbr_detect(batches, profile: CodeProfile) -> Report:
-    return _reconstruct(batches, profile, "detect", profile.mu_row, _join,
-                        _m_window, rec_m)
+    return _reconstruct(batches, profile, "detect", _join, _m_window, rec_m)
 
 
 def reconstruct_mbr_recover(batches, profile: CodeProfile,
                             prior_flags=frozenset()) -> Report:
-    return _reconstruct(batches, profile, "recover", profile.mu_row, _join,
-                        _m_window, rec_m, prior_flags)
+    return _reconstruct(batches, profile, "recover", _join, _m_window, rec_m,
+                        prior_flags)
 
 
 def rec_m(blocks, erased, l, profile: CodeProfile):

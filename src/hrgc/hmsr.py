@@ -21,47 +21,52 @@ which the window extractors multiply as bytes up to the message.  Rows are
 compared by value (bytes, a ``bytearray`` and a list of the same symbols
 are all one row to the checks); the message alone is a list.
 
+Every window is a Vandermonde matrix V at its nodes' distinct x-values
+x_i, and every one but MBR repair's is inverted (``_inverse``), weighed
+(``_lagrange_weights``) or reduced (``_remainder_map``) in closed form
+through the Lagrange basis polynomials l_i = P / ((x - x_i) delta_i), with
+P = prod_i (x - x_i) (``_vanishing``) and delta_i = prod_{j != i}
+(x_i - x_j) (``_deltas``).
+
 Repair and reconstruction run one plain/detect loop and one recover loop.
 A repair is a reconstruction whose blocks are one help symbol wide: a help
-symbol is f(x_g) for a polynomial f of degree below d_l, so the window maps
-the first d_l helpers' symbols to the node's rows by reduced Lagrange basis
-polynomials (``_repair``).  The blocks of a layer share their encoding
-rows, so the plain/detect loop hands the responders' whole layer rows to
-one window extractor per layer (a layer row holds the blocks side by side,
-so ``row[c::alpha_l]`` is entry c of every block): a repair is M P, M the
-window's map and the columns of P the blocks' help symbols.
+symbol is f(x_g) for a polynomial f of degree below d_l, and the window
+maps the first d_l helpers' symbols to the node's rows, f mod a divisor
+(``_repair``).  The blocks of a layer share their encoding rows, so the
+plain/detect loop hands the responders' whole layer rows to one window
+extractor per layer (``row[c::alpha_l]`` is entry c of every block): a
+repair is M P, M the window's map and P's columns the blocks' symbols.
 
 Hostile-mode conventions: detect solves each layer once from the first
 helper window and alarms at the lowest block where the extra helper's row
 disagrees with that solution.  This is the alarm of solving the window
 shifted by one again: the windows share every other row, a repair's
 Lagrange weights of the extra helper have no zero entry (every shifted
-window is regular), and both extractors return blocks
-that reproduce every row of their window (``extract_st`` because a regular
-window maps symmetric (S, T) pairs one to one onto its symbols,
-``_extract_m`` as Omega T = R2 and Omega S + Delta_part T^t = R1) and are
-exact on consistent rows.  An extractor also returns its lowest asymmetric
-block (only MBR's S can be one), which ``_certified``, the one judge of a
-layer's blocks in every mode, counts as bad like a block that re-encodes
-to something else: detect alarms at the lowest bad block, plain raises
+window is regular), and both extractors return blocks that reproduce every
+row of their window (``extract_st`` because a regular window maps
+symmetric (S, T) pairs one to one onto its symbols, ``_extract_m`` as
+Omega T = R2 and Omega S + Delta_part T^t = R1) and are exact on
+consistent rows.  An extractor also returns its lowest asymmetric block
+(only MBR's S can be one), which ``_certified``, the one judge of a layer's
+blocks in every mode, counts as bad like a block that re-encodes to
+something else: detect alarms at the lowest bad block, plain raises
 AsymmetryDetected at an asymmetric one, and recover keeps the blocks
 before the lowest.  Recover, one loop for both operations, treats each
 block as a word over the operation's nodes (every node but the target in a
 repair, all q^2 in a reconstruction): a node that sent no batch is an
-erasure, as is a previously flagged node.
-It keeps the blocks that every present row re-encodes from a window
-solution (the block solver would return them and flag no node) and sends
-the others to the solver: ``decode`` for a repair, ``rec_st``/``rec_m`` for
-a reconstruction.
+erasure, as is a previously flagged node.  It keeps the blocks that every
+present row re-encodes from a window solution (the block solver would
+return them and flag no node) and sends the others to the solver:
+``decode`` for a repair, ``rec_st``/``rec_m`` for a reconstruction.
 Corruption flags accumulate across the strict (layer descending, block
 ascending) recovery order within one call; keeping them across calls is the
 simulator's job.
 
-The encoder, the two loops and their adapters defined here are shared with
-the MBR engine (``hmbr``), which passes its own repair divisor, encoding
-rows, block extractor, block stacking and block solver; so are the message
-layout and the request protocol: ``request_counts`` fixes each layer's
-helpers.
+The encoder, the two loops, their adapters and the window inverse defined
+here are shared with the MBR engine (``hmbr``), which passes its own repair
+divisor, encoding rows, window, block stacking and block solver; so are the
+message layout and the request protocol: ``request_counts`` fixes each
+layer's helpers.
 
 Each step of the block algebra is written once.  ``_pairs`` solves
 R Phi^T = C + Lambda D for every pair of rows, each entry bytes with one
@@ -69,10 +74,10 @@ symbol per block, for the window extractor ``extract_st`` (alpha_l + 1
 rows, every block of a layer) and the recovery solver ``rec_st`` (all q^2
 rows, erased ones None, one block); C and D are symmetric, so row j of each
 is column j's word.  The extractor's products run on bytes rows that hold
-every block, and its window inverts one matrix: row i of C = Phi S Phi^T is a polynomial of
-degree below alpha_l at the window's x-values, so Lagrange weights complete
-the diagonal of C's first alpha_l rows and columns, E = Omega S Omega^T,
-and S = Omega^-1 E Omega^-T (T likewise from D).
+every block: row i of C = Phi S Phi^T is a polynomial of degree below
+alpha_l at the window's x-values, so Lagrange weights complete the diagonal
+of C's first alpha_l rows and columns, E = Omega S Omega^T, and
+S = Omega^-1 E Omega^-T (T likewise from D).
 """
 
 from __future__ import annotations
@@ -89,7 +94,7 @@ from .errors import (
     NotEnoughHelpers,
     SingularSystem,
 )
-from .linalg import det_nonzero, mat_inv, mat_mul, solve_square, transpose
+from .linalg import det_nonzero, mat_mul, solve_square, transpose
 from .matrices import CodeProfile
 
 
@@ -290,22 +295,21 @@ def _contributors(batches, l):
 # Both engines run two loops, ``_plain_detect`` and ``_recover``, through one
 # adapter per operation (``_repair``, ``_reconstruct``).  The adapter picks
 # the loop by mode and hands it the operation's row reader rows(g, l), its
-# window, its encode(l, ids, gs) (the rows whose products with stack(S, T)
-# of window ids's extraction are nodes gs' rows: the encoding rows, or in
-# an MSR repair Lagrange weights of the window) and its output, which makes
-# the report's fields from each layer's (S, T) pieces, joined side by side.
-# The entry points pass what differs between the codes, read from their own
-# module's globals when they run (never captured at import, so rebinding a
-# module attribute reaches every call):
-#   row(g, l)                  node g's layer-l encoding vector (nu or mu)
+# window and its output, which makes the report's fields from each layer's
+# (S, T) pieces, joined side by side.  The entry points pass what differs
+# between the codes, read from their own module's globals when they run
+# (never captured at import, so rebinding a module attribute reaches every
+# call):
 #   divisor(profile, z, l)     the monic r with node z's layer-l row
 #                              f mod r, f of degree < d_l the polynomial
 #                              whose values f(x_g) are the help symbols
-#   stack(S, T)                the matrix whose product with row(g, l) is
-#                              node g's response to the blocks (S, T)
-#   window(profile, l, ids)    reconstruction extractor R -> (S, T, asym)
-#                              for one responder window, asym the lowest
-#                              asymmetric block (MBR's) or None
+#   stack(S, T)                the matrix whose product with node g's
+#                              encoding row is its response to (S, T)
+#   window(profile, l, ids)    (extract, encode) for one responder window:
+#                              extract(R) -> (S, T, asym), asym the lowest
+#                              asymmetric block (MBR's) or None, and
+#                              encode(gs) the rows whose products with
+#                              stack(S, T) re-encode nodes gs
 #   solve(blocks, erased, l, profile)  full-stack block solver -> (S, T, bad)
 #
 # Blocks side by side: a layer row, the S and T that the extractors take and
@@ -374,42 +378,34 @@ def _certified(F, extract, window_rows, checked, enc, stack, a):
 
 def _repair(z, batches, profile, mode, divisor, prior_flags=frozenset()):
     """Repair of node z.  A helper's layer-l row is its help symbols, one
-    per block: node g's symbol is f(x_g) for a polynomial f of degree below
-    d_l, and node z's layer-l rows are f mod ``divisor(profile, z, l)``.  So
-    the window of the first d_l helpers maps their symbols straight to node
-    z's rows: column i of its map is l_i mod the divisor, l_i the Lagrange
-    basis polynomial of the window's x-values at helper i (``_remainder_map``
-    for MSR; MBR, whose divisor x^alpha_l leaves f as it is, still inverts
-    its mu rows, the same map).  An extraction's S is node z's rows and its
-    T is f in the basis whose evaluation at x_g is ``encode``'s row of node
-    g, for detect's extra-helper check and recover's kept-block
-    certification: for MSR, f's values at the window, its symbols, with the
-    Lagrange weights l(x_g); for MBR, f's coefficients, node z's rows, with
-    the mu rows.  A kept recover block is what ``decode``'s codeword exit
-    returns, flagging no node; other blocks are Reed-Solomon words over
-    every node but z, missing ones erased, which ``decode`` solves by
-    Welch-Berlekamp from the node x-values for f."""
+    per block, the values f(x_g) of a polynomial f of degree below d_l;
+    node z's layer-l rows are f mod ``divisor(profile, z, l)``, which the
+    window maps from the first d_l helpers' symbols (``_remainder_map`` for
+    MSR; MBR, whose divisor x^alpha_l leaves f as it is, solves its mu
+    rows).  An extraction's S is node z's rows and its T is f in the basis
+    of the window's encode rows: MSR's values at the window (its symbols)
+    under Lagrange weights from the map's ``_deltas``, MBR's coefficients
+    (node z's rows) under the mu rows.  A kept recover block is what
+    ``decode``'s codeword exit returns, flagging no node; other blocks are
+    Reed-Solomon words over every node but z, missing ones erased, which
+    ``decode`` solves by Welch-Berlekamp from the node x-values for f."""
     F = profile.field
     q2 = profile.n_nodes
     symbols = {b.helper_id: b.symbols for b in batches}
     x = profile.x_value
-    deltas = {}     # an MSR window's ids -> their barycentric products
     readers = profile.help_readers
 
     def rows(g, l):
         return bytes(readers[l](symbols[g]))
 
-    def xs_deltas(ids):
-        xs = [x(g) for g in ids]
-        key = tuple(ids)
-        if key not in deltas:
-            deltas[key] = _deltas(F, xs)
-        return xs, deltas[key]
-
     def window(profile, l, ids):
         if profile.lam:
-            M = _remainder_map(F, *xs_deltas(ids), divisor(profile, z, l))
-            return lambda R: (_product(F, M, R), R, None)
+            xs = [x(g) for g in ids]
+            deltas = _deltas(F, xs)
+            M = _remainder_map(F, xs, deltas, divisor(profile, z, l))
+            return ((lambda R: (_product(F, M, R), R, None)),
+                    lambda gs: _lagrange_weights(F, xs, deltas,
+                                                 [x(g) for g in gs]))
         d = len(ids)
         V = [profile.mu_row(g, l) for g in ids]
         if mode == "detect" and not det_nonzero(F, V[1:] + [
@@ -427,12 +423,7 @@ def _repair(z, batches, profile, mode, divisor, prior_flags=frozenset()):
         def extract(R):
             S = _product(F, M, R)
             return S, S, None
-        return extract
-
-    def encode(l, ids, gs):
-        if profile.lam:
-            return _lagrange_weights(F, *xs_deltas(ids), [x(g) for g in gs])
-        return [profile.mu_row(g, l) for g in gs]
+        return extract, lambda gs: [profile.mu_row(g, l) for g in gs]
 
     def f_basis(S, T):
         return T
@@ -445,7 +436,7 @@ def _repair(z, batches, profile, mode, divisor, prior_flags=frozenset()):
 
     if mode != "recover":
         return _plain_detect(batches, rows, profile, mode, profile.d,
-                             [1] * profile.q, encode, f_basis, window, output)
+                             [1] * profile.q, f_basis, window, output)
     others = [g for g in range(q2) if g != z]
     points = [x(g) for g in others]
     cap = (q2 - profile.d[-1] - 1) // 2
@@ -462,10 +453,10 @@ def _repair(z, batches, profile, mode, divisor, prior_flags=frozenset()):
         batches, others, rows, prior_flags, profile, profile.d,
         [range(q2)] * profile.q, [1] * profile.q,
         [min(q2 - d - 1, cap) for d in profile.d], "erasure",
-        encode, f_basis, window, solve, output)
+        f_basis, window, solve, output)
 
 
-def _reconstruct(batches, profile, mode, row, stack, window, solve,
+def _reconstruct(batches, profile, mode, stack, window, solve,
                  prior_flags=frozenset()):
     """Reconstruction from the nodes' layer rows, whose blocks are alpha_l
     wide.  In recover, a block that fails the layer pass goes to the
@@ -476,16 +467,13 @@ def _reconstruct(batches, profile, mode, row, stack, window, solve,
     def rows(g, l):
         return rows_by_node[g][l]
 
-    def encode(l, ids, gs):
-        return [row(g, l) for g in gs]
-
     def output(layers):
         return {"message": _message(profile, [
             map(_side_by_side, zip(*pieces)) for pieces in layers])}
 
     if mode != "recover":
         return _plain_detect(batches, rows, profile, mode, profile.k,
-                             profile.alpha, encode, stack, window, output)
+                             profile.alpha, stack, window, output)
     # q^2 - k_l flags is the solvability frontier of both block solvers
     # (sigma + 2 tau + 1 <= q^2 - alpha_l, sigma + 2 tau <= q^2 - k_l; MSR's
     # rec_st also erases the pairs that share lambda_l and refuses past its
@@ -494,11 +482,11 @@ def _reconstruct(batches, profile, mode, row, stack, window, solve,
         batches, range(q2), rows, prior_flags, profile, profile.k,
         profile.lam or [range(q2)] * profile.q, profile.alpha,
         [q2 - k for k in profile.k], "flagged",
-        encode, stack, window, solve, output)
+        stack, window, solve, output)
 
 
-def _plain_detect(batches, rows, profile, mode, sizes, widths, encode, stack,
-                  window, output):
+def _plain_detect(batches, rows, profile, mode, sizes, widths, stack, window,
+                  output):
     """The plain/detect loop of both operations, layers ascending.  Layer l
     reads ``rows(g, l)`` (blocks side by side, ``widths[l]`` symbols each)
     from the first ``sizes[l]`` batches of level l or more, ids ascending,
@@ -518,9 +506,10 @@ def _plain_detect(batches, rows, profile, mode, sizes, widths, encode, stack,
             raise NotEnoughHelpers(
                 f"layer {l} needs {k + extra} helpers, got {len(ids)}")
         R = [rows(g, l) for g in ids]
-        S, T, bad = _certified(F, window(profile, l, ids[:k]), R[:k], R[k:],
-                               encode(l, ids[:k], ids[k:]) if extra else [],
-                               stack, widths[l])
+        extract, encode = window(profile, l, ids[:k])
+        S, T, bad = _certified(F, extract, R[:k], R[k:],
+                               encode(ids[k:]) if extra else [], stack,
+                               widths[l])
         if bad is not None:
             if not extra:
                 raise AsymmetryDetected("S block asymmetric (corrupt responses)")
@@ -543,7 +532,7 @@ def _window_ids(present, k, values):
 
 
 def _recover(batches, nodes, rows, flags, profile, sizes, keys, widths,
-             budgets, noun, encode, stack, window, solve, output):
+             budgets, noun, stack, window, solve, output):
     """The recover loop of both operations, layers descending.  Node g's
     layer-l row ``rows(g, l)`` holds the blocks side by side, ``widths[l]``
     symbols each.  The ``nodes`` that sent no batch are flagged before the
@@ -581,10 +570,10 @@ def _recover(batches, nodes, rows, flags, profile, sizes, keys, widths,
                 if win != ids:
                     ids = win
                     try:
-                        extract = window(profile, l, ids)
+                        extract, encode = window(profile, l, ids)
                     except SingularSystem:
                         extract = None
-                enc = encode(l, ids, present)
+                enc = extract and encode(present)
             if extract:
                 R = [layer[g][t * a:] for g in present]
                 S, T, bad = _certified(F, extract, [layer[g][t * a:] for g in ids],
@@ -611,20 +600,27 @@ def _recover(batches, nodes, rows, flags, profile, sizes, keys, widths,
                   tallies=tallies, **output(layers))
 
 
-# -- MSR repair -------------------------------------------------------------------
-
-
 def _deltas(F, xs):
     """prod_{j != i} (x_i - x_j) for each of the distinct points x_i of xs."""
     return [reduce(F.mul, [F.sub(x, y) for y in xs if y != x], 1) for x in xs]
 
 
+def _vanishing(F, xs):
+    """P = prod_i (x - x_i) over the points xs, coefficients lowest first."""
+    return reduce(lambda P, xi: F.axpy([0] + P, F.neg(xi), P + [0]), xs, [1])
+
+
+def _inverse(F, xs, deltas):
+    """V^-1, V the rows [1, x_i, ..., x_i^(n - 1)] of the n points xs
+    (``deltas`` their ``_deltas``): column i is l_i, from P / (x - x_i)."""
+    P = _vanishing(F, xs)
+    return transpose([F.scale(F.inv(delta), _divide_linear(F, P, xi)[0])
+                      for xi, delta in zip(xs, deltas)])
+
+
 def _lagrange_weights(F, xs, deltas, points):
-    """Per point x, [l_i(x)], l_i the Lagrange basis polynomials of the
-    distinct points xs, whose ``_deltas`` are ``deltas``: the weights whose
-    combination of the values f(x_i) is f(x) for every f of degree below
-    len(xs).  Off the points, l_i(x) is
-    prod_j (x - x_j) / ((x - x_i) delta_i), never zero."""
+    """Per point x, [l_i(x)] (``deltas`` the ``_deltas`` of xs), which take
+    the values f(x_i) to f(x) when deg f < len(xs); none is zero off xs."""
     inverses = [F.inv(delta) for delta in deltas]
     rows = []
     for x in points:
@@ -638,8 +634,7 @@ def _lagrange_weights(F, xs, deltas, points):
 
 
 def _divide_linear(F, f, x0):
-    """(f div (x - x0), f(x0)) by synthetic division, coefficients lowest
-    first."""
+    """(f div (x - x0), f(x0)) by synthetic division, lowest terms first."""
     acc, out = 0, []
     for c in reversed(f):
         acc = F.add(F.mul(acc, x0), c)
@@ -650,21 +645,17 @@ def _divide_linear(F, f, x0):
 
 
 def _remainder_map(F, xs, deltas, r):
-    """The matrix whose column i is l_i mod r, l_i the Lagrange basis
-    polynomial of the distinct points xs at xs[i] (``deltas`` their
-    ``_deltas``) and r monic of degree alpha (coefficients lowest first):
-    its product with the values f(x_i) is f mod r for every f of degree
-    below len(xs).
+    """The matrix whose column i is l_i mod r (``deltas`` the ``_deltas``
+    of xs; r monic of degree alpha, coefficients lowest first): its product
+    with the values f(x_i) is f mod r for every f of degree below len(xs).
 
-    l_i = Q_i / delta_i for Q_i = P / (x - x_i), P = prod_j (x - x_j).  With
-    P_r = P mod r, g_i = (P_r - P_r(x_i)) / (x - x_i) and
-    h_i = (r - r(x_i)) / (x - x_i), (x - x_i)(g_i + s h_i) is
-    P_r + s r - P_r(x_i) - s r(x_i): so Q_i mod r = g_i + s h_i for
-    s = -P_r(x_i) / r(x_i), O(alpha) per point besides delta_i.  When
-    r(x_i) = 0, x - x_i is no unit mod r, and Q_i itself is reduced."""
-    P = [1]
-    for xi in xs:
-        P = F.axpy([0] + P, F.neg(xi), P + [0])
+    With Q_i = P / (x - x_i), P_r = P mod r,
+    g_i = (P_r - P_r(x_i)) / (x - x_i) and h_i = (r - r(x_i)) / (x - x_i),
+    (x - x_i)(g_i + s h_i) is P_r + s r - P_r(x_i) - s r(x_i): so
+    Q_i mod r = g_i + s h_i for s = -P_r(x_i) / r(x_i), O(alpha) per point
+    besides delta_i.  When r(x_i) = 0, x - x_i is no unit mod r, and Q_i
+    itself is reduced."""
+    P = _vanishing(F, xs)
     P_r = _poly_divmod(F, P, r)[1]
     cols = []
     for xi, delta in zip(xs, deltas):
@@ -676,6 +667,9 @@ def _remainder_map(F, xs, deltas, r):
             u = _poly_divmod(F, _divide_linear(F, P, xi)[0], r)[1]
         cols.append(F.scale(F.inv(delta), u))
     return transpose(cols)
+
+
+# -- MSR repair -------------------------------------------------------------------
 
 
 def _lambda_divisor(profile, z, l):
@@ -726,13 +720,15 @@ class ExtractContext:
         if len(set(self.lam)) < len(ids):
             # a pair that shares lambda_l gives one equation for two unknowns
             raise SingularSystem(f"window {list(ids)} shares a lambda_{l} value")
-        # row i of C is p_i(x_j), p_i = mu_i S times the powers of x, of
-        # degree below alpha_l: p_i(x_i) has weight -delta_i / delta_j on
-        # p_i(x_j), delta_j = prod_{m != j} (x_j - x_m) over the window
-        delta = _deltas(F, [profile.x_value(g) for g in ids])
+        # row i of C is p_i(x_j) for p_i = mu_i S of degree below alpha_l:
+        # p_i(x_i) has weight -delta_i / delta_j on p_i(x_j)
+        xs = [profile.x_value(g) for g in ids]
+        delta = _deltas(F, xs)
         self.weights = [[F.neg(F.div(delta[i], delta[j]))
                          for j in range(a + 1) if j != i] for i in range(a)]
-        self.omega_inv = mat_inv(F, self.mu[:a])
+        # Omega's points, the first alpha_l, lack the factor x_i - x_alpha
+        self.omega_inv = _inverse(F, xs[:a], [
+            F.div(d, F.sub(x, xs[a])) for x, d in zip(xs[:a], delta)])
 
 
 def extract_st(R, ctx: ExtractContext):
@@ -820,23 +816,24 @@ def _rebuild(F, C, D, ctx, w):
 def _st_window(profile, l, ids):
     ctx = ExtractContext(profile, l, ids)
     # a symmetric extraction: no asymmetric block
-    return lambda R: (*extract_st(R, ctx), None)
+    return ((lambda R: (*extract_st(R, ctx), None)),
+            lambda gs: [profile.nu_row(g, l) for g in gs])
 
 
 def reconstruct_plain(batches, profile: CodeProfile) -> Report:
-    return _reconstruct(batches, profile, "plain", profile.nu_row, _st_stack,
-                        _st_window, rec_st)
+    return _reconstruct(batches, profile, "plain", _st_stack, _st_window,
+                        rec_st)
 
 
 def reconstruct_detect(batches, profile: CodeProfile) -> Report:
-    return _reconstruct(batches, profile, "detect", profile.nu_row, _st_stack,
-                        _st_window, rec_st)
+    return _reconstruct(batches, profile, "detect", _st_stack, _st_window,
+                        rec_st)
 
 
 def reconstruct_recover(batches, profile: CodeProfile,
                         prior_flags=frozenset()) -> Report:
-    return _reconstruct(batches, profile, "recover", profile.nu_row, _st_stack,
-                        _st_window, rec_st, prior_flags)
+    return _reconstruct(batches, profile, "recover", _st_stack, _st_window,
+                        rec_st, prior_flags)
 
 
 def rec_st(blocks, erased, l, profile: CodeProfile):
@@ -933,7 +930,9 @@ def rec_st(blocks, erased, l, profile: CodeProfile):
             f"only {len(good)} trustworthy columns for dimension {a}"
         )
     chosen = good[:a]
-    minv = mat_inv(F, transpose([mu[j] for j in chosen]))
+    # the inverse of the chosen mu rows' transpose: their inverse's transpose
+    xs = [pts[j] for j in chosen]
+    minv = transpose(_inverse(F, xs, _deltas(F, xs)))
     S = mat_mul(F, transpose([decoded[j][0] for j in chosen]), minv)
     T = mat_mul(F, transpose([decoded[j][1] for j in chosen]), minv)
 

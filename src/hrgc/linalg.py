@@ -1,10 +1,10 @@
 """Dense linear algebra over a Field: matrices are list-of-row-lists of ints.
 
-These serve the small coefficient matrices (window inverses, basis changes,
-the decoders and the recover-mode block solvers); the engines multiply their
-bytes symbol rows on ``Field.product`` instead.  The products here are row
-combinations on the list view of the Field row kernels (``Field.comb``);
-elimination steps are ``Field.axpy`` row operations."""
+These serve the small coefficient matrices (MBR repair's window, basis
+changes, the decoders and the recover-mode block solvers); the engines
+multiply their bytes symbol rows on ``Field.product`` instead.  The products
+here are row combinations on the list view of the Field row kernels
+(``Field.comb``); elimination steps are ``Field.axpy`` row operations."""
 
 from __future__ import annotations
 

@@ -24,7 +24,6 @@ from operator import itemgetter
 from . import hmbr, hmsr
 from .errors import HrgcError, InvalidParams
 from .hmsr import HelpSymbolBatch, NodeState, Report
-from .linalg import solve_square, transpose
 from .matrices import (
     CODES,
     CodeProfile,
@@ -239,8 +238,8 @@ def _corrupt_batches(profile, batches, spec, rng):
 
 
 def _apply_consistent_pair(cluster, z, batches, spec, rng):
-    """Craft errors that keep the d+1 detect symbols consistent (needs the
-    stacked encoding rows of the other helpers)."""
+    """Craft errors that keep the d+1 detect symbols consistent (the first
+    helper's encoding row is a combination of the others')."""
     profile = cluster.profile
     F = profile.field
     by_id = {b.helper_id: HelpSymbolBatch(b.helper_id, b.level, dict(b.symbols))
@@ -252,13 +251,12 @@ def _apply_consistent_pair(cluster, z, batches, spec, rng):
         corrupt_pos = [i for i, g in enumerate(ids) if g in spec.nodes]
         if len(corrupt_pos) < 2:
             continue
-        row = profile.nu_row if profile.mode == "msr" else profile.mu_row
-        basis = [row(g, l) for g in ids[1:]]
-        zeta = solve_square(F, transpose(basis), row(ids[0], l))
+        # ids[0]'s encoding row is the others' by their Lagrange weights
+        xs = [profile.x_value(g) for g in ids[1:]]
+        zeta, = hmsr._lagrange_weights(F, xs, hmsr._deltas(F, xs),
+                                       [profile.x_value(ids[0])])
         coeff = [1] + [F.neg(x) for x in zeta]
         p1, p2 = corrupt_pos[0], corrupt_pos[1]
-        if not coeff[p1] or not coeff[p2]:
-            continue
         for t in range(profile.blocks(l)):
             e1 = rng.randrange(1, F.order)
             e2 = F.div(F.neg(F.mul(coeff[p1], e1)), coeff[p2])

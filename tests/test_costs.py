@@ -3,14 +3,16 @@
 A command-line call builds one subcommand's parser and one field, a cluster
 load or save builds the node file header, and so the profile digest, once
 rather than once per node file, and a profile enumerates its curve points
-once.  A reconstruction window inverts one matrix, its extractor's kernel
-calls do not grow with the number of blocks, and an honest encode and plain
-or detect repair and reconstruction run on the bytes kernels alone.  A
-helper response makes one bytes-kernel call per layer for the basis
-transform and one for the help symbols, and builds no key tuple.  An MSR
-repair window is closed form, eliminates nothing and computes its
-barycentric products once; an MBR repair inverts one window per layer (and
-checks the shifted window once per layer in detect), which keeps the names
+once.  A reconstruction window inverts one matrix in closed form, its
+extractor's kernel calls do not grow with the number of blocks, and an
+honest encode and plain or detect repair and reconstruction run on the
+bytes kernels alone.  A helper response makes one bytes-kernel call per
+layer for the basis transform and one for the help symbols, and builds no
+key tuple.  An MSR repair window is closed form, eliminates nothing and
+computes its barycentric products once, an honest reconstruction and the
+block solvers' own algebra eliminate nothing; an MBR repair inverts one
+window per layer (and checks the shifted window once per layer in detect)
+and the basis transform inverts B_0 by ``mat_inv``, which keeps the names
 that the traced bench requires reached."""
 
 import argparse
@@ -18,8 +20,9 @@ import random
 
 import pytest
 
-from conftest import encode_profile, random_message, repair_batches
-from hrgc import cli, field, hmbr, hmsr, linalg, matrices, sim
+from conftest import (encode_profile, random_message, recon_batches,
+                      repair_batches)
+from hrgc import cli, curve, field, hmbr, hmsr, linalg, matrices, sim
 from hrgc.matrices import profile_from_text, profile_new, profile_to_text
 
 
@@ -93,15 +96,16 @@ def test_a_profile_enumerates_its_points_once(q4_msr, monkeypatch):
 
 
 def test_an_msr_window_inverts_one_matrix(q4_msr, monkeypatch):
-    # Omega^-1 only: the diagonal completion replaces the alpha_l inverses
-    # of Phi without one row
-    inverses = _counting(monkeypatch, hmsr, "mat_inv")
+    # Omega^-1 only, in closed form: the diagonal completion replaces the
+    # alpha_l inverses of Phi without one row, and nothing is eliminated
+    inverses = _counting(monkeypatch, hmsr, "_inverse")
+    eliminations = _counting(monkeypatch, linalg, "_eliminate")
     for l, a in enumerate(q4_msr.alpha):
         ids = hmsr._window_ids(list(range(q4_msr.n_nodes)), a + 1,
                                q4_msr.lam[l])
         inverses.clear()
         hmsr.ExtractContext(q4_msr, l, ids)
-        assert len(inverses) == 1, l
+        assert len(inverses) == 1 and eliminations == [], l
 
 
 def _kernel_calls(extract, rows):
@@ -142,7 +146,7 @@ def test_window_extractors_make_one_kernel_call_per_product(q4_msr, q3_mbr,
             calls = (2, p.k[0])
         else:
             calls = (1, 0)
-        extract = window(p, 0, ids)
+        extract, _ = window(p, 0, ids)
         for width in (p.alpha[0], p.A):
             rows = [bytes(rng.randrange(p.field.order) for _ in range(width))
                     for _ in ids]
@@ -229,6 +233,71 @@ def test_an_msr_detect_repair_computes_each_window_delta_once(prof_name,
     assert len(deltas) == profile.q
 
 
+@pytest.mark.parametrize("prof_name", ["q5_msr", "q5_mbr"])
+def test_an_honest_reconstruction_eliminates_nothing(prof_name, request,
+                                                     monkeypatch):
+    """Closed-form windows: an honest plain or detect reconstruction makes
+    no ``linalg._eliminate`` call inside the engine call."""
+    profile = request.getfixturevalue(prof_name)
+    message = random_message(profile, 8)
+    nodes = encode_profile(profile, message)
+    modes = {mode: recon_batches(profile, nodes, mode)
+             for mode in ("plain", "detect")}
+    msr = profile.mode == "msr"
+    eliminations = _counting(monkeypatch, linalg, "_eliminate")
+    for mode, batches in modes.items():
+        engine = getattr(hmsr if msr else hmbr,
+                         f"reconstruct_{'' if msr else 'mbr_'}{mode}")
+        report = engine(batches, profile)
+        assert report.ok and report.message == message, mode
+        assert eliminations == [], mode
+
+
+@pytest.mark.parametrize("prof_name", ["q4_msr", "q4_mbr"])
+def test_a_block_solver_eliminates_only_in_the_decoder(prof_name, request,
+                                                       monkeypatch):
+    """``rec_st`` and ``rec_m`` on a block with two liars: the column words
+    go to Welch-Berlekamp, whose interpolation is a null space, but outside
+    ``decode`` neither solver makes a ``linalg._eliminate`` call
+    (``rec_st`` inverts its chosen columns in closed form) and both name
+    the liars and return the block."""
+    profile = request.getfixturevalue(prof_name)
+    F, l = profile.field, 0
+    msr = profile.mode == "msr"
+    module, solver = (hmsr, "rec_st") if msr else (hmbr, "rec_m")
+    message = random_message(profile, 9)
+    truth = [hmsr.tilde_rows(profile, node, 0)[l][:profile.alpha[l]]
+             for node in encode_profile(profile, message)]
+    blocks = [bytearray(r) for r in truth]
+    for g in (1, 6):
+        blocks[g][0] = F.add(blocks[g][0], 1)
+    outside, inside = [], []
+    real_decode = module.decode
+
+    def counting_decode(*args, **kwargs):
+        inside.append(None)
+        try:
+            return real_decode(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(module, "decode", counting_decode)
+    real_eliminate = linalg._eliminate
+
+    def eliminate(*args, **kwargs):
+        if not inside:
+            outside.append(args)
+        return real_eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_eliminate", eliminate)
+    S, T, corrupt = getattr(module, solver)(blocks, frozenset(), l, profile)
+    assert corrupt == {1, 6} and outside == []
+    stack = hmsr._st_stack(S, T) if msr else hmbr._join(S, T)
+    row = profile.nu_row if msr else profile.mu_row
+    assert [linalg.vec_mat(F, row(g, l), stack) for g in range(
+        profile.n_nodes)] == [list(r) for r in truth]
+
+
 @pytest.mark.parametrize("prof_name", ["q3_mbr", "q4_mbr", "q5_mbr"])
 def test_an_mbr_repair_inverts_one_window_per_layer(prof_name, request,
                                                    monkeypatch):
@@ -263,3 +332,16 @@ def test_a_repair_cycle_reaches_solve_square_and_det_nonzero(q4_msr, q4_mbr,
             report, _ = sim.repair(cluster, 5, mode)
             assert report.ok, (profile.mode, mode)
     assert solves and determinants
+
+
+def test_a_basis_transform_reaches_mat_inv(monkeypatch):
+    """``bench/run.py`` requires every traced pass to reach
+    ``linalg.mat_inv``.  The engines invert their windows in closed form,
+    so the route is the basis transform: a new profile and one
+    ``tilde_rows`` build B_0^-1 by ``mat_inv``."""
+    inverses = _counting(monkeypatch, curve, "mat_inv")
+    profile = profile_new("msr", 4, 37, (6, 5, 4, 3), seed=1)
+    nodes = encode_profile(profile, random_message(profile, 7))
+    assert inverses == []
+    hmsr.tilde_rows(profile, nodes[5], 0)
+    assert len(inverses) == 1

@@ -28,6 +28,7 @@ from hrgc.errors import (
 )
 from hrgc.curve import encode_column
 from hrgc.decoder import ERASED, _poly_divmod, decode
+from hrgc.field import SUPPORTED_Q, Field
 from hrgc.linalg import (det_nonzero, left_null_space, mat_inv, mat_mul,
                          mat_vec, solve_square, transpose, vec_mat)
 from hrgc.matrices import profile_new
@@ -625,7 +626,8 @@ def test_diagonal_weights_are_the_lagrange_weights(q3_msr, q4_msr, q5_msr):
     """-delta_i / delta_j is the weight on p(x_j) of p(x_i), for p of degree
     below alpha_l known at the window's other alpha_l x-values: the
     Lagrange basis polynomial of x_j, prod_{m != i, j} (x_i - x_m) /
-    (x_j - x_m), at x_i."""
+    (x_j - x_m), at x_i.  Omega^-1, from the first alpha_l points' products
+    taken from these, is ``mat_inv`` of Omega."""
     rng = random.Random(42)
     for p in (q3_msr, q4_msr, q5_msr):
         F = p.field
@@ -635,6 +637,7 @@ def test_diagonal_weights_are_the_lagrange_weights(q3_msr, q4_msr, q5_msr):
                                    a + 1, p.lam[l])
             xs = [p.x_value(g) for g in ids]
             ctx = hmsr.ExtractContext(p, l, ids)
+            assert ctx.omega_inv == mat_inv(F, ctx.mu[:a]), (p.q, l)
             for i in range(a):
                 others = [j for j in range(a + 1) if j != i]
                 want = []
@@ -652,6 +655,30 @@ def test_diagonal_weights_are_the_lagrange_weights(q3_msr, q4_msr, q5_msr):
                           for g in ids]
                 assert vec_mat(F, want, [[values[j]] for j in others]) == [
                     values[i]]
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_closed_form_inverse_is_the_eliminated_one(q):
+    """``_inverse`` is ``mat_inv`` of the points' rows [1, x, x^2, ...], for
+    random sets of 1 to min(q^2, 12) distinct points that hold 0, as the
+    node x-values do; ``_lagrange_weights`` at points inside and outside
+    the set are that inverse's transpose times the points' rows."""
+    F = Field(q)
+    rng = random.Random(f"inverse/{q}")
+    for n in range(1, min(F.order, 12) + 1):
+        for _ in range(3):
+            xs = [0] + rng.sample(range(1, F.order), n - 1)
+            rng.shuffle(xs)
+            deltas = hmsr._deltas(F, xs)
+            inv = hmsr._inverse(F, xs, deltas)
+            assert inv == mat_inv(F, [[F.pow(x, j) for j in range(n)]
+                                      for x in xs]), xs
+            outside = [x for x in range(F.order) if x not in xs]
+            points = rng.sample(outside, min(len(outside), 4)) + xs[:2]
+            weights = hmsr._lagrange_weights(F, xs, deltas, points)
+            assert weights == [
+                mat_vec(F, transpose(inv), [F.pow(x, j) for j in range(n)])
+                for x in points], xs
 
 
 def test_detect_mode_catches_what_extraction_absorbs(q3_msr):
@@ -1279,8 +1306,8 @@ def test_recover_exit_falls_through_when_the_window_fails(prof_name, error,
 
     def window(profile, l, ids):
         if error is AsymmetryDetected:
-            extract = real(profile, l, ids)
-            return lambda R: (*extract(R)[:2], 0)
+            extract, encode = real(profile, l, ids)
+            return (lambda R: (*extract(R)[:2], 0)), encode
         raise error("patched window")
 
     monkeypatch.setattr(module, name, window)
@@ -1853,7 +1880,7 @@ def test_layer_extraction_matches_the_per_block_extractors(prof_name, request):
     for l in range(profile.q):
         a, k = profile.alpha[l], profile.k[l]
         ids = list(range(1, k + 1))
-        extract = window(profile, l, ids)
+        extract, _ = window(profile, l, ids)
         assert extract_lists([stack[g][l] for g in ids]) == (
             truth.s[l], truth.t_[l], None)
         for t in range(profile.blocks(l)):

@@ -1,17 +1,19 @@
 import hashlib
 import random
 import time
+from functools import reduce
 
 import pytest
 
 import outcome_digest
-from conftest import random_message
+from conftest import random_message, repair_batches
 from hrgc import hmsr, sim
 from hrgc.errors import (
     HrgcError,
     InvalidParams,
     LengthMismatch,
 )
+from hrgc.linalg import solve_square, transpose
 from hrgc.matrices import profile_digest
 
 
@@ -301,6 +303,45 @@ def test_omniscient_collusion_defeats_detection(q3_msr):
     assert report.ok
     assert "alarm" not in log.meta
     assert cluster.nodes[0].y != truth
+
+
+@pytest.mark.parametrize("prof_name", ["q3_msr", "q4_msr", "q3_mbr",
+                                       "q4_mbr"])
+def test_consistent_pair_weights_solve_the_window(prof_name, request):
+    """The consistent pair's weights zeta, the Lagrange weights of a detect
+    repair window's other helpers at its first helper's x-value, solve the
+    window's encoding rows (nu for MSR, mu for MBR): over every target and
+    layer they equal the ``solve_square`` solution and have no zero entry.
+    The pair that ``sim`` crafts from them, the first and last helper of
+    layer 0's window, leaves every layer-0 block consistent under the
+    solved weights and changes both helpers' symbols."""
+    profile = request.getfixturevalue(prof_name)
+    F = profile.field
+    row = profile.nu_row if profile.mode == "msr" else profile.mu_row
+    cluster = make_cluster(profile, 23)
+    for z in range(profile.n_nodes):
+        batches = repair_batches(profile, cluster.nodes, z, "detect")
+        for l, d in enumerate(profile.d):
+            ids = [b.helper_id for b in hmsr._contributors(batches, l)][:d + 1]
+            xs = [profile.x_value(g) for g in ids[1:]]
+            zeta, = hmsr._lagrange_weights(F, xs, hmsr._deltas(F, xs),
+                                           [profile.x_value(ids[0])])
+            solved = solve_square(F, transpose([row(g, l) for g in ids[1:]]),
+                                  row(ids[0], l))
+            assert zeta == solved and all(zeta), (z, l)
+            if l == 0:
+                window, coeff = ids, [1] + [F.neg(c) for c in solved]
+        spec = sim.AdversarySpec(nodes=frozenset({window[0], window[-1]}),
+                                 strategy="consistent_pair", seed=3)
+        crafted = {b.helper_id: b.symbols for b in sim._apply_consistent_pair(
+            cluster, z, batches, spec, random.Random(z))}
+        honest = {b.helper_id: b.symbols for b in batches}
+        for t in range(profile.blocks(0)):
+            key = (0, t)
+            assert reduce(F.add, [F.mul(c, crafted[g][key])
+                                  for c, g in zip(coeff, window)]) == 0, (z, t)
+            assert all(crafted[g][key] != honest[g][key]
+                       for g in spec.nodes), (z, t)
 
 
 def _tallies(*rows):
